@@ -59,6 +59,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -970,7 +971,9 @@ int main(int argc, char** argv) {
     obs::close_trace_flush_file();
     if (code == 0) write_obs_outputs(obs_options);
     return code;
-  } catch (const Error& error) {
+  } catch (const std::exception& error) {
+    // odonn::Error and everything else (std::bad_alloc from a hostile
+    // input, ...) end the same way: a message and a non-zero exit.
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }

@@ -1,7 +1,9 @@
 #include "donn/serialize.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +16,8 @@ constexpr char kMagic[4] = {'O', 'D', 'N', 'N'};
 // v1: config without detector mode (implicitly Standard).
 // v2: appends a u32 detector mode after detector_size.
 constexpr std::uint32_t kVersion = 2;
+// Largest grid a checkpoint may claim (a 4096^2 complex field is 256 MiB).
+constexpr std::size_t kMaxGrid = 4096;
 
 void write_u32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -92,6 +96,17 @@ DonnModel load_model(const std::string& path) {
   cfg.grid.pitch = read_f64(in, path);
   cfg.wavelength = read_f64(in, path);
   cfg.distance = read_f64(in, path);
+  // The header sizes every allocation below: reject an implausible one
+  // before it turns into a multi-gigabyte request.
+  if (cfg.grid.n < 1 || cfg.grid.n > kMaxGrid) {
+    throw IoError("grid size outside [1, " + std::to_string(kMaxGrid) +
+                  "] in " + path);
+  }
+  for (const double v : {cfg.grid.pitch, cfg.wavelength, cfg.distance}) {
+    if (!std::isfinite(v) || v <= 0.0) {
+      throw IoError("non-finite or non-positive optics parameter in " + path);
+    }
+  }
   const std::uint32_t kernel = read_u32(in, path);
   if (kernel > 2) throw IoError("invalid kernel id in " + path);
   cfg.kernel = static_cast<optics::KernelType>(kernel);

@@ -7,34 +7,60 @@
 
 namespace odonn::fft {
 
+namespace {
+
+constexpr std::size_t L = Plan::kLanes;
+
+/// Transforms `lanes` (1..L) strided sequences of plan.size() values as one
+/// lane group: element j of sequence s is base[j * step + s * lane_step].
+/// Idle lanes carry a copy of sequence 0 and their results are dropped.
+void transform_group(const Plan& plan, Cplx* base, std::size_t step,
+                     std::size_t lane_step, std::size_t lanes, Direction dir) {
+  const std::size_t n = plan.size();
+  thread_local std::vector<double> re, im;
+  if (re.size() < n * L) {
+    re.resize(n * L);
+    im.resize(n * L);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const Cplx* src = base + j * step;
+    for (std::size_t s = 0; s < L; ++s) {
+      const Cplx v = src[(s < lanes ? s : 0) * lane_step];
+      re[j * L + s] = v.real();
+      im[j * L + s] = v.imag();
+    }
+  }
+  plan.execute_lanes(re.data(), im.data(), dir);
+  for (std::size_t j = 0; j < n; ++j) {
+    Cplx* dst = base + j * step;
+    for (std::size_t s = 0; s < lanes; ++s) {
+      dst[s * lane_step] = Cplx(re[j * L + s], im[j * L + s]);
+    }
+  }
+}
+
+}  // namespace
+
 void transform_2d(Cplx* data, std::size_t rows, std::size_t cols,
                   Direction dir) {
   ODONN_CHECK(rows >= 1 && cols >= 1, "transform_2d requires non-empty shape");
   const auto row_plan = plan_for(cols);
   const auto col_plan = plan_for(rows);
 
-  // Rows are contiguous: transform in place.
-  parallel_for_chunks(
-      0, rows,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          row_plan->execute(data + r * cols, dir);
-        }
-      },
-      /*grain=*/4);
-
-  // Columns are strided: gather into a per-thread buffer, transform, scatter.
-  parallel_for_chunks(
-      0, cols,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<Cplx> col(rows);
-        for (std::size_t c = lo; c < hi; ++c) {
-          for (std::size_t r = 0; r < rows; ++r) col[r] = data[r * cols + c];
-          col_plan->execute(col.data(), dir);
-          for (std::size_t r = 0; r < rows; ++r) data[r * cols + c] = col[r];
-        }
-      },
-      /*grain=*/4);
+  // Group g packs rows [g*L, g*L + L), then columns [g*L, g*L + L): the
+  // grouping is a function of the index alone, never of the thread count.
+  parallel_for(
+      0, (rows + L - 1) / L,
+      [&](std::size_t g) {
+        transform_group(*row_plan, data + g * L * cols, 1, cols,
+                        std::min(L, rows - g * L), dir);
+      });
+  parallel_for(
+      0, (cols + L - 1) / L,
+      [&](std::size_t g) {
+        transform_group(*col_plan, data + g * L, cols, 1,
+                        std::min(L, cols - g * L), dir);
+      });
 }
 
 namespace {

@@ -12,8 +12,10 @@
 namespace odonn::fft {
 
 /// In-place 2-D FFT of a rows x cols row-major buffer: 1-D transforms over
-/// every row, then every column. Parallelized across rows/columns when
-/// called from a non-worker thread.
+/// every row, then every column, Plan::kLanes rows (columns) per
+/// Plan::execute_lanes sweep — bitwise identical to Plan::execute on each
+/// row, then each column. Parallelized across lane groups when called from
+/// a non-worker thread.
 void transform_2d(Cplx* data, std::size_t rows, std::size_t cols,
                   Direction dir);
 

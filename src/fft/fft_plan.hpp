@@ -11,6 +11,25 @@
 // thread_local storage. Convention: unnormalized forward, 1/n inverse, i.e.
 //   forward:  X_k = sum_j x_j exp(-2*pi*i*j*k/n)
 //   inverse:  x_j = (1/n) sum_k X_k exp(+2*pi*i*j*k/n)
+//
+// Lane execution. execute_lanes runs Plan::kLanes independent transforms at
+// once over structure-of-arrays planes: element j of lane s sits at
+// re[j * kLanes + s] / im[j * kLanes + s]. One butterfly sweep then advances
+// every lane, so twiddle loads and loop control are paid once per group and
+// the lane loops vectorize. fft::transform_2d packs four rows (then four
+// columns) per group; serve::BatchKernel packs four samples.
+//
+// Bitwise contract: every lane performs exactly the IEEE operations of
+// execute() on the same input — the same bit-reversal order and butterflies,
+// complex products as (ac - bd, ad + bc), inverse twiddles as conjugates, the
+// same Bluestein order (chirp multiply, zero-pad, forward pass, multiply by
+// FFT(b), unscaled inverse pass, then (u * 1/m) * a) and the same conj wrap
+// with 1/n for Bluestein inverses — so results match lane for lane, bit for
+// bit, signed zeros included. The contract covers finite inputs whose
+// products do not overflow: when both parts of a std::complex product come
+// out NaN, the scalar path falls back to the C99 Annex G recovery routine
+// (__muldc3), which the lane path does not replicate — as serve::BatchKernel's
+// sample lanes never have.
 #pragma once
 
 #include <complex>
@@ -32,15 +51,11 @@ std::size_t next_pow2(std::size_t n);
 /// True if n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
 
-/// Radix-2 table builders, shared by Plan and the serving batch kernel so
-/// both paths multiply by bitwise-identical factors: twiddles are
-/// exp(-2*pi*i*k/n) for k < n/2; the permutation is the bit-reversal order
-/// of [0, n) for power-of-two n.
-std::vector<Cplx> radix2_twiddles(std::size_t n);
-std::vector<std::size_t> bit_reverse_permutation(std::size_t n);
-
 class Plan {
  public:
+  /// Transforms advanced side by side by execute_lanes.
+  static constexpr std::size_t kLanes = 4;
+
   /// Builds a plan for length n (n >= 1). Radix-2 when n is a power of two,
   /// Bluestein otherwise.
   explicit Plan(std::size_t n);
@@ -48,13 +63,22 @@ class Plan {
   std::size_t size() const { return n_; }
   bool uses_bluestein() const { return !bluestein_b_fft_.empty(); }
 
-  /// In-place transform of exactly size() elements.
+  /// In-place transform of exactly size() elements. The scalar reference.
   void execute(Cplx* data, Direction dir) const;
   void execute(std::span<Cplx> data, Direction dir) const;
+
+  /// kLanes in-place transforms of size() elements each, over split planes
+  /// of size() * kLanes doubles laid out lane-major (see the file comment).
+  /// Every lane must be initialized; each matches execute() bit for bit.
+  void execute_lanes(double* re, double* im, Direction dir) const;
 
  private:
   void pow2_transform(Cplx* data, std::size_t n, bool inverse) const;
   void bluestein_forward(Cplx* data) const;
+  // Lane path: the radix-2 butterflies over conv_n_ lane groups already in
+  // bit-reversed order, and the Bluestein forward built on them.
+  void butterfly_stages(double* re, double* im, bool inverse) const;
+  void bluestein_forward_lanes(double* re, double* im) const;
 
   std::size_t n_;
   // Radix-2 twiddles for the plan length itself (pow2 plans) or for the

@@ -21,7 +21,9 @@ bool BatchKernel::supports(const donn::DonnModel& model) {
 
 BatchKernel::BatchKernel(const donn::DonnModel& model,
                          const std::vector<MatrixC>& modulations)
-    : model_(&model), n_(model.config().grid.n) {
+    : model_(&model),
+      n_(model.config().grid.n),
+      plan_(fft::plan_for(model.config().grid.n)) {
   ODONN_CHECK(supports(model), "BatchKernel: unsupported model geometry");
   ODONN_CHECK_SHAPE(modulations.size() == model.num_layers(),
                     "BatchKernel: modulation table count mismatch");
@@ -46,77 +48,16 @@ BatchKernel::BatchKernel(const donn::DonnModel& model,
       mod_im_[l][i] = w[i].imag();
     }
   }
-
-  // The same table builders fft::Plan uses, so every butterfly multiplies
-  // by bitwise-identical factors.
-  const auto twiddles = fft::radix2_twiddles(n_);
-  tw_re_.resize(twiddles.size());
-  tw_im_.resize(twiddles.size());
-  itw_im_.resize(twiddles.size());
-  for (std::size_t k = 0; k < twiddles.size(); ++k) {
-    tw_re_[k] = twiddles[k].real();
-    tw_im_[k] = twiddles[k].imag();
-    itw_im_[k] = -tw_im_[k];  // conj, exactly as Plan::execute(Inverse)
-  }
-  bit_reverse_ = fft::bit_reverse_permutation(n_);
 }
 
-/// One length-n radix-2 transform over a contiguous SoA segment of n lane
-/// groups — the butterfly order of fft::Plan::pow2_transform, applied to
-/// kLanes samples per sweep.
-void BatchKernel::fft_pass(double* re, double* im, bool inverse) const {
-  const std::size_t n = n_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) {
-      for (std::size_t s = 0; s < L; ++s) {
-        std::swap(re[i * L + s], re[j * L + s]);
-        std::swap(im[i * L + s], im[j * L + s]);
-      }
-    }
-  }
-  const double* tw_im = inverse ? itw_im_.data() : tw_im_.data();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t stride = n / len;
-    for (std::size_t base = 0; base < n; base += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = tw_re_[k * stride];
-        const double wi = tw_im[k * stride];
-        double* pr = re + (base + k) * L;
-        double* pi = im + (base + k) * L;
-        double* qr = re + (base + k + half) * L;
-        double* qi = im + (base + k + half) * L;
-        for (std::size_t s = 0; s < L; ++s) {
-          const double odd_r = qr[s] * wr - qi[s] * wi;
-          const double odd_i = qr[s] * wi + qi[s] * wr;
-          const double even_r = pr[s];
-          const double even_i = pi[s];
-          pr[s] = even_r + odd_r;
-          pi[s] = even_i + odd_i;
-          qr[s] = even_r - odd_r;
-          qi[s] = even_i - odd_i;
-        }
-      }
-    }
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n * L; ++i) {
-      re[i] *= scale;
-      im[i] *= scale;
-    }
-  }
-}
-
-/// Rows-then-columns 2-D transform, mirroring fft::transform_2d: rows are
-/// contiguous lane groups; columns gather into a scratch segment, transform
-/// and scatter back.
+/// Rows-then-columns 2-D transform, mirroring fft::transform_2d: a row of
+/// every sample is one contiguous lane group; columns gather into a scratch
+/// segment, transform and scatter back.
 void BatchKernel::transform_2d(double* re, double* im, double* col_re,
-                               double* col_im, bool inverse) const {
+                               double* col_im, fft::Direction dir) const {
   const std::size_t n = n_;
   for (std::size_t r = 0; r < n; ++r) {
-    fft_pass(re + r * n * L, im + r * n * L, inverse);
+    plan_->execute_lanes(re + r * n * L, im + r * n * L, dir);
   }
   for (std::size_t c = 0; c < n; ++c) {
     for (std::size_t r = 0; r < n; ++r) {
@@ -126,7 +67,7 @@ void BatchKernel::transform_2d(double* re, double* im, double* col_re,
         col_im[r * L + s] = im[src + s];
       }
     }
-    fft_pass(col_re, col_im, inverse);
+    plan_->execute_lanes(col_re, col_im, dir);
     for (std::size_t r = 0; r < n; ++r) {
       const std::size_t dst = (r * n + c) * L;
       for (std::size_t s = 0; s < L; ++s) {
@@ -140,7 +81,7 @@ void BatchKernel::transform_2d(double* re, double* im, double* col_re,
 /// Free-space propagation F^{-1} diag(H) F over the whole lane group.
 void BatchKernel::propagate(double* re, double* im, double* col_re,
                             double* col_im) const {
-  transform_2d(re, im, col_re, col_im, /*inverse=*/false);
+  transform_2d(re, im, col_re, col_im, fft::Direction::Forward);
   const std::size_t count = n_ * n_;
   for (std::size_t i = 0; i < count; ++i) {
     const double kr = kernel_re_[i];
@@ -154,7 +95,7 @@ void BatchKernel::propagate(double* re, double* im, double* col_re,
       pi[s] = vi;
     }
   }
-  transform_2d(re, im, col_re, col_im, /*inverse=*/true);
+  transform_2d(re, im, col_re, col_im, fft::Direction::Inverse);
 }
 
 void BatchKernel::run(const std::vector<optics::Field>& inputs,

@@ -8,6 +8,10 @@
 // paid once per lane group instead of once per sample, and the inner lane
 // loops auto-vectorize.
 //
+// The FFTs are fft::Plan::execute_lanes over the cached plan — the same
+// lane butterflies fft::transform_2d uses, here with one sample per lane
+// instead of one row per lane.
+//
 // Exactness: each lane performs the same IEEE add/mul sequence as the
 // scalar pipeline (fft::Plan radix-2 butterflies -> transfer-function
 // multiply -> modulation multiply -> |.|^2 -> region sums, in the same
@@ -26,13 +30,14 @@
 #include <vector>
 
 #include "donn/model.hpp"
+#include "fft/fft_plan.hpp"
 
 namespace odonn::serve {
 
 class BatchKernel {
  public:
   /// Samples packed side by side in one SoA sweep.
-  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kLanes = fft::Plan::kLanes;
 
   /// True when this kernel can serve the model (radix-2 grid, no pad2x).
   static bool supports(const donn::DonnModel& model);
@@ -49,9 +54,8 @@ class BatchKernel {
            std::vector<std::vector<double>>* sums) const;
 
  private:
-  void fft_pass(double* re, double* im, bool inverse) const;
   void transform_2d(double* re, double* im, double* col_re, double* col_im,
-                    bool inverse) const;
+                    fft::Direction dir) const;
   void propagate(double* re, double* im, double* col_re,
                  double* col_im) const;
 
@@ -61,9 +65,7 @@ class BatchKernel {
   // loops touch plain double arrays.
   std::vector<double> kernel_re_, kernel_im_;
   std::vector<std::vector<double>> mod_re_, mod_im_;
-  // Radix-2 tables, same values as the cached fft::Plan builds.
-  std::vector<double> tw_re_, tw_im_, itw_im_;
-  std::vector<std::size_t> bit_reverse_;
+  std::shared_ptr<const fft::Plan> plan_;  // rows and columns: both length n
 };
 
 }  // namespace odonn::serve

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -320,6 +322,52 @@ TEST(Serialize, VersionOneStreamLoadsAsStandard) {
   EXPECT_EQ(loaded.config().detector, donn::DetectorMode::Standard);
   EXPECT_EQ(loaded.num_layers(), 2u);
   EXPECT_DOUBLE_EQ(loaded.phases()[0](3, 3), 0.5);
+}
+
+TEST(Serialize, RejectsImplausibleHeaderBeforeAllocating) {
+  // A corrupt or hostile header must fail with IoError before its claimed
+  // grid sizes any allocation: n = 200000 alone would ask for hundreds of
+  // gigabytes. No phase data follows the header.
+  const donn::DonnConfig cfg = donn::DonnConfig::scaled(16);
+  const std::string path = ::testing::TempDir() + "/hostile_model.odnn";
+  struct Header {
+    std::uint32_t n;
+    double pitch, wavelength, distance;
+  };
+  const auto write_header = [&](const Header& h) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const auto u32 = [&out](std::uint32_t v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    const auto f64 = [&out](double v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    out.write("ODNN", 4);
+    u32(2);  // version
+    u32(h.n);
+    f64(h.pitch);
+    f64(h.wavelength);
+    f64(h.distance);
+    u32(static_cast<std::uint32_t>(cfg.kernel));
+    u32(0);  // pad2x
+    u32(2);  // num_layers
+    u32(static_cast<std::uint32_t>(cfg.num_classes));
+    u32(static_cast<std::uint32_t>(cfg.detector_size));
+    u32(0);  // detector mode: Standard
+    u32(2);  // stored layer count
+  };
+  const double p = cfg.grid.pitch, w = cfg.wavelength, d = cfg.distance;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Header& h : {Header{200000, p, w, d}, Header{0, p, w, d},
+                          Header{4097, p, w, d}, Header{16, nan, w, d},
+                          Header{16, p, -w, d}, Header{16, p, w, 0.0},
+                          Header{16, p, w, inf}}) {
+    write_header(h);
+    EXPECT_THROW(donn::load_model(path), IoError)
+        << "n=" << h.n << " pitch=" << h.pitch << " wavelength="
+        << h.wavelength << " distance=" << h.distance;
+  }
 }
 
 TEST(Serialize, RejectsWrongMagic) {

@@ -1,11 +1,15 @@
 // Tests for src/fft: correctness against the naive DFT, inverse round
 // trips, Parseval, linearity, shift theorem, 2-D transforms, fftshift, and
 // frequency coordinates — parameterized across power-of-two and Bluestein
-// sizes (including the paper's 200).
+// sizes (including the paper's 200). The lane path (Plan::execute_lanes and
+// the transform_2d built on it) is held to the scalar Plan::execute bit for
+// bit, signed zeros included.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -22,6 +26,25 @@ std::vector<Cplx> random_signal(std::size_t n, std::uint64_t seed) {
   std::vector<Cplx> signal(n);
   for (auto& v : signal) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
   return signal;
+}
+
+/// A random signal whose entries include +0.0 and -0.0 in both parts.
+std::vector<Cplx> signed_zero_signal(std::size_t n, std::uint64_t seed) {
+  auto signal = random_signal(n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 5) {
+      case 1: signal[i] = Cplx(0.0, -0.0); break;
+      case 2: signal[i] = Cplx(-0.0, signal[i].imag()); break;
+      case 3: signal[i] = Cplx(signal[i].real(), -0.0); break;
+      default: break;
+    }
+  }
+  return signal;
+}
+
+bool same_bits(const std::vector<Cplx>& a, const std::vector<Cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Cplx)) == 0;
 }
 
 double max_err(const std::vector<Cplx>& a, const std::vector<Cplx>& b) {
@@ -119,9 +142,99 @@ TEST_P(FftSizes, ImpulseTransformsToConstant) {
   for (const auto& v : signal) EXPECT_LT(std::abs(v - Cplx(1.0, 0.0)), 1e-10);
 }
 
+TEST_P(FftSizes, ExecuteLanesMatchesExecuteBitwise) {
+  const std::size_t n = GetParam();
+  constexpr std::size_t L = Plan::kLanes;
+  // Lane 0 random, lane 1 random with signed zeros, lane 2 a lone impulse
+  // in -0.0 padding, lane 3 nothing but signed zeros.
+  std::vector<std::vector<Cplx>> lanes = {
+      random_signal(n, 700 + n), signed_zero_signal(n, 800 + n),
+      std::vector<Cplx>(n, Cplx(-0.0, -0.0)), std::vector<Cplx>(n)};
+  lanes[2][n / 2] = Cplx(1.0, -0.5);
+  for (std::size_t j = 0; j < n; ++j) {
+    lanes[3][j] = Cplx(j % 2 ? -0.0 : 0.0, j % 3 ? 0.0 : -0.0);
+  }
+  ASSERT_EQ(lanes.size(), L);
+
+  const Plan plan(n);
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    std::vector<double> re(n * L), im(n * L);
+    for (std::size_t s = 0; s < L; ++s) {
+      for (std::size_t j = 0; j < n; ++j) {
+        re[j * L + s] = lanes[s][j].real();
+        im[j * L + s] = lanes[s][j].imag();
+      }
+    }
+    plan.execute_lanes(re.data(), im.data(), dir);
+    for (std::size_t s = 0; s < L; ++s) {
+      auto expected = lanes[s];
+      plan.execute(expected.data(), dir);
+      std::vector<Cplx> got(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        got[j] = Cplx(re[j * L + s], im[j * L + s]);
+      }
+      EXPECT_TRUE(same_bits(got, expected))
+          << "lane " << s
+          << (dir == Direction::Forward ? " forward" : " inverse");
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 27,
                                            32, 50, 64, 100, 128, 200, 256));
+
+/// The definition transform_2d must reproduce: Plan::execute on every row,
+/// then on every column.
+std::vector<Cplx> row_column_reference(std::vector<Cplx> data,
+                                       std::size_t rows, std::size_t cols,
+                                       Direction dir) {
+  const auto row_plan = plan_for(cols);
+  const auto col_plan = plan_for(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    row_plan->execute(data.data() + r * cols, dir);
+  }
+  std::vector<Cplx> col(rows);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) col[r] = data[r * cols + c];
+    col_plan->execute(col.data(), dir);
+    for (std::size_t r = 0; r < rows; ++r) data[r * cols + c] = col[r];
+  }
+  return data;
+}
+
+class Fft2dShapes
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+
+TEST_P(Fft2dShapes, MatchesRowColumnReferenceBitwise) {
+  const auto [rows, cols] = GetParam();
+  const auto input = signed_zero_signal(rows * cols, 900 + rows * 7 + cols);
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    auto data = input;
+    transform_2d(data.data(), rows, cols, dir);
+    EXPECT_TRUE(same_bits(data, row_column_reference(input, rows, cols, dir)))
+        << rows << "x" << cols
+        << (dir == Direction::Forward ? " forward" : " inverse");
+  }
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> fft2d_shapes() {
+  // Square shapes over the FftSizes list, plus shapes whose last row or
+  // column group is partial.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 13, 16, 27, 32, 50, 64,
+                              100, 128, 200, 256}) {
+    shapes.emplace_back(n, n);
+  }
+  for (const auto& shape : {std::pair<std::size_t, std::size_t>{12, 10},
+                            {7, 200}, {200, 7}, {1, 5}, {5, 1}}) {
+    shapes.push_back(shape);
+  }
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, Fft2dShapes,
+                         ::testing::ValuesIn(fft2d_shapes()));
 
 TEST(Fft2d, MatchesNaive2dDft) {
   const std::size_t rows = 12, cols = 10;

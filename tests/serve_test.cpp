@@ -264,9 +264,10 @@ TEST(BatchedForwardPass, Pad2xFallsBackWithParity) {
 }
 
 TEST(BatchedForwardPass, ReusesPlansAcrossBatches) {
-  // Bluestein grid -> the generic infer_batch path, which goes through the
-  // shared fft::plan_for cache (the fused radix-2 kernel snapshots its own
-  // tables at construction and never touches the cache at run time).
+  // Bluestein grid -> the generic infer_batch path, whose transform_2d looks
+  // its row and column plans up in the shared fft::plan_for cache on every
+  // call (the fused radix-2 kernel also takes its plan from plan_for, but
+  // once, at construction, and never touches the cache at run time).
   const donn::DonnConfig cfg = tiny_config(20, 2);
   auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 71));
   const BatchedForward forward(model);
