@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -92,17 +93,51 @@ void DonnModel::mask_gradients(std::vector<MatrixD>& grads) const {
   }
 }
 
-optics::Field DonnModel::propagate_through(const optics::Field& input) const {
-  optics::Field field = input;
-  for (const auto& phi : phases_) {
-    DiffMod layer(propagator_, &phi);
-    field = layer.forward(field);
+void DonnModel::check_modulations(const std::vector<MatrixC>& modulations,
+                                  const char* what) const {
+  const std::size_t n = config_.grid.n;
+  ODONN_CHECK_SHAPE(modulations.size() == phases_.size(),
+                    std::string(what) + ": modulation table count mismatch");
+  for (const auto& w : modulations) {
+    ODONN_CHECK_SHAPE(w.rows() == n && w.cols() == n,
+                      std::string(what) + ": modulation table shape mismatch");
   }
-  return propagator_->forward(field);
+}
+
+void DonnModel::run_stack(const optics::Field& input,
+                          const std::vector<MatrixC>& modulations,
+                          Workspace& workspace, bool keep_propagated) const {
+  ODONN_CHECK_SHAPE(input.grid() == config_.grid,
+                    "model grid does not match input field grid");
+  MatrixC& field = workspace.field;
+  field = input.values();
+  if (keep_propagated) workspace.propagated.resize(modulations.size());
+  for (std::size_t l = 0; l < modulations.size(); ++l) {
+    propagator_->forward_inplace(field, workspace.propagation);
+    if (keep_propagated) workspace.propagated[l] = field;
+    const MatrixC& w = modulations[l];
+    for (std::size_t i = 0; i < field.size(); ++i) field[i] *= w[i];
+  }
+  propagator_->forward_inplace(field, workspace.propagation);
+  MatrixD& intensity = workspace.intensity;
+  if (intensity.rows() != field.rows() || intensity.cols() != field.cols()) {
+    intensity = MatrixD(field.rows(), field.cols());
+  }
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    intensity[i] = std::norm(field[i]);
+  }
+}
+
+optics::Field DonnModel::propagate_through(const optics::Field& input) const {
+  Workspace workspace;
+  run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
+  return optics::Field(config_.grid, std::move(workspace.field));
 }
 
 MatrixD DonnModel::output_intensity(const optics::Field& input) const {
-  return propagate_through(input).intensity();
+  Workspace workspace;
+  run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
+  return std::move(workspace.intensity);
 }
 
 std::vector<double> DonnModel::detector_sums(const optics::Field& input) const {
@@ -110,7 +145,16 @@ std::vector<double> DonnModel::detector_sums(const optics::Field& input) const {
 }
 
 std::size_t DonnModel::predict(const optics::Field& input) const {
-  return detector_.predict(output_intensity(input));
+  Workspace workspace;
+  return predict(input, modulation_tables(), workspace);
+}
+
+std::size_t DonnModel::predict(const optics::Field& input,
+                               const std::vector<MatrixC>& modulations,
+                               Workspace& workspace) const {
+  check_modulations(modulations, "predict");
+  run_stack(input, modulations, workspace, /*keep_propagated=*/false);
+  return detector_.predict(workspace.intensity);
 }
 
 std::vector<MatrixC> DonnModel::modulation_tables() const {
@@ -119,8 +163,6 @@ std::vector<MatrixC> DonnModel::modulation_tables() const {
   for (const auto& phi : phases_) {
     MatrixC w(phi.rows(), phi.cols());
     for (std::size_t i = 0; i < phi.size(); ++i) {
-      // Same cos/sin evaluation as DiffMod::forward, so the batched path
-      // multiplies by bitwise-identical modulation factors.
       w[i] = std::complex<double>(std::cos(phi[i]), std::sin(phi[i]));
     }
     mods.push_back(std::move(w));
@@ -133,13 +175,7 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
                             std::vector<std::size_t>* predictions,
                             std::vector<std::vector<double>>* sums,
                             std::vector<MatrixD>* intensities) const {
-  const std::size_t n = config_.grid.n;
-  ODONN_CHECK_SHAPE(modulations.size() == phases_.size(),
-                    "infer_batch: modulation table count mismatch");
-  for (const auto& w : modulations) {
-    ODONN_CHECK_SHAPE(w.rows() == n && w.cols() == n,
-                      "infer_batch: modulation table shape mismatch");
-  }
+  check_modulations(modulations, "infer_batch");
   for (const auto& input : inputs) {
     ODONN_CHECK_SHAPE(input.grid() == config_.grid,
                       "infer_batch: input grid mismatch");
@@ -150,33 +186,23 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
   if (inputs.empty()) return;
 
   // Samples are independent, so chunks write only to their own output
-  // slots: results are deterministic regardless of scheduling. Scratch
-  // buffers are hoisted per chunk and reused across that chunk's samples,
-  // making steady-state per-sample work allocation-free.
+  // slots: results are deterministic regardless of scheduling. One
+  // workspace per chunk makes steady-state per-sample work allocation-free.
   parallel_for_chunks(
       0, inputs.size(),
       [&](std::size_t lo, std::size_t hi) {
-        MatrixC buf;
-        optics::Propagator::Workspace workspace;
-        MatrixD intensity(n, n);
+        Workspace workspace;
         for (std::size_t k = lo; k < hi; ++k) {
-          buf = inputs[k].values();
-          for (const auto& w : modulations) {
-            propagator_->forward_inplace(buf, workspace);
-            for (std::size_t i = 0; i < buf.size(); ++i) buf[i] *= w[i];
-          }
-          propagator_->forward_inplace(buf, workspace);
-          for (std::size_t i = 0; i < buf.size(); ++i) {
-            intensity[i] = std::norm(buf[i]);
-          }
-          auto class_sums = detector_.readout(intensity);
+          run_stack(inputs[k], modulations, workspace,
+                    /*keep_propagated=*/false);
+          auto class_sums = detector_.readout(workspace.intensity);
           if (predictions) {
             (*predictions)[k] = static_cast<std::size_t>(
                 std::max_element(class_sums.begin(), class_sums.end()) -
                 class_sums.begin());
           }
           if (sums) (*sums)[k] = std::move(class_sums);
-          if (intensities) (*intensities)[k] = intensity;
+          if (intensities) (*intensities)[k] = workspace.intensity;
         }
       },
       /*grain=*/1);
@@ -215,33 +241,49 @@ std::vector<MatrixD> DonnModel::zero_gradients() const {
 DonnModel::ForwardBackwardResult DonnModel::forward_backward(
     const optics::Field& input, std::size_t label,
     std::vector<MatrixD>& phase_grads, const LossOptions& loss_options) const {
+  Workspace workspace;
+  return forward_backward(input, label, modulation_tables(), workspace,
+                          phase_grads, loss_options);
+}
+
+DonnModel::ForwardBackwardResult DonnModel::forward_backward(
+    const optics::Field& input, std::size_t label,
+    const std::vector<MatrixC>& modulations, Workspace& workspace,
+    std::vector<MatrixD>& phase_grads, const LossOptions& loss_options) const {
+  check_modulations(modulations, "forward_backward");
   ODONN_CHECK_SHAPE(phase_grads.size() == phases_.size(),
                     "forward_backward: gradient count mismatch");
-
-  // Forward with per-layer caches.
-  std::vector<DiffModCache> caches(phases_.size());
-  optics::Field field = input;
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    DiffMod layer(propagator_, &phases_[i]);
-    field = layer.forward(field, caches[i]);
+  for (const auto& g : phase_grads) {
+    ODONN_CHECK_SHAPE(g.rows() == config_.grid.n && g.cols() == config_.grid.n,
+                      "forward_backward: gradient shape mismatch");
   }
-  const optics::Field at_detector = propagator_->forward(field);
-  const MatrixD intensity = at_detector.intensity();
-  const auto sums = detector_.readout(intensity);
+
+  run_stack(input, modulations, workspace, /*keep_propagated=*/true);
+  const auto sums = detector_.readout(workspace.intensity);
   const LossResult lr = evaluate_loss(sums, label, loss_options);
 
-  // Backward: dL/dI -> g(f) = 2 f dL/dI -> adjoint propagation -> layers.
+  // Backward, in place on the detector-plane field:
+  // dL/dI -> g(f) = 2 f dL/dI -> adjoint propagation -> layers.
+  MatrixC& grad = workspace.field;
   const MatrixD grad_intensity = detector_.scatter(lr.grad_sums);
-  MatrixC gf(intensity.rows(), intensity.cols());
-  const MatrixC& fdet = at_detector.values();
-  for (std::size_t i = 0; i < gf.size(); ++i) {
-    gf[i] = 2.0 * fdet[i] * grad_intensity[i];
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    grad[i] = 2.0 * grad[i] * grad_intensity[i];
   }
-  optics::Field grad = propagator_->adjoint(
-      optics::Field(input.grid(), std::move(gf)));
-  for (std::size_t i = phases_.size(); i-- > 0;) {
-    DiffMod layer(propagator_, &phases_[i]);
-    grad = layer.backward(grad, caches[i], phase_grads[i]);
+  propagator_->adjoint_inplace(grad, workspace.propagation);
+  for (std::size_t l = modulations.size(); l-- > 0;) {
+    const MatrixC& w = modulations[l];
+    const MatrixC& prop = workspace.propagated[l];
+    MatrixD& phase_grad = phase_grads[l];
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      // g(w) = conj(f_prop) * g(out); dL/dphi = Re(i * w * conj(g(w))).
+      const std::complex<double> gw = std::conj(prop[i]) * grad[i];
+      phase_grad[i] +=
+          (std::complex<double>(0.0, 1.0) * w[i] * std::conj(gw)).real();
+      // g(f_prop) = conj(w) * g(out).
+      grad[i] = std::conj(w[i]) * grad[i];
+    }
+    // The gradient wrt the input field itself is never needed.
+    if (l > 0) propagator_->adjoint_inplace(grad, workspace.propagation);
   }
   return {lr.loss, lr.predicted};
 }

@@ -3,20 +3,31 @@
 //
 // Parameters are the per-layer phase masks; optional sparsity masks freeze
 // pixels at zero (§III-C). Forward/backward are hand-derived (DESIGN.md §4)
-// and validated against finite differences in tests.
+// and validated against finite differences in tests. One layer is
+//   out = P(in) .* w,   w = exp(i*phi)   (P = free-space propagation)
+// and its adjoint, with g(x) = dL/dRe(x) + i dL/dIm(x), is
+//   dL/dphi = Re(i * w * conj(conj(P(in)) .* g(out))),
+//   g(in)   = P*(conj(w) .* g(out)).
 //
-// Batched inference and thread safety
-// -----------------------------------
-// Beyond the one-sample path (predict / detector_sums / output_intensity),
-// the model exposes batched entry points — predict_batch,
-// detector_sums_batch, output_intensity_batch and the plan-reusing core
-// infer_batch — that evaluate K samples against the single cached
-// propagation kernel / FFT plan set, share precomputed per-layer modulation
-// tables exp(i*phi) across the whole batch (modulation_tables()), and
-// parallelize over samples via common/parallel with per-chunk scratch
-// buffers. The batched path performs bitwise-identical arithmetic to the
-// single-sample path, so predictions and detector sums match exactly
-// (tests/serve_test.cpp asserts this).
+// One per-sample path
+// -------------------
+// Every entry point — propagate_through, output_intensity, detector_sums,
+// predict, infer_batch and forward_backward — runs one private stack runner
+// that works in place on a DonnModel::Workspace, multiplying by
+// precomputed modulation tables w = exp(i*phi) (modulation_tables()). The
+// one-sample convenience overloads build the tables and a workspace per
+// call; hot loops (infer_batch per chunk, the trainer per batch and slot,
+// evaluate_accuracy per call and chunk) build them once and reuse them, so
+// steady-state propagation allocates no field and evaluates no cos/sin.
+// Since every caller runs the same arithmetic, predictions, detector sums
+// and gradients are bitwise identical however they are reached
+// (tests/donn_test.cpp and tests/serve_test.cpp assert this).
+//
+// Workspaces are caller-owned, one per concurrent caller, and never
+// thread_local: a thread waiting on a common/parallel latch runs other
+// queued tasks on its own stack, so a runner that kept its scratch per
+// thread could be re-entered by a nested fan-out and have its buffers
+// overwritten mid-sample.
 //
 // Thread-safety contract: every const member function is safe to call
 // concurrently from any number of threads — inference reads the phase
@@ -33,7 +44,6 @@
 
 #include "common/rng.hpp"
 #include "donn/detector.hpp"
-#include "donn/diffmod.hpp"
 #include "donn/loss.hpp"
 #include "optics/encode.hpp"
 #include "optics/propagate.hpp"
@@ -76,6 +86,17 @@ struct DonnConfig {
 
 class DonnModel {
  public:
+  /// Caller-owned scratch of the per-sample stack runner. Buffers are sized
+  /// on first use and reused afterwards, so one workspace serves any number
+  /// of sequential calls, on models of any grid; it must never be shared by
+  /// two calls in flight at once (see the header comment).
+  struct Workspace {
+    MatrixC field;                     ///< the running field, in place
+    std::vector<MatrixC> propagated;   ///< layer i's P(in), for the backward
+    MatrixD intensity;                 ///< |f|^2 at the detector plane
+    optics::Propagator::Workspace propagation;
+  };
+
   /// Initializes all phase masks uniformly in [0, 2*pi).
   DonnModel(const DonnConfig& config, Rng& rng);
 
@@ -115,6 +136,12 @@ class DonnModel {
   /// argmax class.
   std::size_t predict(const optics::Field& input) const;
 
+  /// argmax class, through the caller's tables (this model's
+  /// modulation_tables()) and workspace.
+  std::size_t predict(const optics::Field& input,
+                      const std::vector<MatrixC>& modulations,
+                      Workspace& workspace) const;
+
   /// Precomputed per-layer modulation tables w = exp(i*phi), shared across
   /// a batch so the transcendental cost of the masks is paid once per batch
   /// instead of once per sample. Recompute after set_phases/set_masks (the
@@ -123,11 +150,12 @@ class DonnModel {
 
   /// Plan-reusing batched inference core: evaluates inputs[k] for all k
   /// through the mask stack using the cached propagator and the supplied
-  /// modulation tables, parallelized over samples via common/parallel.
-  /// Each non-null output vector is resized to inputs.size() and filled at
-  /// index k with that sample's result. Bitwise-identical arithmetic to the
-  /// single-sample path; results are deterministic and independent of the
-  /// thread count. Thread-safe (const; writes only to caller outputs).
+  /// modulation tables, parallelized over samples via common/parallel with
+  /// one workspace per chunk. Each non-null output vector is resized to
+  /// inputs.size() and filled at index k with that sample's result. The
+  /// same per-sample runner as the single-sample path; results are
+  /// deterministic and independent of the thread count. Thread-safe
+  /// (const; writes only to caller outputs).
   void infer_batch(const std::vector<optics::Field>& inputs,
                    const std::vector<MatrixC>& modulations,
                    std::vector<std::size_t>* predictions,
@@ -151,10 +179,19 @@ class DonnModel {
     std::size_t predicted = 0;
   };
 
-  /// One-sample forward + backward. Phase gradients are ACCUMULATED into
-  /// `phase_grads` (must be preallocated to the right shapes); the data
-  /// term only — regularizers are added by the trainer. Thread-safe for
-  /// concurrent calls (model state is read-only here).
+  /// One-sample forward + backward through the caller's tables (this
+  /// model's modulation_tables()) and workspace. Phase gradients are
+  /// ACCUMULATED into `phase_grads` (must be preallocated to the right
+  /// shapes); the data term only — regularizers are added by the trainer.
+  /// Thread-safe for concurrent calls with distinct workspaces and
+  /// gradient sets (model state is read-only here).
+  ForwardBackwardResult forward_backward(
+      const optics::Field& input, std::size_t label,
+      const std::vector<MatrixC>& modulations, Workspace& workspace,
+      std::vector<MatrixD>& phase_grads,
+      const LossOptions& loss_options) const;
+
+  /// The same, building the tables and a workspace for this one call.
   ForwardBackwardResult forward_backward(const optics::Field& input,
                                          std::size_t label,
                                          std::vector<MatrixD>& phase_grads,
@@ -164,6 +201,19 @@ class DonnModel {
   std::vector<MatrixD> zero_gradients() const;
 
  private:
+  /// Throws ShapeError unless `modulations` holds one grid-shaped table per
+  /// layer.
+  void check_modulations(const std::vector<MatrixC>& modulations,
+                         const char* what) const;
+
+  /// The per-sample stack runner: leaves the detector-plane field in
+  /// workspace.field and its intensity in workspace.intensity; with
+  /// `keep_propagated`, workspace.propagated[i] holds layer i's propagated
+  /// field before modulation. `modulations` must already be checked.
+  void run_stack(const optics::Field& input,
+                 const std::vector<MatrixC>& modulations, Workspace& workspace,
+                 bool keep_propagated) const;
+
   DonnConfig config_;
   std::shared_ptr<const optics::Propagator> propagator_;
   std::vector<MatrixD> phases_;

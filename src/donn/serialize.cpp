@@ -137,6 +137,11 @@ DonnModel load_model(const std::string& path) {
     in.read(reinterpret_cast<char*>(phi.data()),
             static_cast<std::streamsize>(phi.size() * sizeof(double)));
     if (!in) throw IoError("truncated phase data in " + path);
+    for (const double v : phi) {
+      if (!std::isfinite(v)) {
+        throw IoError("non-finite phase value in " + path);
+      }
+    }
     phases.push_back(std::move(phi));
   }
 
@@ -153,6 +158,9 @@ DonnModel load_model(const std::string& path) {
       if (!in) throw IoError("truncated mask data in " + path);
       masks.push_back(std::move(mask));
     }
+  }
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    throw IoError("trailing bytes after the mask block in " + path);
   }
   model.set_phases(std::move(phases));
   model.set_masks(std::move(masks));

@@ -18,8 +18,9 @@ namespace odonn::donn {
 /// Writes the model (config + phases + masks) to `path`. Throws IoError.
 void save_model(const DonnModel& model, const std::string& path);
 
-/// Reads a model back. Validates magic/version/shape; throws IoError on any
-/// malformed content.
+/// Reads a model back. Validates magic/version/shape, the grid and optics
+/// bounds before allocating, finite phase values and the exact length (no
+/// byte after the mask block); throws IoError on any malformed content.
 DonnModel load_model(const std::string& path);
 
 }  // namespace odonn::donn

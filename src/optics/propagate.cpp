@@ -57,15 +57,6 @@ void Propagator::apply_inplace(MatrixC& values, Workspace& workspace,
   }
 }
 
-Field Propagator::apply(const Field& input, bool conjugate_kernel) const {
-  ODONN_CHECK_SHAPE(input.grid() == grid_,
-                    "propagator grid does not match field grid");
-  MatrixC buf = input.values();
-  Workspace workspace;
-  apply_inplace(buf, workspace, conjugate_kernel);
-  return Field(grid_, std::move(buf));
-}
-
 void Propagator::forward_inplace(MatrixC& values, Workspace& workspace) const {
   apply_inplace(values, workspace, /*conjugate_kernel=*/false);
 }
@@ -75,14 +66,24 @@ void Propagator::adjoint_inplace(MatrixC& values, Workspace& workspace) const {
 }
 
 Field Propagator::forward(const Field& input) const {
-  return apply(input, /*conjugate_kernel=*/false);
+  ODONN_CHECK_SHAPE(input.grid() == grid_,
+                    "propagator grid does not match field grid");
+  Field out = input;
+  Workspace workspace;
+  forward_inplace(out.values(), workspace);
+  return out;
 }
 
 Field Propagator::adjoint(const Field& grad_output) const {
   // P = C F^{-1} diag(H) F E with E = centered zero-pad, C = centered crop,
   // and C = E^T, so P* = E^T' ... the pad/crop pair is self-adjoint under
   // the same centering, giving P* = C F^{-1} diag(conj H) F E.
-  return apply(grad_output, /*conjugate_kernel=*/true);
+  ODONN_CHECK_SHAPE(grad_output.grid() == grid_,
+                    "propagator grid does not match field grid");
+  Field out = grad_output;
+  Workspace workspace;
+  adjoint_inplace(out.values(), workspace);
+  return out;
 }
 
 Field propagate_in_steps(const Field& input, const KernelSpec& spec,

@@ -49,8 +49,8 @@ class Propagator {
   /// In-place variants over a raw n x n sample buffer: `values` is consumed
   /// and overwritten with the propagated samples. Bit-for-bit identical to
   /// forward()/adjoint() (the Field entry points are thin wrappers over this
-  /// path), but allocation-free at steady state — the batched inference
-  /// engine calls these per sample with per-thread workspaces.
+  /// path), but allocation-free at steady state — the model's stack runner
+  /// calls these per hop with a caller-owned workspace.
   void forward_inplace(MatrixC& values, Workspace& workspace) const;
   void adjoint_inplace(MatrixC& values, Workspace& workspace) const;
 
@@ -58,7 +58,6 @@ class Propagator {
   const MatrixC& transfer() const { return kernel_; }
 
  private:
-  Field apply(const Field& input, bool conjugate_kernel) const;
   void apply_inplace(MatrixC& values, Workspace& workspace,
                      bool conjugate_kernel) const;
 

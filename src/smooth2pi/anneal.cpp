@@ -124,16 +124,4 @@ TwoPiResult anneal_2pi(const MatrixD& mask, const AnnealOptions& options) {
   return result;
 }
 
-std::vector<TwoPiResult> anneal_2pi_all(const std::vector<MatrixD>& masks,
-                                        const AnnealOptions& options) {
-  std::vector<TwoPiResult> results;
-  results.reserve(masks.size());
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    AnnealOptions opt = options;
-    opt.seed = options.seed + i * 0x9e3779b9ULL;  // independent noise per layer
-    results.push_back(anneal_2pi(masks[i], opt));
-  }
-  return results;
-}
-
 }  // namespace odonn::smooth2pi

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "smooth2pi/two_pi_opt.hpp"
 
@@ -22,12 +21,5 @@ struct AnnealOptions {
 /// Metropolis annealing over per-pixel 0/2*pi flips. Never returns a
 /// selection worse than the identity.
 TwoPiResult anneal_2pi(const MatrixD& mask, const AnnealOptions& options = {});
-
-/// Anneals every mask of a multi-layer stack, layer i with its own RNG
-/// stream (seed + i * golden-ratio increment, the same per-layer idiom as
-/// optimize_2pi_all) so layers decorrelate and results are independent of
-/// how many layers precede them.
-std::vector<TwoPiResult> anneal_2pi_all(const std::vector<MatrixD>& masks,
-                                        const AnnealOptions& options = {});
 
 }  // namespace odonn::smooth2pi

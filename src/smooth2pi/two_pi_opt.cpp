@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "smooth2pi/gumbel.hpp"
 
 namespace odonn::smooth2pi {
@@ -291,13 +292,14 @@ std::vector<std::uint8_t> exact_1d_selection(
 
 std::vector<TwoPiResult> optimize_2pi_all(const std::vector<MatrixD>& masks,
                                           const TwoPiOptions& options) {
-  std::vector<TwoPiResult> results;
-  results.reserve(masks.size());
-  TwoPiOptions opt = options;
-  for (std::size_t i = 0; i < masks.size(); ++i) {
+  // Layers are independent solves with their own seeds, each writing only
+  // its own slot, so the results do not depend on the thread count.
+  std::vector<TwoPiResult> results(masks.size());
+  parallel_for(0, masks.size(), [&](std::size_t i) {
+    TwoPiOptions opt = options;
     opt.seed = options.seed + i * 0x9e3779b9ULL;  // independent noise per layer
-    results.push_back(optimize_2pi(masks[i], opt));
-  }
+    results[i] = optimize_2pi(masks[i], opt);
+  });
   return results;
 }
 

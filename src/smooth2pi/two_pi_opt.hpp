@@ -58,8 +58,9 @@ std::vector<std::uint8_t> exact_1d_selection(
     const std::vector<double>& values,
     const roughness::RoughnessOptions& roughness = {});
 
-/// Applies a solver to every layer of a DONN system and returns per-layer
-/// results (convenience for recipes/benches).
+/// Runs optimize_2pi on every layer of a DONN system, layer i with seed
+/// options.seed + i * 0x9e3779b9, concurrently on the shared pool; the
+/// per-layer results are identical to sequential calls.
 std::vector<TwoPiResult> optimize_2pi_all(const std::vector<MatrixD>& masks,
                                           const TwoPiOptions& options = {});
 

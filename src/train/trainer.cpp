@@ -140,8 +140,12 @@ EpochStats Trainer::run_epoch() {
     // Realize the K fabricated deployments of the CURRENT phases. Stream k
     // is a pure function of (robust.seed, realization index), so the
     // devices are reproducible, resume-safe via the counter, and safe to
-    // generate in parallel (each slot written exactly once).
+    // generate in parallel (each slot written exactly once). Each model in
+    // use this batch (the clean model, or each realized device) gets its
+    // modulation tables once, so exp(i*phi) is evaluated once per pixel per
+    // batch rather than twice per sample.
     std::vector<std::unique_ptr<donn::DonnModel>> realized;
+    std::vector<std::vector<MatrixC>> modulations(realizations);
     if (robust) {
       if (!options_.robust.per_epoch) {
         realization_base = realization_counter_;
@@ -156,7 +160,10 @@ EpochStats Trainer::run_epoch() {
         realized[k] = std::make_unique<donn::DonnModel>(fab::realize_device(
             model_, *options_.robust.stack, options_.robust.crosstalk,
             options_.robust.deploy_crosstalk, stream));
+        modulations[k] = realized[k]->modulation_tables();
       });
+    } else {
+      modulations[0] = model_.modulation_tables();
     }
 
     // Robust mode encodes the batch once up front: the input field depends
@@ -181,6 +188,8 @@ EpochStats Trainer::run_epoch() {
       // the clean phases below — the straight-through weight-noise-
       // injection estimator of the expected fabricated loss.
       const donn::DonnModel& net = robust ? *realized[slot / slices] : model_;
+      const std::vector<MatrixC>& net_modulations = modulations[slot / slices];
+      donn::DonnModel::Workspace workspace;
       const std::size_t s = slot % slices;
       for (std::size_t i = begin + s; i < end; i += slices) {
         const std::size_t idx = order[i];
@@ -193,7 +202,8 @@ EpochStats Trainer::run_epoch() {
         const optics::Field& input =
             robust ? batch_inputs[i - begin] : encoded;
         const auto result = net.forward_backward(
-            input, epoch_data.label(idx), acc.grads[slot], options_.loss);
+            input, epoch_data.label(idx), net_modulations, workspace,
+            acc.grads[slot], options_.loss);
         acc.losses[slot] += result.loss;
         if (result.predicted == epoch_data.label(idx)) ++acc.correct[slot];
       }
@@ -322,11 +332,17 @@ double evaluate_accuracy(const donn::DonnModel& model,
                          const data::Dataset& test,
                          const optics::EncodeOptions& encode) {
   check_dataset(model, test, "evaluate");
+  const std::vector<MatrixC> modulations = model.modulation_tables();
   std::vector<std::uint8_t> hits(test.size(), 0);
-  parallel_for(0, test.size(), [&](std::size_t i) {
-    const optics::Field input =
-        optics::encode_image(test.image(i), model.config().grid, encode);
-    hits[i] = model.predict(input) == test.label(i) ? 1 : 0;
+  parallel_for_chunks(0, test.size(), [&](std::size_t lo, std::size_t hi) {
+    donn::DonnModel::Workspace workspace;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const optics::Field input =
+          optics::encode_image(test.image(i), model.config().grid, encode);
+      const std::size_t predicted =
+          model.predict(input, modulations, workspace);
+      hits[i] = predicted == test.label(i) ? 1 : 0;
+    }
   });
   std::size_t correct = 0;
   for (auto h : hits) correct += h;

@@ -1,12 +1,16 @@
-// Tests for src/donn: detector geometry, losses (with gradient checks), the
-// DiffMod backward, full-model gradient checks against finite differences,
-// 2*pi inference invariance, sparsity masking and the crosstalk model.
+// Tests for src/donn: detector geometry, losses (with gradient checks),
+// full-model gradient checks against finite differences, the per-sample
+// stack runner (workspace reuse and bitwise agreement of every entry point
+// that runs it), 2*pi inference invariance, sparsity masking and the
+// crosstalk model.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "data/dataset.hpp"
 #include "donn/crosstalk.hpp"
 #include "donn/detector.hpp"
 #include "donn/gradcheck.hpp"
@@ -15,6 +19,7 @@
 #include "donn/phase_mask.hpp"
 #include "optics/encode.hpp"
 #include "roughness/roughness.hpp"
+#include "train/trainer.hpp"
 
 namespace odonn::donn {
 namespace {
@@ -435,6 +440,178 @@ TEST(Model, DifferentialGradientMatchesFiniteDifferences) {
     EXPECT_LT(gradient_rel_error(grads[layer], numeric), 2e-4)
         << "layer " << layer;
   }
+}
+
+bool same_bits(const double* a, const double* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<MatrixD>& a, const std::vector<MatrixD>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t l = 0; l < a.size(); ++l) {
+    if (!a[l].same_shape(b[l]) ||
+        !same_bits(a[l].data(), b[l].data(), a[l].size())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One stack geometry the per-sample runner must handle: a radix-2 grid, a
+/// Bluestein grid, a zero-padded (pad2x) grid and a deep differential stack.
+struct StackCase {
+  const char* name;
+  std::size_t n;
+  std::size_t layers;
+  bool pad2x;
+  DetectorMode detector;
+};
+
+DonnModel stack_model(const StackCase& c, std::uint64_t seed) {
+  DonnConfig cfg = tiny_config(c.n, c.layers);
+  cfg.pad2x = c.pad2x;
+  cfg.detector = c.detector;
+  cfg.init = PhaseInit::Uniform;  // structured masks, not near-flat
+  Rng rng(seed);
+  return DonnModel(cfg, rng);
+}
+
+std::vector<optics::Field> stack_inputs(const DonnModel& model,
+                                        std::size_t count,
+                                        std::uint64_t seed) {
+  std::vector<optics::Field> inputs;
+  for (std::size_t k = 0; k < count; ++k) {
+    inputs.push_back(random_input(model.config().grid, seed + k));
+  }
+  return inputs;
+}
+
+class StackRunner : public ::testing::TestWithParam<StackCase> {};
+
+TEST_P(StackRunner, ReusedWorkspaceMatchesFreshOneBitForBit) {
+  // One workspace carried across 8 samples of one model, then across a
+  // model of another grid, must leave no trace in any result: every loss
+  // and gradient equals a call with a fresh workspace, bit for bit.
+  const StackCase c = GetParam();
+  const DonnModel model = stack_model(c, 41);
+  const std::size_t other_n = c.n == 32 ? 24 : 32;
+  const DonnModel other =
+      stack_model({"other", other_n, 3, false, DetectorMode::Standard}, 42);
+  LossOptions loss;
+  loss.norm = c.detector == DetectorMode::Differential ? NormMode::TotalPower
+                                                       : NormMode::None;
+  DonnModel::Workspace reused;
+  const auto check = [&](const DonnModel& net,
+                         const std::vector<optics::Field>& inputs) {
+    const std::vector<MatrixC> modulations = net.modulation_tables();
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const std::size_t label = k % net.config().num_classes;
+      auto grads_reused = net.zero_gradients();
+      const auto a = net.forward_backward(inputs[k], label, modulations,
+                                          reused, grads_reused, loss);
+      DonnModel::Workspace fresh;
+      auto grads_fresh = net.zero_gradients();
+      const auto b = net.forward_backward(inputs[k], label, modulations,
+                                          fresh, grads_fresh, loss);
+      auto grads_plain = net.zero_gradients();
+      const auto p = net.forward_backward(inputs[k], label, grads_plain, loss);
+      EXPECT_TRUE(same_bits(&a.loss, &b.loss, 1)) << c.name << " sample " << k;
+      EXPECT_TRUE(same_bits(&a.loss, &p.loss, 1)) << c.name << " sample " << k;
+      EXPECT_EQ(a.predicted, b.predicted);
+      EXPECT_EQ(a.predicted, p.predicted);
+      EXPECT_TRUE(same_bits(grads_reused, grads_fresh))
+          << c.name << " sample " << k;
+      EXPECT_TRUE(same_bits(grads_reused, grads_plain))
+          << c.name << " sample " << k;
+    }
+  };
+  check(model, stack_inputs(model, 8, 100));
+  check(other, stack_inputs(other, 2, 200));
+  check(model, stack_inputs(model, 2, 300));
+}
+
+TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
+  // infer_batch, detector_sums, predict (both overloads), output_intensity
+  // and propagate_through run the same runner; evaluate_accuracy counts the
+  // same predictions.
+  const StackCase c = GetParam();
+  const DonnModel model = stack_model(c, 43);
+  const std::vector<optics::Field> inputs = stack_inputs(model, 8, 400);
+  const std::vector<MatrixC> modulations = model.modulation_tables();
+
+  std::vector<std::size_t> predictions;
+  std::vector<std::vector<double>> sums;
+  std::vector<MatrixD> intensities;
+  model.infer_batch(inputs, modulations, &predictions, &sums, &intensities);
+  ASSERT_EQ(sums.size(), inputs.size());
+  DonnModel::Workspace workspace;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const std::vector<double> single = model.detector_sums(inputs[k]);
+    ASSERT_EQ(sums[k].size(), single.size());
+    EXPECT_TRUE(same_bits(sums[k].data(), single.data(), single.size()))
+        << c.name << " sample " << k;
+    EXPECT_EQ(predictions[k], model.predict(inputs[k]));
+    EXPECT_EQ(predictions[k], model.predict(inputs[k], modulations, workspace));
+    const MatrixD intensity = model.output_intensity(inputs[k]);
+    EXPECT_TRUE(same_bits(intensities[k].data(), intensity.data(),
+                          intensity.size()));
+    const MatrixD through = model.propagate_through(inputs[k]).intensity();
+    EXPECT_TRUE(same_bits(through.data(), intensity.data(), intensity.size()));
+  }
+
+  Rng rng(44);
+  std::vector<MatrixD> images;
+  std::vector<std::size_t> labels;
+  const std::size_t classes = model.config().num_classes;
+  for (std::size_t k = 0; k < 24; ++k) {
+    MatrixD image(c.n, c.n);
+    for (auto& v : image) v = rng.uniform();
+    images.push_back(std::move(image));
+    labels.push_back(k % classes);
+  }
+  const data::Dataset test(images, labels, classes);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    const optics::Field input =
+        optics::encode_image(test.image(i), model.config().grid);
+    if (model.predict(input) == test.label(i)) ++correct;
+  }
+  EXPECT_EQ(train::evaluate_accuracy(model, test),
+            static_cast<double>(correct) / static_cast<double>(test.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, StackRunner,
+    ::testing::Values(StackCase{"radix2_n32", 32, 3, false,
+                                DetectorMode::Standard},
+                      StackCase{"bluestein_n20", 20, 3, false,
+                                DetectorMode::Standard},
+                      StackCase{"pad2x_n16", 16, 2, true,
+                                DetectorMode::Standard},
+                      StackCase{"differential_5layer_n16", 16, 5, false,
+                                DetectorMode::Differential}),
+    [](const ::testing::TestParamInfo<StackCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Model, RunnerRejectsMismatchedTablesAndGradients) {
+  Rng rng(45);
+  const DonnModel model(tiny_config(16, 2), rng);
+  const auto input = random_input(model.config().grid, 46);
+  DonnModel::Workspace workspace;
+  auto grads = model.zero_gradients();
+  std::vector<MatrixC> short_tables = model.modulation_tables();
+  short_tables.pop_back();
+  EXPECT_THROW(model.forward_backward(input, 0, short_tables, workspace, grads,
+                                      {}),
+               ShapeError);
+  EXPECT_THROW(model.predict(input, short_tables, workspace), ShapeError);
+  std::vector<MatrixD> bad_grads = {MatrixD(8, 8), MatrixD(8, 8)};
+  EXPECT_THROW(model.forward_backward(input, 0, model.modulation_tables(),
+                                      workspace, bad_grads, {}),
+               ShapeError);
+  const auto wrong_grid = random_input(DonnConfig::scaled(32).grid, 47);
+  EXPECT_THROW(model.predict(wrong_grid), ShapeError);
 }
 
 TEST(Model, MasksZeroPhasesAndGradients) {

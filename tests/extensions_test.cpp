@@ -370,6 +370,77 @@ TEST(Serialize, RejectsImplausibleHeaderBeforeAllocating) {
   }
 }
 
+/// Hand-built version-2 checkpoint of a two-layer scaled(16) model whose
+/// phases are all `phase` except pixel 0 of layer 1, which is `odd`,
+/// followed by `trailing` extra bytes.
+void write_checkpoint(const std::string& path, double phase, double odd,
+                      bool with_masks, std::size_t trailing) {
+  const donn::DonnConfig cfg = donn::DonnConfig::scaled(16);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const auto u32 = [&out](std::uint32_t v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto f64 = [&out](double v) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  out.write("ODNN", 4);
+  u32(2);  // version
+  u32(static_cast<std::uint32_t>(cfg.grid.n));
+  f64(cfg.grid.pitch);
+  f64(cfg.wavelength);
+  f64(cfg.distance);
+  u32(static_cast<std::uint32_t>(cfg.kernel));
+  u32(0);  // pad2x
+  u32(2);  // num_layers
+  u32(static_cast<std::uint32_t>(cfg.num_classes));
+  u32(static_cast<std::uint32_t>(cfg.detector_size));
+  u32(0);  // detector mode: Standard
+  u32(2);  // stored layer count
+  for (int l = 0; l < 2; ++l) {
+    MatrixD phi(cfg.grid.n, cfg.grid.n, phase);
+    if (l == 1) phi[0] = odd;
+    out.write(reinterpret_cast<const char*>(phi.data()),
+              static_cast<std::streamsize>(phi.size() * sizeof(double)));
+  }
+  const std::uint8_t has_masks = with_masks ? 1 : 0;
+  out.write(reinterpret_cast<const char*>(&has_masks), 1);
+  if (with_masks) {
+    const std::vector<char> mask(cfg.grid.n * cfg.grid.n * 2, 1);
+    out.write(mask.data(), static_cast<std::streamsize>(mask.size()));
+  }
+  const std::vector<char> tail(trailing, 0);
+  out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+}
+
+TEST(Serialize, RejectsNonFinitePhaseValues) {
+  // A NaN or infinite phase would load, list as a healthy model and serve
+  // NaN predictions; the loader must refuse it instead.
+  const std::string path = ::testing::TempDir() + "/nonfinite_model.odnn";
+  write_checkpoint(path, 0.5, 1.5, false, 0);
+  EXPECT_DOUBLE_EQ(donn::load_model(path).phases()[1][0], 1.5);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    write_checkpoint(path, 0.5, bad, false, 0);
+    EXPECT_THROW(donn::load_model(path), IoError) << "phase " << bad;
+  }
+}
+
+TEST(Serialize, RejectsBytesAfterTheMaskBlock) {
+  // A checkpoint ends exactly after its mask block (or its mask flag when
+  // it has no masks); anything more means a corrupt or spliced file.
+  const std::string path = ::testing::TempDir() + "/trailing_model.odnn";
+  for (const bool with_masks : {false, true}) {
+    write_checkpoint(path, 0.5, 0.5, with_masks, 0);
+    EXPECT_EQ(donn::load_model(path).has_masks(), with_masks);
+    for (const std::size_t trailing : {1, 8}) {
+      write_checkpoint(path, 0.5, 0.5, with_masks, trailing);
+      EXPECT_THROW(donn::load_model(path), IoError)
+          << "masks " << with_masks << " trailing " << trailing;
+    }
+  }
+}
+
 TEST(Serialize, RejectsWrongMagic) {
   const std::string path = ::testing::TempDir() + "/bogus.odnn";
   std::ofstream out(path, std::ios::binary);

@@ -1,11 +1,14 @@
 // Tests for src/smooth2pi: Gumbel-sigmoid statistics, the exact 1-D DP
 // (validated by exhaustive enumeration), greedy and Gumbel-Softmax solver
-// quality, and the §III-D2 guarantee that 2*pi smoothing never hurts.
+// quality, the §III-D2 guarantee that 2*pi smoothing never hurts, and the
+// concurrent per-layer solve (in the `concurrency` ctest label).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "roughness/roughness.hpp"
 #include "smooth2pi/gumbel.hpp"
@@ -216,14 +219,52 @@ TEST(Optimize2Pi, GumbelComparableToGreedyOnSparsifiedMasks) {
 }
 
 TEST(Optimize2PiAll, ProcessesEveryLayer) {
-  std::vector<MatrixD> masks{sparsified_phase_mask(12, 9),
-                             sparsified_phase_mask(12, 10)};
+  // Layers are solved concurrently; each must still equal, bit for bit, a
+  // sequential optimize_2pi with its derived seed — on one thread and on
+  // the whole pool.
+  Rng rng(9);
+  std::vector<MatrixD> masks;
+  for (int layer = 0; layer < 5; ++layer) {
+    MatrixD phi(12, 12);
+    for (auto& v : phi) v = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, kTwoPi);
+    masks.push_back(std::move(phi));
+  }
   TwoPiOptions opt;
   opt.iterations = 100;
-  const auto results = optimize_2pi_all(masks, opt);
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    EXPECT_LE(r.roughness_after, r.roughness_before + 1e-12);
+  std::vector<TwoPiResult> sequential;
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    TwoPiOptions layer_opt = opt;
+    layer_opt.seed = opt.seed + i * 0x9e3779b9ULL;
+    sequential.push_back(optimize_2pi(masks[i], layer_opt));
+  }
+  // The solves depend on the seed, so matching them checks the seeds too.
+  TwoPiOptions other_seed = opt;
+  other_seed.seed = opt.seed + 1;
+  EXPECT_FALSE(optimize_2pi(masks[1], other_seed).selection ==
+               sequential[1].selection);
+  for (const std::size_t budget : {std::size_t{1}, std::size_t{0}}) {
+    const ScopedThreadBudget scoped(budget);
+    const auto results = optimize_2pi_all(masks, opt);
+    ASSERT_EQ(results.size(), masks.size());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      const TwoPiResult& r = results[i];
+      const TwoPiResult& ref = sequential[i];
+      EXPECT_LE(r.roughness_after, r.roughness_before + 1e-12);
+      ASSERT_TRUE(r.optimized.same_shape(ref.optimized));
+      ASSERT_TRUE(r.selection.same_shape(ref.selection));
+      EXPECT_EQ(std::memcmp(r.optimized.data(), ref.optimized.data(),
+                            ref.optimized.size() * sizeof(double)),
+                0)
+          << "budget " << budget << " layer " << i;
+      EXPECT_EQ(std::memcmp(r.selection.data(), ref.selection.data(),
+                            ref.selection.size()),
+                0)
+          << "budget " << budget << " layer " << i;
+      EXPECT_EQ(std::memcmp(&r.roughness_after, &ref.roughness_after,
+                            sizeof(double)),
+                0)
+          << "budget " << budget << " layer " << i;
+    }
   }
 }
 
