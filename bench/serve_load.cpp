@@ -8,9 +8,9 @@
 //      thread and REPLICATION is the only scaling lever — what the
 //      replicas=2 > replicas=1 check measures on multi-core hosts
 //      (self-skipped with a logged reason on small containers, same rule as
-//      bench/table_parallel). The replica counts take turns over 5 passes
-//      and each reports its median pass, so a drift in host speed hits
-//      every count alike.
+//      bench/table_parallel). The replica counts take turns over 5 passes,
+//      in reverse order on odd passes, and each reports its median pass,
+//      so a drift in host speed hits every count alike.
 //   2. Open loop (SLO curve): requests arrive on a fixed schedule at
 //      offered rates derived from the measured saturation (0.5x / 0.9x /
 //      1.3x), submitted the moment their arrival time passes regardless of
@@ -250,7 +250,10 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> rates(max_replicas);
   bool passes_agree = true;
   for (std::size_t pass = 0; pass < kClosedPasses; ++pass) {
-    for (std::size_t i = 0; i < max_replicas; ++i) {
+    for (std::size_t k = 0; k < max_replicas; ++k) {
+      // Odd passes run the counts in reverse, so a steady drift in host
+      // speed within a pass does not always favour the same count.
+      const std::size_t i = pass % 2 == 0 ? k : max_replicas - 1 - k;
       std::vector<std::future<serve::PredictResult>> futures;
       futures.reserve(requests);
       const Clock::time_point start = Clock::now();

@@ -187,8 +187,8 @@ grep -q '"traceEvents"' obs_artifacts/trace.json ||
 echo "obs smoke: metrics schema, per-job stage spans and trace all present"
 
 # Parallel-table bench: records the sequential-vs-parallel wall-clock,
-# re-proves row parity (the speedup shape check self-skips on hosts with
-# fewer than 4 hardware threads, where thread parallelism cannot win),
+# re-proves row parity, checks that jobs=4 really overlaps its recipes
+# (self-skips on hosts with fewer than 4 hardware threads),
 # and bounds the observability overhead (<= 2% with detail + tracing on,
 # rows still bitwise identical).
 ODONN_THREADS=4 ./table_parallel bench.scale=smoke format=text ||
