@@ -20,6 +20,12 @@
 #                 slice layouts derived from the worker count break bitwise
 #                 independence from ODONN_THREADS (use fixed-slice layouts
 #                 like kParallelSumChunkCap / kGradientSlices)
+#   isa-target    no __attribute__((target...)), target_clones,
+#                 #pragma GCC target|optimize, __builtin_cpu_supports or
+#                 <immintrin.h> in src/ outside the one lane-kernel dispatch
+#                 owner — ISA-specific code must live where tests run every
+#                 variant against the scalar reference, and a stray target
+#                 (FMA above all) would silently change result bits
 #
 # Usage:
 #   scripts/lint.sh              lint the tree (exit 1 on any violation)
@@ -38,7 +44,7 @@ cd "$(dirname "$0")/.."
 ALLOWLIST=tools/lint/allowlist.txt
 CORPUS=tools/lint/known-bad
 
-CHECKS=(nondet-seed raw-thread raw-print percentile thread-count)
+CHECKS=(nondet-seed raw-thread raw-print percentile thread-count isa-target)
 
 pattern_for() {
   case "$1" in
@@ -52,6 +58,8 @@ pattern_for() {
       echo 'nth_element|double[ \t]+percentile[ \t]*\(' ;;
     thread-count)
       echo '(^|[^A-Za-z0-9_:])thread_count[ \t]*\(' ;;
+    isa-target)
+      echo '__attribute__[ \t]*\(\([^)]*target|target_clones|#[ \t]*pragma[ \t]+GCC[ \t]+(target|optimize)|__builtin_cpu_supports|<immintrin\.h>' ;;
     *) echo "lint.sh: unknown check '$1'" >&2; exit 2 ;;
   esac
 }

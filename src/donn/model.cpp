@@ -16,6 +16,28 @@ namespace {
 /// cone spreads relative to the aperture after one inter-layer hop.
 constexpr double kPaperMixingRatio = 0.5735;
 
+constexpr std::size_t L = fft::Frame::kLanes;
+
+/// Calls fn(f, i) for every element of an n x n frame, lane group by lane
+/// group: f is its plane offset, i its row-major index. Idle lanes of a
+/// partial last group are skipped.
+template <typename Fn>
+void for_each_pixel(std::size_t n, Fn&& fn) {
+  for (std::size_t g = 0; g * L < n; ++g) {
+    const std::size_t rows = std::min(L, n - g * L);
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t f = (g * n + c) * L;
+      const std::size_t i = g * L * n + c;
+      for (std::size_t u = 0; u < rows; ++u) fn(f + u, i + u * n);
+    }
+  }
+}
+
+std::size_t argmax(const std::vector<double>& scores) {
+  return static_cast<std::size_t>(
+      std::max_element(scores.begin(), scores.end()) - scores.begin());
+}
+
 }  // namespace
 
 DonnConfig DonnConfig::paper() { return DonnConfig{}; }
@@ -109,39 +131,85 @@ void DonnModel::run_stack(const optics::Field& input,
                           Workspace& workspace, bool keep_propagated) const {
   ODONN_CHECK_SHAPE(input.grid() == config_.grid,
                     "model grid does not match input field grid");
-  MatrixC& field = workspace.field;
-  field = input.values();
+  const std::size_t n = config_.grid.n;
+  fft::Frame& field = workspace.field;
+  field.reshape(n, n);
+  field.load(input.values().data());
   if (keep_propagated) workspace.propagated.resize(modulations.size());
+  double* re = field.re();
+  double* im = field.im();
   for (std::size_t l = 0; l < modulations.size(); ++l) {
-    propagator_->forward_inplace(field, workspace.propagation);
+    propagator_->forward_frame(field, workspace.propagation);
     if (keep_propagated) workspace.propagated[l] = field;
-    const MatrixC& w = modulations[l];
-    for (std::size_t i = 0; i < field.size(); ++i) field[i] *= w[i];
+    // field *= w, as std::complex's operator*=: (ac - bd, ad + bc).
+    const std::complex<double>* w = modulations[l].data();
+    for_each_pixel(n, [&](std::size_t f, std::size_t i) {
+      const double a = re[f];
+      const double b = im[f];
+      const double c = w[i].real();
+      const double d = w[i].imag();
+      re[f] = a * c - b * d;
+      im[f] = a * d + b * c;
+    });
   }
-  propagator_->forward_inplace(field, workspace.propagation);
+  propagator_->forward_frame(field, workspace.propagation);
+}
+
+std::vector<double> DonnModel::readout(const Workspace& workspace) const {
+  // DetectorLayout::readout over |f|^2 = re*re + im*im (std::norm), summed
+  // region by region in raster order.
+  const fft::Frame& field = workspace.field;
+  const double* re = field.re();
+  const double* im = field.im();
+  const auto& regions = detector_.layout().regions();
+  std::vector<double> region_sums(regions.size(), 0.0);
+  for (std::size_t k = 0; k < regions.size(); ++k) {
+    const auto& region = regions[k];
+    double acc = 0.0;
+    for (std::size_t r = region.r0; r < region.r0 + region.size; ++r) {
+      for (std::size_t c = region.c0; c < region.c0 + region.size; ++c) {
+        const std::size_t f = field.index(r, c);
+        acc += re[f] * re[f] + im[f] * im[f];
+      }
+    }
+    region_sums[k] = acc;
+  }
+  return detector_.scores_from_region_sums(std::move(region_sums));
+}
+
+void DonnModel::fill_intensity(Workspace& workspace) const {
+  const std::size_t n = config_.grid.n;
   MatrixD& intensity = workspace.intensity;
-  if (intensity.rows() != field.rows() || intensity.cols() != field.cols()) {
-    intensity = MatrixD(field.rows(), field.cols());
+  if (intensity.rows() != n || intensity.cols() != n) {
+    intensity = MatrixD(n, n);
   }
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    intensity[i] = std::norm(field[i]);
-  }
+  const double* re = workspace.field.re();
+  const double* im = workspace.field.im();
+  double* out = intensity.data();
+  for_each_pixel(n, [&](std::size_t f, std::size_t i) {
+    out[i] = re[f] * re[f] + im[f] * im[f];
+  });
 }
 
 optics::Field DonnModel::propagate_through(const optics::Field& input) const {
   Workspace workspace;
   run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
-  return optics::Field(config_.grid, std::move(workspace.field));
+  MatrixC values(config_.grid.n, config_.grid.n);
+  workspace.field.store(values.data());
+  return optics::Field(config_.grid, std::move(values));
 }
 
 MatrixD DonnModel::output_intensity(const optics::Field& input) const {
   Workspace workspace;
   run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
+  fill_intensity(workspace);
   return std::move(workspace.intensity);
 }
 
 std::vector<double> DonnModel::detector_sums(const optics::Field& input) const {
-  return detector_.readout(output_intensity(input));
+  Workspace workspace;
+  run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
+  return readout(workspace);
 }
 
 std::size_t DonnModel::predict(const optics::Field& input) const {
@@ -154,7 +222,7 @@ std::size_t DonnModel::predict(const optics::Field& input,
                                Workspace& workspace) const {
   check_modulations(modulations, "predict");
   run_stack(input, modulations, workspace, /*keep_propagated=*/false);
-  return detector_.predict(workspace.intensity);
+  return argmax(readout(workspace));
 }
 
 std::vector<MatrixC> DonnModel::modulation_tables() const {
@@ -195,14 +263,13 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
         for (std::size_t k = lo; k < hi; ++k) {
           run_stack(inputs[k], modulations, workspace,
                     /*keep_propagated=*/false);
-          auto class_sums = detector_.readout(workspace.intensity);
-          if (predictions) {
-            (*predictions)[k] = static_cast<std::size_t>(
-                std::max_element(class_sums.begin(), class_sums.end()) -
-                class_sums.begin());
-          }
+          auto class_sums = readout(workspace);
+          if (predictions) (*predictions)[k] = argmax(class_sums);
           if (sums) (*sums)[k] = std::move(class_sums);
-          if (intensities) (*intensities)[k] = workspace.intensity;
+          if (intensities) {
+            fill_intensity(workspace);
+            (*intensities)[k] = workspace.intensity;
+          }
         }
       },
       /*grain=*/1);
@@ -259,31 +326,52 @@ DonnModel::ForwardBackwardResult DonnModel::forward_backward(
   }
 
   run_stack(input, modulations, workspace, /*keep_propagated=*/true);
-  const auto sums = detector_.readout(workspace.intensity);
+  const auto sums = readout(workspace);
   const LossResult lr = evaluate_loss(sums, label, loss_options);
 
-  // Backward, in place on the detector-plane field:
+  // Backward, in place on the detector-plane frame:
   // dL/dI -> g(f) = 2 f dL/dI -> adjoint propagation -> layers.
-  MatrixC& grad = workspace.field;
+  const std::size_t n = config_.grid.n;
+  fft::Frame& grad = workspace.field;
+  double* gr = grad.re();
+  double* gi = grad.im();
   const MatrixD grad_intensity = detector_.scatter(lr.grad_sums);
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad[i] = 2.0 * grad[i] * grad_intensity[i];
-  }
-  propagator_->adjoint_inplace(grad, workspace.propagation);
+  const double* gI = grad_intensity.data();
+  for_each_pixel(n, [&](std::size_t f, std::size_t i) {
+    // 2.0 * g * dL/dI: std::complex scales each part by a real factor.
+    gr[f] = 2.0 * gr[f] * gI[i];
+    gi[f] = 2.0 * gi[f] * gI[i];
+  });
+  propagator_->adjoint_frame(grad, workspace.propagation);
   for (std::size_t l = modulations.size(); l-- > 0;) {
-    const MatrixC& w = modulations[l];
-    const MatrixC& prop = workspace.propagated[l];
-    MatrixD& phase_grad = phase_grads[l];
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-      // g(w) = conj(f_prop) * g(out); dL/dphi = Re(i * w * conj(g(w))).
-      const std::complex<double> gw = std::conj(prop[i]) * grad[i];
-      phase_grad[i] +=
-          (std::complex<double>(0.0, 1.0) * w[i] * std::conj(gw)).real();
+    const std::complex<double>* w = modulations[l].data();
+    const double* pr = workspace.propagated[l].re();
+    const double* pi = workspace.propagated[l].im();
+    double* phase_grad = phase_grads[l].data();
+    // Each product below is std::complex's (ac - bd, ad + bc), operand by
+    // operand; conj() negates the imaginary part first.
+    for_each_pixel(n, [&](std::size_t f, std::size_t i) {
+      const double wr = w[i].real();
+      const double wi = w[i].imag();
+      const double g_r = gr[f];
+      const double g_i = gi[f];
+      // g(w) = conj(f_prop) * g(out).
+      const double ar = pr[f];
+      const double ai = -pi[f];
+      const double gw_r = ar * g_r - ai * g_i;
+      const double gw_i = ar * g_i + ai * g_r;
+      // dL/dphi = Re((i * w) * conj(g(w))).
+      const double iw_r = 0.0 * wr - 1.0 * wi;
+      const double iw_i = 0.0 * wi + 1.0 * wr;
+      phase_grad[i] += iw_r * gw_r - iw_i * -gw_i;
       // g(f_prop) = conj(w) * g(out).
-      grad[i] = std::conj(w[i]) * grad[i];
-    }
+      const double cr = wr;
+      const double ci = -wi;
+      gr[f] = cr * g_r - ci * g_i;
+      gi[f] = cr * g_i + ci * g_r;
+    });
     // The gradient wrt the input field itself is never needed.
-    if (l > 0) propagator_->adjoint_inplace(grad, workspace.propagation);
+    if (l > 0) propagator_->adjoint_frame(grad, workspace.propagation);
   }
   return {lr.loss, lr.predicted};
 }

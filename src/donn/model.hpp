@@ -23,6 +23,19 @@
 // and gradients are bitwise identical however they are reached
 // (tests/donn_test.cpp and tests/serve_test.cpp assert this).
 //
+// Frames end to end. The runner keeps the field, the per-layer cache of
+// propagated fields and the backward gradient in row-lane fft::Frames
+// (fft2d.hpp: split re/im planes, element (r, c) at
+// [((r / 4) * n + c) * 4 + r % 4]) from the input's load to the readout, and
+// propagates them with Propagator::forward_frame / adjoint_frame, whose
+// passes run the AVX2 lane kernels when the CPU has them (never FMA; see
+// fft_plan.hpp). Modulation, |f|^2, the detector readout and the per-pixel
+// phase-gradient loop work on the planes with the std::complex arithmetic
+// spelled out part by part — (ac - bd, ad + bc) products, |f|^2 as
+// re*re + im*im, region sums in raster order — so every result is bitwise
+// what the row-major path computed. The modulation tables and phase
+// gradients stay row-major MatrixC / MatrixD.
+//
 // Workspaces are caller-owned, one per concurrent caller, and never
 // thread_local: a thread waiting on a common/parallel latch runs other
 // queued tasks on its own stack, so a runner that kept its scratch per
@@ -91,9 +104,9 @@ class DonnModel {
   /// of sequential calls, on models of any grid; it must never be shared by
   /// two calls in flight at once (see the header comment).
   struct Workspace {
-    MatrixC field;                     ///< the running field, in place
-    std::vector<MatrixC> propagated;   ///< layer i's P(in), for the backward
-    MatrixD intensity;                 ///< |f|^2 at the detector plane
+    fft::Frame field;                     ///< the running field, in place
+    std::vector<fft::Frame> propagated;   ///< layer i's P(in), for the backward
+    MatrixD intensity;  ///< |f|^2 at the detector plane (when asked for)
     optics::Propagator::Workspace propagation;
   };
 
@@ -207,12 +220,18 @@ class DonnModel {
                          const char* what) const;
 
   /// The per-sample stack runner: leaves the detector-plane field in
-  /// workspace.field and its intensity in workspace.intensity; with
-  /// `keep_propagated`, workspace.propagated[i] holds layer i's propagated
-  /// field before modulation. `modulations` must already be checked.
+  /// workspace.field; with `keep_propagated`, workspace.propagated[i] holds
+  /// layer i's propagated field before modulation. `modulations` must
+  /// already be checked.
   void run_stack(const optics::Field& input,
                  const std::vector<MatrixC>& modulations, Workspace& workspace,
                  bool keep_propagated) const;
+
+  /// Per-class scores of the detector-plane frame in workspace.field.
+  std::vector<double> readout(const Workspace& workspace) const;
+
+  /// Fills workspace.intensity with |f|^2 of workspace.field.
+  void fill_intensity(Workspace& workspace) const;
 
   DonnConfig config_;
   std::shared_ptr<const optics::Propagator> propagator_;

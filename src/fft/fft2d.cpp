@@ -11,56 +11,92 @@ namespace {
 
 constexpr std::size_t L = Plan::kLanes;
 
-/// Transforms `lanes` (1..L) strided sequences of plan.size() values as one
-/// lane group: element j of sequence s is base[j * step + s * lane_step].
-/// Idle lanes carry a copy of sequence 0 and their results are dropped.
-void transform_group(const Plan& plan, Cplx* base, std::size_t step,
-                     std::size_t lane_step, std::size_t lanes, Direction dir) {
-  const std::size_t n = plan.size();
-  thread_local std::vector<double> re, im;
-  if (re.size() < n * L) {
-    re.resize(n * L);
-    im.resize(n * L);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const Cplx* src = base + j * step;
-    for (std::size_t s = 0; s < L; ++s) {
-      const Cplx v = src[(s < lanes ? s : 0) * lane_step];
-      re[j * L + s] = v.real();
-      im[j * L + s] = v.imag();
-    }
-  }
-  plan.execute_lanes(re.data(), im.data(), dir);
-  for (std::size_t j = 0; j < n; ++j) {
-    Cplx* dst = base + j * step;
-    for (std::size_t s = 0; s < lanes; ++s) {
-      dst[s * lane_step] = Cplx(re[j * L + s], im[j * L + s]);
+}  // namespace
+
+void Frame::reshape(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  re_.resize(plane_size());
+  im_.resize(plane_size());
+}
+
+void Frame::load(const Cplx* src) {
+  for (std::size_t g = 0; g < groups(); ++g) {
+    double* re = re_.data() + g * cols_ * L;
+    double* im = im_.data() + g * cols_ * L;
+    for (std::size_t u = 0; u < L; ++u) {
+      const std::size_t r = g * L + u;
+      if (r >= rows_) {
+        for (std::size_t c = 0; c < cols_; ++c) {
+          re[c * L + u] = 0.0;
+          im[c * L + u] = 0.0;
+        }
+        continue;
+      }
+      const Cplx* row = src + r * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) {
+        re[c * L + u] = row[c].real();
+        im[c * L + u] = row[c].imag();
+      }
     }
   }
 }
 
-}  // namespace
+void Frame::store(Cplx* dst) const {
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const std::size_t base = (r / L) * cols_ * L + r % L;
+    Cplx* row = dst + r * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) {
+      row[c] = Cplx(re_[base + c * L], im_[base + c * L]);
+    }
+  }
+}
+
+void Frame::fill_zero() {
+  std::fill(re_.begin(), re_.end(), 0.0);
+  std::fill(im_.begin(), im_.end(), 0.0);
+}
+
+void column_lane_planes(const Cplx* table, std::size_t rows, std::size_t cols,
+                        Plane& re, Plane& im) {
+  const std::size_t col_groups = (cols + L - 1) / L;
+  re.assign(col_groups * rows * L, 0.0);
+  im.assign(col_groups * rows * L, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t i = ((c / L) * rows + r) * L + c % L;
+      re[i] = table[r * cols + c].real();
+      im[i] = table[r * cols + c].imag();
+    }
+  }
+}
+
+void frame_rows(Frame& frame, const Plan& row_plan, Direction dir,
+                LaneIsa isa) {
+  ODONN_CHECK_SHAPE(row_plan.size() == frame.cols(),
+                    "frame_rows: plan length does not match frame width");
+  const std::size_t step = frame.cols() * L;
+  double* re = frame.re();
+  double* im = frame.im();
+  parallel_for(0, frame.groups(), [&](std::size_t g) {
+    row_plan.execute_lanes(re + g * step, im + g * step, dir, isa);
+  });
+}
+
+void transform_2d(Frame& frame, Direction dir, LaneIsa isa) {
+  ODONN_CHECK(frame.rows() >= 1 && frame.cols() >= 1,
+              "transform_2d requires non-empty shape");
+  frame_rows(frame, *plan_for(frame.cols()), dir, isa);
+  frame_columns(frame, *plan_for(frame.rows()), dir, nullptr, isa);
+}
 
 void transform_2d(Cplx* data, std::size_t rows, std::size_t cols,
                   Direction dir) {
   ODONN_CHECK(rows >= 1 && cols >= 1, "transform_2d requires non-empty shape");
-  const auto row_plan = plan_for(cols);
-  const auto col_plan = plan_for(rows);
-
-  // Group g packs rows [g*L, g*L + L), then columns [g*L, g*L + L): the
-  // grouping is a function of the index alone, never of the thread count.
-  parallel_for(
-      0, (rows + L - 1) / L,
-      [&](std::size_t g) {
-        transform_group(*row_plan, data + g * L * cols, 1, cols,
-                        std::min(L, rows - g * L), dir);
-      });
-  parallel_for(
-      0, (cols + L - 1) / L,
-      [&](std::size_t g) {
-        transform_group(*col_plan, data + g * L, cols, 1,
-                        std::min(L, cols - g * L), dir);
-      });
+  Frame frame(rows, cols);
+  frame.load(data);
+  transform_2d(frame, dir);
+  frame.store(data);
 }
 
 namespace {

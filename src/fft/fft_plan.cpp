@@ -13,90 +13,12 @@ namespace odonn::fft {
 
 namespace {
 
-constexpr std::size_t L = Plan::kLanes;
-
 /// Thread-local scratch so concurrent executes never contend or allocate
 /// after warm-up.
 std::vector<Cplx>& scratch(std::size_t n) {
   thread_local std::vector<Cplx> buf;
   if (buf.size() < n) buf.resize(n);
   return buf;
-}
-
-/// The lane path's counterpart: two sequences u, v of n lane groups, as
-/// split re/im planes.
-struct LaneScratch {
-  std::vector<double> ur, ui, vr, vi;
-};
-
-LaneScratch& lane_scratch(std::size_t n) {
-  thread_local LaneScratch buf;
-  if (buf.ur.size() < n * L) {
-    for (auto* plane : {&buf.ur, &buf.ui, &buf.vr, &buf.vi}) {
-      plane->resize(n * L);
-    }
-  }
-  return buf;
-}
-
-// Lane-group kernels. Their pointers address disjoint lane groups, which
-// `__restrict` tells the compiler so the lane loops vectorize.
-
-/// A complex table as interleaved {re, im} doubles, a layout the standard
-/// guarantees for std::complex. The lane kernels read table entries through
-/// it: a Cplx temporary per butterfly let GCC spill the pair and reload it
-/// as one 16-byte word, a store-forwarding stall that tripled a pass.
-const double* parts(const std::vector<Cplx>& table) {
-  return reinterpret_cast<const double*>(table.data());
-}
-
-/// out = x * c across one lane group; c points at {re, im}.
-inline void mul_lanes(const double* __restrict xr, const double* __restrict xi,
-                      const double* c, double* __restrict out_r,
-                      double* __restrict out_i) {
-  const double cr = c[0];
-  const double ci = c[1];
-  for (std::size_t s = 0; s < L; ++s) {
-    out_r[s] = xr[s] * cr - xi[s] * ci;
-    out_i[s] = xr[s] * ci + xi[s] * cr;
-  }
-}
-
-/// out = (x * scale) * c across one lane group: std::complex evaluates
-/// x * scale * c left to right, scaling each part first.
-inline void scale_mul_lanes(const double* __restrict xr,
-                            const double* __restrict xi, double scale,
-                            const double* c, double* __restrict out_r,
-                            double* __restrict out_i) {
-  const double cr = c[0];
-  const double ci = c[1];
-  for (std::size_t s = 0; s < L; ++s) {
-    const double vr = xr[s] * scale;
-    const double vi = xi[s] * scale;
-    out_r[s] = vr * cr - vi * ci;
-    out_i[s] = vr * ci + vi * cr;
-  }
-}
-
-/// Radix-2 butterfly on lane groups p and q with twiddle w: odd = q * w,
-/// then p = even + odd and q = even - odd.
-inline void butterfly(double* __restrict pr, double* __restrict pi,
-                      double* __restrict qr, double* __restrict qi, double wr,
-                      double wi) {
-  for (std::size_t s = 0; s < L; ++s) {
-    const double odd_r = qr[s] * wr - qi[s] * wi;
-    const double odd_i = qr[s] * wi + qi[s] * wr;
-    const double even_r = pr[s];
-    const double even_i = pi[s];
-    pr[s] = even_r + odd_r;
-    pi[s] = even_i + odd_i;
-    qr[s] = even_r - odd_r;
-    qi[s] = even_i - odd_i;
-  }
-}
-
-inline void swap_lanes(double* __restrict a, double* __restrict b) {
-  for (std::size_t s = 0; s < L; ++s) std::swap(a[s], b[s]);
 }
 
 /// Bit-reversal order of [0, n) for power-of-two n.
@@ -232,101 +154,6 @@ void Plan::execute(std::span<Cplx> data, Direction dir) const {
   ODONN_CHECK_SHAPE(data.size() == n_,
                     "FFT buffer length does not match plan size");
   execute(data.data(), dir);
-}
-
-// The lane path below performs the arithmetic of pow2_transform /
-// bluestein_forward / execute operation for operation (only where values
-// move differs); each lane loop spells out the std::complex operation it
-// replaces, (a+bi)(c+di) = (ac - bd, ad + bc).
-
-void Plan::butterfly_stages(double* re, double* im, bool inverse) const {
-  const std::size_t n = conv_n_;
-  const double* tw = parts(twiddles_);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t stride = n / len;
-    for (std::size_t base = 0; base < n; base += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double* w = tw + 2 * k * stride;
-        const double wi = inverse ? -w[1] : w[1];  // std::conj
-        butterfly(re + (base + k) * L, im + (base + k) * L,
-                  re + (base + k + half) * L, im + (base + k + half) * L, w[0],
-                  wi);
-      }
-    }
-  }
-}
-
-void Plan::bluestein_forward_lanes(double* re, double* im) const {
-  // Each radix-2 pass's bit-reversal permutation is folded into the
-  // multiply that feeds it: the product of element j lands at bit_reverse_[j]
-  // (a move, not an arithmetic change), so both passes start at their
-  // butterflies.
-  const std::size_t m = conv_n_;
-  LaneScratch& scratch = lane_scratch(m);
-  double* ur = scratch.ur.data();
-  double* ui = scratch.ui.data();
-  double* vr = scratch.vr.data();
-  double* vi = scratch.vi.data();
-
-  const double* a = parts(bluestein_a_);
-  const double* b = parts(bluestein_b_fft_);
-
-  std::fill(ur, ur + m * L, 0.0);  // u = data * a, zero-padded to m
-  std::fill(ui, ui + m * L, 0.0);
-  for (std::size_t j = 0; j < n_; ++j) {
-    const std::size_t to = bit_reverse_[j] * L;
-    mul_lanes(re + j * L, im + j * L, a + 2 * j, ur + to, ui + to);
-  }
-  butterfly_stages(ur, ui, /*inverse=*/false);
-
-  for (std::size_t j = 0; j < m; ++j) {  // v = u * FFT(b)
-    const std::size_t to = bit_reverse_[j] * L;
-    mul_lanes(ur + j * L, ui + j * L, b + 2 * j, vr + to, vi + to);
-  }
-  butterfly_stages(vr, vi, /*inverse=*/true);
-
-  const double scale = 1.0 / static_cast<double>(m);
-  for (std::size_t k = 0; k < n_; ++k) {  // data = (v * scale) * a
-    scale_mul_lanes(vr + k * L, vi + k * L, scale, a + 2 * k, re + k * L,
-                    im + k * L);
-  }
-}
-
-void Plan::execute_lanes(double* re, double* im, Direction dir) const {
-  if (n_ == 1) return;
-  const std::size_t count = n_ * L;
-  if (!uses_bluestein()) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t j = bit_reverse_[i];
-      if (i < j) {
-        swap_lanes(re + i * L, re + j * L);
-        swap_lanes(im + i * L, im + j * L);
-      }
-    }
-    butterfly_stages(re, im, dir == Direction::Inverse);
-    if (dir == Direction::Inverse) {
-      const double scale = 1.0 / static_cast<double>(n_);
-      for (std::size_t i = 0; i < count; ++i) {
-        re[i] *= scale;
-        im[i] *= scale;
-      }
-    }
-    return;
-  }
-
-  if (dir == Direction::Forward) {
-    bluestein_forward_lanes(re, im);
-    return;
-  }
-  // Inverse via conjugation: ifft(x) = conj(fft(conj(x))) / n.
-  for (std::size_t i = 0; i < count; ++i) im[i] = -im[i];
-  bluestein_forward_lanes(re, im);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < count; ++i) {
-    re[i] = re[i] * scale;
-    im[i] = -im[i] * scale;
-  }
 }
 
 namespace {

@@ -16,8 +16,30 @@
 // once over structure-of-arrays planes: element j of lane s sits at
 // re[j * kLanes + s] / im[j * kLanes + s]. One butterfly sweep then advances
 // every lane, so twiddle loads and loop control are paid once per group and
-// the lane loops vectorize. fft::transform_2d packs four rows (then four
-// columns) per group; serve::BatchKernel packs four samples.
+// the lane loops vectorize. A row-lane fft::Frame (fft2d.hpp) is a stack of
+// such groups, four rows each; serve::BatchKernel packs four samples.
+//
+// ISA dispatch. The lane kernels (radix-2 and Bluestein butterflies, and
+// the frame column pass with its tile moves and transfer multiply) are
+// written once as plain C++ in fft/lane_kernels.cpp and compiled twice
+// there: as baseline x86-64 (or whatever the target architecture's
+// baseline is) and under __attribute__((target("avx2"))), via `flatten`
+// wrappers that inline the whole kernel into each variant. The first lane
+// call picks one set per process with __builtin_cpu_supports("avx2");
+// other CPUs and architectures run the baseline set. That file is the only
+// one in src/ allowed to name an instruction set (scripts/lint.sh,
+// check isa-target), so every ISA-specific instruction lives where
+// tests/fft_test.cpp runs both variants against execute().
+//
+// No FMA, and no AVX-512. GCC 12 at -std=c++20 contracts a*b + c into a
+// fused multiply-add whenever the target enables FMA — target("avx512f")
+// included, since it implies FMA — and a fused product rounds once where
+// execute() rounds twice, so the variants would stop matching bit for bit.
+// The AVX2 target string therefore names avx2 alone. File-scope
+// `#pragma GCC target` ahead of the includes is banned as well: it compiles
+// every inline function of the included headers (std::vector, std::complex,
+// ...) for AVX2, and the linker may then keep those AVX2 copies for
+// baseline callers on CPUs without AVX2.
 //
 // Bitwise contract: every lane performs exactly the IEEE operations of
 // execute() on the same input — the same bit-reversal order and butterflies,
@@ -25,11 +47,12 @@
 // same Bluestein order (chirp multiply, zero-pad, forward pass, multiply by
 // FFT(b), unscaled inverse pass, then (u * 1/m) * a) and the same conj wrap
 // with 1/n for Bluestein inverses — so results match lane for lane, bit for
-// bit, signed zeros included. The contract covers finite inputs whose
-// products do not overflow: when both parts of a std::complex product come
-// out NaN, the scalar path falls back to the C99 Annex G recovery routine
-// (__muldc3), which the lane path does not replicate — as serve::BatchKernel's
-// sample lanes never have.
+// bit, signed zeros included, in either ISA variant. The contract covers
+// finite inputs whose products do not overflow: when both parts of a
+// std::complex product come out NaN, the scalar path falls back to the C99
+// Annex G recovery routine (__muldc3), which the lane path does not
+// replicate — serve::InferenceEngine therefore rejects non-finite inputs
+// before they reach a lane.
 #pragma once
 
 #include <complex>
@@ -44,6 +67,20 @@ namespace odonn::fft {
 using Cplx = std::complex<double>;
 
 enum class Direction { Forward, Inverse };
+
+/// Instruction sets the lane kernels are compiled for.
+enum class LaneIsa { Baseline, Avx2 };
+
+/// "baseline" / "avx2".
+const char* lane_isa_name(LaneIsa isa);
+
+/// True when this CPU (and OS) can run `isa`'s lane kernels. Baseline
+/// always; Avx2 only on x86 builds running on an AVX2 CPU.
+bool lane_isa_supported(LaneIsa isa);
+
+/// The lane-kernel set every execute_lanes / frame pass uses unless told
+/// otherwise: Avx2 when supported, else Baseline. Chosen once per process.
+LaneIsa active_lane_isa();
 
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
@@ -70,15 +107,18 @@ class Plan {
   /// kLanes in-place transforms of size() elements each, over split planes
   /// of size() * kLanes doubles laid out lane-major (see the file comment).
   /// Every lane must be initialized; each matches execute() bit for bit.
-  void execute_lanes(double* re, double* im, Direction dir) const;
+  /// Runs the kernels compiled for `isa`, which must be supported
+  /// (lane_isa_supported) — tests run every variant this way.
+  void execute_lanes(double* re, double* im, Direction dir,
+                     LaneIsa isa = active_lane_isa()) const;
 
  private:
+  // The lane kernels in fft/lane_kernels.cpp read the tables below.
+  template <typename Vector>
+  friend struct LaneKernels;
+
   void pow2_transform(Cplx* data, std::size_t n, bool inverse) const;
   void bluestein_forward(Cplx* data) const;
-  // Lane path: the radix-2 butterflies over conv_n_ lane groups already in
-  // bit-reversed order, and the Bluestein forward built on them.
-  void butterfly_stages(double* re, double* im, bool inverse) const;
-  void bluestein_forward_lanes(double* re, double* im) const;
 
   std::size_t n_;
   // Radix-2 twiddles for the plan length itself (pow2 plans) or for the
@@ -95,9 +135,11 @@ class Plan {
 /// the process so repeated propagations reuse twiddle tables.
 std::shared_ptr<const Plan> plan_for(std::size_t n);
 
-/// Plan-cache audit counters: a warmed-up serving loop must be all hits —
-/// every batch reuses the same row/column plans, so `misses` stays flat
-/// (one per distinct length) while `hits` grows with traffic.
+/// Plan-cache audit counters. Propagators and serve::BatchKernel take
+/// their plans once, at construction, so a warmed-up serving or training
+/// loop does no lookups at all: `misses`, `hits` and `cached_lengths` all
+/// stay flat while traffic flows. Only the one-shot helpers (transform,
+/// the interleaved transform_2d) look plans up per call.
 struct PlanCacheStats {
   std::size_t cached_lengths = 0;  ///< distinct plan lengths resident
   std::uint64_t hits = 0;          ///< plan_for calls served from cache

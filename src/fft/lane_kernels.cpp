@@ -1,0 +1,546 @@
+// The lane kernels and their ISA dispatch — the one file in src/ that may
+// name an instruction set (scripts/lint.sh, check isa-target).
+//
+// Everything above the dispatch section is plain C++: the radix-2 and
+// Bluestein lane transforms of Plan::execute_lanes and the frame column
+// pass (tile moves, column transform, transfer multiply), as LaneKernels<V>
+// over a 2- or 4-double vector type. Each dispatched entry point has two
+// `flatten` wrappers below: LaneKernels<Vec2> for the baseline ISA and
+// LaneKernels<Vec4> under target("avx2"). flatten inlines the whole kernel
+// into its wrapper, so only the wrapper bodies are compiled for AVX2 and no
+// AVX2 copy of a shared inline function can reach baseline callers. The
+// target string is "avx2" and nothing else: no FMA (which would fuse
+// a*b + c and break the bitwise contract of fft_plan.hpp) and no AVX-512
+// (which implies FMA).
+#include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "fft/fft2d.hpp"
+#include "fft/fft_plan.hpp"
+
+namespace odonn::fft {
+
+namespace {
+
+constexpr std::size_t L = Plan::kLanes;
+
+/// Split re/im planes of `doubles` values each, grown on demand. Kept per
+/// thread: every kernel that uses one runs to completion without waiting
+/// on a latch, so no nested task can reuse it mid-call.
+struct Planes {
+  Plane re, im;
+
+  void ensure(std::size_t doubles) {
+    if (re.size() < doubles) {
+      re.resize(doubles);
+      im.resize(doubles);
+    }
+  }
+};
+
+/// The Bluestein lane path's two sequences u, v of conv_n lane groups.
+Planes& bluestein_u() {
+  thread_local Planes planes;
+  return planes;
+}
+Planes& bluestein_v() {
+  thread_local Planes planes;
+  return planes;
+}
+
+/// One column group of the frame column pass.
+Planes& column_scratch() {
+  thread_local Planes planes;
+  return planes;
+}
+
+/// A complex table as interleaved {re, im} doubles, a layout the standard
+/// guarantees for std::complex. The lane kernels read table entries through
+/// it: a Cplx temporary per butterfly let GCC spill the pair and reload it
+/// as one 16-byte word, a store-forwarding stall that tripled a pass.
+const double* parts(const std::vector<Cplx>& table) {
+  return reinterpret_cast<const double*>(table.data());
+}
+
+// Vector types for the lane loops (GCC/Clang vector extensions; the tile
+// transposes use __builtin_shufflevector, GCC >= 12 or Clang): each
+// element-wise operator on them is one IEEE operation per double, so the
+// lane arithmetic is spelled out exactly and no vectorizer choice enters.
+// The baseline kernels step through a lane group two doubles (one SSE2
+// register) at a time, the AVX2 kernels four (one ymm register).
+typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
+
+}  // namespace
+
+/// What a column pass shares across its column groups.
+struct ColumnPass {
+  double* re;
+  double* im;
+  std::size_t rows;
+  std::size_t cols;
+  const Plan* plan;
+  Direction dir;
+  const ColumnTransfer* transfer;
+};
+
+// The lane path below performs the arithmetic of pow2_transform /
+// bluestein_forward / execute operation for operation (only where values
+// move differs); each lane loop spells out the std::complex operation it
+// replaces, (a+bi)(c+di) = (ac - bd, ad + bc). V is the vector type one
+// step covers; a lane group is L / W steps. V values only ever live in
+// locals — never in a by-value parameter or return — so no function's ABI
+// depends on the ISA.
+template <typename V>
+struct LaneKernels {
+  static constexpr std::size_t W = sizeof(V) / sizeof(double);
+  static_assert(L % W == 0, "a lane group must be whole vector steps");
+
+  static void load(V& v, const double* p) { std::memcpy(&v, p, sizeof v); }
+  static void store(double* p, const V& v) { std::memcpy(p, &v, sizeof v); }
+
+  /// out = x * c across one lane group; c points at {re, im}.
+  static void mul_lanes(const double* xr, const double* xi, const double* c,
+                        double* out_r, double* out_i) {
+    const double cr = c[0];
+    const double ci = c[1];
+    for (std::size_t h = 0; h < L; h += W) {
+      V a, b;
+      load(a, xr + h);
+      load(b, xi + h);
+      const V re = a * cr - b * ci;
+      const V im = a * ci + b * cr;
+      store(out_r + h, re);
+      store(out_i + h, im);
+    }
+  }
+
+  /// out = (x * scale) * c across one lane group: std::complex evaluates
+  /// x * scale * c left to right, scaling each part first.
+  static void scale_mul_lanes(const double* xr, const double* xi,
+                              double scale, const double* c, double* out_r,
+                              double* out_i) {
+    const double cr = c[0];
+    const double ci = c[1];
+    for (std::size_t h = 0; h < L; h += W) {
+      V a, b;
+      load(a, xr + h);
+      load(b, xi + h);
+      const V vr = a * scale;
+      const V vi = b * scale;
+      const V re = vr * cr - vi * ci;
+      const V im = vr * ci + vi * cr;
+      store(out_r + h, re);
+      store(out_i + h, im);
+    }
+  }
+
+  /// Radix-2 butterfly on lane groups p and q with twiddle w: odd = q * w,
+  /// then p = even + odd and q = even - odd.
+  static void butterfly(double* pr, double* pi, double* qr, double* qi,
+                        double wr, double wi) {
+    for (std::size_t h = 0; h < L; h += W) {
+      V q_r, q_i, even_r, even_i;
+      load(q_r, qr + h);
+      load(q_i, qi + h);
+      load(even_r, pr + h);
+      load(even_i, pi + h);
+      const V odd_r = q_r * wr - q_i * wi;
+      const V odd_i = q_r * wi + q_i * wr;
+      const V sum_r = even_r + odd_r;
+      const V sum_i = even_i + odd_i;
+      const V diff_r = even_r - odd_r;
+      const V diff_i = even_i - odd_i;
+      store(pr + h, sum_r);
+      store(pi + h, sum_i);
+      store(qr + h, diff_r);
+      store(qi + h, diff_i);
+    }
+  }
+
+  static void swap_lanes(double* a, double* b) {
+    for (std::size_t h = 0; h < L; h += W) {
+      V x, y;
+      load(x, a + h);
+      load(y, b + h);
+      store(a + h, y);
+      store(b + h, x);
+    }
+  }
+
+  /// x = x * scale, or x = -x * scale when Negate, over `groups` groups.
+  template <bool Negate>
+  static void scale_lanes(double* x, double scale, std::size_t groups) {
+    for (std::size_t i = 0; i < groups * L; i += W) {
+      V v;
+      load(v, x + i);
+      const V out = Negate ? -v * scale : v * scale;
+      store(x + i, out);
+    }
+  }
+
+  static void negate_lanes(double* x, std::size_t groups) {
+    for (std::size_t i = 0; i < groups * L; i += W) {
+      V v;
+      load(v, x + i);
+      const V out = -v;
+      store(x + i, out);
+    }
+  }
+
+  static void zero_lanes(double* x, std::size_t groups) {
+    const V zero = {};
+    for (std::size_t i = 0; i < groups * L; i += W) store(x + i, zero);
+  }
+
+  /// out[u][t] = in[t * 4 + u] for a 4x4 tile held as 16 contiguous
+  /// doubles — the move between a frame tile (four columns of one row
+  /// group, lane = row) and four column-lane rows (lane = column), done
+  /// with register shuffles. out[u] addresses four doubles.
+  static void transpose_tile(const double* in, double* const out[L]) {
+    if constexpr (W == 4) {
+      V r0, r1, r2, r3;
+      load(r0, in);
+      load(r1, in + L);
+      load(r2, in + 2 * L);
+      load(r3, in + 3 * L);
+      const V t0 = __builtin_shufflevector(r0, r1, 0, 4, 2, 6);
+      const V t1 = __builtin_shufflevector(r0, r1, 1, 5, 3, 7);
+      const V t2 = __builtin_shufflevector(r2, r3, 0, 4, 2, 6);
+      const V t3 = __builtin_shufflevector(r2, r3, 1, 5, 3, 7);
+      const V c0 = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+      const V c1 = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+      const V c2 = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+      const V c3 = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+      store(out[0], c0);
+      store(out[1], c1);
+      store(out[2], c2);
+      store(out[3], c3);
+    } else {
+      static_assert(W == 2, "transpose_tile covers 2- and 4-wide vectors");
+      for (std::size_t h = 0; h < L; h += 2) {    // output rows h, h + 1
+        for (std::size_t k = 0; k < L; k += 2) {  // input rows k, k + 1
+          V a, b;
+          load(a, in + k * L + h);
+          load(b, in + (k + 1) * L + h);
+          const V lo = __builtin_shufflevector(a, b, 0, 2);
+          const V hi = __builtin_shufflevector(a, b, 1, 3);
+          store(out[h] + k, lo);
+          store(out[h + 1] + k, hi);
+        }
+      }
+    }
+  }
+
+  /// x *= h over `groups` lane groups, as std::complex's operator*=
+  /// (ac - bd, ad + bc), with h conjugated when `Conjugate`.
+  template <bool Conjugate>
+  static void mul_planes(double* xr, double* xi, const double* hr,
+                         const double* hi, std::size_t groups) {
+    for (std::size_t i = 0; i < groups * L; i += W) {
+      V a, b, c, d;
+      load(a, xr + i);
+      load(b, xi + i);
+      load(c, hr + i);
+      load(d, hi + i);
+      if (Conjugate) d = -d;
+      const V re = a * c - b * d;
+      const V im = a * d + b * c;
+      store(xr + i, re);
+      store(xi + i, im);
+    }
+  }
+
+  /// The radix-2 butterflies over conv_n lane groups already in
+  /// bit-reversed order.
+  static void butterfly_stages(const Plan& plan, double* re, double* im,
+                               bool inverse) {
+    const std::size_t n = plan.conv_n_;
+    const double* tw = parts(plan.twiddles_);
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const std::size_t half = len >> 1;
+      const std::size_t stride = n / len;
+      for (std::size_t base = 0; base < n; base += len) {
+        for (std::size_t k = 0; k < half; ++k) {
+          const double* w = tw + 2 * k * stride;
+          const double wi = inverse ? -w[1] : w[1];  // std::conj
+          butterfly(re + (base + k) * L, im + (base + k) * L,
+                    re + (base + k + half) * L, im + (base + k + half) * L,
+                    w[0], wi);
+        }
+      }
+    }
+  }
+
+  /// A radix-2 plan's transform of lane groups already in bit-reversed
+  /// order: the butterflies, then 1/n for an inverse.
+  static void radix2_from_bit_reversed(const Plan& plan, double* re,
+                                       double* im, Direction dir) {
+    butterfly_stages(plan, re, im, dir == Direction::Inverse);
+    if (dir == Direction::Inverse) {
+      const double scale = 1.0 / static_cast<double>(plan.n_);
+      scale_lanes<false>(re, scale, plan.n_);
+      scale_lanes<false>(im, scale, plan.n_);
+    }
+  }
+
+  static void bluestein_forward(const Plan& plan, double* re, double* im) {
+    // Each radix-2 pass's bit-reversal permutation is folded into the
+    // multiply that feeds it: the product of element j lands at
+    // bit_reverse_[j] (a move, not an arithmetic change), so both passes
+    // start at their butterflies.
+    const std::size_t n = plan.n_;
+    const std::size_t m = plan.conv_n_;
+    const std::vector<std::size_t>& rev = plan.bit_reverse_;
+    Planes& u = bluestein_u();
+    Planes& v = bluestein_v();
+    u.ensure(m * L);
+    v.ensure(m * L);
+    double* ur = u.re.data();
+    double* ui = u.im.data();
+    double* vr = v.re.data();
+    double* vi = v.im.data();
+
+    const double* a = parts(plan.bluestein_a_);
+    const double* b = parts(plan.bluestein_b_fft_);
+
+    zero_lanes(ur, m);  // u = data * a, zero-padded to m
+    zero_lanes(ui, m);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t to = rev[j] * L;
+      mul_lanes(re + j * L, im + j * L, a + 2 * j, ur + to, ui + to);
+    }
+    butterfly_stages(plan, ur, ui, /*inverse=*/false);
+
+    for (std::size_t j = 0; j < m; ++j) {  // v = u * FFT(b)
+      const std::size_t to = rev[j] * L;
+      mul_lanes(ur + j * L, ui + j * L, b + 2 * j, vr + to, vi + to);
+    }
+    butterfly_stages(plan, vr, vi, /*inverse=*/true);
+
+    const double scale = 1.0 / static_cast<double>(m);
+    for (std::size_t k = 0; k < n; ++k) {  // data = (v * scale) * a
+      scale_mul_lanes(vr + k * L, vi + k * L, scale, a + 2 * k, re + k * L,
+                      im + k * L);
+    }
+  }
+
+  static void execute(const Plan& plan, double* re, double* im,
+                      Direction dir) {
+    const std::size_t n = plan.n_;
+    if (n == 1) return;
+    if (!plan.uses_bluestein()) {
+      const std::vector<std::size_t>& rev = plan.bit_reverse_;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t j = rev[i];
+        if (i < j) {
+          swap_lanes(re + i * L, re + j * L);
+          swap_lanes(im + i * L, im + j * L);
+        }
+      }
+      radix2_from_bit_reversed(plan, re, im, dir);
+      return;
+    }
+
+    if (dir == Direction::Forward) {
+      bluestein_forward(plan, re, im);
+      return;
+    }
+    // Inverse via conjugation: ifft(x) = conj(fft(conj(x))) / n.
+    negate_lanes(im, n);
+    bluestein_forward(plan, re, im);
+    const double scale = 1.0 / static_cast<double>(n);
+    scale_lanes<false>(re, scale, n);
+    scale_lanes<true>(im, scale, n);
+  }
+
+  /// Column group cg: columns 4cg..4cg+3 gather tile by tile into the
+  /// column-lane scratch, transform there, take the transfer multiply and
+  /// scatter back. A radix-2 plan's bit-reversal permutation is folded into
+  /// the gather (row r lands at bit_reverse_[r], a move, not an arithmetic
+  /// change), so its transform starts at the butterflies. Idle column lanes
+  /// of a partial last group are zeroed so the transform reads defined
+  /// values; their results are dropped.
+  static void column_group(const ColumnPass& pass, std::size_t cg) {
+    const Plan& plan = *pass.plan;
+    const std::size_t rows = pass.rows;
+    const std::size_t c0 = cg * L;
+    const std::size_t lanes = std::min(L, pass.cols - c0);
+    const bool radix2 = rows > 1 && !plan.uses_bluestein();
+    Planes& scratch = column_scratch();
+    scratch.ensure(rows * L);
+    double* xr = scratch.re.data();
+    double* xi = scratch.im.data();
+    if (lanes < L) {
+      zero_lanes(xr, rows);
+      zero_lanes(xi, rows);
+    }
+
+    // Row group g's tile starts at g * step + c0 * L and holds column
+    // c0 + t's four rows at [t * L, t * L + L); scratch row r (slot r, or
+    // bit_reverse_[r] when folded) sits at x + slot * L.
+    const std::size_t step = pass.cols * L;
+    const auto slot = [&](std::size_t r) {
+      return radix2 ? plan.bit_reverse_[r] : r;
+    };
+    for (std::size_t g = 0; g * L < rows; ++g) {
+      const std::size_t tile_rows = std::min(L, rows - g * L);
+      const std::size_t at = g * step + c0 * L;
+      if (tile_rows == L && lanes == L) {
+        double* to_r[L];
+        double* to_i[L];
+        for (std::size_t u = 0; u < L; ++u) {
+          to_r[u] = xr + slot(g * L + u) * L;
+          to_i[u] = xi + slot(g * L + u) * L;
+        }
+        transpose_tile(pass.re + at, to_r);
+        transpose_tile(pass.im + at, to_i);
+        continue;
+      }
+      for (std::size_t u = 0; u < tile_rows; ++u) {
+        const std::size_t to = slot(g * L + u) * L;
+        for (std::size_t t = 0; t < lanes; ++t) {
+          xr[to + t] = pass.re[at + t * L + u];
+          xi[to + t] = pass.im[at + t * L + u];
+        }
+      }
+    }
+
+    if (radix2) {
+      radix2_from_bit_reversed(plan, xr, xi, pass.dir);
+    } else {
+      execute(plan, xr, xi, pass.dir);
+    }
+    if (const ColumnTransfer* h = pass.transfer) {
+      const std::size_t at = cg * rows * L;
+      if (h->conjugate) {
+        mul_planes<true>(xr, xi, h->re + at, h->im + at, rows);
+      } else {
+        mul_planes<false>(xr, xi, h->re + at, h->im + at, rows);
+      }
+    }
+
+    // The transformed scratch is in natural order: rows 4g..4g+3 are the
+    // 16 contiguous doubles at x + g * L * L.
+    for (std::size_t g = 0; g * L < rows; ++g) {
+      const std::size_t tile_rows = std::min(L, rows - g * L);
+      const std::size_t at = g * step + c0 * L;
+      if (tile_rows == L && lanes == L) {
+        double* to_r[L];
+        double* to_i[L];
+        for (std::size_t t = 0; t < L; ++t) {
+          to_r[t] = pass.re + at + t * L;
+          to_i[t] = pass.im + at + t * L;
+        }
+        transpose_tile(xr + g * L * L, to_r);
+        transpose_tile(xi + g * L * L, to_i);
+        continue;
+      }
+      for (std::size_t u = 0; u < tile_rows; ++u) {
+        const std::size_t from = (g * L + u) * L;
+        for (std::size_t t = 0; t < lanes; ++t) {
+          pass.re[at + t * L + u] = xr[from + t];
+          pass.im[at + t * L + u] = xi[from + t];
+        }
+      }
+    }
+  }
+};
+
+// ------------------------------------------------------------------ dispatch
+
+namespace {
+
+struct KernelSet {
+  void (*execute)(const Plan&, double*, double*, Direction);
+  void (*column_group)(const ColumnPass&, std::size_t);
+};
+
+__attribute__((flatten)) void execute_baseline(const Plan& plan, double* re,
+                                               double* im, Direction dir) {
+  LaneKernels<Vec2>::execute(plan, re, im, dir);
+}
+
+__attribute__((flatten)) void column_group_baseline(const ColumnPass& pass,
+                                                    std::size_t cg) {
+  LaneKernels<Vec2>::column_group(pass, cg);
+}
+
+constexpr KernelSet kBaseline{execute_baseline, column_group_baseline};
+
+#if defined(__x86_64__) || defined(__i386__)
+#define ODONN_LANE_AVX2 1
+
+__attribute__((target("avx2"), flatten)) void execute_avx2(const Plan& plan,
+                                                           double* re,
+                                                           double* im,
+                                                           Direction dir) {
+  LaneKernels<Vec4>::execute(plan, re, im, dir);
+}
+
+__attribute__((target("avx2"), flatten)) void column_group_avx2(
+    const ColumnPass& pass, std::size_t cg) {
+  LaneKernels<Vec4>::column_group(pass, cg);
+}
+
+constexpr KernelSet kAvx2{execute_avx2, column_group_avx2};
+#endif
+
+const KernelSet& kernels(LaneIsa isa) {
+  ODONN_CHECK(lane_isa_supported(isa),
+              std::string("lane kernels: ") + lane_isa_name(isa) +
+                  " is not supported on this CPU");
+#ifdef ODONN_LANE_AVX2
+  if (isa == LaneIsa::Avx2) return kAvx2;
+#endif
+  return kBaseline;
+}
+
+}  // namespace
+
+const char* lane_isa_name(LaneIsa isa) {
+  return isa == LaneIsa::Avx2 ? "avx2" : "baseline";
+}
+
+bool lane_isa_supported(LaneIsa isa) {
+  if (isa == LaneIsa::Baseline) return true;
+#ifdef ODONN_LANE_AVX2
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+#else
+  return false;
+#endif
+}
+
+LaneIsa active_lane_isa() {
+  static const LaneIsa isa = lane_isa_supported(LaneIsa::Avx2)
+                                 ? LaneIsa::Avx2
+                                 : LaneIsa::Baseline;
+  return isa;
+}
+
+void Plan::execute_lanes(double* re, double* im, Direction dir,
+                         LaneIsa isa) const {
+  kernels(isa).execute(*this, re, im, dir);
+}
+
+void frame_columns(Frame& frame, const Plan& col_plan, Direction dir,
+                   const ColumnTransfer* transfer, LaneIsa isa) {
+  ODONN_CHECK_SHAPE(col_plan.size() == frame.rows(),
+                    "frame_columns: plan length does not match frame height");
+  const KernelSet& set = kernels(isa);
+  const ColumnPass pass{frame.re(), frame.im(), frame.rows(), frame.cols(),
+                        &col_plan,  dir,        transfer};
+  parallel_for(0, (frame.cols() + L - 1) / L,
+               [&](std::size_t cg) { set.column_group(pass, cg); });
+}
+
+}  // namespace odonn::fft

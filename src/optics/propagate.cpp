@@ -10,51 +10,74 @@ Propagator::Propagator(const GridSpec& grid, const PropagatorOptions& options)
   validate(grid);
   work_grid_ = options.pad2x ? GridSpec{grid.n * 2, grid.pitch} : grid;
   kernel_ = transfer_function(work_grid_, options.kernel);
+  plan_ = fft::plan_for(work_grid_.n);
+  fft::column_lane_planes(kernel_.data(), work_grid_.n, work_grid_.n,
+                          kernel_re_, kernel_im_);
+}
+
+void Propagator::apply_frame(fft::Frame& field, Workspace& workspace,
+                             bool conjugate_kernel) const {
+  ODONN_CHECK_SHAPE(field.rows() == grid_.n && field.cols() == grid_.n,
+                    "propagator grid does not match frame shape");
+  const std::size_t n = grid_.n;
+  const std::size_t wn = work_grid_.n;
+  const std::size_t off = (wn - n) / 2;
+
+  fft::Frame* buf = &field;
+  if (options_.pad2x) {
+    // Center the aperture in the padded window (workspace reused across
+    // calls: zero it rather than reallocating once warmed up).
+    fft::Frame& padded = workspace.padded;
+    padded.reshape(wn, wn);
+    padded.fill_zero();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t from = field.index(r, c);
+        const std::size_t to = padded.index(off + r, off + c);
+        padded.re()[to] = field.re()[from];
+        padded.im()[to] = field.im()[from];
+      }
+    }
+    buf = &padded;
+  }
+
+  const fft::ColumnTransfer transfer{kernel_re_.data(), kernel_im_.data(),
+                                     conjugate_kernel};
+  fft::frame_rows(*buf, *plan_, fft::Direction::Forward);
+  fft::frame_columns(*buf, *plan_, fft::Direction::Forward, &transfer);
+  fft::frame_rows(*buf, *plan_, fft::Direction::Inverse);
+  fft::frame_columns(*buf, *plan_, fft::Direction::Inverse);
+
+  if (options_.pad2x) {
+    const fft::Frame& padded = workspace.padded;
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t from = padded.index(off + r, off + c);
+        const std::size_t to = field.index(r, c);
+        field.re()[to] = padded.re()[from];
+        field.im()[to] = padded.im()[from];
+      }
+    }
+  }
 }
 
 void Propagator::apply_inplace(MatrixC& values, Workspace& workspace,
                                bool conjugate_kernel) const {
   ODONN_CHECK_SHAPE(values.rows() == grid_.n && values.cols() == grid_.n,
                     "propagator grid does not match sample buffer shape");
-  const std::size_t n = grid_.n;
-  const std::size_t wn = work_grid_.n;
+  fft::Frame& frame = workspace.frame;
+  frame.reshape(grid_.n, grid_.n);
+  frame.load(values.data());
+  apply_frame(frame, workspace, conjugate_kernel);
+  frame.store(values.data());
+}
 
-  MatrixC* buf = &values;
-  if (options_.pad2x) {
-    // Center the aperture in the padded window (workspace reused across
-    // calls: zero it rather than reallocating once warmed up).
-    if (workspace.padded.rows() != wn || workspace.padded.cols() != wn) {
-      workspace.padded = MatrixC(wn, wn, std::complex<double>(0.0, 0.0));
-    } else {
-      workspace.padded.fill(std::complex<double>(0.0, 0.0));
-    }
-    const std::size_t off = (wn - n) / 2;
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        workspace.padded(off + r, off + c) = values(r, c);
-      }
-    }
-    buf = &workspace.padded;
-  }
+void Propagator::forward_frame(fft::Frame& field, Workspace& workspace) const {
+  apply_frame(field, workspace, /*conjugate_kernel=*/false);
+}
 
-  fft::transform_2d(buf->data(), wn, wn, fft::Direction::Forward);
-  if (conjugate_kernel) {
-    for (std::size_t i = 0; i < buf->size(); ++i) {
-      (*buf)[i] *= std::conj(kernel_[i]);
-    }
-  } else {
-    for (std::size_t i = 0; i < buf->size(); ++i) (*buf)[i] *= kernel_[i];
-  }
-  fft::transform_2d(buf->data(), wn, wn, fft::Direction::Inverse);
-
-  if (options_.pad2x) {
-    const std::size_t off = (wn - n) / 2;
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        values(r, c) = workspace.padded(off + r, off + c);
-      }
-    }
-  }
+void Propagator::adjoint_frame(fft::Frame& field, Workspace& workspace) const {
+  apply_frame(field, workspace, /*conjugate_kernel=*/true);
 }
 
 void Propagator::forward_inplace(MatrixC& values, Workspace& workspace) const {

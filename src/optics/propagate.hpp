@@ -6,16 +6,34 @@
 // adjoint reuses the same machinery with the conjugated kernel
 // (see DESIGN.md §4).
 //
-// Thread safety: a constructed Propagator is immutable (cached transfer
-// function only) and all member functions are const, so one instance may be
-// shared across any number of threads — the serving path (src/serve) relies
-// on this to evaluate whole batches against a single cached kernel. The
-// *_inplace entry points additionally let hot loops reuse caller-owned
-// buffers so steady-state propagation performs no heap allocation.
+// One in-place path. Every entry point runs apply_frame on a row-lane
+// fft::Frame (fft2d.hpp: rows 4g..4g+3 form lane group g, element (r, c) at
+// [(g * n + c) * 4 + r % 4] of split re/im planes):
+//   row pass (forward) -> column pass (forward) with H multiplied in as the
+//   tiles are written back -> row pass (inverse) -> column pass (inverse),
+// which is F^{-1} diag(H) F with transform_2d's exact arithmetic, so the
+// result is bitwise identical to two row-major transform_2d calls around an
+// element-wise std::complex multiply by H. The passes run the lane kernels
+// of fft_plan.hpp's ISA dispatch (AVX2 when the CPU has it, never FMA). The
+// propagator holds its FFT plan (rows and columns share one length) and H in
+// the column pass's column-lane order, so a propagation looks nothing up.
+// forward_frame / adjoint_frame are the path itself; forward / adjoint and
+// the MatrixC *_inplace entry points convert into a workspace frame and
+// back. With pad2x the aperture is copied into the centre of a zeroed
+// 2n x 2n frame and cropped back after.
+//
+// Thread safety: a constructed Propagator is immutable (cached plan and
+// transfer function only) and all member functions are const, so one
+// instance may be shared across any number of threads — the serving path
+// (src/serve) relies on this to evaluate whole batches against a single
+// cached kernel. The *_inplace and *_frame entry points additionally let
+// hot loops reuse caller-owned buffers so steady-state propagation performs
+// no heap allocation.
 #pragma once
 
 #include <memory>
 
+#include "fft/fft2d.hpp"
 #include "optics/field.hpp"
 #include "optics/kernels.hpp"
 
@@ -33,11 +51,12 @@ class Propagator {
   const GridSpec& grid() const { return grid_; }
   const PropagatorOptions& options() const { return options_; }
 
-  /// Caller-owned scratch for the *_inplace entry points. Only used when
-  /// pad2x is on (holds the zero-padded working frame); reusing one
-  /// workspace across calls avoids reallocating it per propagation.
+  /// Caller-owned scratch: the frame the MatrixC *_inplace entry points
+  /// convert into, and the zero-padded working frame when pad2x is on.
+  /// Reusing one workspace across calls avoids reallocating per propagation.
   struct Workspace {
-    MatrixC padded;
+    fft::Frame frame;
+    fft::Frame padded;
   };
 
   /// Applies P to the field (same grid in and out).
@@ -54,17 +73,27 @@ class Propagator {
   void forward_inplace(MatrixC& values, Workspace& workspace) const;
   void adjoint_inplace(MatrixC& values, Workspace& workspace) const;
 
+  /// The path itself, in place on an n x n row-lane frame (idle lanes of a
+  /// partial last group are carried along and never read). The model's
+  /// stack runner keeps its fields in frames and calls these per hop.
+  void forward_frame(fft::Frame& field, Workspace& workspace) const;
+  void adjoint_frame(fft::Frame& field, Workspace& workspace) const;
+
   /// The cached transfer function (on the padded grid if pad2x).
   const MatrixC& transfer() const { return kernel_; }
 
  private:
   void apply_inplace(MatrixC& values, Workspace& workspace,
                      bool conjugate_kernel) const;
+  void apply_frame(fft::Frame& field, Workspace& workspace,
+                   bool conjugate_kernel) const;
 
   GridSpec grid_;
   PropagatorOptions options_;
   GridSpec work_grid_;  ///< grid_ or 2x padded
   MatrixC kernel_;
+  std::shared_ptr<const fft::Plan> plan_;  ///< length work_grid_.n
+  fft::Plane kernel_re_, kernel_im_;  ///< H in column-lane order
 };
 
 /// Composes a propagation over z via `steps` sequential applications of

@@ -28,12 +28,65 @@ inline double padded(const MatrixD& m, long r, long c) {
   return m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
 }
 
+/// Neighbor access around one pixel. On the one-pixel border every read
+/// and write is bounds-checked against the zero padding; inside it
+/// (Interior) every neighbor exists, so the checks drop out. Either way a
+/// neighbor read yields the same value, so per-pixel arithmetic is
+/// unchanged.
+template <bool Interior>
+struct Around {
+  const MatrixD& mask;
+  long r;
+  long c;
+
+  double value(const Offset& o) const {
+    if constexpr (Interior) {
+      return mask.data()[(r + o.dr) * static_cast<long>(mask.cols()) + c +
+                         o.dc];
+    } else {
+      return padded(mask, r + o.dr, c + o.dc);
+    }
+  }
+
+  /// The neighbor's gradient cell, or nullptr when it is padding.
+  double* grad_cell(MatrixD& grad, const Offset& o) const {
+    const long nr = r + o.dr;
+    const long nc = c + o.dc;
+    if constexpr (!Interior) {
+      if (nr < 0 || nc < 0 || nr >= static_cast<long>(mask.rows()) ||
+          nc >= static_cast<long>(mask.cols())) {
+        return nullptr;
+      }
+    }
+    return grad.data() + nr * static_cast<long>(mask.cols()) + nc;
+  }
+};
+
+/// Calls fn(Around<interior>) for every pixel in raster order, choosing the
+/// unchecked accessor for pixels inside the one-pixel border.
 template <typename Fn>
-void for_each_neighbor(Neighborhood nb, Fn&& fn) {
+void for_each_pixel(const MatrixD& mask, Fn&& fn) {
+  const long rows = static_cast<long>(mask.rows());
+  const long cols = static_cast<long>(mask.cols());
+  for (long r = 0; r < rows; ++r) {
+    if (r == 0 || r == rows - 1 || cols < 3) {
+      for (long c = 0; c < cols; ++c) fn(Around<false>{mask, r, c});
+      continue;
+    }
+    fn(Around<false>{mask, r, 0});
+    for (long c = 1; c < cols - 1; ++c) fn(Around<true>{mask, r, c});
+    fn(Around<false>{mask, r, cols - 1});
+  }
+}
+
+/// Calls fn with the neighborhood's offset table (a compile-time size, so
+/// the neighbor loops unroll).
+template <typename Fn>
+void with_offsets(Neighborhood nb, Fn&& fn) {
   if (nb == Neighborhood::Four) {
-    for (const auto& o : kFour) fn(o);
+    fn(kFour);
   } else {
-    for (const auto& o : kEight) fn(o);
+    fn(kEight);
   }
 }
 
@@ -42,24 +95,23 @@ void for_each_neighbor(Neighborhood nb, Fn&& fn) {
 MatrixD roughness_map(const MatrixD& mask, const RoughnessOptions& options) {
   ODONN_CHECK(!mask.empty(), "roughness_map: empty mask");
   ODONN_CHECK(options.k_scale > 0.0, "roughness: k_scale must be positive");
+  const bool l2 = options.reduce == PixelReduce::L2Norm;
   const double k = static_cast<double>(options.neighborhood) *
-                   (options.reduce == PixelReduce::L2Norm ? options.k_scale : 1.0);
+                   (l2 ? options.k_scale : 1.0);
   MatrixD out(mask.rows(), mask.cols());
-  for (std::size_t r = 0; r < mask.rows(); ++r) {
-    for (std::size_t c = 0; c < mask.cols(); ++c) {
-      const double center = mask(r, c);
+  with_offsets(options.neighborhood, [&](const auto& offsets) {
+    for_each_pixel(mask, [&](const auto& at) {
+      const double center = mask(static_cast<std::size_t>(at.r),
+                                 static_cast<std::size_t>(at.c));
       double acc = 0.0;
-      for_each_neighbor(options.neighborhood, [&](const Offset& o) {
-        const double d = padded(mask, static_cast<long>(r) + o.dr,
-                                static_cast<long>(c) + o.dc) -
-                         center;
-        acc += (options.reduce == PixelReduce::L2Norm) ? d * d : std::abs(d);
-      });
-      out(r, c) = (options.reduce == PixelReduce::L2Norm)
-                      ? std::sqrt(acc) / k
-                      : acc / k;
-    }
-  }
+      for (const Offset& o : offsets) {
+        const double d = at.value(o) - center;
+        acc += l2 ? d * d : std::abs(d);
+      }
+      out(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c)) =
+          l2 ? std::sqrt(acc) / k : acc / k;
+    });
+  });
   return out;
 }
 
@@ -75,62 +127,53 @@ double roughness_with_grad(const MatrixD& mask, MatrixD& grad, double scale,
   ODONN_CHECK(options.k_scale > 0.0, "roughness: k_scale must be positive");
   const double k = static_cast<double>(options.neighborhood) *
                    (options.reduce == PixelReduce::L2Norm ? options.k_scale : 1.0);
-  const long rows = static_cast<long>(mask.rows());
-  const long cols = static_cast<long>(mask.cols());
   double total = 0.0;
 
   if (options.reduce == PixelReduce::L2Norm) {
     // R(p) = (1/k) sqrt(sum_q d_q^2 + eps), d_q = w_q - w_p.
     // dR(p)/dw_p = -(1/k) sum_q d_q / sqrt(.), dR(p)/dw_q = (1/k) d_q / sqrt(.)
-    for (long r = 0; r < rows; ++r) {
-      for (long c = 0; c < cols; ++c) {
-        const double center = mask(static_cast<std::size_t>(r),
-                                   static_cast<std::size_t>(c));
+    with_offsets(options.neighborhood, [&](const auto& offsets) {
+      for_each_pixel(mask, [&](const auto& at) {
+        const double center = mask(static_cast<std::size_t>(at.r),
+                                   static_cast<std::size_t>(at.c));
         double sum_sq = options.eps;
-        for_each_neighbor(options.neighborhood, [&](const Offset& o) {
-          const double d = padded(mask, r + o.dr, c + o.dc) - center;
+        for (const Offset& o : offsets) {
+          const double d = at.value(o) - center;
           sum_sq += d * d;
-        });
+        }
         const double root = std::sqrt(sum_sq);
         total += root / k;
         const double inv = scale / (k * root);
         double center_grad = 0.0;
-        for_each_neighbor(options.neighborhood, [&](const Offset& o) {
-          const long nr = r + o.dr;
-          const long nc = c + o.dc;
-          const double d = padded(mask, nr, nc) - center;
+        for (const Offset& o : offsets) {
+          const double d = at.value(o) - center;
           center_grad -= d * inv;
-          if (nr >= 0 && nc >= 0 && nr < rows && nc < cols) {
-            grad(static_cast<std::size_t>(nr), static_cast<std::size_t>(nc)) +=
-                d * inv;
-          }
-        });
-        grad(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) +=
+          if (double* cell = at.grad_cell(grad, o)) *cell += d * inv;
+        }
+        grad(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c)) +=
             center_grad;
-      }
-    }
+      });
+    });
     return total;
   }
 
   // MeanAbs: R(p) = (1/k) sum_q |d_q|; d|d|/dd = d / sqrt(d^2 + eps).
-  for (long r = 0; r < rows; ++r) {
-    for (long c = 0; c < cols; ++c) {
-      const double center = mask(static_cast<std::size_t>(r),
-                                 static_cast<std::size_t>(c));
-      for_each_neighbor(options.neighborhood, [&](const Offset& o) {
-        const long nr = r + o.dr;
-        const long nc = c + o.dc;
-        const double d = padded(mask, nr, nc) - center;
+  with_offsets(options.neighborhood, [&](const auto& offsets) {
+    for_each_pixel(mask, [&](const auto& at) {
+      double& center_cell =
+          grad(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c));
+      const double center = mask(static_cast<std::size_t>(at.r),
+                                 static_cast<std::size_t>(at.c));
+      for (const Offset& o : offsets) {
+        const double d = at.value(o) - center;
         total += std::abs(d) / k;
         const double sign = d / std::sqrt(d * d + options.eps);
         const double g = scale * sign / k;
-        grad(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) -= g;
-        if (nr >= 0 && nc >= 0 && nr < rows && nc < cols) {
-          grad(static_cast<std::size_t>(nr), static_cast<std::size_t>(nc)) += g;
-        }
-      });
-    }
-  }
+        center_cell -= g;
+        if (double* cell = at.grad_cell(grad, o)) *cell += g;
+      }
+    });
+  });
   return total;
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "fft/fft2d.hpp"
 #include "fft/fft_plan.hpp"
 
 namespace odonn::serve {
@@ -117,8 +118,8 @@ void BatchKernel::run(const std::vector<optics::Field>& inputs,
   parallel_for_chunks(
       0, groups,
       [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> re(count * L), im(count * L);
-        std::vector<double> col_re(n * L), col_im(n * L);
+        fft::Plane re(count * L), im(count * L);
+        fft::Plane col_re(n * L), col_im(n * L);
         for (std::size_t g = lo; g < hi; ++g) {
           const std::size_t first = g * L;
           const std::size_t lanes = std::min(L, inputs.size() - first);

@@ -9,8 +9,8 @@
 // loops auto-vectorize.
 //
 // The FFTs are fft::Plan::execute_lanes over the cached plan — the same
-// lane butterflies fft::transform_2d uses, here with one sample per lane
-// instead of one row per lane.
+// lane butterflies (AVX2 when the CPU has them) fft::transform_2d uses,
+// here with one sample per lane instead of one row per lane.
 //
 // Exactness: each lane performs the same IEEE add/mul sequence as the
 // scalar pipeline (fft::Plan radix-2 butterflies -> transfer-function

@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,6 +16,13 @@ namespace {
 /// "never served" (span exports key off nonzero ids); shared across every
 /// engine so cluster replicas never collide.
 std::atomic<std::uint64_t> g_next_request_id{1};
+
+bool all_finite(const MatrixC& values) {
+  for (const auto& v : values) {
+    if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -208,16 +216,26 @@ void InferenceEngine::run_group(const std::string& model_name,
   const BatchedForward& forward = it->second;
 
   // Reject malformed requests individually before batching, so one bad
-  // input cannot poison the co-batched valid ones.
+  // input cannot poison the co-batched valid ones. Non-finite samples are
+  // refused here because the lane kernels' bitwise contract covers finite
+  // inputs only (fft/fft_plan.hpp).
   std::vector<Request*> valid;
   valid.reserve(group.size());
   for (Request* request : group) {
-    if (request->input.grid() == model->config().grid) {
-      valid.push_back(request);
-    } else {
+    std::exception_ptr error;
+    if (request->input.grid() != model->config().grid) {
+      error = std::make_exception_ptr(ShapeError(
+          "engine: input grid does not match model '" + model_name + "'"));
+    } else if (!all_finite(request->input.values())) {
+      error = std::make_exception_ptr(NumericsError(
+          "engine: input holds a non-finite value (model '" + model_name +
+          "')"));
+    }
+    if (error) {
       stats_.record_error();
-      request->promise.set_exception(std::make_exception_ptr(ShapeError(
-          "engine: input grid does not match model '" + model_name + "'")));
+      request->promise.set_exception(error);
+    } else {
+      valid.push_back(request);
     }
   }
   group = std::move(valid);

@@ -2,13 +2,17 @@
 // trips, Parseval, linearity, shift theorem, 2-D transforms, fftshift, and
 // frequency coordinates — parameterized across power-of-two and Bluestein
 // sizes (including the paper's 200). The lane path (Plan::execute_lanes and
-// the transform_2d built on it) is held to the scalar Plan::execute bit for
-// bit, signed zeros included.
+// the frame passes and transform_2d built on it) is held to the scalar
+// Plan::execute bit for bit, signed zeros included, in every lane-kernel
+// ISA variant the host supports (unsupported variants are skipped with the
+// reason).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -142,8 +146,38 @@ TEST_P(FftSizes, ImpulseTransformsToConstant) {
   for (const auto& v : signal) EXPECT_LT(std::abs(v - Cplx(1.0, 0.0)), 1e-10);
 }
 
-TEST_P(FftSizes, ExecuteLanesMatchesExecuteBitwise) {
-  const std::size_t n = GetParam();
+constexpr LaneIsa kIsas[] = {LaneIsa::Baseline, LaneIsa::Avx2};
+
+std::string isa_label(LaneIsa isa) { return lane_isa_name(isa); }
+
+/// Skips the calling test when this CPU cannot run `isa`'s kernels.
+#define SKIP_UNLESS_SUPPORTED(isa)                                        \
+  do {                                                                    \
+    if (!lane_isa_supported(isa)) {                                       \
+      GTEST_SKIP() << lane_isa_name(isa)                                  \
+                   << " lane kernels not run: this CPU lacks the ISA";    \
+    }                                                                     \
+  } while (false)
+
+TEST(LaneIsa, ActiveSetIsSupportedAndBaselineAlwaysIs) {
+  EXPECT_TRUE(lane_isa_supported(LaneIsa::Baseline));
+  EXPECT_TRUE(lane_isa_supported(active_lane_isa()));
+  EXPECT_EQ(active_lane_isa(), lane_isa_supported(LaneIsa::Avx2)
+                                   ? LaneIsa::Avx2
+                                   : LaneIsa::Baseline);
+  if (!lane_isa_supported(LaneIsa::Avx2)) {
+    EXPECT_THROW(Plan(8).execute_lanes(nullptr, nullptr, Direction::Forward,
+                                       LaneIsa::Avx2),
+                 Error);
+  }
+}
+
+class LaneIsaSizes
+    : public ::testing::TestWithParam<std::tuple<LaneIsa, std::size_t>> {};
+
+TEST_P(LaneIsaSizes, ExecuteLanesMatchesExecuteBitwise) {
+  const auto [isa, n] = GetParam();
+  SKIP_UNLESS_SUPPORTED(isa);
   constexpr std::size_t L = Plan::kLanes;
   // Lane 0 random, lane 1 random with signed zeros, lane 2 a lone impulse
   // in -0.0 padding, lane 3 nothing but signed zeros.
@@ -165,7 +199,7 @@ TEST_P(FftSizes, ExecuteLanesMatchesExecuteBitwise) {
         im[j * L + s] = lanes[s][j].imag();
       }
     }
-    plan.execute_lanes(re.data(), im.data(), dir);
+    plan.execute_lanes(re.data(), im.data(), dir, isa);
     for (std::size_t s = 0; s < L; ++s) {
       auto expected = lanes[s];
       plan.execute(expected.data(), dir);
@@ -174,15 +208,25 @@ TEST_P(FftSizes, ExecuteLanesMatchesExecuteBitwise) {
         got[j] = Cplx(re[j * L + s], im[j * L + s]);
       }
       EXPECT_TRUE(same_bits(got, expected))
-          << "lane " << s
+          << lane_isa_name(isa) << " lane " << s
           << (dir == Direction::Forward ? " forward" : " inverse");
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, FftSizes,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 27,
-                                           32, 50, 64, 100, 128, 200, 256));
+constexpr std::size_t kFftSizes[] = {1,  2,  3,  4,  5,   7,   8,   13, 16,
+                                     27, 32, 50, 64, 100, 128, 200, 256};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FftSizes, ::testing::ValuesIn(kFftSizes));
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, LaneIsaSizes,
+    ::testing::Combine(::testing::ValuesIn(kIsas),
+                       ::testing::ValuesIn(kFftSizes)),
+    [](const ::testing::TestParamInfo<std::tuple<LaneIsa, std::size_t>>& info) {
+      return isa_label(std::get<0>(info.param)) + "_n" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 /// The definition transform_2d must reproduce: Plan::execute on every row,
 /// then on every column.
@@ -222,12 +266,9 @@ std::vector<std::pair<std::size_t, std::size_t>> fft2d_shapes() {
   // Square shapes over the FftSizes list, plus shapes whose last row or
   // column group is partial.
   std::vector<std::pair<std::size_t, std::size_t>> shapes;
-  for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 13, 16, 27, 32, 50, 64,
-                              100, 128, 200, 256}) {
-    shapes.emplace_back(n, n);
-  }
+  for (const std::size_t n : kFftSizes) shapes.emplace_back(n, n);
   for (const auto& shape : {std::pair<std::size_t, std::size_t>{12, 10},
-                            {7, 200}, {200, 7}, {1, 5}, {5, 1}}) {
+                            {7, 200}, {200, 7}, {1, 5}, {5, 1}, {21, 21}}) {
     shapes.push_back(shape);
   }
   return shapes;
@@ -235,6 +276,121 @@ std::vector<std::pair<std::size_t, std::size_t>> fft2d_shapes() {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Fft2dShapes,
                          ::testing::ValuesIn(fft2d_shapes()));
+
+/// Row-major buffer -> frame -> row-major buffer.
+std::vector<Cplx> through_frame(const std::vector<Cplx>& data,
+                                std::size_t rows, std::size_t cols) {
+  Frame frame(rows, cols);
+  frame.load(data.data());
+  std::vector<Cplx> out(rows * cols);
+  frame.store(out.data());
+  return out;
+}
+
+TEST(Frame, LayoutLoadStoreAndIdleLanes) {
+  // Element (r, c) sits at ((r / 4) * cols + c) * 4 + r % 4; the idle lanes
+  // of a partial last group load as +0.
+  const std::size_t rows = 6, cols = 3;
+  std::vector<Cplx> data(rows * cols);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = Cplx(static_cast<double>(i) + 1.0, -static_cast<double>(i));
+  }
+  Frame frame(rows, cols);
+  for (std::size_t i = 0; i < frame.plane_size(); ++i) {
+    frame.re()[i] = 7.0;  // stale values load() must overwrite
+    frame.im()[i] = 7.0;
+  }
+  frame.load(data.data());
+  EXPECT_EQ(frame.groups(), 2u);
+  EXPECT_EQ(frame.plane_size(), 2u * cols * Frame::kLanes);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t f = ((r / 4) * cols + c) * 4 + r % 4;
+      EXPECT_EQ(frame.index(r, c), f);
+      EXPECT_EQ(frame.re()[f], data[r * cols + c].real());
+      EXPECT_EQ(frame.im()[f], data[r * cols + c].imag());
+    }
+  }
+  for (std::size_t r = rows; r < 8; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t f = ((r / 4) * cols + c) * 4 + r % 4;
+      EXPECT_TRUE(frame.re()[f] == 0.0 && !std::signbit(frame.re()[f]));
+      EXPECT_TRUE(frame.im()[f] == 0.0 && !std::signbit(frame.im()[f]));
+    }
+  }
+  const auto signed_zeros = signed_zero_signal(rows * cols, 1100);
+  EXPECT_TRUE(same_bits(through_frame(signed_zeros, rows, cols), signed_zeros));
+}
+
+class FrameIsaShapes
+    : public ::testing::TestWithParam<
+          std::tuple<LaneIsa, std::pair<std::size_t, std::size_t>>> {};
+
+TEST_P(FrameIsaShapes, TransformMatchesRowColumnReferenceBitwise) {
+  const auto [isa, shape] = GetParam();
+  SKIP_UNLESS_SUPPORTED(isa);
+  const auto [rows, cols] = shape;
+  const auto input = signed_zero_signal(rows * cols, 1200 + rows * 7 + cols);
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    Frame frame(rows, cols);
+    frame.load(input.data());
+    transform_2d(frame, dir, isa);
+    std::vector<Cplx> got(rows * cols);
+    frame.store(got.data());
+    EXPECT_TRUE(same_bits(got, row_column_reference(input, rows, cols, dir)))
+        << lane_isa_name(isa) << " " << rows << "x" << cols
+        << (dir == Direction::Forward ? " forward" : " inverse");
+  }
+}
+
+TEST_P(FrameIsaShapes, ColumnTransferMatchesComplexMultiplyBitwise) {
+  // The column pass with a transfer equals the plain column transforms
+  // followed by std::complex's x *= h (or x *= conj(h)) per element.
+  const auto [isa, shape] = GetParam();
+  SKIP_UNLESS_SUPPORTED(isa);
+  const auto [rows, cols] = shape;
+  const auto input = signed_zero_signal(rows * cols, 1300 + rows * 7 + cols);
+  const auto table = signed_zero_signal(rows * cols, 1400 + rows * 7 + cols);
+  Plane h_re, h_im;
+  column_lane_planes(table.data(), rows, cols, h_re, h_im);
+  const auto col_plan = plan_for(rows);
+  for (const bool conjugate : {false, true}) {
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      Frame frame(rows, cols);
+      frame.load(input.data());
+      const ColumnTransfer transfer{h_re.data(), h_im.data(), conjugate};
+      frame_columns(frame, *col_plan, dir, &transfer, isa);
+      std::vector<Cplx> got(rows * cols);
+      frame.store(got.data());
+
+      std::vector<Cplx> expected = input;
+      std::vector<Cplx> col(rows);
+      for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r) col[r] = expected[r * cols + c];
+        col_plan->execute(col.data(), dir);
+        for (std::size_t r = 0; r < rows; ++r) expected[r * cols + c] = col[r];
+      }
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        expected[i] *= conjugate ? std::conj(table[i]) : table[i];
+      }
+      EXPECT_TRUE(same_bits(got, expected))
+          << lane_isa_name(isa) << " " << rows << "x" << cols
+          << (conjugate ? " conj" : "")
+          << (dir == Direction::Forward ? " forward" : " inverse");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FrameIsaShapes,
+    ::testing::Combine(::testing::ValuesIn(kIsas),
+                       ::testing::ValuesIn(fft2d_shapes())),
+    [](const ::testing::TestParamInfo<
+        std::tuple<LaneIsa, std::pair<std::size_t, std::size_t>>>& info) {
+      const auto shape = std::get<1>(info.param);
+      return isa_label(std::get<0>(info.param)) + "_" +
+             std::to_string(shape.first) + "x" + std::to_string(shape.second);
+    });
 
 TEST(Fft2d, MatchesNaive2dDft) {
   const std::size_t rows = 12, cols = 10;

@@ -1,13 +1,18 @@
 // Tests for src/optics: propagation physics (energy conservation, adjoint
 // identity, semigroup property, agreement with the direct Rayleigh-
-// Sommerfeld reference), kernels and encoding.
+// Sommerfeld reference), kernels and encoding, and the frame propagation
+// path held bit for bit to transform_2d + H multiply + transform_2d.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fft/fft2d.hpp"
 #include "optics/encode.hpp"
 #include "optics/field.hpp"
 #include "optics/grid.hpp"
@@ -161,6 +166,117 @@ TEST(Propagate, AdjointIdentityHolds) {
     EXPECT_LT(std::abs(lhs - rhs), 1e-10 * std::abs(lhs) + 1e-12);
   }
 }
+
+/// One propagator geometry the frame path must reproduce exactly.
+struct FrameCase {
+  const char* name;
+  std::size_t n;
+  bool pad2x;
+};
+
+/// A 2-D FFT by definition: Plan::execute on every row, then every column.
+void reference_2d(MatrixC& m, fft::Direction dir) {
+  const auto plan = fft::plan_for(m.cols());
+  std::vector<std::complex<double>> col(m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    plan->execute(m.data() + r * m.cols(), dir);
+  }
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    for (std::size_t r = 0; r < m.rows(); ++r) col[r] = m(r, c);
+    plan->execute(col.data(), dir);
+    for (std::size_t r = 0; r < m.rows(); ++r) m(r, c) = col[r];
+  }
+}
+
+/// The definition the frame path must match bit for bit: centered zero-pad
+/// (pad2x), 2-D FFT, std::complex multiply by H (or conj H), inverse 2-D
+/// FFT, centered crop.
+MatrixC reference_propagation(const Propagator& prop, const MatrixC& values,
+                              bool adjoint) {
+  const std::size_t n = values.rows();
+  const MatrixC& h = prop.transfer();
+  const std::size_t wn = h.rows();
+  const std::size_t off = (wn - n) / 2;
+  MatrixC work(wn, wn, std::complex<double>(0.0, 0.0));
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) work(off + r, off + c) = values(r, c);
+  }
+  reference_2d(work, fft::Direction::Forward);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i] *= adjoint ? std::conj(h[i]) : h[i];
+  }
+  reference_2d(work, fft::Direction::Inverse);
+  MatrixC out(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) out(r, c) = work(off + r, off + c);
+  }
+  return out;
+}
+
+bool same_bits(const MatrixC& a, const MatrixC& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     a.size() * sizeof(std::complex<double>)) == 0;
+}
+
+class FramePropagation : public ::testing::TestWithParam<FrameCase> {};
+
+TEST_P(FramePropagation, MatchesTransformMultiplyTransformBitwise) {
+  // Forward and adjoint, through every entry point, over three chained
+  // hops with one reused workspace: the frame path, the MatrixC in-place
+  // converters and the Field wrappers all equal the reference.
+  const FrameCase c = GetParam();
+  const GridSpec grid = test_grid(c.n);
+  const Propagator prop(grid,
+                        {{KernelType::AngularSpectrum, kLambda, 0.01}, c.pad2x});
+  Propagator::Workspace workspace;
+  for (const bool adjoint : {false, true}) {
+    MatrixC expected = random_field(grid, 60 + c.n).values();
+    fft::Frame frame(c.n, c.n);
+    frame.load(expected.data());
+    MatrixC inplace = expected;
+    Field field(grid, expected);
+    for (std::size_t hop = 0; hop < 3; ++hop) {
+      expected = reference_propagation(prop, expected, adjoint);
+      if (adjoint) {
+        prop.adjoint_frame(frame, workspace);
+        prop.adjoint_inplace(inplace, workspace);
+        field = prop.adjoint(field);
+      } else {
+        prop.forward_frame(frame, workspace);
+        prop.forward_inplace(inplace, workspace);
+        field = prop.forward(field);
+      }
+      MatrixC from_frame(c.n, c.n);
+      frame.store(from_frame.data());
+      const std::string where = std::string(c.name) +
+                                (adjoint ? " adjoint" : " forward") +
+                                " hop " + std::to_string(hop);
+      EXPECT_TRUE(same_bits(from_frame, expected)) << where;
+      EXPECT_TRUE(same_bits(inplace, expected)) << where;
+      EXPECT_TRUE(same_bits(field.values(), expected)) << where;
+    }
+  }
+}
+
+TEST(FramePropagationShape, RejectsFrameOfAnotherGrid) {
+  const Propagator prop(test_grid(16),
+                        {{KernelType::AngularSpectrum, kLambda, 0.01}, false});
+  Propagator::Workspace workspace;
+  fft::Frame frame(12, 16);
+  EXPECT_THROW(prop.forward_frame(frame, workspace), ShapeError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, FramePropagation,
+    ::testing::Values(FrameCase{"radix2_n32", 32, false},
+                      FrameCase{"bluestein_n20", 20, false},
+                      FrameCase{"pad2x_n16", 16, true},
+                      FrameCase{"pad2x_n21", 21, true},
+                      FrameCase{"odd_n21", 21, false}),
+    [](const ::testing::TestParamInfo<FrameCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Propagate, SemigroupComposition) {
   // P(z1) P(z2) == P(z1 + z2) for the unpadded transfer-function method.

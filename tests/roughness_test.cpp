@@ -1,9 +1,13 @@
 // Tests for src/roughness: the Eq. 3-4 definitions against the paper's
-// printed figures, analytic gradients vs finite differences, and the
+// printed figures, analytic gradients vs finite differences, the interior
+// fast path held bit for bit to the bounds-checked loops, and the
 // intra-block variance of Fig. 4.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "donn/gradcheck.hpp"
@@ -272,6 +276,144 @@ TEST(IntraBlock, PopulationVarianceOption) {
   pop.sample_variance = false;
   EXPECT_NEAR(intra_block_variance_sum(w, sample), 4.0 / 3.0, 1e-12);
   EXPECT_NEAR(intra_block_variance_sum(w, pop), 1.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The bounds-checked reference: every neighbor read and gradient write goes
+// through the zero-padding test, pixel by pixel in raster order. The library
+// skips those tests inside the one-pixel border and must stay bitwise equal.
+
+struct RefOffset {
+  int dr;
+  int dc;
+};
+
+std::vector<RefOffset> ref_offsets(Neighborhood nb) {
+  if (nb == Neighborhood::Four) return {{-1, 0}, {0, -1}, {0, 1}, {1, 0}};
+  return {{-1, -1}, {-1, 0}, {-1, 1}, {0, -1},
+          {0, 1},   {1, -1}, {1, 0},  {1, 1}};
+}
+
+double ref_padded(const MatrixD& m, long r, long c) {
+  if (r < 0 || c < 0 || r >= static_cast<long>(m.rows()) ||
+      c >= static_cast<long>(m.cols())) {
+    return 0.0;
+  }
+  return m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+}
+
+MatrixD ref_roughness_map(const MatrixD& mask, const RoughnessOptions& opt) {
+  const bool l2 = opt.reduce == PixelReduce::L2Norm;
+  const double k =
+      static_cast<double>(opt.neighborhood) * (l2 ? opt.k_scale : 1.0);
+  MatrixD out(mask.rows(), mask.cols());
+  for (std::size_t r = 0; r < mask.rows(); ++r) {
+    for (std::size_t c = 0; c < mask.cols(); ++c) {
+      const double center = mask(r, c);
+      double acc = 0.0;
+      for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
+        const double d = ref_padded(mask, static_cast<long>(r) + o.dr,
+                                    static_cast<long>(c) + o.dc) -
+                         center;
+        acc += l2 ? d * d : std::abs(d);
+      }
+      out(r, c) = l2 ? std::sqrt(acc) / k : acc / k;
+    }
+  }
+  return out;
+}
+
+double ref_roughness_with_grad(const MatrixD& mask, MatrixD& grad,
+                               double scale, const RoughnessOptions& opt) {
+  const bool l2 = opt.reduce == PixelReduce::L2Norm;
+  const double k =
+      static_cast<double>(opt.neighborhood) * (l2 ? opt.k_scale : 1.0);
+  const long rows = static_cast<long>(mask.rows());
+  const long cols = static_cast<long>(mask.cols());
+  const auto inside = [&](long r, long c) {
+    return r >= 0 && c >= 0 && r < rows && c < cols;
+  };
+  const auto cell = [&](long r, long c) -> double& {
+    return grad(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  };
+  double total = 0.0;
+  for (long r = 0; r < rows; ++r) {
+    for (long c = 0; c < cols; ++c) {
+      const double center = ref_padded(mask, r, c);
+      if (l2) {
+        double sum_sq = opt.eps;
+        for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
+          const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
+          sum_sq += d * d;
+        }
+        const double root = std::sqrt(sum_sq);
+        total += root / k;
+        const double inv = scale / (k * root);
+        double center_grad = 0.0;
+        for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
+          const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
+          center_grad -= d * inv;
+          if (inside(r + o.dr, c + o.dc)) cell(r + o.dr, c + o.dc) += d * inv;
+        }
+        cell(r, c) += center_grad;
+      } else {
+        for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
+          const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
+          total += std::abs(d) / k;
+          const double sign = d / std::sqrt(d * d + opt.eps);
+          const double g = scale * sign / k;
+          cell(r, c) -= g;
+          if (inside(r + o.dr, c + o.dc)) cell(r + o.dr, c + o.dc) += g;
+        }
+      }
+    }
+  }
+  return total;
+}
+
+bool same_bits(const MatrixD& a, const MatrixD& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Roughness, InteriorFastPathMatchesBoundsCheckedLoopsBitwise) {
+  // Masks with exact zeros (and equal neighbors, so d == 0 occurs) on shapes
+  // with no interior, a one-pixel interior and a wide one; a non-zero
+  // starting gradient checks the accumulation order too.
+  const std::array<std::pair<std::size_t, std::size_t>, 5> shapes = {
+      {{1, 1}, {1, 7}, {2, 2}, {3, 5}, {64, 64}}};
+  Rng rng(91);
+  for (const auto& [rows, cols] : shapes) {
+    MatrixD mask(rows, cols);
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      mask[i] = i % 3 == 0 ? 0.0 : (i % 7 == 1 ? 1.5 : rng.uniform(0.0, 6.3));
+    }
+    MatrixD start(rows, cols);
+    for (auto& v : start) v = rng.uniform(-1.0, 1.0);
+    for (const Neighborhood nb : {Neighborhood::Four, Neighborhood::Eight}) {
+      for (const PixelReduce reduce :
+           {PixelReduce::L2Norm, PixelReduce::MeanAbs}) {
+        RoughnessOptions opt;
+        opt.neighborhood = nb;
+        opt.reduce = reduce;
+        const std::string where =
+            std::to_string(rows) + "x" + std::to_string(cols) +
+            (nb == Neighborhood::Four ? " four" : " eight") +
+            (reduce == PixelReduce::L2Norm ? " l2" : " meanabs");
+        EXPECT_TRUE(same_bits(roughness_map(mask, opt),
+                              ref_roughness_map(mask, opt)))
+            << where;
+        MatrixD grad = start;
+        MatrixD ref_grad = start;
+        const double total = roughness_with_grad(mask, grad, 0.37, opt);
+        const double ref_total =
+            ref_roughness_with_grad(mask, ref_grad, 0.37, opt);
+        EXPECT_EQ(std::memcmp(&total, &ref_total, sizeof(double)), 0)
+            << where;
+        EXPECT_TRUE(same_bits(grad, ref_grad)) << where;
+      }
+    }
+  }
 }
 
 TEST(Report, OverallIsAverageOfLayers) {

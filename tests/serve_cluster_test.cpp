@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstring>
+#include <limits>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -247,6 +250,44 @@ TEST(Cluster, ResultsBitForBitIdenticalToSingleEngine) {
       }
     }
   }
+}
+
+TEST(Cluster, NonFiniteInputsFailAloneAndValidSumsStayBitExact) {
+  // A NaN and an Inf request among valid ones: the bad ones fail with
+  // NumericsError on whichever replica they land, counted as errors; the
+  // valid ones match the single-sample path bit for bit.
+  auto registry = std::make_shared<ModelRegistry>();
+  const donn::DonnConfig cfg = tiny_config(16, 2);
+  auto model = registry->add("m", make_model(cfg, 253));
+  const auto good = random_inputs(cfg.grid, 6, 254);
+  std::vector<optics::Field> bad = random_inputs(cfg.grid, 2, 255);
+  bad[0].values()(0, 0) = {0.25, std::nan("")};
+  bad[1].values()(15, 15) = {-std::numeric_limits<double>::infinity(), 0.0};
+
+  ClusterOptions options;
+  options.replicas = 2;
+  ServeCluster cluster(registry, options);
+  std::vector<std::future<PredictResult>> good_futures;
+  std::vector<std::future<PredictResult>> bad_futures;
+  for (std::size_t k = 0; k < good.size(); ++k) {
+    good_futures.push_back(cluster.submit("m", good[k]));
+    if (k == 1) bad_futures.push_back(cluster.submit("m", bad[0]));
+    if (k == 4) bad_futures.push_back(cluster.submit("m", bad[1]));
+  }
+  for (auto& future : bad_futures) EXPECT_THROW(future.get(), NumericsError);
+  for (std::size_t k = 0; k < good.size(); ++k) {
+    const PredictResult result = good_futures[k].get();
+    const std::vector<double> single = model->detector_sums(good[k]);
+    ASSERT_EQ(result.detector_sums.size(), single.size());
+    for (std::size_t c = 0; c < single.size(); ++c) {
+      EXPECT_EQ(std::memcmp(&result.detector_sums[c], &single[c],
+                            sizeof(double)),
+                0)
+          << "valid request " << k << " class " << c;
+    }
+  }
+  cluster.shutdown();
+  EXPECT_EQ(cluster.stats().errors, 2u);
 }
 
 TEST(Cluster, ShutdownDrainsEveryAdmittedFuture) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -264,10 +266,9 @@ TEST(BatchedForwardPass, Pad2xFallsBackWithParity) {
 }
 
 TEST(BatchedForwardPass, ReusesPlansAcrossBatches) {
-  // Bluestein grid -> the generic infer_batch path, whose transform_2d looks
-  // its row and column plans up in the shared fft::plan_for cache on every
-  // call (the fused radix-2 kernel also takes its plan from plan_for, but
-  // once, at construction, and never touches the cache at run time).
+  // Bluestein grid -> the generic infer_batch path. Its Propagator took its
+  // plan from the shared fft::plan_for cache once, at construction (as the
+  // fused radix-2 kernel does), so a batch touches the cache not at all.
   const donn::DonnConfig cfg = tiny_config(20, 2);
   auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 71));
   const BatchedForward forward(model);
@@ -278,8 +279,8 @@ TEST(BatchedForwardPass, ReusesPlansAcrossBatches) {
   const auto second = forward.run(inputs);
   const auto after = fft::plan_cache_stats();
 
-  // Identical results batch to batch, with zero new FFT plans built and the
-  // existing ones re-served from the cache.
+  // Identical results batch to batch, with zero new FFT plans built and no
+  // cache lookups at all.
   ASSERT_EQ(first.predictions.size(), second.predictions.size());
   for (std::size_t k = 0; k < first.predictions.size(); ++k) {
     EXPECT_EQ(first.predictions[k], second.predictions[k]);
@@ -289,7 +290,7 @@ TEST(BatchedForwardPass, ReusesPlansAcrossBatches) {
   }
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.cached_lengths, before.cached_lengths);
-  EXPECT_GT(after.hits, before.hits);
+  EXPECT_EQ(after.hits, before.hits);
 }
 
 TEST(Registry, AddGetNamesErase) {
@@ -415,11 +416,12 @@ TEST(Engine, WarmEngineServesFromPlanCacheOnly) {
     (void)engine.submit("m", inputs[k]).get();
   }
   const auto after = fft::plan_cache_stats();
-  // A warmed engine is all cache hits: misses and resident lengths stay
-  // flat while hits grow with traffic.
+  // A warmed engine does no plan lookups at all: misses, resident lengths
+  // and hits all stay flat while traffic flows (each propagator holds its
+  // plan from construction).
   EXPECT_EQ(after.misses, warm.misses);
   EXPECT_EQ(after.cached_lengths, warm.cached_lengths);
-  EXPECT_GT(after.hits, warm.hits);
+  EXPECT_EQ(after.hits, warm.hits);
 }
 
 TEST(Engine, ResolvesRequestsMatchingSingleSamplePath) {
@@ -544,6 +546,46 @@ TEST(Engine, BadInputFailsAloneWithoutPoisoningItsBatch) {
   EXPECT_THROW(futures[1].get(), ShapeError);
   EXPECT_EQ(futures[2].get().predicted, model->predict(good[1]));
   EXPECT_EQ(engine.stats().errors, 1u);
+}
+
+TEST(Engine, NonFiniteInputsFailAloneAndValidSumsStayBitExact) {
+  // One NaN and one Inf sample co-batched with valid ones: each bad request
+  // fails with NumericsError and is counted as an error; the valid ones get
+  // detector sums bit-identical to the single-sample path.
+  auto registry = std::make_shared<ModelRegistry>();
+  const donn::DonnConfig cfg = tiny_config(16, 2);
+  auto model = registry->add("m", make_model(cfg, 165));
+  const auto good = random_inputs(cfg.grid, 4, 166);
+  std::vector<optics::Field> bad = random_inputs(cfg.grid, 2, 167);
+  bad[0].values()(3, 5) = {std::nan(""), 0.0};
+  bad[1].values()(7, 1) = {0.5, std::numeric_limits<double>::infinity()};
+
+  EngineOptions options;
+  options.batch_window = std::chrono::microseconds(20000);
+  options.max_batch = 8;
+  InferenceEngine engine(registry, options);
+  std::vector<std::future<PredictResult>> futures;
+  futures.push_back(engine.submit("m", good[0]));
+  futures.push_back(engine.submit("m", bad[0]));
+  futures.push_back(engine.submit("m", good[1]));
+  futures.push_back(engine.submit("m", good[2]));
+  futures.push_back(engine.submit("m", bad[1]));
+  futures.push_back(engine.submit("m", good[3]));
+
+  EXPECT_THROW(futures[1].get(), NumericsError);
+  EXPECT_THROW(futures[4].get(), NumericsError);
+  const std::size_t good_slots[] = {0, 2, 3, 5};
+  for (std::size_t k = 0; k < 4; ++k) {
+    const PredictResult result = futures[good_slots[k]].get();
+    const std::vector<double> single = model->detector_sums(good[k]);
+    ASSERT_EQ(result.detector_sums.size(), single.size());
+    EXPECT_EQ(std::memcmp(result.detector_sums.data(), single.data(),
+                          single.size() * sizeof(double)),
+              0)
+        << "valid request " << k;
+    EXPECT_EQ(result.predicted, model->predict(good[k]));
+  }
+  EXPECT_EQ(engine.stats().errors, 2u);
 }
 
 TEST(Engine, ShutdownDrainsQueuedWorkAndRejectsNewWork) {
