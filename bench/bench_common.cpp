@@ -66,9 +66,8 @@ BenchConfig make_bench_config(const Config& cfg) {
   } else {
     bc = BenchConfig{};
   }
-  bc.grid = static_cast<std::size_t>(cfg.get_int("grid", static_cast<long>(bc.grid)));
-  bc.samples = static_cast<std::size_t>(
-      cfg.get_int("samples", static_cast<long>(bc.samples)));
+  bc.grid = cfg.get_count("grid", bc.grid);
+  bc.samples = cfg.get_count("samples", bc.samples);
   const long layers = cfg.get_int("layers", static_cast<long>(bc.layers));
   if (layers < 1 || layers > 64) {
     throw ConfigError("layers must be in [1, 64]");

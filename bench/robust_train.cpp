@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
   const bench::BenchConfig bc = bench::make_bench_config(cli);
   const auto format = bench::parse_format(cli);
   const bool print_text = format != bench::OutputFormat::Json;
-  const std::size_t realizations =
-      static_cast<std::size_t>(cli.get_int("realizations", 32));
+  const std::size_t realizations = cli.get_count("realizations", 32);
   const double yield_threshold = cli.get_double("yield_threshold", 0.5);
   const std::string perturb_spec =
       cli.get_string("perturb", fab::kDefaultPerturbationSpec);
@@ -124,9 +123,8 @@ int main(int argc, char** argv) {
   // robustness to protect), so the epoch budget floors at 4 — three clean
   // epochs and one robust epoch at the default warm-up split — even at
   // the smoke scale's 1-epoch default.
-  options.epochs_dense = static_cast<std::size_t>(cli.get_int(
-      "epochs",
-      static_cast<long>(std::max<std::size_t>(4, options.epochs_dense))));
+  options.epochs_dense = cli.get_count(
+      "epochs", std::max<std::size_t>(4, options.epochs_dense));
   const bench::PreparedData data =
       bench::prepare_dataset(data::SyntheticFamily::Digits, bc);
 

@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
   const bench::BenchConfig bc = bench::make_bench_config(cli);
   const auto format = bench::parse_format(cli);
   const bool print_text = format != bench::OutputFormat::Json;
-  const std::size_t realizations =
-      static_cast<std::size_t>(cli.get_int("realizations", 32));
+  const std::size_t realizations = cli.get_count("realizations", 32);
   const std::string perturb_spec =
       cli.get_string("perturb", fab::kDefaultPerturbationSpec);
   const fab::PerturbationStack stack =

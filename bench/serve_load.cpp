@@ -179,15 +179,11 @@ int main(int argc, char** argv) {
               "continuous", "seed", "format"});
   const auto format = bench::parse_format(cfg);
   const bool print_text = format != bench::OutputFormat::Json;
-  const std::size_t grid = static_cast<std::size_t>(cfg.get_int("grid", 32));
-  const std::size_t requests =
-      static_cast<std::size_t>(cfg.get_int("requests", 192));
-  const std::size_t max_replicas =
-      static_cast<std::size_t>(cfg.get_int("replicas", 2));
-  const std::size_t max_batch =
-      static_cast<std::size_t>(cfg.get_int("max_batch", 8));
-  const std::size_t queue_depth =
-      static_cast<std::size_t>(cfg.get_int("queue_depth", 1 << 16));
+  const std::size_t grid = cfg.get_count("grid", 32);
+  const std::size_t requests = cfg.get_count("requests", 192);
+  const std::size_t max_replicas = cfg.get_count("replicas", 2);
+  const std::size_t max_batch = cfg.get_count("max_batch", 8);
+  const std::size_t queue_depth = cfg.get_count("queue_depth", 1 << 16);
   const bool continuous = cfg.get_bool("continuous", true);
   const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
   ODONN_CHECK(requests >= 1 && max_replicas >= 1, "serve_load: empty sweep");

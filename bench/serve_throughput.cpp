@@ -209,9 +209,11 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(m));
   }
 
-  // Both paths run the lane FFT, so what batching adds is the cross-sample
-  // BatchKernel on top (radix-2 grids) and the shared plans: the gate is
-  // only that it wins, on medians of interleaved passes.
+  // Both paths run the same per-sample frame runner, so what batching adds
+  // is the shared modulation-table snapshot and workspace (the naive
+  // predict() rebuilds exp(i*phi) and its buffers per call) plus sample
+  // parallelism: the gate is only that it wins, on medians of interleaved
+  // passes.
   const double speedup =
       naive.samples_per_sec > 0.0 ? best_batched / naive.samples_per_sec : 0.0;
   std::printf("\nbatched/naive speedup: %.2fx (best batched %.1f samples/s at "

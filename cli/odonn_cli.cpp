@@ -447,9 +447,8 @@ int cmd_serve(const Config& cfg) {
   const bool print_text = format != bench::OutputFormat::Json;
   const std::string action =
       cfg.get_enum("action", "bench", {"bench", "list"});
-  const std::size_t samples =
-      static_cast<std::size_t>(cfg.get_int("samples", 256));
-  const std::size_t batch = static_cast<std::size_t>(cfg.get_int("batch", 64));
+  const std::size_t samples = cfg.get_count("samples", 256);
+  const std::size_t batch = cfg.get_count("batch", 64);
   const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
   const long replicas_arg = cfg.get_int("replicas", 1);
   if (replicas_arg < 1 || replicas_arg > 256) {
@@ -484,6 +483,12 @@ int cmd_serve(const Config& cfg) {
   if (!snapshot_file.empty() && snapshot_s <= 0.0) {
     throw ConfigError("serve: snapshot_file requires snapshot_s > 0");
   }
+  // Both waits become steady_clock durations (int64 nanoseconds); a year
+  // keeps that conversion far from overflow.
+  constexpr double kMaxWaitS = 365.0 * 24.0 * 3600.0;
+  if (http_wait_s > kMaxWaitS || snapshot_s > kMaxWaitS) {
+    throw ConfigError("serve: http_wait_s and snapshot_s must be <= 1 year");
+  }
 
   auto registry = std::make_shared<serve::ModelRegistry>();
   if (cfg.has("model")) {
@@ -494,7 +499,7 @@ int cmd_serve(const Config& cfg) {
     // No checkpoints given: serve a fresh (untrained) scaled model so the
     // command still demonstrates the registry -> engine path. layers= and
     // detector= pick the stack depth / readout strategy of that model.
-    const std::size_t grid = static_cast<std::size_t>(cfg.get_int("grid", 32));
+    const std::size_t grid = cfg.get_count("grid", 32);
     donn::DonnConfig config = donn::DonnConfig::scaled(grid);
     const long layers =
         cfg.get_int("layers", static_cast<long>(config.num_layers));

@@ -48,10 +48,10 @@ void ste_epoch(donn::DonnModel& model, std::vector<MatrixD>& latent,
 
 int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
-  const std::size_t grid = static_cast<std::size_t>(cfg.get_int("grid", 48));
-  const std::size_t samples = static_cast<std::size_t>(cfg.get_int("samples", 800));
-  const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 3));
-  const std::size_t levels = static_cast<std::size_t>(cfg.get_int("levels", 4));
+  const std::size_t grid = cfg.get_count("grid", 48);
+  const std::size_t samples = cfg.get_count("samples", 800);
+  const std::size_t epochs = cfg.get_count("epochs", 3);
+  const std::size_t levels = cfg.get_count("levels", 4);
   const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
 
   const auto raw = data::make_synthetic(data::SyntheticFamily::Digits, samples, seed);

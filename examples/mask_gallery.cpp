@@ -19,14 +19,14 @@ using namespace odonn;
 int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   const auto family = data::parse_family(cfg.get_string("dataset", "emnist"));
-  const std::size_t grid = static_cast<std::size_t>(cfg.get_int("grid", 48));
-  const std::size_t samples = static_cast<std::size_t>(cfg.get_int("samples", 800));
+  const std::size_t grid = cfg.get_count("grid", 48);
+  const std::size_t samples = cfg.get_count("samples", 800);
   const std::string outdir = cfg.get_string("outdir", "gallery");
   std::filesystem::create_directories(outdir);
 
   train::RecipeOptions opt;
   opt.model = donn::DonnConfig::scaled(grid);
-  opt.epochs_dense = static_cast<std::size_t>(cfg.get_int("epochs", 2));
+  opt.epochs_dense = cfg.get_count("epochs", 2);
   opt.epochs_sparse = 1;
   opt.batch_size = 50;
   opt.scheme.block_size = std::max<std::size_t>(2, grid / 10);

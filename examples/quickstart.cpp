@@ -18,9 +18,9 @@ using namespace odonn;
 
 int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
-  const std::size_t grid = static_cast<std::size_t>(cfg.get_int("grid", 48));
-  const std::size_t samples = static_cast<std::size_t>(cfg.get_int("samples", 600));
-  const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 3));
+  const std::size_t grid = cfg.get_count("grid", 48);
+  const std::size_t samples = cfg.get_count("samples", 600);
+  const std::size_t epochs = cfg.get_count("epochs", 3);
   const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
 
   // 1. A 10-class digit task (procedural MNIST stand-in), upsampled to the

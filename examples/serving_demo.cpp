@@ -25,12 +25,10 @@ using namespace odonn;
 
 int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
-  const std::size_t grid = static_cast<std::size_t>(cfg.get_int("grid", 32));
-  const std::size_t samples =
-      static_cast<std::size_t>(cfg.get_int("samples", 240));
-  const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 2));
-  const std::size_t requests =
-      static_cast<std::size_t>(cfg.get_int("requests", 200));
+  const std::size_t grid = cfg.get_count("grid", 32);
+  const std::size_t samples = cfg.get_count("samples", 240);
+  const std::size_t epochs = cfg.get_count("epochs", 2);
+  const std::size_t requests = cfg.get_count("requests", 200);
   const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
 
   // 1. Train a small model (same recipe shape as examples/quickstart).

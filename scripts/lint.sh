@@ -26,6 +26,11 @@
 #                 owner — ISA-specific code must live where tests run every
 #                 variant against the scalar reference, and a stray target
 #                 (FMA above all) would silently change result bits
+#   lane-pack     no .execute_lanes( / ->execute_lanes( call in src/
+#                 outside the fft::Frame owner — fields travel in row-lane
+#                 frames, so a second lane-packed forward pass (samples side
+#                 by side, its own propagation and readout) would be one more
+#                 engine to keep bitwise equal to the frame runner
 #
 # Usage:
 #   scripts/lint.sh              lint the tree (exit 1 on any violation)
@@ -44,7 +49,8 @@ cd "$(dirname "$0")/.."
 ALLOWLIST=tools/lint/allowlist.txt
 CORPUS=tools/lint/known-bad
 
-CHECKS=(nondet-seed raw-thread raw-print percentile thread-count isa-target)
+CHECKS=(nondet-seed raw-thread raw-print percentile thread-count isa-target
+        lane-pack)
 
 pattern_for() {
   case "$1" in
@@ -60,6 +66,8 @@ pattern_for() {
       echo '(^|[^A-Za-z0-9_:])thread_count[ \t]*\(' ;;
     isa-target)
       echo '__attribute__[ \t]*\(\([^)]*target|target_clones|#[ \t]*pragma[ \t]+GCC[ \t]+(target|optimize)|__builtin_cpu_supports|<immintrin\.h>' ;;
+    lane-pack)
+      echo '([.]|->)[ \t]*execute_lanes[ \t]*[(]' ;;
     *) echo "lint.sh: unknown check '$1'" >&2; exit 2 ;;
   esac
 }

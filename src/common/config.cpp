@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -29,6 +31,19 @@ bool parse_bool(const std::string& raw, const std::string& key) {
   if (low == "1" || low == "true" || low == "yes" || low == "on") return true;
   if (low == "0" || low == "false" || low == "no" || low == "off") return false;
   throw ConfigError("key '" + key + "': cannot parse '" + raw + "' as bool");
+}
+
+long parse_int(const std::string& raw, const std::string& key) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(raw.c_str(), &end, 10);
+  if (end == raw.c_str() || *end != '\0') {
+    throw ConfigError("key '" + key + "': cannot parse '" + raw + "' as int");
+  }
+  if (errno == ERANGE) {
+    throw ConfigError("key '" + key + "': '" + raw + "' is out of range");
+  }
+  return value;
 }
 
 std::string join_with_commas(const std::vector<std::string>& items) {
@@ -95,13 +110,18 @@ std::string Config::get_string(const std::string& key,
 
 long Config::get_int(const std::string& key, long dflt) const {
   const auto raw = lookup(key);
+  return raw ? parse_int(*raw, key) : dflt;
+}
+
+std::size_t Config::get_count(const std::string& key,
+                              std::size_t dflt) const {
+  const auto raw = lookup(key);
   if (!raw) return dflt;
-  char* end = nullptr;
-  const long value = std::strtol(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') {
-    throw ConfigError("key '" + key + "': cannot parse '" + *raw + "' as int");
+  const long value = parse_int(*raw, key);
+  if (value < 0) {
+    throw ConfigError("key '" + key + "': count must be >= 0, got " + *raw);
   }
-  return value;
+  return static_cast<std::size_t>(value);
 }
 
 double Config::get_double(const std::string& key, double dflt) const {
@@ -111,6 +131,9 @@ double Config::get_double(const std::string& key, double dflt) const {
   const double value = std::strtod(raw->c_str(), &end);
   if (end == raw->c_str() || *end != '\0') {
     throw ConfigError("key '" + key + "': cannot parse '" + *raw + "' as double");
+  }
+  if (!std::isfinite(value)) {
+    throw ConfigError("key '" + key + "': '" + *raw + "' is not finite");
   }
   return value;
 }

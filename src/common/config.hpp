@@ -5,6 +5,7 @@
 // ConfigError on malformed values so bad invocations fail fast.
 #pragma once
 
+#include <cstddef>
 #include <initializer_list>
 #include <map>
 #include <optional>
@@ -33,11 +34,17 @@ class Config {
   bool has(const std::string& key) const;
 
   /// Typed getters with defaults; environment overrides the default, a
-  /// command-line value overrides both.
+  /// command-line value overrides both. get_int rejects values outside the
+  /// range of long, get_double rejects NaN and infinities.
   std::string get_string(const std::string& key, const std::string& dflt) const;
   long get_int(const std::string& key, long dflt) const;
   double get_double(const std::string& key, double dflt) const;
   bool get_bool(const std::string& key, bool dflt) const;
+
+  /// A size or count (samples, grid, batch, epochs, ...): get_int, but a
+  /// negative value throws ConfigError instead of wrapping to a huge
+  /// std::size_t.
+  std::size_t get_count(const std::string& key, std::size_t dflt) const;
 
   /// String getter restricted to a closed value set: the stored (or
   /// default) value must be one of `allowed`, otherwise ConfigError lists

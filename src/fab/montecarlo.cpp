@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
-#include "serve/batched_forward.hpp"
 #include "tensor/stats.hpp"
 
 namespace odonn::fab {
@@ -23,17 +22,6 @@ double accuracy_of(const std::vector<std::size_t>& predictions,
   }
   return static_cast<double>(correct) /
          static_cast<double>(predictions.size());
-}
-
-/// Batched accuracy of `model` (by value: the caller hands over the
-/// perturbed copy) via the plan-cached serve path.
-double batched_accuracy(donn::DonnModel model,
-                        const std::vector<optics::Field>& inputs,
-                        const data::Dataset& eval) {
-  const auto published =
-      std::make_shared<const donn::DonnModel>(std::move(model));
-  const serve::BatchedForward forward(published);
-  return accuracy_of(forward.predict(inputs), eval);
 }
 
 }  // namespace
@@ -108,19 +96,19 @@ RobustnessReport MonteCarloEvaluator::evaluate(
   report.model_name = name;
   report.realizations = options_.realizations;
   report.yield_threshold = options_.yield_threshold;
-  report.clean_accuracy = batched_accuracy(model, inputs, eval_);
+  report.clean_accuracy = accuracy_of(model.predict_batch(inputs), eval_);
 
   report.accuracies.assign(options_.realizations, 0.0);
-  // Parallel across realizations; the nested batched forward runs inline on
+  // Parallel across realizations; the nested predict_batch runs inline on
   // each worker (common/parallel runs nested loops on the caller thread).
   // Each slot is written exactly once at its realization index, so the
   // report is bitwise independent of thread count and scheduling.
   parallel_for(0, options_.realizations, [&](std::size_t r) {
     const auto realization_start = std::chrono::steady_clock::now();
     Rng rng = realization_rng(options_.seed, r, options_.antithetic);
-    donn::DonnModel realized = realize_device(
+    const donn::DonnModel realized = realize_device(
         model, stack, options_.crosstalk, options_.deploy_crosstalk, rng);
-    report.accuracies[r] = batched_accuracy(std::move(realized), inputs, eval_);
+    report.accuracies[r] = accuracy_of(realized.predict_batch(inputs), eval_);
     ODONN_OBS_COUNT("fab.realizations", 1);
     ODONN_OBS_HIST("fab.realization_ms",
                    std::chrono::duration<double, std::milli>(

@@ -5,8 +5,9 @@
 // PerturbationStack seeded from a counter-based stream (pure function of
 // (base seed, r) — results are bitwise independent of ODONN_THREADS and of
 // scheduling), optionally deploys the perturbed masks through the
-// interpixel-crosstalk emulation, and measures test accuracy with the
-// plan-cached batched forward path from src/serve. The per-realization
+// interpixel-crosstalk emulation, and measures test accuracy with
+// DonnModel::predict_batch — the per-sample frame runner serving runs too,
+// with each model's modulation tables built once per call. The per-realization
 // accuracies aggregate into a RobustnessReport: mean/std/min/max,
 // percentiles, and yield (the fraction of fabricated devices that clear an
 // accuracy spec) — the question "what accuracy distribution do I get across
@@ -92,8 +93,8 @@ class MonteCarloEvaluator {
   const MonteCarloOptions& options() const { return options_; }
 
   /// Runs R realizations of `stack` against `model` (parallel across
-  /// realizations; each realization reuses the batched plan-cached forward
-  /// path across the whole eval set).
+  /// realizations; each realization scores the whole eval set with one
+  /// predict_batch call).
   RobustnessReport evaluate(const std::string& name,
                             const donn::DonnModel& model,
                             const PerturbationStack& stack) const;

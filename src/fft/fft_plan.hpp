@@ -17,7 +17,8 @@
 // re[j * kLanes + s] / im[j * kLanes + s]. One butterfly sweep then advances
 // every lane, so twiddle loads and loop control are paid once per group and
 // the lane loops vectorize. A row-lane fft::Frame (fft2d.hpp) is a stack of
-// such groups, four rows each; serve::BatchKernel packs four samples.
+// such groups, four rows each, and fft2d.cpp is the one caller that packs
+// lanes (scripts/lint.sh, check lane-pack).
 //
 // ISA dispatch. The lane kernels (radix-2 and Bluestein butterflies, and
 // the frame column pass with its tile moves and transfer multiply) are
@@ -108,9 +109,10 @@ class Plan {
   /// of size() * kLanes doubles laid out lane-major (see the file comment).
   /// Every lane must be initialized; each matches execute() bit for bit.
   /// Runs the kernels compiled for `isa`, which must be supported
-  /// (lane_isa_supported) — tests run every variant this way.
+  /// (lane_isa_supported) — the frame passes hand down theirs, and tests
+  /// run every variant this way.
   void execute_lanes(double* re, double* im, Direction dir,
-                     LaneIsa isa = active_lane_isa()) const;
+                     LaneIsa isa) const;
 
  private:
   // The lane kernels in fft/lane_kernels.cpp read the tables below.
@@ -135,11 +137,11 @@ class Plan {
 /// the process so repeated propagations reuse twiddle tables.
 std::shared_ptr<const Plan> plan_for(std::size_t n);
 
-/// Plan-cache audit counters. Propagators and serve::BatchKernel take
-/// their plans once, at construction, so a warmed-up serving or training
-/// loop does no lookups at all: `misses`, `hits` and `cached_lengths` all
-/// stay flat while traffic flows. Only the one-shot helpers (transform,
-/// the interleaved transform_2d) look plans up per call.
+/// Plan-cache audit counters. Propagators take their plans once, at
+/// construction, so a warmed-up serving or training loop does no lookups
+/// at all: `misses`, `hits` and `cached_lengths` all stay flat while
+/// traffic flows. Only the one-shot helpers (transform, the interleaved
+/// transform_2d) look plans up per call.
 struct PlanCacheStats {
   std::size_t cached_lengths = 0;  ///< distinct plan lengths resident
   std::uint64_t hits = 0;          ///< plan_for calls served from cache

@@ -79,33 +79,27 @@ void apply_robust_train(PipelineSpec& spec) {
 
 train::RecipeOptions options_from_config(const Config& cfg) {
   train::RecipeOptions opt;
-  const std::size_t grid =
-      static_cast<std::size_t>(cfg.get_int("grid", 48));
+  const std::size_t grid = cfg.get_count("grid", 48);
   opt.model = donn::DonnConfig::scaled(grid);
-  opt.model.num_layers = static_cast<std::size_t>(
-      cfg.get_int("layers", static_cast<long>(opt.model.num_layers)));
+  opt.model.num_layers = cfg.get_count("layers", opt.model.num_layers);
   opt.model.detector = donn::parse_detector_mode(
       cfg.get_enum("detector", "standard", {"standard", "differential"}));
   const std::string init = cfg.get_enum("init", "flat", {"flat", "uniform"});
   opt.model.init =
       init == "flat" ? donn::PhaseInit::Flat : donn::PhaseInit::Uniform;
 
-  opt.epochs_dense = static_cast<std::size_t>(cfg.get_int("epochs", 3));
-  opt.epochs_sparse = static_cast<std::size_t>(cfg.get_int(
-      "epochs_sparse",
-      static_cast<long>(std::max<std::size_t>(1, opt.epochs_dense / 2))));
-  opt.epochs_finetune =
-      static_cast<std::size_t>(cfg.get_int("epochs_finetune", 1));
-  opt.batch_size = static_cast<std::size_t>(cfg.get_int("batch", 50));
+  opt.epochs_dense = cfg.get_count("epochs", 3);
+  opt.epochs_sparse = cfg.get_count(
+      "epochs_sparse", std::max<std::size_t>(1, opt.epochs_dense / 2));
+  opt.epochs_finetune = cfg.get_count("epochs_finetune", 1);
+  opt.batch_size = cfg.get_count("batch", 50);
   opt.lr_dense = cfg.get_double("lr", opt.lr_dense);
   opt.lr_sparse = cfg.get_double("lr_sparse", opt.lr_sparse);
   opt.roughness_p = cfg.get_double("p", opt.roughness_p);
   opt.intra_q = cfg.get_double("q", opt.intra_q);
   opt.scheme.ratio = cfg.get_double("sparsity", opt.scheme.ratio);
-  opt.scheme.block_size =
-      static_cast<std::size_t>(cfg.get_int("block", 5));
-  opt.two_pi.iterations = static_cast<std::size_t>(cfg.get_int(
-      "two_pi_iters", static_cast<long>(opt.two_pi.iterations)));
+  opt.scheme.block_size = cfg.get_count("block", 5);
+  opt.two_pi.iterations = cfg.get_count("two_pi_iters", opt.two_pi.iterations);
   opt.crosstalk.strength =
       cfg.get_double("crosstalk", opt.crosstalk.strength);
   opt.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
@@ -117,8 +111,8 @@ DatasetStageOptions dataset_options_from_config(const Config& cfg) {
   DatasetStageOptions opt;
   opt.family = data::parse_family(cfg.get_string("dataset", "mnist"));
   opt.data_dir = cfg.get_string("data_dir", "");
-  opt.samples = static_cast<std::size_t>(cfg.get_int("samples", 1200));
-  opt.grid = static_cast<std::size_t>(cfg.get_int("grid", 48));
+  opt.samples = cfg.get_count("samples", 1200);
+  opt.grid = cfg.get_count("grid", 48);
   opt.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
   return opt;
 }

@@ -8,42 +8,20 @@ BatchedForward::BatchedForward(std::shared_ptr<const donn::DonnModel> model)
     : model_(std::move(model)) {
   ODONN_CHECK(model_ != nullptr, "BatchedForward: null model");
   modulations_ = model_->modulation_tables();
-  if (BatchKernel::supports(*model_)) {
-    kernel_ = std::make_unique<const BatchKernel>(*model_, modulations_);
-  }
 }
-
-namespace {
-
-/// The fused kernel pays for full lane groups, so a batch that would leave
-/// most of the last group idle is cheaper on the generic path. Either path
-/// produces bitwise-identical results, so routing is purely a cost choice.
-bool worth_fusing(std::size_t batch_size) {
-  return batch_size >= BatchKernel::kLanes - 1;
-}
-
-}  // namespace
 
 BatchedForward::Result BatchedForward::run(
     const std::vector<optics::Field>& inputs) const {
   Result result;
-  if (kernel_ && worth_fusing(inputs.size())) {
-    kernel_->run(inputs, &result.predictions, &result.detector_sums);
-  } else {
-    model_->infer_batch(inputs, modulations_, &result.predictions,
-                        &result.detector_sums, nullptr);
-  }
+  model_->infer_batch(inputs, modulations_, &result.predictions,
+                      &result.detector_sums, nullptr);
   return result;
 }
 
 std::vector<std::size_t> BatchedForward::predict(
     const std::vector<optics::Field>& inputs) const {
   std::vector<std::size_t> predictions;
-  if (kernel_ && worth_fusing(inputs.size())) {
-    kernel_->run(inputs, &predictions, nullptr);
-  } else {
-    model_->infer_batch(inputs, modulations_, &predictions, nullptr, nullptr);
-  }
+  model_->infer_batch(inputs, modulations_, &predictions, nullptr, nullptr);
   return predictions;
 }
 

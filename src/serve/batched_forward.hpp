@@ -1,12 +1,15 @@
-// BatchedForward — plan-reusing batch-of-fields inference over a published
-// (immutable) DONN model.
+// BatchedForward — a modulation-table snapshot over DonnModel's frame
+// runner, for a published (immutable) DONN model.
 //
 // Construction snapshots the per-layer modulation tables exp(i*phi) once;
-// every subsequent run() shares that snapshot plus the model's cached
-// propagation kernel and FFT plans across all samples of every batch, and
-// parallelizes over samples via common/parallel. Deployment-style workloads
-// (Li et al. 2022; Shi & Zhang 2020 treat trained masks as fixed artifacts
-// evaluated under many inputs) are exactly this read-only shape.
+// every subsequent run() hands that snapshot to DonnModel::infer_batch, which
+// shares it plus the model's Propagator (plans and transfer function) across
+// all samples of every batch and parallelizes over samples via
+// common/parallel. Every grid — radix-2, Bluestein and pad2x — runs the one
+// per-sample row-lane runner the model's own entry points run. Deployment-
+// style workloads (Li et al. 2022; Shi & Zhang 2020 treat trained masks as
+// fixed artifacts evaluated under many inputs) are exactly this read-only
+// shape.
 //
 // Thread safety: immutable after construction; run()/predict() may be
 // called concurrently from any number of threads. Results are
@@ -18,7 +21,6 @@
 #include <vector>
 
 #include "donn/model.hpp"
-#include "serve/batch_kernel.hpp"
 
 namespace odonn::serve {
 
@@ -28,7 +30,6 @@ class BatchedForward {
   /// unmodified (and alive — the pointer is retained) while served.
   explicit BatchedForward(std::shared_ptr<const donn::DonnModel> model);
 
-  const donn::DonnModel& model() const { return *model_; }
   const std::shared_ptr<const donn::DonnModel>& model_ptr() const {
     return model_;
   }
@@ -45,14 +46,9 @@ class BatchedForward {
   std::vector<std::size_t> predict(
       const std::vector<optics::Field>& inputs) const;
 
-  /// Whether this pass runs the cross-sample vectorized BatchKernel (true
-  /// for radix-2 grids without pad2x) or the generic infer_batch fallback.
-  bool fused() const { return kernel_ != nullptr; }
-
  private:
   std::shared_ptr<const donn::DonnModel> model_;
   std::vector<MatrixC> modulations_;
-  std::unique_ptr<const BatchKernel> kernel_;  ///< null -> fallback path
 };
 
 }  // namespace odonn::serve

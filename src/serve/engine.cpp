@@ -179,8 +179,8 @@ void InferenceEngine::drain_loop() {
     }
 
     // Drop plan-cache entries whose registry name is gone, so erased or
-    // superseded snapshots (masks, modulation tables, kernel planes) don't
-    // stay resident for the engine's whole lifetime.
+    // superseded snapshots (masks, modulation tables) don't stay resident
+    // for the engine's whole lifetime.
     for (auto it = plans_.begin(); it != plans_.end();) {
       if (registry_->find(it->first) == nullptr) {
         it = plans_.erase(it);

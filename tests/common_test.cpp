@@ -155,6 +155,37 @@ TEST(Config, RejectsBadTypedValues) {
   EXPECT_THROW(cfg.get_bool("x", false), ConfigError);
 }
 
+TEST(Config, GetIntRejectsOutOfRangeValues) {
+  const char* argv[] = {"prog", "big=99999999999999999999",
+                        "small=-99999999999999999999", "neg=-5"};
+  const Config cfg = Config::from_args(4, argv);
+  EXPECT_THROW(cfg.get_int("big", 0), ConfigError);
+  EXPECT_THROW(cfg.get_int("small", 0), ConfigError);
+  EXPECT_EQ(cfg.get_int("neg", 0), -5);  // in range: a plain long
+}
+
+TEST(Config, GetDoubleRejectsNonFiniteValues) {
+  const char* argv[] = {"prog", "a=inf", "b=-inf", "c=nan", "d=1e999",
+                        "e=2.5e3"};
+  const Config cfg = Config::from_args(6, argv);
+  for (const char* key : {"a", "b", "c", "d"}) {
+    EXPECT_THROW(cfg.get_double(key, 0.0), ConfigError) << key;
+  }
+  EXPECT_EQ(cfg.get_double("e", 0.0), 2500.0);
+}
+
+TEST(Config, GetCountRejectsNegativeValues) {
+  const char* argv[] = {"prog", "samples=48", "zero=0", "neg=-1",
+                        "huge=99999999999999999999", "word=many"};
+  const Config cfg = Config::from_args(6, argv);
+  EXPECT_EQ(cfg.get_count("samples", 7), 48u);
+  EXPECT_EQ(cfg.get_count("zero", 7), 0u);
+  EXPECT_EQ(cfg.get_count("missing", 7), 7u);
+  EXPECT_THROW(cfg.get_count("neg", 7), ConfigError);
+  EXPECT_THROW(cfg.get_count("huge", 7), ConfigError);
+  EXPECT_THROW(cfg.get_count("word", 7), ConfigError);
+}
+
 TEST(Config, ParsesBools) {
   const char* argv[] = {"prog", "a=true", "b=0", "c=YES", "d=off"};
   const Config cfg = Config::from_args(5, argv);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
@@ -293,15 +294,15 @@ struct McSetup {
   data::Dataset eval;
 };
 
-McSetup mc_setup(std::uint64_t seed = 7) {
-  donn::DonnConfig config = donn::DonnConfig::scaled(16);
+McSetup mc_setup(std::uint64_t seed = 7, std::size_t grid = 16) {
+  donn::DonnConfig config = donn::DonnConfig::scaled(grid);
   config.num_layers = 2;
   config.init = donn::PhaseInit::Uniform;
   Rng rng(seed);
   donn::DonnModel model(config, rng);
   const auto raw =
       data::make_synthetic(data::SyntheticFamily::Digits, 40, seed + 1);
-  return {std::move(model), data::resize_dataset(raw, 16)};
+  return {std::move(model), data::resize_dataset(raw, grid)};
 }
 
 TEST(RealizationSeed, CounterBasedStreamsAreDistinct) {
@@ -370,6 +371,31 @@ TEST(MonteCarloEvaluatorTest, RepeatedEvaluationIsBitwiseIdentical) {
   reseeded.seed = 100;
   const MonteCarloEvaluator other(setup.eval, reseeded);
   EXPECT_NE(other.evaluate("m", setup.model, stack).digest(), first.digest());
+}
+
+TEST(MonteCarloEvaluatorTest, CleanAccuracyCountsPerSamplePredictions) {
+  // evaluate() scores the clean model with predict_batch; its accuracy must
+  // be exactly the share of eval samples whose per-sample predict() hits
+  // the label, on a radix-2 and a Bluestein grid.
+  for (const std::size_t grid : {16, 20}) {
+    SCOPED_TRACE("grid " + std::to_string(grid));
+    const McSetup setup = mc_setup(37, grid);
+    MonteCarloOptions options;
+    options.realizations = 1;
+    const MonteCarloEvaluator evaluator(setup.eval, options);
+    const auto report = evaluator.evaluate(
+        "m", setup.model, parse_perturbation_stack("quantize"));
+
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < setup.eval.size(); ++i) {
+      const optics::Field input = optics::encode_image(
+          setup.eval.image(i), setup.model.config().grid, options.encode);
+      correct += setup.model.predict(input) == setup.eval.label(i) ? 1 : 0;
+    }
+    EXPECT_EQ(report.clean_accuracy,
+              static_cast<double>(correct) /
+                  static_cast<double>(setup.eval.size()));
+  }
 }
 
 TEST(MonteCarloEvaluatorTest, ReportStatisticsAreConsistent) {

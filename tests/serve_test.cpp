@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -187,88 +188,59 @@ TEST(BatchedInference, EmptyBatchAndShapeErrors) {
       ShapeError);
 }
 
-TEST(BatchedForwardPass, FusedKernelBitForBitParity) {
-  // Power-of-two grid without padding -> the cross-sample vectorized
-  // BatchKernel serves the batch; its per-lane arithmetic must match the
-  // single-sample path exactly, including ragged final lane groups.
-  const donn::DonnConfig cfg = tiny_config(16, 3);
-  auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 171));
-  const BatchedForward forward(model);
-  ASSERT_TRUE(forward.fused());
-
-  const auto inputs = random_inputs(cfg.grid, 9, 172);  // 9 = 2*4 + 1 lanes
-  const auto result = forward.run(inputs);
-  ASSERT_EQ(result.predictions.size(), inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(result.predictions[k], model->predict(inputs[k]));
-    const auto single = model->detector_sums(inputs[k]);
-    ASSERT_EQ(result.detector_sums[k].size(), single.size());
-    for (std::size_t c = 0; c < single.size(); ++c) {
-      EXPECT_EQ(result.detector_sums[k][c], single[c]);
+TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
+  // BatchedForward is a table snapshot over DonnModel's frame runner: on
+  // radix-2, differential, Bluestein and pad2x stacks, and at batch sizes on
+  // both sides of a lane group (0, 1, 2, 3, 9), run() and predict() must
+  // reproduce the per-sample predict / detector_sums exactly.
+  struct Case {
+    const char* name;
+    std::size_t n;
+    std::size_t layers;
+    bool pad2x;
+    donn::DetectorMode detector;
+  };
+  const Case cases[] = {
+      {"radix2_n16", 16, 3, false, donn::DetectorMode::Standard},
+      {"differential_n16", 16, 3, false, donn::DetectorMode::Differential},
+      {"bluestein_n20", 20, 2, false, donn::DetectorMode::Standard},
+      {"pad2x_n16", 16, 2, true, donn::DetectorMode::Standard},
+  };
+  for (const Case& c : cases) {
+    donn::DonnConfig cfg = tiny_config(c.n, c.layers);
+    cfg.pad2x = c.pad2x;
+    cfg.detector = c.detector;
+    // The differential case reuses the radix-2 case's seed: same masks,
+    // other readout.
+    auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 171));
+    const BatchedForward forward(model);
+    for (const std::size_t batch : {0, 1, 2, 3, 9}) {
+      SCOPED_TRACE(std::string(c.name) + " batch " + std::to_string(batch));
+      const auto inputs = random_inputs(cfg.grid, batch, 172 + batch);
+      const auto result = forward.run(inputs);
+      const auto predictions = forward.predict(inputs);
+      ASSERT_EQ(result.predictions.size(), batch);
+      ASSERT_EQ(result.detector_sums.size(), batch);
+      ASSERT_EQ(predictions.size(), batch);
+      for (std::size_t k = 0; k < batch; ++k) {
+        const std::size_t single = model->predict(inputs[k]);
+        EXPECT_EQ(result.predictions[k], single);
+        EXPECT_EQ(predictions[k], single);
+        const auto sums = model->detector_sums(inputs[k]);
+        ASSERT_EQ(result.detector_sums[k].size(), cfg.num_classes);
+        ASSERT_EQ(sums.size(), cfg.num_classes);
+        for (std::size_t cls = 0; cls < sums.size(); ++cls) {
+          EXPECT_EQ(result.detector_sums[k][cls], sums[cls]);
+        }
+      }
     }
-  }
-  EXPECT_TRUE(forward.run({}).predictions.empty());
-}
-
-TEST(BatchedForwardPass, DifferentialDetectorBitForBitParity) {
-  // The fused kernel routes its region sums through the ReadoutStrategy:
-  // differential pair scores (signed) and argmax must match the
-  // single-sample path exactly.
-  donn::DonnConfig cfg = tiny_config(16, 3);
-  cfg.detector = donn::DetectorMode::Differential;
-  auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 181));
-  const BatchedForward forward(model);
-  ASSERT_TRUE(forward.fused());
-
-  const auto inputs = random_inputs(cfg.grid, 9, 182);
-  const auto result = forward.run(inputs);
-  ASSERT_EQ(result.predictions.size(), inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(result.predictions[k], model->predict(inputs[k]));
-    const auto single = model->detector_sums(inputs[k]);
-    ASSERT_EQ(result.detector_sums[k].size(), cfg.num_classes);
-    for (std::size_t c = 0; c < single.size(); ++c) {
-      EXPECT_EQ(result.detector_sums[k][c], single[c]);
-    }
-  }
-}
-
-TEST(BatchedForwardPass, BluesteinGridFallsBackWithParity) {
-  // 20 is not a power of two: the generic infer_batch path must serve the
-  // batch (no fused kernel) with the same exact-parity guarantee.
-  const donn::DonnConfig cfg = tiny_config(20, 2);
-  auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 181));
-  const BatchedForward forward(model);
-  ASSERT_FALSE(forward.fused());
-
-  const auto inputs = random_inputs(cfg.grid, 5, 182);
-  const auto result = forward.run(inputs);
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(result.predictions[k], model->predict(inputs[k]));
-    const auto single = model->detector_sums(inputs[k]);
-    for (std::size_t c = 0; c < single.size(); ++c) {
-      EXPECT_EQ(result.detector_sums[k][c], single[c]);
-    }
-  }
-}
-
-TEST(BatchedForwardPass, Pad2xFallsBackWithParity) {
-  donn::DonnConfig cfg = tiny_config(16, 2);
-  cfg.pad2x = true;
-  auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 191));
-  const BatchedForward forward(model);
-  ASSERT_FALSE(forward.fused());
-  const auto inputs = random_inputs(cfg.grid, 3, 192);
-  const auto predictions = forward.predict(inputs);
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(predictions[k], model->predict(inputs[k]));
   }
 }
 
 TEST(BatchedForwardPass, ReusesPlansAcrossBatches) {
-  // Bluestein grid -> the generic infer_batch path. Its Propagator took its
-  // plan from the shared fft::plan_for cache once, at construction (as the
-  // fused radix-2 kernel does), so a batch touches the cache not at all.
+  // Bluestein grid. The model's Propagator took its plans from the shared
+  // fft::plan_for cache once, at construction, so a batch touches the cache
+  // not at all.
   const donn::DonnConfig cfg = tiny_config(20, 2);
   auto model = std::make_shared<const donn::DonnModel>(make_model(cfg, 71));
   const BatchedForward forward(model);
