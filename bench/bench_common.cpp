@@ -8,8 +8,10 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "data/transform.hpp"
 #include "obs/obs.hpp"
+#include "optics/encode.hpp"
 #include "tensor/stats.hpp"
 
 namespace odonn::bench {
@@ -75,7 +77,7 @@ BenchConfig make_bench_config(const Config& cfg) {
   bc.layers = static_cast<std::size_t>(layers);
   bc.detector = donn::parse_detector_mode(
       cfg.get_enum("detector", "standard", {"standard", "differential"}));
-  bc.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  bc.seed = cfg.get_count("seed", 7);
   const long jobs = cfg.get_int("jobs", 1);
   if (jobs < 1 || jobs > 64) {
     throw ConfigError("jobs must be in [1, 64]");
@@ -123,6 +125,20 @@ PreparedData prepare_dataset(data::SyntheticFamily family,
   Rng rng(cfg.seed + 2000);
   auto [train, test] = resized.split(0.8, rng);
   return {std::move(train), std::move(test)};
+}
+
+std::vector<optics::Field> random_fields(const optics::GridSpec& grid,
+                                         std::size_t count,
+                                         std::uint64_t seed) {
+  Rng rng(seed + 1);
+  std::vector<optics::Field> fields;
+  fields.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    MatrixD image(grid.n, grid.n);
+    for (auto& v : image) v = rng.uniform();
+    fields.push_back(optics::encode_image(image, grid));
+  }
+  return fields;
 }
 
 std::string json_quote(const std::string& text) {

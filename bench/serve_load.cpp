@@ -17,9 +17,9 @@
 //      completions. Rejections (OverloadError under the bounded queue) are
 //      counted, never retried.
 //
-// Latency percentiles (p50/p99/p999) come from the replicas' retained
-// windows concatenated, through the repo-wide nearest-rank rule
-// (odonn::percentile_nearest_rank). Predictions are digested FNV-1a over
+// Latency percentiles (p50/p99/p999) and the attribution rows come from
+// ServeCluster::stats(), which merges the replicas' retained windows under
+// the repo-wide nearest-rank rule. Predictions are digested FNV-1a over
 // the IEEE-754 bits of every detector sum in submit order; the digest must
 // be identical across replica counts (checked here) and across
 // ODONN_THREADS (checked by scripts/check.sh).
@@ -45,7 +45,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "donn/model.hpp"
-#include "optics/encode.hpp"
 #include "serve/cluster.hpp"
 #include "serve/registry.hpp"
 #include "tensor/stats.hpp"
@@ -63,78 +62,28 @@ double seconds_since(Clock::time_point start) {
 /// median pass.
 constexpr std::size_t kClosedPasses = 5;
 
-/// Latency windows of every replica, concatenated (seconds).
-std::vector<double> merged_latencies(const serve::ServeCluster& cluster) {
-  std::vector<double> merged;
-  for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
-    const std::vector<double> window = cluster.replica(i).latency_window();
-    merged.insert(merged.end(), window.begin(), window.end());
-  }
-  return merged;
-}
+using ClusterSnapshot = serve::ServeCluster::ClusterSnapshot;
 
-struct Percentiles {
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-};
-
-Percentiles percentiles_ms(const std::vector<double>& latencies) {
-  Percentiles p;
-  if (latencies.empty()) return p;
-  p.p50_ms = percentile_nearest_rank(latencies, 0.50) * 1e3;
-  p.p99_ms = percentile_nearest_rank(latencies, 0.99) * 1e3;
-  p.p999_ms = percentile_nearest_rank(latencies, 0.999) * 1e3;
-  return p;
-}
-
-/// Latency-attribution percentiles (queue_wait / batch_wait / compute)
-/// over the replicas' attribution windows concatenated — the same merge
-/// rule as the end-to-end percentiles.
-struct AttrPercentiles {
-  Percentiles queue_wait;
-  Percentiles batch_wait;
-  Percentiles compute;
-};
-
-AttrPercentiles merged_attribution(const serve::ServeCluster& cluster) {
-  serve::ServeStats::AttributionWindows merged;
-  for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
-    const auto windows = cluster.replica(i).attribution_window();
-    merged.queue_wait.insert(merged.queue_wait.end(),
-                             windows.queue_wait.begin(),
-                             windows.queue_wait.end());
-    merged.batch_wait.insert(merged.batch_wait.end(),
-                             windows.batch_wait.begin(),
-                             windows.batch_wait.end());
-    merged.compute.insert(merged.compute.end(), windows.compute.begin(),
-                          windows.compute.end());
-  }
-  AttrPercentiles attr;
-  attr.queue_wait = percentiles_ms(merged.queue_wait);
-  attr.batch_wait = percentiles_ms(merged.batch_wait);
-  attr.compute = percentiles_ms(merged.compute);
-  return attr;
-}
-
-std::string json_percentiles(const Percentiles& p) {
+std::string json_percentiles(const ClusterSnapshot::AttributionSummary& p) {
   return "{\"p50_ms\": " + bench::json_number(p.p50_ms) +
          ", \"p99_ms\": " + bench::json_number(p.p99_ms) +
          ", \"p999_ms\": " + bench::json_number(p.p999_ms) + "}";
 }
 
-std::string json_attr(const AttrPercentiles& a) {
-  return "{\"queue_wait\": " + json_percentiles(a.queue_wait) +
-         ", \"batch_wait\": " + json_percentiles(a.batch_wait) +
-         ", \"compute\": " + json_percentiles(a.compute) + "}";
+/// The end-to-end percentiles and the "attr" object of one row.
+std::string json_latency(const ClusterSnapshot& s) {
+  return "\"p50_ms\": " + bench::json_number(s.p50_ms) +
+         ", \"p99_ms\": " + bench::json_number(s.p99_ms) +
+         ", \"p999_ms\": " + bench::json_number(s.p999_ms) +
+         ", \"attr\": {\"queue_wait\": " + json_percentiles(s.queue_wait) +
+         ", \"batch_wait\": " + json_percentiles(s.batch_wait) +
+         ", \"compute\": " + json_percentiles(s.compute) + "}";
 }
 
 struct ClosedRow {
   std::size_t replicas = 0;
   double saturation_rps = 0.0;
-  double mean_batch = 0.0;
-  Percentiles lat;
-  AttrPercentiles attr;
+  ClusterSnapshot stats;
   std::uint64_t digest = kFnv1aBasis;
 };
 
@@ -144,18 +93,14 @@ struct OpenRow {
   std::size_t submitted = 0;
   std::size_t completed = 0;
   std::size_t rejected = 0;
-  Percentiles lat;
-  AttrPercentiles attr;
+  ClusterSnapshot stats;
 };
 
 std::string json_closed(const ClosedRow& r) {
   return "{\"replicas\": " + std::to_string(r.replicas) +
          ", \"saturation_rps\": " + bench::json_number(r.saturation_rps) +
-         ", \"mean_batch\": " + bench::json_number(r.mean_batch) +
-         ", \"p50_ms\": " + bench::json_number(r.lat.p50_ms) +
-         ", \"p99_ms\": " + bench::json_number(r.lat.p99_ms) +
-         ", \"p999_ms\": " + bench::json_number(r.lat.p999_ms) +
-         ", \"attr\": " + json_attr(r.attr) +
+         ", \"mean_batch\": " + bench::json_number(r.stats.mean_batch_size) +
+         ", " + json_latency(r.stats) +
          ", \"digest\": \"" + bench::hex64(r.digest) + "\"}";
 }
 
@@ -164,11 +109,8 @@ std::string json_open(const OpenRow& r) {
          ", \"achieved_rps\": " + bench::json_number(r.achieved_rps) +
          ", \"submitted\": " + std::to_string(r.submitted) +
          ", \"completed\": " + std::to_string(r.completed) +
-         ", \"rejected\": " + std::to_string(r.rejected) +
-         ", \"p50_ms\": " + bench::json_number(r.lat.p50_ms) +
-         ", \"p99_ms\": " + bench::json_number(r.lat.p99_ms) +
-         ", \"p999_ms\": " + bench::json_number(r.lat.p999_ms) +
-         ", \"attr\": " + json_attr(r.attr) + "}";
+         ", \"rejected\": " + std::to_string(r.rejected) + ", " +
+         json_latency(r.stats) + "}";
 }
 
 }  // namespace
@@ -185,7 +127,7 @@ int main(int argc, char** argv) {
   const std::size_t max_batch = cfg.get_count("max_batch", 8);
   const std::size_t queue_depth = cfg.get_count("queue_depth", 1 << 16);
   const bool continuous = cfg.get_bool("continuous", true);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const std::uint64_t seed = cfg.get_count("seed", 7);
   ODONN_CHECK(requests >= 1 && max_replicas >= 1, "serve_load: empty sweep");
 
   donn::DonnConfig config = donn::DonnConfig::scaled(grid);
@@ -194,14 +136,8 @@ int main(int argc, char** argv) {
   auto registry = std::make_shared<serve::ModelRegistry>();
   registry->add("served", donn::DonnModel(config, rng));
 
-  Rng data_rng(seed + 1);
-  std::vector<optics::Field> inputs;
-  inputs.reserve(requests);
-  for (std::size_t k = 0; k < requests; ++k) {
-    MatrixD image(grid, grid);
-    for (auto& v : image) v = data_rng.uniform();
-    inputs.push_back(optics::encode_image(image, config.grid));
-  }
+  const std::vector<optics::Field> inputs =
+      bench::random_fields(config.grid, requests, seed);
 
   const unsigned hw = std::thread::hardware_concurrency();
   if (print_text) {
@@ -272,13 +208,12 @@ int main(int argc, char** argv) {
     ClosedRow& row = closed[i];
     row.replicas = i + 1;
     row.saturation_rps = percentile_nearest_rank(rates[i], 0.5);
-    row.mean_batch = clusters[i]->stats().mean_batch_size;
-    row.lat = percentiles_ms(merged_latencies(*clusters[i]));
-    row.attr = merged_attribution(*clusters[i]);
+    row.stats = clusters[i]->stats();
     if (print_text) {
       std::printf("%8zu | %14.1f | %8.3f | %8.3f | %8.3f | %10.1f\n",
-                  row.replicas, row.saturation_rps, row.lat.p50_ms,
-                  row.lat.p99_ms, row.lat.p999_ms, row.mean_batch);
+                  row.replicas, row.saturation_rps, row.stats.p50_ms,
+                  row.stats.p99_ms, row.stats.p999_ms,
+                  row.stats.mean_batch_size);
     }
   }
   clusters.clear();
@@ -349,13 +284,12 @@ int main(int argc, char** argv) {
       const double elapsed = seconds_since(start);
       row.completed = futures.size();
       row.achieved_rps = static_cast<double>(row.completed) / elapsed;
-      row.lat = percentiles_ms(merged_latencies(cluster));
-      row.attr = merged_attribution(cluster);
+      row.stats = cluster.stats();
       if (print_text) {
         std::printf("%12.1f | %12.1f | %9zu | %9zu | %8.3f | %8.3f | %8.3f\n",
                     row.offered_qps, row.achieved_rps, row.completed,
-                    row.rejected, row.lat.p50_ms, row.lat.p99_ms,
-                    row.lat.p999_ms);
+                    row.rejected, row.stats.p50_ms, row.stats.p99_ms,
+                    row.stats.p999_ms);
       }
       open.push_back(row);
     }

@@ -22,7 +22,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "donn/model.hpp"
-#include "optics/encode.hpp"
 #include "serve/batched_forward.hpp"
 #include "serve/engine.hpp"
 #include "serve/registry.hpp"
@@ -123,14 +122,8 @@ int main(int argc, char** argv) {
   Rng rng(bc.seed);
   donn::DonnModel trained(config, rng);
 
-  Rng data_rng(bc.seed + 1);
-  std::vector<optics::Field> inputs;
-  inputs.reserve(samples);
-  for (std::size_t k = 0; k < samples; ++k) {
-    MatrixD image(grid, grid);
-    for (auto& v : image) v = data_rng.uniform();
-    inputs.push_back(optics::encode_image(image, config.grid));
-  }
+  const std::vector<optics::Field> inputs =
+      bench::random_fields(config.grid, samples, bc.seed);
 
   std::printf("=== serve_throughput ===\n");
   std::printf("grid=%zu layers=%zu samples=%zu threads=%zu seed=%llu\n\n",

@@ -82,7 +82,6 @@
 #include "fab/spec.hpp"
 #include "obs/http_server.hpp"
 #include "obs/obs.hpp"
-#include "optics/encode.hpp"
 #include "tensor/stats.hpp"
 #include "pipeline/parser.hpp"
 #include "serve/cluster.hpp"
@@ -449,7 +448,7 @@ int cmd_serve(const Config& cfg) {
       cfg.get_enum("action", "bench", {"bench", "list"});
   const std::size_t samples = cfg.get_count("samples", 256);
   const std::size_t batch = cfg.get_count("batch", 64);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const std::uint64_t seed = cfg.get_count("seed", 7);
   const long replicas_arg = cfg.get_int("replicas", 1);
   if (replicas_arg < 1 || replicas_arg > 256) {
     throw ConfigError("serve: replicas must be in [1, 256]");
@@ -543,21 +542,6 @@ int cmd_serve(const Config& cfg) {
     if (format != bench::OutputFormat::Text) std::printf("%s\n", json.c_str());
     return 0;
   }
-
-  // Inputs are generated per model at that model's own grid (checkpoints
-  // from different training runs may differ in size); the RNG is reseeded
-  // so every model sees the same pixel stream.
-  const auto make_inputs = [&](const optics::GridSpec& grid_spec) {
-    Rng data_rng(seed + 1);
-    std::vector<optics::Field> inputs;
-    inputs.reserve(samples);
-    for (std::size_t k = 0; k < samples; ++k) {
-      MatrixD image(grid_spec.n, grid_spec.n);
-      for (auto& v : image) v = data_rng.uniform();
-      inputs.push_back(optics::encode_image(image, grid_spec));
-    }
-    return inputs;
-  };
 
   serve::ClusterOptions cluster_options;
   cluster_options.replicas = replicas;
@@ -715,7 +699,11 @@ int cmd_serve(const Config& cfg) {
       };
   for (std::size_t i = 0; i < names.size(); ++i) {
     const std::string& name = names[i];
-    const auto inputs = make_inputs(registry->get(name)->config().grid);
+    // Inputs are generated per model at that model's own grid (checkpoints
+    // from different training runs may differ in size); the stream is
+    // reseeded so every model sees the same pixels.
+    const auto inputs =
+        bench::random_fields(registry->get(name)->config().grid, samples, seed);
     for (std::size_t k = 0; k < std::min<std::size_t>(16, samples); ++k) {
       cluster.submit(name, inputs[k]).get();  // warm-up
     }

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const std::size_t samples = cfg.get_count("samples", 800);
   const std::size_t epochs = cfg.get_count("epochs", 3);
   const std::size_t levels = cfg.get_count("levels", 4);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const std::uint64_t seed = cfg.get_count("seed", 7);
 
   const auto raw = data::make_synthetic(data::SyntheticFamily::Digits, samples, seed);
   const auto resized = data::resize_dataset(raw, grid);

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   opt.epochs_sparse = 1;
   opt.batch_size = 50;
   opt.scheme.block_size = std::max<std::size_t>(2, grid / 10);
-  opt.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  opt.seed = cfg.get_count("seed", 7);
 
   const auto raw = data::make_synthetic(family, samples, opt.seed + 10);
   const auto resized = data::resize_dataset(raw, grid);

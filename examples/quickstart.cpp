@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const std::size_t grid = cfg.get_count("grid", 48);
   const std::size_t samples = cfg.get_count("samples", 600);
   const std::size_t epochs = cfg.get_count("epochs", 3);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const std::uint64_t seed = cfg.get_count("seed", 7);
 
   // 1. A 10-class digit task (procedural MNIST stand-in), upsampled to the
   //    optical grid exactly like the paper interpolates 28x28 -> 200x200.

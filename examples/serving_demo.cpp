@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const std::size_t samples = cfg.get_count("samples", 240);
   const std::size_t epochs = cfg.get_count("epochs", 2);
   const std::size_t requests = cfg.get_count("requests", 200);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const std::uint64_t seed = cfg.get_count("seed", 7);
 
   // 1. Train a small model (same recipe shape as examples/quickstart).
   const auto raw = data::make_synthetic(data::SyntheticFamily::Digits, samples,

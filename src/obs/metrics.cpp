@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -41,8 +42,12 @@ std::string prometheus_name(const std::string& name) {
 }  // namespace
 
 Histogram::Histogram(std::size_t capacity)
-    : window_(capacity > 0 ? capacity : 1, 0.0),
-      buckets_(bucket_bounds().size(), 0) {}
+    : capacity_(capacity > 0 ? capacity : 1),
+      buckets_(bucket_bounds().size(), 0) {
+  // Reserved, not filled: the pages of a large window are touched by the
+  // observations that use them, not when the instrument is built.
+  window_.reserve(capacity_);
+}
 
 const std::vector<double>& Histogram::bucket_bounds() {
   // Hand-written literals (not computed in a loop) so every bound is an
@@ -70,37 +75,46 @@ void Histogram::observe(double value) {
   if (bucket != bounds.end()) {  // above the top bound: +Inf only
     ++buckets_[static_cast<std::size_t>(bucket - bounds.begin())];
   }
-  window_[next_] = value;
-  ++next_;
-  if (next_ == window_.size()) {
-    next_ = 0;
-    wrapped_ = true;
+  if (window_.size() < capacity_) {
+    window_.push_back(value);
+  } else {
+    window_[next_] = value;
+    next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
   }
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
+  const Histogram* const self = this;
+  return merged({&self, 1});
+}
+
+Histogram::Snapshot Histogram::merged(
+    std::span<const Histogram* const> parts) {
   std::vector<double> retained;
   Snapshot snap;
   snap.buckets.assign(bucket_bounds().size(), 0);
-  {
-    MutexLock lock(mutex_);
-    if (count_ == 0) {
-      return snap;
+  for (const Histogram* part : parts) {
+    MutexLock lock(part->mutex_);
+    if (part->count_ == 0) continue;
+    if (snap.count == 0) {
+      snap.sum = part->sum_;
+      snap.min = part->min_;
+      snap.max = part->max_;
+    } else {
+      snap.sum += part->sum_;
+      snap.min = std::min(snap.min, part->min_);
+      snap.max = std::max(snap.max, part->max_);
     }
-    snap.count = count_;
-    snap.sum = sum_;
-    snap.min = min_;
-    snap.max = max_;
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      cumulative += buckets_[i];
-      snap.buckets[i] = cumulative;
+    snap.count += part->count_;
+    for (std::size_t i = 0; i < part->buckets_.size(); ++i) {
+      snap.buckets[i] += part->buckets_[i];
     }
-    const std::size_t retained_count = wrapped_ ? window_.size() : next_;
-    retained.assign(window_.begin(),
-                    window_.begin() + static_cast<std::ptrdiff_t>(
-                                          retained_count));
+    retained.insert(retained.end(), part->window_.begin(),
+                    part->window_.end());
   }
+  if (snap.count == 0) return snap;
+  std::partial_sum(snap.buckets.begin(), snap.buckets.end(),
+                   snap.buckets.begin());
   std::sort(retained.begin(), retained.end());
   const auto at = [&retained](double q) {
     return retained[odonn::nearest_rank(q, retained.size()) - 1];
@@ -114,8 +128,8 @@ Histogram::Snapshot Histogram::snapshot() const {
 
 void Histogram::reset() {
   MutexLock lock(mutex_);
+  window_.clear();
   next_ = 0;
-  wrapped_ = false;
   count_ = 0;
   sum_ = 0.0;
   min_ = 0.0;

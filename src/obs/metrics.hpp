@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,9 @@ class Gauge {
 /// Bounded sliding-window histogram: keeps the most recent `capacity`
 /// observations in a ring plus running count/sum/min/max over ALL
 /// observations. Percentiles use the repo-wide nearest-rank rule
-/// (odonn::nearest_rank) over the retained window.
+/// (odonn::nearest_rank) over the retained window. This is the repo's one
+/// windowed-percentile implementation: the registry instruments and the
+/// serve latency windows (serve::ServeStats) are all Histograms.
 class Histogram {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
@@ -120,13 +123,25 @@ class Histogram {
   /// Zeroed snapshot when nothing was observed.
   Snapshot snapshot() const;
 
+  /// Summarizes several histograms as one window: count, sum, min, max and
+  /// the bucket counts combine, and the percentiles apply nearest-rank over
+  /// the concatenated retained values (one sort per call), so they are
+  /// exact for the union of the windows where quantiles of quantiles would
+  /// not be. ServeCluster::stats() merges its replicas' latency windows
+  /// this way. Each part is locked in turn, never two at once. Merging
+  /// nothing, or only empty histograms, gives the zeroed snapshot;
+  /// snapshot() is merged() over {this}.
+  static Snapshot merged(std::span<const Histogram* const> parts);
+
   void reset();
 
  private:
   mutable Mutex mutex_;
+  const std::size_t capacity_;
+  /// Retained observations: grows to capacity_, then a ring whose oldest
+  /// entry sits at next_.
   std::vector<double> window_ ODONN_GUARDED_BY(mutex_);
   std::size_t next_ ODONN_GUARDED_BY(mutex_) = 0;
-  bool wrapped_ ODONN_GUARDED_BY(mutex_) = false;
   std::uint64_t count_ ODONN_GUARDED_BY(mutex_) = 0;
   double sum_ ODONN_GUARDED_BY(mutex_) = 0.0;
   double min_ ODONN_GUARDED_BY(mutex_) = 0.0;

@@ -102,7 +102,7 @@ train::RecipeOptions options_from_config(const Config& cfg) {
   opt.two_pi.iterations = cfg.get_count("two_pi_iters", opt.two_pi.iterations);
   opt.crosstalk.strength =
       cfg.get_double("crosstalk", opt.crosstalk.strength);
-  opt.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  opt.seed = cfg.get_count("seed", 7);
   opt.verbose = cfg.get_bool("verbose", false);
   return opt;
 }
@@ -113,7 +113,7 @@ DatasetStageOptions dataset_options_from_config(const Config& cfg) {
   opt.data_dir = cfg.get_string("data_dir", "");
   opt.samples = cfg.get_count("samples", 1200);
   opt.grid = cfg.get_count("grid", 48);
-  opt.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  opt.seed = cfg.get_count("seed", 7);
   return opt;
 }
 

@@ -1,14 +1,12 @@
 #include "serve/cluster.hpp"
 
 #include <algorithm>
-#include <utility>
-
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/stats.hpp"
 
 namespace odonn::serve {
 
@@ -118,10 +116,13 @@ ServeCluster::ClusterSnapshot ServeCluster::stats() const {
   snap.replica_queue_depth.reserve(replicas_.size());
   std::uint64_t batches = 0;
   double batched_samples = 0.0;
-  std::vector<double> merged_window;
-  ServeStats::AttributionWindows merged_attr;
+  std::vector<const obs::Histogram*> latency;
+  std::vector<const obs::Histogram*> queue_wait;
+  std::vector<const obs::Histogram*> batch_wait;
+  std::vector<const obs::Histogram*> compute;
   for (const auto& replica : replicas_) {
-    const ServeStats::Snapshot s = replica->stats();
+    const ServeStats& recorder = replica->recorder();
+    const ServeStats::Snapshot s = recorder.snapshot();
     snap.requests += s.requests;
     snap.errors += s.errors;
     snap.throughput_rps += s.throughput_rps;
@@ -131,40 +132,28 @@ ServeCluster::ClusterSnapshot ServeCluster::stats() const {
     const std::size_t depth = replica->pending();
     snap.queue_depth += depth;
     snap.replica_queue_depth.push_back(depth);
-    const std::vector<double> window = replica->latency_window();
-    merged_window.insert(merged_window.end(), window.begin(), window.end());
-    const ServeStats::AttributionWindows attr = replica->attribution_window();
-    merged_attr.queue_wait.insert(merged_attr.queue_wait.end(),
-                                  attr.queue_wait.begin(),
-                                  attr.queue_wait.end());
-    merged_attr.batch_wait.insert(merged_attr.batch_wait.end(),
-                                  attr.batch_wait.begin(),
-                                  attr.batch_wait.end());
-    merged_attr.compute.insert(merged_attr.compute.end(),
-                               attr.compute.begin(), attr.compute.end());
+    latency.push_back(&recorder.latency_ms());
+    queue_wait.push_back(&recorder.queue_wait_ms());
+    batch_wait.push_back(&recorder.batch_wait_ms());
+    compute.push_back(&recorder.compute_ms());
   }
   snap.admitted = admitted();
   snap.rejected = rejected();
   if (batches > 0) {
     snap.mean_batch_size = batched_samples / static_cast<double>(batches);
   }
-  const auto summarize = [](const std::vector<double>& window) {
-    ClusterSnapshot::AttributionSummary summary;
-    if (!window.empty()) {
-      summary.p50_ms = percentile_nearest_rank(window, 0.50) * 1e3;
-      summary.p99_ms = percentile_nearest_rank(window, 0.99) * 1e3;
-      summary.p999_ms = percentile_nearest_rank(window, 0.999) * 1e3;
-    }
-    return summary;
+  const auto summarize = [](const std::vector<const obs::Histogram*>& parts) {
+    const obs::Histogram::Snapshot merged = obs::Histogram::merged(parts);
+    return ClusterSnapshot::AttributionSummary{merged.p50, merged.p99,
+                                               merged.p999};
   };
-  if (!merged_window.empty()) {
-    snap.p50_ms = percentile_nearest_rank(merged_window, 0.50) * 1e3;
-    snap.p99_ms = percentile_nearest_rank(merged_window, 0.99) * 1e3;
-    snap.p999_ms = percentile_nearest_rank(merged_window, 0.999) * 1e3;
-  }
-  snap.queue_wait = summarize(merged_attr.queue_wait);
-  snap.batch_wait = summarize(merged_attr.batch_wait);
-  snap.compute = summarize(merged_attr.compute);
+  const ClusterSnapshot::AttributionSummary total = summarize(latency);
+  snap.p50_ms = total.p50_ms;
+  snap.p99_ms = total.p99_ms;
+  snap.p999_ms = total.p999_ms;
+  snap.queue_wait = summarize(queue_wait);
+  snap.batch_wait = summarize(batch_wait);
+  snap.compute = summarize(compute);
   return snap;
 }
 

@@ -94,9 +94,9 @@ class ServeCluster {
   std::uint64_t rejected() const;
 
   /// Cluster-level aggregates plus the per-replica snapshots they came
-  /// from. Counters sum; cluster percentiles are computed over the
-  /// concatenated replica latency windows (quantiles of quantiles would
-  /// not be exact).
+  /// from. Counters sum; cluster percentiles come from
+  /// obs::Histogram::merged over the replicas' ServeStats windows
+  /// (quantiles of quantiles would not be exact).
   struct ClusterSnapshot {
     std::uint64_t requests = 0;
     std::uint64_t errors = 0;
@@ -106,14 +106,13 @@ class ServeCluster {
     double throughput_rps = 0.0;          ///< summed per-replica RPS
     double mean_batch_size = 0.0;         ///< batch-weighted mean
     /// True cluster-level latency percentiles: nearest-rank over the
-    /// CONCATENATED retained windows of every replica (not a merge of
-    /// per-replica quantiles).
+    /// CONCATENATED retained windows of every replica (one
+    /// obs::Histogram::merged call, not a merge of per-replica quantiles).
     double p50_ms = 0.0;
     double p99_ms = 0.0;
     double p999_ms = 0.0;
-    /// Percentiles of one latency-attribution component, computed the same
-    /// way as the cluster latency percentiles (nearest-rank over the
-    /// concatenated replica attribution windows).
+    /// Percentiles of one latency-attribution component, merged the same
+    /// way as the cluster latency percentiles.
     struct AttributionSummary {
       double p50_ms = 0.0;
       double p99_ms = 0.0;

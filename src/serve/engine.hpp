@@ -30,7 +30,9 @@
 // before the worker exits; submissions after shutdown() (and submitters
 // still blocked on backpressure at shutdown) throw.
 //
-// Observability: global serve.* instruments are always recorded; a
+// Observability: stats() summarizes the engine's own latency and
+// attribution windows (ServeStats, exposed through recorder() for the
+// cluster merge). Global serve.* instruments are always recorded; a
 // non-empty `label` additionally registers per-replica instruments
 // (serve.<label>.queue_depth / requests / rejected / latency_ms /
 // batch_size) so exports distinguish replicas by name suffix alone.
@@ -157,18 +159,9 @@ class InferenceEngine {
 
   ServeStats::Snapshot stats() const { return stats_.snapshot(); }
 
-  /// Retained request-latency window (seconds) — see
-  /// ServeStats::latency_window.
-  std::vector<double> latency_window() const {
-    return stats_.latency_window();
-  }
-
-  /// Retained attribution windows (seconds) — see
-  /// ServeStats::attribution_window. Concatenated across replicas for the
-  /// cluster-level attribution percentiles.
-  ServeStats::AttributionWindows attribution_window() const {
-    return stats_.attribution_window();
-  }
+  /// The recorder behind stats(). Its latency and attribution windows are
+  /// what ServeCluster::stats() merges across replicas.
+  const ServeStats& recorder() const { return stats_; }
 
   /// Clears counters and the latency window (e.g. between a warm-up phase
   /// and a measured run). In-flight requests keep completing normally.

@@ -1,58 +1,36 @@
 #include "serve/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/obs.hpp"
-#include "tensor/stats.hpp"
 
 namespace odonn::serve {
 
-namespace {
-
-/// Nearest-rank percentile over an unsorted copy; q in [0, 1]. The rank
-/// comes from the shared odonn::nearest_rank rule (tensor/stats) so serve,
-/// fab and tensor percentiles agree on boundary ranks; nth_element keeps
-/// this O(n) for the latency window.
-double percentile(std::vector<double>& values, double q) {
-  if (values.empty()) return 0.0;
-  const std::size_t index = nearest_rank(q, values.size()) - 1;
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(index),
-                   values.end());
-  return values[index];
-}
-
-}  // namespace
-
 void ServeStats::record_request(double latency_seconds,
                                 const Attribution& attr) {
+  const double latency_ms = latency_seconds * 1e3;
+  const double queue_wait_ms = attr.queue_wait_s * 1e3;
+  const double batch_wait_ms = attr.batch_wait_s * 1e3;
+  const double compute_ms = attr.compute_s * 1e3;
   ODONN_OBS_COUNT("serve.requests", 1);
-  ODONN_OBS_HIST("serve.latency_ms", latency_seconds * 1e3);
-  ODONN_OBS_HIST("serve.attr.queue_wait_ms", attr.queue_wait_s * 1e3);
-  ODONN_OBS_HIST("serve.attr.batch_wait_ms", attr.batch_wait_s * 1e3);
-  ODONN_OBS_HIST("serve.attr.compute_ms", attr.compute_s * 1e3);
+  ODONN_OBS_HIST("serve.latency_ms", latency_ms);
+  ODONN_OBS_HIST("serve.attr.queue_wait_ms", queue_wait_ms);
+  ODONN_OBS_HIST("serve.attr.batch_wait_ms", batch_wait_ms);
+  ODONN_OBS_HIST("serve.attr.compute_ms", compute_ms);
   const Clock::time_point now = Clock::now();
-  MutexLock lock(mutex_);
-  ++requests_;
-  if (window_.size() < kWindowCapacity) {
-    window_.push_back(latency_seconds);
-    queue_wait_window_.push_back(attr.queue_wait_s);
-    batch_wait_window_.push_back(attr.batch_wait_s);
-    compute_window_.push_back(attr.compute_s);
-  } else {
-    window_[next_] = latency_seconds;
-    queue_wait_window_[next_] = attr.queue_wait_s;
-    batch_wait_window_[next_] = attr.batch_wait_s;
-    compute_window_[next_] = attr.compute_s;
-    next_ = (next_ + 1) % kWindowCapacity;
+  {
+    MutexLock lock(mutex_);
+    if (!have_first_) {
+      have_first_ = true;
+      first_done_ = now;
+    }
+    last_done_ = now;
   }
-  max_latency_ = std::max(max_latency_, latency_seconds);
-  if (!have_first_) {
-    have_first_ = true;
-    first_done_ = now;
-  }
-  last_done_ = now;
+  // Observed after the completion stamp, and snapshot() reads the latency
+  // window before the stamps: every request a snapshot counts lies inside
+  // its first-to-last completion span.
+  latency_ms_.observe(latency_ms);
+  queue_wait_ms_.observe(queue_wait_ms);
+  batch_wait_ms_.observe(batch_wait_ms);
+  compute_ms_.observe(compute_ms);
 }
 
 void ServeStats::record_batch(std::size_t size) {
@@ -70,35 +48,34 @@ void ServeStats::record_error() {
 }
 
 ServeStats::Snapshot ServeStats::snapshot() const {
-  std::vector<double> window;
+  const obs::Histogram::Snapshot latency = latency_ms_.snapshot();
   Snapshot snap;
+  snap.requests = latency.count;
+  snap.p50_ms = latency.p50;
+  snap.p90_ms = latency.p90;
+  snap.p99_ms = latency.p99;
+  snap.p999_ms = latency.p999;
+  snap.max_ms = latency.max;
   {
     MutexLock lock(mutex_);
-    window = window_;
-    snap.requests = requests_;
     snap.batches = batches_;
     snap.errors = errors_;
     snap.mean_batch_size =
         batches_ == 0 ? 0.0
                       : static_cast<double>(batched_samples_) /
                             static_cast<double>(batches_);
-    snap.max_ms = max_latency_ * 1e3;
     if (have_first_) {
       snap.window_seconds =
           std::chrono::duration<double>(last_done_ - first_done_).count();
-      if (snap.window_seconds <= 0.0 && requests_ >= 1) {
-        // A single completed request (or several on one clock tick) spans
-        // zero wall time, which would report 0 RPS (and previously an
-        // infinite/zero split). Fall back to the slowest request's latency
-        // as the window: the honest lower bound on elapsed serving time.
-        snap.window_seconds = max_latency_;
-      }
     }
   }
-  snap.p50_ms = percentile(window, 0.50) * 1e3;
-  snap.p90_ms = percentile(window, 0.90) * 1e3;
-  snap.p99_ms = percentile(window, 0.99) * 1e3;
-  snap.p999_ms = percentile(window, 0.999) * 1e3;
+  if (snap.window_seconds <= 0.0 && snap.requests >= 1) {
+    // A single completed request (or several on one clock tick) spans
+    // zero wall time, which would report 0 RPS (and previously an
+    // infinite/zero split). Fall back to the slowest request's latency
+    // as the window: the honest lower bound on elapsed serving time.
+    snap.window_seconds = snap.max_ms / 1e3;
+  }
   if (snap.window_seconds > 0.0) {
     snap.throughput_rps =
         static_cast<double>(snap.requests) / snap.window_seconds;
@@ -106,26 +83,13 @@ ServeStats::Snapshot ServeStats::snapshot() const {
   return snap;
 }
 
-std::vector<double> ServeStats::latency_window() const {
-  MutexLock lock(mutex_);
-  return window_;
-}
-
-ServeStats::AttributionWindows ServeStats::attribution_window() const {
-  MutexLock lock(mutex_);
-  return AttributionWindows{queue_wait_window_, batch_wait_window_,
-                            compute_window_};
-}
-
 void ServeStats::reset() {
+  latency_ms_.reset();
+  queue_wait_ms_.reset();
+  batch_wait_ms_.reset();
+  compute_ms_.reset();
   MutexLock lock(mutex_);
-  window_.clear();
-  queue_wait_window_.clear();
-  batch_wait_window_.clear();
-  compute_window_.clear();
-  next_ = 0;
-  requests_ = batches_ = batched_samples_ = errors_ = 0;
-  max_latency_ = 0.0;
+  batches_ = batched_samples_ = errors_ = 0;
   have_first_ = false;
 }
 

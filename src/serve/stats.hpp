@@ -1,29 +1,35 @@
 // ServeStats — latency percentiles and throughput counters for the serving
 // engine.
 //
-// Request latencies (submit -> response ready) go into a fixed-capacity
-// ring so memory stays bounded under sustained traffic; percentiles are
-// computed over the retained window with the repo-wide nearest-rank rule
+// Each completed request lands in four obs::Histogram windows of the most
+// recent kWindowCapacity requests, all in milliseconds: the end-to-end
+// latency (submit -> response ready) and its three attribution components.
+// Memory stays bounded under sustained traffic (each window reserves its
+// capacity up front), and percentiles use the histogram's nearest-rank rule
 // (odonn::nearest_rank in tensor/stats: p(q) = sorted[ceil(q*count)]
-// counting from 1, boundary-exact at integral q*count). Throughput is
+// counting from 1, boundary-exact at integral q*count) over the retained
+// window. ServeCluster merges the replicas' windows with
+// obs::Histogram::merged for cluster-level percentiles. Throughput is
 // completed requests divided by the span between the first and last
 // completion; when that span is zero (a single request, or several on one
 // clock tick) the slowest request's latency stands in as the window so
 // smoke benches never report 0 RPS.
 //
-// record_* calls also mirror into the process-wide metrics registry
-// (obs/obs.hpp: serve.requests / serve.batches / serve.errors counters,
-// serve.latency_ms / serve.batch_size histograms).
+// The windows are private Histogram objects, not registry instruments, so
+// they keep working under ODONN_OBS_DISABLE. record_* calls also mirror
+// into the process-wide metrics registry (obs/obs.hpp: serve.requests /
+// serve.batches / serve.errors counters, serve.latency_ms /
+// serve.batch_size / serve.attr.* histograms).
 //
-// Thread safety: all members are safe for concurrent use (internal mutex).
+// Thread safety: all members are safe for concurrent use (internal mutexes).
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/metrics.hpp"
 
 namespace odonn::serve {
 
@@ -72,21 +78,13 @@ class ServeStats {
 
   Snapshot snapshot() const;
 
-  /// Copy of the retained latency window (seconds, unordered). What
-  /// ServeCluster concatenates across replicas for true cluster-level
-  /// percentiles.
-  std::vector<double> latency_window() const;
-
-  /// Retained attribution windows (seconds, unordered), rings sharing the
-  /// latency window's cursor: index k of each vector belongs to the same
-  /// request as latency_window()[k]. Concatenated across replicas for the
-  /// cluster-level attribution percentiles.
-  struct AttributionWindows {
-    std::vector<double> queue_wait;
-    std::vector<double> batch_wait;
-    std::vector<double> compute;
-  };
-  AttributionWindows attribution_window() const;
+  /// The retained windows (milliseconds), one observation per completed
+  /// request: end-to-end latency and the three attribution components.
+  /// ServeCluster::stats() merges them across replicas.
+  const obs::Histogram& latency_ms() const { return latency_ms_; }
+  const obs::Histogram& queue_wait_ms() const { return queue_wait_ms_; }
+  const obs::Histogram& batch_wait_ms() const { return batch_wait_ms_; }
+  const obs::Histogram& compute_ms() const { return compute_ms_; }
 
   /// Clears all counters and the latency/attribution windows.
   void reset();
@@ -94,19 +92,15 @@ class ServeStats {
  private:
   static constexpr std::size_t kWindowCapacity = 1 << 15;
 
+  obs::Histogram latency_ms_{kWindowCapacity};
+  obs::Histogram queue_wait_ms_{kWindowCapacity};
+  obs::Histogram batch_wait_ms_{kWindowCapacity};
+  obs::Histogram compute_ms_{kWindowCapacity};
+
   mutable Mutex mutex_;
-  /// Ring of latency seconds.
-  std::vector<double> window_ ODONN_GUARDED_BY(mutex_);
-  std::vector<double> queue_wait_window_ ODONN_GUARDED_BY(mutex_);
-  std::vector<double> batch_wait_window_ ODONN_GUARDED_BY(mutex_);
-  std::vector<double> compute_window_ ODONN_GUARDED_BY(mutex_);
-  /// Ring write cursor (all four rings).
-  std::size_t next_ ODONN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t requests_ ODONN_GUARDED_BY(mutex_) = 0;
   std::uint64_t batches_ ODONN_GUARDED_BY(mutex_) = 0;
   std::uint64_t batched_samples_ ODONN_GUARDED_BY(mutex_) = 0;
   std::uint64_t errors_ ODONN_GUARDED_BY(mutex_) = 0;
-  double max_latency_ ODONN_GUARDED_BY(mutex_) = 0.0;
   bool have_first_ ODONN_GUARDED_BY(mutex_) = false;
   Clock::time_point first_done_ ODONN_GUARDED_BY(mutex_){};
   Clock::time_point last_done_ ODONN_GUARDED_BY(mutex_){};

@@ -97,6 +97,73 @@ TEST(Histogram, WindowBoundedButTotalsCoverEverything) {
   EXPECT_EQ(snap.p99, percentile_nearest_rank(retained, 0.99));
 }
 
+void expect_same_snapshot(const obs::Histogram::Snapshot& a,
+                          const obs::Histogram::Snapshot& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p90, b.p90);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_EQ(a.p999, b.p999);
+  EXPECT_EQ(a.buckets, b.buckets);
+}
+
+TEST(Histogram, MergedEqualsOneHistogramFedBothStreams) {
+  // Neither window wraps, so merging is the same as observing both
+  // streams in one histogram. Quarter steps keep every sum exact.
+  obs::Histogram a;
+  obs::Histogram b;
+  obs::Histogram both;
+  for (int i = 0; i < 300; ++i) {
+    const double v = static_cast<double>((i * 37) % 300) * 0.25;
+    a.observe(v);
+    both.observe(v);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double v = 40.0 + static_cast<double>((i * 11) % 200) * 0.5;
+    b.observe(v);
+    both.observe(v);
+  }
+  const obs::Histogram* parts[] = {&a, &b};
+  expect_same_snapshot(obs::Histogram::merged(parts), both.snapshot());
+}
+
+TEST(Histogram, MergedCountsOnlyRetainedValuesAfterWrap) {
+  // Window of 4 over 1..10 keeps 7..10; the second window keeps all four.
+  // Totals cover every observation, percentiles only the retained ones.
+  obs::Histogram wrapped(4);
+  obs::Histogram whole(8);
+  for (int i = 1; i <= 10; ++i) wrapped.observe(static_cast<double>(i));
+  for (int i = 100; i <= 103; ++i) whole.observe(static_cast<double>(i));
+  const obs::Histogram* parts[] = {&wrapped, &whole};
+  const auto snap = obs::Histogram::merged(parts);
+  EXPECT_EQ(snap.count, 14u);
+  EXPECT_EQ(snap.sum, 55.0 + 406.0);
+  EXPECT_EQ(snap.min, 1.0);
+  EXPECT_EQ(snap.max, 103.0);
+  const std::vector<double> retained = {7, 8, 9, 10, 100, 101, 102, 103};
+  EXPECT_EQ(snap.p50, percentile_nearest_rank(retained, 0.5));
+  EXPECT_EQ(snap.p90, percentile_nearest_rank(retained, 0.9));
+  EXPECT_EQ(snap.p99, percentile_nearest_rank(retained, 0.99));
+  EXPECT_EQ(snap.p999, percentile_nearest_rank(retained, 0.999));
+}
+
+TEST(Histogram, MergedOfNothingIsZeroed) {
+  const obs::Histogram empty;
+  const obs::Histogram* parts[] = {&empty, &empty};
+  for (const auto& snap :
+       {obs::Histogram::merged({}), obs::Histogram::merged(parts)}) {
+    expect_same_snapshot(snap, empty.snapshot());
+    EXPECT_EQ(snap.count, 0u);
+    EXPECT_EQ(snap.p999, 0.0);
+    EXPECT_EQ(snap.buckets,
+              std::vector<std::uint64_t>(obs::Histogram::bucket_bounds().size(),
+                                         0));
+  }
+}
+
 TEST(MetricsRegistry, ConcurrentLookupAndAddIsExact) {
   auto& registry = obs::MetricsRegistry::global();
   auto& counter = registry.counter("test.concurrent");

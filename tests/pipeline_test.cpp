@@ -211,6 +211,14 @@ TEST(Parser, OptionsFromConfigMapsKeys) {
   EXPECT_EQ(opt.seed, 11u);
 }
 
+TEST(Parser, NegativeSeedIsRejected) {
+  // A seed is a count: -1 must not wrap to 2^64 - 1.
+  const char* argv[] = {"prog", "seed=-1"};
+  const Config cfg = Config::from_args(2, argv);
+  EXPECT_THROW(options_from_config(cfg), ConfigError);
+  EXPECT_THROW(dataset_options_from_config(cfg), ConfigError);
+}
+
 TEST(Parser, PublishWithoutRegistryIsRejected) {
   const PipelineSpec spec{{StageKind::Train, StageKind::Publish}, {}};
   EXPECT_THROW(build_pipeline(spec, train::RecipeOptions{}), ConfigError);

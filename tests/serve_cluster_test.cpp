@@ -28,6 +28,7 @@
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
 #include "serve/registry.hpp"
+#include "tensor/stats.hpp"
 
 namespace odonn::serve {
 namespace {
@@ -491,12 +492,13 @@ TEST(Attribution, ComponentsSumToEndToEndLatency) {
   EXPECT_LT(r0.latency.queue_wait_s, 0.025);
   EXPECT_GE(r1.latency.queue_wait_s, 0.025);
 
-  // The attribution windows ride the same ring as the latency window.
-  const ServeStats::AttributionWindows windows = engine.attribution_window();
-  EXPECT_EQ(windows.queue_wait.size(), 2u);
-  EXPECT_EQ(windows.batch_wait.size(), 2u);
-  EXPECT_EQ(windows.compute.size(), 2u);
-  EXPECT_EQ(engine.latency_window().size(), 2u);
+  // Each request lands once in every window: latency and the three
+  // attribution components.
+  const ServeStats& recorder = engine.recorder();
+  EXPECT_EQ(recorder.queue_wait_ms().snapshot().count, 2u);
+  EXPECT_EQ(recorder.batch_wait_ms().snapshot().count, 2u);
+  EXPECT_EQ(recorder.compute_ms().snapshot().count, 2u);
+  EXPECT_EQ(recorder.latency_ms().snapshot().count, 2u);
 }
 
 TEST(Attribution, RequestIdsUniqueAndNonzeroAcrossReplicas) {
@@ -551,6 +553,63 @@ TEST(Attribution, ClusterSnapshotCarriesAttributionPercentiles) {
   EXPECT_GE(snap.batch_wait.p50_ms, 0.0);
   // Attribution never exceeds the end-to-end envelope.
   EXPECT_LE(snap.compute.p50_ms, snap.p999_ms);
+}
+
+TEST(Cluster, MergedPercentilesAreNearestRankOverEveryResponse) {
+  auto registry = std::make_shared<ModelRegistry>();
+  const donn::DonnConfig cfg = tiny_config(16, 2);
+  registry->add("m", make_model(cfg, 341));
+  const auto inputs = random_inputs(cfg.grid, 24, 342);
+
+  // Gated one-request batches (as in LeastLoadedSpreadsLoadAcrossReplicas)
+  // put requests on both replicas, so the cluster figures merge two
+  // windows.
+  BatchGate gate;
+  ClusterOptions options;
+  options.replicas = 2;
+  options.engine.max_batch = 1;
+  options.engine.on_batch_start = gate.hook();
+  ServeCluster cluster(registry, options);
+  std::vector<std::future<PredictResult>> futures;
+  for (const auto& input : inputs) {
+    futures.push_back(cluster.submit("m", input));
+  }
+  gate.release();
+
+  std::vector<double> total;
+  std::vector<double> queue_wait;
+  std::vector<double> batch_wait;
+  std::vector<double> compute;
+  for (auto& future : futures) {
+    const PredictResult r = future.get();
+    total.push_back(r.latency.total_s);
+    queue_wait.push_back(r.latency.queue_wait_s);
+    batch_wait.push_back(r.latency.batch_wait_s);
+    compute.push_back(r.latency.compute_s);
+  }
+
+  // A request is recorded before its future resolves, so the windows now
+  // hold exactly these responses.
+  const auto snap = cluster.stats();
+  ASSERT_EQ(snap.requests, inputs.size());
+  ASSERT_EQ(snap.replicas.size(), 2u);
+  EXPECT_GT(snap.replicas[0].requests, 0u);
+  EXPECT_GT(snap.replicas[1].requests, 0u);
+
+  // Exact equality: the windows hold milliseconds, and x -> x * 1e3 is
+  // monotone in doubles, so the nearest-rank sample in milliseconds is the
+  // nearest-rank sample in seconds times 1e3.
+  using Summary = ServeCluster::ClusterSnapshot::AttributionSummary;
+  const auto expect_nearest_rank = [](const Summary& summary,
+                                      const std::vector<double>& seconds) {
+    EXPECT_EQ(summary.p50_ms, percentile_nearest_rank(seconds, 0.50) * 1e3);
+    EXPECT_EQ(summary.p99_ms, percentile_nearest_rank(seconds, 0.99) * 1e3);
+    EXPECT_EQ(summary.p999_ms, percentile_nearest_rank(seconds, 0.999) * 1e3);
+  };
+  expect_nearest_rank({snap.p50_ms, snap.p99_ms, snap.p999_ms}, total);
+  expect_nearest_rank(snap.queue_wait, queue_wait);
+  expect_nearest_rank(snap.batch_wait, batch_wait);
+  expect_nearest_rank(snap.compute, compute);
 }
 
 TEST(Cluster, SnapshotJsonMatchesLiveHttpSnapshotRoute) {

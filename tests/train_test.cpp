@@ -1,5 +1,5 @@
 // Tests for src/train: optimizers (convergence + known update laws),
-// schedules, metrics, and the Trainer end to end on small separable tasks,
+// schedules, and the Trainer end to end on small separable tasks,
 // including the regularizer and SLR integrations.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "donn/model.hpp"
 #include "fab/spec.hpp"
 #include "roughness/report.hpp"
-#include "train/metrics.hpp"
 #include "train/optim.hpp"
 #include "train/recipe.hpp"
 #include "train/schedule.hpp"
@@ -113,26 +112,6 @@ TEST(Schedule, ConstantStepCosine) {
   EXPECT_DOUBLE_EQ(cosine.at(0), 1.0);
   EXPECT_NEAR(cosine.at(10), 0.01, 1e-12);
   EXPECT_GT(cosine.at(3), cosine.at(7));
-}
-
-TEST(Metrics, ConfusionMatrixAccuracyAndRecall) {
-  ConfusionMatrix cm(3);
-  cm.add(0, 0);
-  cm.add(0, 0);
-  cm.add(1, 0);  // one class-0 sample misread as 1
-  cm.add(1, 1);
-  cm.add(2, 2);
-  EXPECT_EQ(cm.total(), 5u);
-  EXPECT_NEAR(cm.accuracy(), 4.0 / 5.0, 1e-12);
-  const auto recall = cm.per_class_recall();
-  EXPECT_NEAR(recall[0], 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(recall[1], 1.0, 1e-12);
-
-  ConfusionMatrix other(3);
-  other.add(0, 0);
-  cm.merge(other);
-  EXPECT_EQ(cm.total(), 6u);
-  EXPECT_THROW(cm.add(3, 0), Error);
 }
 
 /// Binary task on the optical grid: class 0 lights the left half, class 1
