@@ -54,6 +54,23 @@ if [ "$d1" != "$d4" ]; then
 fi
 echo "robust smoke: ODONN_THREADS=1 vs 4 digests identical"
 
+# A hostile perturbation spec must fail fast with a typed config error
+# (exit 1), not run realizations whose phases are all non-finite.
+hostile_err="$(./odonn_cli robust recipe=baseline grid=16 samples=120 \
+  epochs=1 layers=2 realizations=4 perturb='roughness(sigma_um=inf)' \
+  2>&1 >/dev/null)" && hostile_code=0 || hostile_code=$?
+if [ "$hostile_code" -ne 1 ]; then
+  echo "robust smoke: sigma_um=inf exited $hostile_code, expected 1" >&2
+  exit 1
+fi
+case "$hostile_err" in
+  *"error: config:"*) ;;
+  *) echo "robust smoke: sigma_um=inf printed no config error:" >&2
+     echo "$hostile_err" >&2
+     exit 1 ;;
+esac
+echo "robust smoke: perturb='roughness(sigma_um=inf)' rejected (exit 1)"
+
 # Robust-training smoke: the noise-in-the-loop bench must pass its shape
 # checks (robust-trained yield strictly above the 2*pi-smoothed-only
 # variant under CRN) AND emit bitwise-identical digests across thread

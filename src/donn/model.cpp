@@ -126,20 +126,28 @@ void DonnModel::check_modulations(const std::vector<MatrixC>& modulations,
   }
 }
 
-void DonnModel::run_stack(const optics::Field& input,
-                          const std::vector<MatrixC>& modulations,
-                          Workspace& workspace, bool keep_propagated) const {
+bool DonnModel::accepts(const FirstHops& hops) const {
+  return hops.grid_ == config_.grid &&
+         hops.propagation_ == propagator_->options();
+}
+
+void DonnModel::first_hop(const optics::Field& input, fft::Frame& frame,
+                          optics::Propagator::Workspace& propagation) const {
   ODONN_CHECK_SHAPE(input.grid() == config_.grid,
                     "model grid does not match input field grid");
+  frame.reshape(config_.grid.n, config_.grid.n);
+  frame.load(input.values().data());
+  propagator_->forward_frame(frame, propagation);
+}
+
+void DonnModel::run_stack(const std::vector<MatrixC>& modulations,
+                          Workspace& workspace, bool keep_propagated) const {
   const std::size_t n = config_.grid.n;
   fft::Frame& field = workspace.field;
-  field.reshape(n, n);
-  field.load(input.values().data());
   if (keep_propagated) workspace.propagated.resize(modulations.size());
   double* re = field.re();
   double* im = field.im();
   for (std::size_t l = 0; l < modulations.size(); ++l) {
-    propagator_->forward_frame(field, workspace.propagation);
     if (keep_propagated) workspace.propagated[l] = field;
     // field *= w, as std::complex's operator*=: (ac - bd, ad + bc).
     const std::complex<double>* w = modulations[l].data();
@@ -151,8 +159,15 @@ void DonnModel::run_stack(const optics::Field& input,
       re[f] = a * c - b * d;
       im[f] = a * d + b * c;
     });
+    propagator_->forward_frame(field, workspace.propagation);
   }
-  propagator_->forward_frame(field, workspace.propagation);
+}
+
+void DonnModel::run_stack(const optics::Field& input,
+                          const std::vector<MatrixC>& modulations,
+                          Workspace& workspace, bool keep_propagated) const {
+  first_hop(input, workspace.field, workspace.propagation);
+  run_stack(modulations, workspace, keep_propagated);
 }
 
 std::vector<double> DonnModel::readout(const Workspace& workspace) const {
@@ -238,31 +253,24 @@ std::vector<MatrixC> DonnModel::modulation_tables() const {
   return mods;
 }
 
-void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
-                            const std::vector<MatrixC>& modulations,
-                            std::vector<std::size_t>* predictions,
-                            std::vector<std::vector<double>>* sums,
-                            std::vector<MatrixD>* intensities) const {
-  check_modulations(modulations, "infer_batch");
-  for (const auto& input : inputs) {
-    ODONN_CHECK_SHAPE(input.grid() == config_.grid,
-                      "infer_batch: input grid mismatch");
-  }
-  if (predictions) predictions->resize(inputs.size());
-  if (sums) sums->resize(inputs.size());
-  if (intensities) intensities->resize(inputs.size());
-  if (inputs.empty()) return;
+void DonnModel::infer_samples(
+    std::size_t count, std::vector<std::size_t>* predictions,
+    std::vector<std::vector<double>>* sums, std::vector<MatrixD>* intensities,
+    const std::function<void(std::size_t, Workspace&)>& run) const {
+  if (predictions) predictions->resize(count);
+  if (sums) sums->resize(count);
+  if (intensities) intensities->resize(count);
+  if (count == 0) return;
 
   // Samples are independent, so chunks write only to their own output
   // slots: results are deterministic regardless of scheduling. One
   // workspace per chunk makes steady-state per-sample work allocation-free.
   parallel_for_chunks(
-      0, inputs.size(),
+      0, count,
       [&](std::size_t lo, std::size_t hi) {
         Workspace workspace;
         for (std::size_t k = lo; k < hi; ++k) {
-          run_stack(inputs[k], modulations, workspace,
-                    /*keep_propagated=*/false);
+          run(k, workspace);
           auto class_sums = readout(workspace);
           if (predictions) (*predictions)[k] = argmax(class_sums);
           if (sums) (*sums)[k] = std::move(class_sums);
@@ -273,6 +281,55 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
         }
       },
       /*grain=*/1);
+}
+
+void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
+                            const std::vector<MatrixC>& modulations,
+                            std::vector<std::size_t>* predictions,
+                            std::vector<std::vector<double>>* sums,
+                            std::vector<MatrixD>* intensities) const {
+  check_modulations(modulations, "infer_batch");
+  for (const auto& input : inputs) {
+    ODONN_CHECK_SHAPE(input.grid() == config_.grid,
+                      "infer_batch: input grid mismatch");
+  }
+  infer_samples(inputs.size(), predictions, sums, intensities,
+                [&](std::size_t k, Workspace& workspace) {
+                  run_stack(inputs[k], modulations, workspace,
+                            /*keep_propagated=*/false);
+                });
+}
+
+DonnModel::FirstHops DonnModel::first_hops(
+    std::size_t count,
+    const std::function<optics::Field(std::size_t)>& input) const {
+  FirstHops hops(config_.grid, propagator_->options(), count);
+  parallel_for_chunks(
+      0, count,
+      [&](std::size_t lo, std::size_t hi) {
+        optics::Propagator::Workspace propagation;
+        for (std::size_t k = lo; k < hi; ++k) {
+          first_hop(input(k), hops.frames_[k], propagation);
+        }
+      },
+      /*grain=*/1);
+  return hops;
+}
+
+void DonnModel::infer_batch(const FirstHops& hops,
+                            const std::vector<MatrixC>& modulations,
+                            std::vector<std::size_t>* predictions,
+                            std::vector<std::vector<double>>* sums,
+                            std::vector<MatrixD>* intensities) const {
+  check_modulations(modulations, "infer_batch");
+  ODONN_CHECK_SHAPE(accepts(hops),
+                    "infer_batch: first hops of another grid or propagation");
+  infer_samples(hops.size(), predictions, sums, intensities,
+                [&](std::size_t k, Workspace& workspace) {
+                  workspace.field = hops.frames_[k];
+                  run_stack(modulations, workspace,
+                            /*keep_propagated=*/false);
+                });
 }
 
 std::vector<std::size_t> DonnModel::predict_batch(
@@ -318,14 +375,35 @@ DonnModel::ForwardBackwardResult DonnModel::forward_backward(
     const std::vector<MatrixC>& modulations, Workspace& workspace,
     std::vector<MatrixD>& phase_grads, const LossOptions& loss_options) const {
   check_modulations(modulations, "forward_backward");
+  run_stack(input, modulations, workspace, /*keep_propagated=*/true);
+  return backward(label, modulations, workspace, phase_grads, loss_options);
+}
+
+DonnModel::ForwardBackwardResult DonnModel::forward_backward(
+    const FirstHops& hops, std::size_t k, std::size_t label,
+    const std::vector<MatrixC>& modulations, Workspace& workspace,
+    std::vector<MatrixD>& phase_grads, const LossOptions& loss_options) const {
+  check_modulations(modulations, "forward_backward");
+  ODONN_CHECK_SHAPE(accepts(hops),
+                    "forward_backward: first hops of another grid or "
+                    "propagation");
+  ODONN_CHECK_SHAPE(k < hops.size(),
+                    "forward_backward: first hop index out of range");
+  workspace.field = hops.frames_[k];
+  run_stack(modulations, workspace, /*keep_propagated=*/true);
+  return backward(label, modulations, workspace, phase_grads, loss_options);
+}
+
+DonnModel::ForwardBackwardResult DonnModel::backward(
+    std::size_t label, const std::vector<MatrixC>& modulations,
+    Workspace& workspace, std::vector<MatrixD>& phase_grads,
+    const LossOptions& loss_options) const {
   ODONN_CHECK_SHAPE(phase_grads.size() == phases_.size(),
                     "forward_backward: gradient count mismatch");
   for (const auto& g : phase_grads) {
     ODONN_CHECK_SHAPE(g.rows() == config_.grid.n && g.cols() == config_.grid.n,
                       "forward_backward: gradient shape mismatch");
   }
-
-  run_stack(input, modulations, workspace, /*keep_propagated=*/true);
   const auto sums = readout(workspace);
   const LossResult lr = evaluate_loss(sums, label, loss_options);
 

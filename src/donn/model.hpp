@@ -23,6 +23,16 @@
 // and gradients are bitwise identical however they are reached
 // (tests/donn_test.cpp and tests/serve_test.cpp assert this).
 //
+// The runner has two entry points. It starts either from an input field,
+// which it propagates to the first mask itself, or from a FirstHops frame:
+// that first hop P(input) depends on the grid and the PropagatorOptions
+// only, never on a phase mask, so callers that push the same inputs through
+// many models of one geometry compute it once (first_hops()) — the
+// Monte-Carlo evaluator for every realization of every variant, the robust
+// trainer for its K realization blocks. From the first hop on, both entry
+// points run the same modulate, propagate and readout code, so the results
+// are bitwise identical either way.
+//
 // Frames end to end. The runner keeps the field, the per-layer cache of
 // propagated fields and the backward gradient in row-lane fft::Frames
 // (fft2d.hpp: split re/im planes, element (r, c) at
@@ -52,6 +62,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -108,6 +119,30 @@ class DonnModel {
     std::vector<fft::Frame> propagated;   ///< layer i's P(in), for the backward
     MatrixD intensity;  ///< |f|^2 at the detector plane (when asked for)
     optics::Propagator::Workspace propagation;
+  };
+
+  /// Inputs already propagated to the first mask — one n x n frame P(input)
+  /// per sample, the memory of its encoded field (plus the idle rows that
+  /// round n up to whole lane groups) — tagged with the grid and
+  /// PropagatorOptions that made them. Only first_hops() makes them, and
+  /// the entry points that start from them throw ShapeError unless the model
+  /// has the same grid and options (accepts()), i.e. unless it would have
+  /// computed the same frames itself.
+  class FirstHops {
+   public:
+    std::size_t size() const { return frames_.size(); }
+
+   private:
+    friend class DonnModel;
+    // No default constructor, so a braced `{}` argument still means the
+    // field overloads' empty input vector.
+    FirstHops(const optics::GridSpec& grid,
+              const optics::PropagatorOptions& propagation, std::size_t count)
+        : grid_(grid), propagation_(propagation), frames_(count) {}
+
+    optics::GridSpec grid_;
+    optics::PropagatorOptions propagation_;
+    std::vector<fft::Frame> frames_;
   };
 
   /// Initializes all phase masks uniformly in [0, 2*pi).
@@ -175,6 +210,26 @@ class DonnModel {
                    std::vector<std::vector<double>>* sums,
                    std::vector<MatrixD>* intensities) const;
 
+  /// First hops of `count` inputs, input k being `input(k)`, under this
+  /// model's propagator (parallel over inputs, so `input` must be safe to
+  /// call concurrently). Any model that accepts() them may start from them.
+  FirstHops first_hops(
+      std::size_t count,
+      const std::function<optics::Field(std::size_t)>& input) const;
+
+  /// True when `hops` were made under this model's grid and
+  /// PropagatorOptions.
+  bool accepts(const FirstHops& hops) const;
+
+  /// infer_batch of the inputs that made `hops`, started from their first
+  /// hops: bitwise what the field overload returns. Throws ShapeError
+  /// unless accepts(hops).
+  void infer_batch(const FirstHops& hops,
+                   const std::vector<MatrixC>& modulations,
+                   std::vector<std::size_t>* predictions,
+                   std::vector<std::vector<double>>* sums,
+                   std::vector<MatrixD>* intensities) const;
+
   /// Batched argmax classes (exact parity with per-sample predict()).
   std::vector<std::size_t> predict_batch(
       const std::vector<optics::Field>& inputs) const;
@@ -210,6 +265,15 @@ class DonnModel {
                                          std::vector<MatrixD>& phase_grads,
                                          const LossOptions& loss_options) const;
 
+  /// forward_backward of sample k of `hops`, started from its first hop:
+  /// bitwise the loss and gradients of the field overload. Throws
+  /// ShapeError unless accepts(hops).
+  ForwardBackwardResult forward_backward(
+      const FirstHops& hops, std::size_t k, std::size_t label,
+      const std::vector<MatrixC>& modulations, Workspace& workspace,
+      std::vector<MatrixD>& phase_grads,
+      const LossOptions& loss_options) const;
+
   /// Allocates a zeroed gradient set matching the phase shapes.
   std::vector<MatrixD> zero_gradients() const;
 
@@ -219,13 +283,41 @@ class DonnModel {
   void check_modulations(const std::vector<MatrixC>& modulations,
                          const char* what) const;
 
-  /// The per-sample stack runner: leaves the detector-plane field in
-  /// workspace.field; with `keep_propagated`, workspace.propagated[i] holds
-  /// layer i's propagated field before modulation. `modulations` must
-  /// already be checked.
+  /// Loads `input` into `frame` and propagates it to the first mask: the
+  /// one first-hop computation behind both runner entry points and
+  /// first_hops().
+  void first_hop(const optics::Field& input, fft::Frame& frame,
+                 optics::Propagator::Workspace& propagation) const;
+
+  /// The per-sample stack runner, from the first hop in workspace.field
+  /// (computed by first_hop() or copied from a FirstHops frame) on: leaves
+  /// the detector-plane field in workspace.field; with `keep_propagated`,
+  /// workspace.propagated[i] holds layer i's propagated field before
+  /// modulation. `modulations` must already be checked.
+  void run_stack(const std::vector<MatrixC>& modulations, Workspace& workspace,
+                 bool keep_propagated) const;
+
+  /// The runner from an input field: first_hop(), then run_stack().
   void run_stack(const optics::Field& input,
                  const std::vector<MatrixC>& modulations, Workspace& workspace,
                  bool keep_propagated) const;
+
+  /// Both infer_batch overloads over `count` samples; run(k, workspace)
+  /// runs sample k's stack.
+  void infer_samples(
+      std::size_t count, std::vector<std::size_t>* predictions,
+      std::vector<std::vector<double>>* sums,
+      std::vector<MatrixD>* intensities,
+      const std::function<void(std::size_t, Workspace&)>& run) const;
+
+  /// Both forward_backward overloads after the forward pass (run with
+  /// keep_propagated): checks `phase_grads`, evaluates the loss, then
+  /// accumulates the backward pass into `phase_grads`.
+  ForwardBackwardResult backward(std::size_t label,
+                                 const std::vector<MatrixC>& modulations,
+                                 Workspace& workspace,
+                                 std::vector<MatrixD>& phase_grads,
+                                 const LossOptions& loss_options) const;
 
   /// Per-class scores of the detector-plane frame in workspace.field.
   std::vector<double> readout(const Workspace& workspace) const;

@@ -14,8 +14,13 @@ namespace odonn::fab {
 
 namespace {
 
-double accuracy_of(const std::vector<std::size_t>& predictions,
+/// Accuracy of `model` on `eval`, from the eval set's first hops.
+double accuracy_of(const donn::DonnModel& model,
+                   const donn::DonnModel::FirstHops& hops,
                    const data::Dataset& eval) {
+  std::vector<std::size_t> predictions;
+  model.infer_batch(hops, model.modulation_tables(), &predictions, nullptr,
+                    nullptr);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     correct += predictions[i] == eval.label(i) ? 1 : 0;
@@ -58,24 +63,25 @@ MonteCarloEvaluator::MonteCarloEvaluator(const data::Dataset& eval_set,
   ODONN_CHECK(!eval_.empty(), "monte carlo: eval set is empty");
 }
 
-std::shared_ptr<const std::vector<optics::Field>>
-MonteCarloEvaluator::encoded_inputs(const optics::GridSpec& grid) const {
-  // Encode the eval set once and cache it: every realization of every
-  // variant shares the same input fields. The cache is replaced (never
-  // mutated in place) under the mutex, so concurrent evaluate() calls are
-  // safe: each caller keeps its own shared_ptr snapshot for the whole run.
-  MutexLock lock(cache_mutex_);
-  if (inputs_ == nullptr || !(inputs_grid_ == grid)) {
-    auto encoded = std::make_shared<std::vector<optics::Field>>();
-    encoded->reserve(eval_.size());
-    for (std::size_t i = 0; i < eval_.size(); ++i) {
-      encoded->push_back(
-          optics::encode_image(eval_.image(i), grid, options_.encode));
-    }
-    inputs_ = std::move(encoded);
-    inputs_grid_ = grid;
+std::shared_ptr<const donn::DonnModel::FirstHops>
+MonteCarloEvaluator::first_hops(const donn::DonnModel& model) const {
+  // The cache is replaced (never mutated in place) under the mutex, so
+  // concurrent evaluate() calls are safe: each caller keeps its own
+  // shared_ptr snapshot for the whole run. The build runs outside the lock:
+  // it fans out over the pool, and a thread waiting on that fan-out may run
+  // another evaluate() of this evaluator meanwhile.
+  {
+    MutexLock lock(cache_mutex_);
+    if (hops_ != nullptr && model.accepts(*hops_)) return hops_;
   }
-  return inputs_;
+  const optics::GridSpec grid = model.config().grid;
+  auto hops = std::make_shared<const donn::DonnModel::FirstHops>(
+      model.first_hops(eval_.size(), [&](std::size_t i) {
+        return optics::encode_image(eval_.image(i), grid, options_.encode);
+      }));
+  MutexLock lock(cache_mutex_);
+  hops_ = hops;
+  return hops;
 }
 
 RobustnessReport MonteCarloEvaluator::evaluate(
@@ -88,18 +94,18 @@ RobustnessReport MonteCarloEvaluator::evaluate(
               "monte carlo: eval images must match the model grid (use "
               "data::resize_dataset)");
 
-  const std::shared_ptr<const std::vector<optics::Field>> snapshot =
-      encoded_inputs(grid);
-  const std::vector<optics::Field>& inputs = *snapshot;
+  const std::shared_ptr<const donn::DonnModel::FirstHops> snapshot =
+      first_hops(model);
+  const donn::DonnModel::FirstHops& hops = *snapshot;
 
   RobustnessReport report;
   report.model_name = name;
   report.realizations = options_.realizations;
   report.yield_threshold = options_.yield_threshold;
-  report.clean_accuracy = accuracy_of(model.predict_batch(inputs), eval_);
+  report.clean_accuracy = accuracy_of(model, hops, eval_);
 
   report.accuracies.assign(options_.realizations, 0.0);
-  // Parallel across realizations; the nested predict_batch runs inline on
+  // Parallel across realizations; the nested infer_batch runs inline on
   // each worker (common/parallel runs nested loops on the caller thread).
   // Each slot is written exactly once at its realization index, so the
   // report is bitwise independent of thread count and scheduling.
@@ -108,7 +114,7 @@ RobustnessReport MonteCarloEvaluator::evaluate(
     Rng rng = realization_rng(options_.seed, r, options_.antithetic);
     const donn::DonnModel realized = realize_device(
         model, stack, options_.crosstalk, options_.deploy_crosstalk, rng);
-    report.accuracies[r] = accuracy_of(realized.predict_batch(inputs), eval_);
+    report.accuracies[r] = accuracy_of(realized, hops, eval_);
     ODONN_OBS_COUNT("fab.realizations", 1);
     ODONN_OBS_HIST("fab.realization_ms",
                    std::chrono::duration<double, std::milli>(

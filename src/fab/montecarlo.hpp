@@ -6,13 +6,21 @@
 // (base seed, r) — results are bitwise independent of ODONN_THREADS and of
 // scheduling), optionally deploys the perturbed masks through the
 // interpixel-crosstalk emulation, and measures test accuracy with
-// DonnModel::predict_batch — the per-sample frame runner serving runs too,
-// with each model's modulation tables built once per call. The per-realization
-// accuracies aggregate into a RobustnessReport: mean/std/min/max,
-// percentiles, and yield (the fraction of fabricated devices that clear an
-// accuracy spec) — the question "what accuracy distribution do I get across
-// many fabricated devices?" that a single deterministic deployment point
-// cannot answer.
+// DonnModel::infer_batch — the per-sample frame runner serving runs too,
+// with each model's modulation tables built once per call. The
+// per-realization accuracies aggregate into a RobustnessReport:
+// mean/std/min/max, percentiles, and yield (the fraction of fabricated
+// devices that clear an accuracy spec) — the question "what accuracy
+// distribution do I get across many fabricated devices?" that a single
+// deterministic deployment point cannot answer.
+//
+// First hops: no perturbation touches free space, so every model scored
+// against one eval set starts from the same first hops — the eval inputs
+// already propagated to the first mask, one frame per input, the memory of
+// the encoded fields they replace. The evaluator builds them on the first
+// evaluate() for a grid and PropagatorOptions and scores the clean model,
+// every realization and every compare() variant from them: an L-layer model
+// costs L propagations per sample and model instead of L + 1.
 //
 // Common random numbers: realization seeds depend only on (seed, r), never
 // on the model, so evaluate()-ing two model variants (e.g. baseline vs
@@ -31,7 +39,6 @@
 #include "donn/model.hpp"
 #include "fab/perturbation.hpp"
 #include "optics/encode.hpp"
-#include "optics/grid.hpp"
 
 namespace odonn::fab {
 
@@ -86,15 +93,17 @@ class MonteCarloEvaluator {
  public:
   /// `eval_set` images must already match the model grid (the trainer's
   /// convention; use data::resize_dataset). The dataset must outlive the
-  /// evaluator.
+  /// evaluator, so a temporary one is rejected at compile time.
   MonteCarloEvaluator(const data::Dataset& eval_set,
                       const MonteCarloOptions& options);
+  MonteCarloEvaluator(data::Dataset&& eval_set,
+                      const MonteCarloOptions& options) = delete;
 
   const MonteCarloOptions& options() const { return options_; }
 
   /// Runs R realizations of `stack` against `model` (parallel across
   /// realizations; each realization scores the whole eval set with one
-  /// predict_batch call).
+  /// infer_batch call from the cached first hops).
   RobustnessReport evaluate(const std::string& name,
                             const donn::DonnModel& model,
                             const PerturbationStack& stack) const;
@@ -107,23 +116,24 @@ class MonteCarloEvaluator {
       const PerturbationStack& stack) const;
 
  private:
-  /// Encoded eval fields for the grid they were built against. Shared
-  /// immutable snapshot: evaluate() holds its own reference for the whole
-  /// run, so a concurrent rebuild for a different grid can never mutate a
-  /// vector another call is still reading.
-  std::shared_ptr<const std::vector<optics::Field>> encoded_inputs(
-      const optics::GridSpec& grid) const;
+  /// The eval set's first hops under `model`'s grid and propagation
+  /// options. Shared immutable snapshot: evaluate() holds its own reference
+  /// for the whole run, so a concurrent rebuild for another geometry can
+  /// never mutate frames another call is still reading.
+  std::shared_ptr<const donn::DonnModel::FirstHops> first_hops(
+      const donn::DonnModel& model) const;
 
   const data::Dataset& eval_;
   MonteCarloOptions options_;
-  /// Encoded eval fields, built on first use and reused across
-  /// evaluate()/compare() calls. Guarded by cache_mutex_ so concurrent
-  /// evaluate() calls on one instance are safe (each call still owns the
-  /// realization-level parallelism inside it).
+  /// The eval set's first hops, built by the first evaluate() for a
+  /// geometry (never by the constructor) and reused across
+  /// evaluate()/compare() calls until a model of another grid or
+  /// propagation options replaces them. Guarded by cache_mutex_ so
+  /// concurrent evaluate() calls on one instance are safe (each call still
+  /// owns the realization-level parallelism inside it).
   mutable Mutex cache_mutex_;
-  mutable std::shared_ptr<const std::vector<optics::Field>> inputs_
+  mutable std::shared_ptr<const donn::DonnModel::FirstHops> hops_
       ODONN_GUARDED_BY(cache_mutex_);
-  mutable optics::GridSpec inputs_grid_ ODONN_GUARDED_BY(cache_mutex_){};
 };
 
 }  // namespace odonn::fab

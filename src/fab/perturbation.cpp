@@ -60,6 +60,17 @@ donn::DonnModel realize_device(const donn::DonnModel& model,
       phase = donn::apply_crosstalk(phase, device.crosstalk);
     }
   }
+  // A finite spec can still overflow (sigma_um=1e308 lands beyond the
+  // double range once converted to phase): fail here, not with NaN scores.
+  for (const auto& phase : device.phases) {
+    for (const double v : phase) {
+      if (!std::isfinite(v)) {
+        throw NumericsError(
+            "realize_device: perturbation stack produced a non-finite "
+            "phase (" + describe_stack(stack) + ")");
+      }
+    }
+  }
   donn::DonnModel realized = model;
   realized.clear_masks();  // perturbed surfaces are dense reliefs
   realized.set_phases(std::move(device.phases));
@@ -81,8 +92,13 @@ MatrixD gaussian_random_field(std::size_t rows, std::size_t cols,
     // rho exactly at d = L, which is this module's definition of the
     // correlation length.
     const double sigma = correlation_px / 2.0;
-    const long radius = std::max<long>(1, static_cast<long>(
-                                              std::ceil(3.0 * sigma)));
+    // Taps past the field edge are skipped below, so capping the radius at
+    // the field size (in double, before the cast) changes no result; it
+    // keeps a huge or infinite correlation length from overflowing the
+    // cast or the kernel allocation.
+    const double reach = std::min(std::ceil(3.0 * sigma),
+                                  static_cast<double>(std::max(rows, cols)));
+    const long radius = std::max<long>(1, static_cast<long>(reach));
     std::vector<double> kernel(static_cast<std::size_t>(2 * radius + 1));
     for (long k = -radius; k <= radius; ++k) {
       kernel[static_cast<std::size_t>(k + radius)] =

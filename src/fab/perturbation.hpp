@@ -96,7 +96,8 @@ Rng realization_rng(std::uint64_t base, std::uint64_t realization,
 /// deploys the perturbed masks through the interpixel-crosstalk emulation.
 /// The returned model has its sparsity masks cleared (perturbed surfaces
 /// are dense reliefs). Shared by MonteCarloEvaluator and train::Trainer's
-/// robust mode so both walk the identical deployment path.
+/// robust mode so both walk the identical deployment path. Throws
+/// NumericsError if any realized phase is non-finite.
 donn::DonnModel realize_device(const donn::DonnModel& model,
                                const PerturbationStack& stack,
                                const donn::CrosstalkOptions& crosstalk,
@@ -107,7 +108,9 @@ donn::DonnModel realize_device(const donn::DonnModel& model,
 /// `correlation_px` is the e^-1 lag of the field's normalized
 /// autocorrelation (blur kernel sigma = correlation_px / 2, since the
 /// autocorrelation of blurred white noise is the kernel's self-convolution).
-/// correlation_px == 0 yields unit-RMS white noise.
+/// correlation_px == 0 yields unit-RMS white noise. The blur radius is
+/// capped at the field size, so any correlation_px >= 0, infinity included,
+/// is safe.
 MatrixD gaussian_random_field(std::size_t rows, std::size_t cols,
                               double correlation_px, Rng& rng);
 

@@ -25,6 +25,10 @@ double parse_number(const std::string& token, const std::string& context) {
     throw ConfigError("perturbation spec: cannot parse '" + token +
                       "' as a number in " + context);
   }
+  if (!std::isfinite(value)) {
+    throw ConfigError("perturbation spec: '" + token + "' is not finite in " +
+                      context);
+  }
   return value;
 }
 

@@ -23,7 +23,8 @@
 namespace odonn::fab {
 
 /// Parses a stack spec; throws ConfigError on syntax errors, unknown model
-/// names, unknown argument keys or unparsable numbers.
+/// names, unknown argument keys, unparsable numbers or non-finite ones
+/// (inf, nan), as Config::get_double does.
 PerturbationStack parse_perturbation_stack(const std::string& spec);
 
 /// The default deployment-variability stack used when no spec is given:

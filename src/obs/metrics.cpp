@@ -186,6 +186,7 @@ MetricsRegistry& MetricsRegistry::global() {
     r->counter("fft.plan_cache.hits");
     r->counter("fft.plan_cache.misses");
     r->gauge("fft.plan_cache.lengths");
+    r->counter("optics.propagations");
     r->counter("train.epochs");
     r->counter("train.robust_realizations");
     r->histogram("train.grad_slice_ms");

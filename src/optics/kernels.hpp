@@ -31,6 +31,8 @@ struct KernelSpec {
   KernelType type = KernelType::AngularSpectrum;
   double wavelength = 0.0;  ///< [m]
   double distance = 0.0;    ///< propagation distance z [m], may be 0
+
+  bool operator==(const KernelSpec&) const = default;
 };
 
 /// Builds the n x n transfer function for the given grid in FFT

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "fft/fft2d.hpp"
+#include "obs/obs.hpp"
 
 namespace odonn::optics {
 
@@ -19,6 +20,7 @@ void Propagator::apply_frame(fft::Frame& field, Workspace& workspace,
                              bool conjugate_kernel) const {
   ODONN_CHECK_SHAPE(field.rows() == grid_.n && field.cols() == grid_.n,
                     "propagator grid does not match frame shape");
+  ODONN_OBS_COUNT("optics.propagations", 1);
   const std::size_t n = grid_.n;
   const std::size_t wn = work_grid_.n;
   const std::size_t off = (wn - n) / 2;

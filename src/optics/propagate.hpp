@@ -42,6 +42,8 @@ namespace odonn::optics {
 struct PropagatorOptions {
   KernelSpec kernel;
   bool pad2x = false;  ///< zero-pad to 2n before applying H (suppresses wrap-around)
+
+  bool operator==(const PropagatorOptions&) const = default;
 };
 
 class Propagator {

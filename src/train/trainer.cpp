@@ -166,20 +166,18 @@ EpochStats Trainer::run_epoch() {
       modulations[0] = model_.modulation_tables();
     }
 
-    // Robust mode encodes the batch once up front: the input field depends
-    // only on (sample, grid, encode), never the realization, so the K
-    // realization blocks share it instead of re-encoding K times. The
-    // clean path (K = 1, each sample visited once) keeps encoding inline
-    // to avoid holding a batch of fields at paper-scale grids.
-    std::vector<optics::Field> batch_inputs;
-    if (robust) {
-      batch_inputs.resize(batch_count);
-      parallel_for(0, batch_count, [&](std::size_t i) {
-        batch_inputs[i] = optics::encode_image(
-            epoch_data.image(order[begin + i]), model_.config().grid,
-            options_.encode);
-      });
-    }
+    // Robust mode propagates the batch to the first mask once up front: the
+    // first hop P(input) depends only on (sample, grid, encode, propagation
+    // options), never on the phases, so the K realization blocks start from
+    // one batch of first-hop frames (the memory of the encoded fields)
+    // instead of each re-encoding and re-propagating it. The clean path
+    // (K = 1, each sample visited once) makes none and keeps encoding
+    // inline, to avoid holding a batch of frames at paper-scale grids.
+    const donn::DonnModel::FirstHops batch_hops = model_.first_hops(
+        robust ? batch_count : 0, [&](std::size_t i) {
+          return optics::encode_image(epoch_data.image(order[begin + i]),
+                                      model_.config().grid, options_.encode);
+        });
 
     SliceAccumulator acc(slots, model_);
     parallel_for(0, slots, [&](std::size_t slot) {
@@ -193,19 +191,19 @@ EpochStats Trainer::run_epoch() {
       const std::size_t s = slot % slices;
       for (std::size_t i = begin + s; i < end; i += slices) {
         const std::size_t idx = order[i];
-        optics::Field encoded;
-        if (!robust) {
-          encoded = optics::encode_image(epoch_data.image(idx),
-                                         model_.config().grid,
-                                         options_.encode);
-        }
-        const optics::Field& input =
-            robust ? batch_inputs[i - begin] : encoded;
-        const auto result = net.forward_backward(
-            input, epoch_data.label(idx), net_modulations, workspace,
-            acc.grads[slot], options_.loss);
+        const std::size_t label = epoch_data.label(idx);
+        const auto result =
+            robust ? net.forward_backward(batch_hops, i - begin, label,
+                                          net_modulations, workspace,
+                                          acc.grads[slot], options_.loss)
+                   : net.forward_backward(
+                         optics::encode_image(epoch_data.image(idx),
+                                              model_.config().grid,
+                                              options_.encode),
+                         label, net_modulations, workspace, acc.grads[slot],
+                         options_.loss);
         acc.losses[slot] += result.loss;
-        if (result.predicted == epoch_data.label(idx)) ++acc.correct[slot];
+        if (result.predicted == label) ++acc.correct[slot];
       }
       ODONN_OBS_HIST("train.grad_slice_ms",
                      std::chrono::duration<double, std::milli>(

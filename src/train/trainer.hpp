@@ -14,7 +14,9 @@
 // forward/backward through the PERTURBED deployments and applies the
 // averaged gradient to the clean phases (the straight-through
 // weight-noise-injection estimator), so the optimizer descends the
-// EXPECTED fabricated loss instead of the clean loss.
+// EXPECTED fabricated loss instead of the clean loss. The K deployments
+// share one batch of first hops (DonnModel::first_hops): the batch inputs
+// are propagated to the first mask once per step, not once per device.
 //
 // Determinism contract: gradient accumulation uses a FIXED number of
 // reduction slices (not the pool size), so for a given seed the trained

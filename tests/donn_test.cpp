@@ -1,8 +1,8 @@
 // Tests for src/donn: detector geometry, losses (with gradient checks),
 // full-model gradient checks against finite differences, the per-sample
 // stack runner (workspace reuse and bitwise agreement of every entry point
-// that runs it), 2*pi inference invariance, sparsity masking and the
-// crosstalk model.
+// that runs it, from input fields or first hops), 2*pi inference
+// invariance, sparsity masking and the crosstalk model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -580,6 +580,60 @@ TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
             static_cast<double>(correct) / static_cast<double>(test.size()));
 }
 
+TEST_P(StackRunner, FirstHopEntryPointsMatchFieldOnesBitForBit) {
+  // infer_batch and forward_backward started from first hops return the
+  // sums, intensities, losses and gradients of the field entry points bit
+  // for bit, also when another model of the same geometry made the hops
+  // (as for the Monte-Carlo evaluator's realizations and the robust
+  // trainer's devices).
+  const StackCase c = GetParam();
+  const DonnModel model = stack_model(c, 47);
+  const DonnModel maker = stack_model(c, 48);  // same geometry, other phases
+  const std::vector<optics::Field> inputs = stack_inputs(model, 6, 500);
+  const DonnModel::FirstHops hops = maker.first_hops(
+      inputs.size(), [&](std::size_t k) { return inputs[k]; });
+  ASSERT_EQ(hops.size(), inputs.size());
+  EXPECT_TRUE(model.accepts(hops));
+  const std::vector<MatrixC> modulations = model.modulation_tables();
+
+  std::vector<std::size_t> predictions, hop_predictions;
+  std::vector<std::vector<double>> sums, hop_sums;
+  std::vector<MatrixD> intensities, hop_intensities;
+  model.infer_batch(inputs, modulations, &predictions, &sums, &intensities);
+  model.infer_batch(hops, modulations, &hop_predictions, &hop_sums,
+                    &hop_intensities);
+  ASSERT_EQ(hop_sums.size(), inputs.size());
+  ASSERT_EQ(hop_intensities.size(), inputs.size());
+  EXPECT_EQ(hop_predictions, predictions);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    ASSERT_EQ(hop_sums[k].size(), sums[k].size());
+    EXPECT_TRUE(same_bits(hop_sums[k].data(), sums[k].data(), sums[k].size()))
+        << c.name << " sample " << k;
+    EXPECT_TRUE(same_bits(hop_intensities[k].data(), intensities[k].data(),
+                          intensities[k].size()))
+        << c.name << " sample " << k;
+  }
+
+  LossOptions loss;
+  loss.norm = c.detector == DetectorMode::Differential ? NormMode::TotalPower
+                                                       : NormMode::None;
+  DonnModel::Workspace field_workspace;
+  DonnModel::Workspace hop_workspace;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const std::size_t label = k % model.config().num_classes;
+    auto field_grads = model.zero_gradients();
+    auto hop_grads = model.zero_gradients();
+    const auto a = model.forward_backward(inputs[k], label, modulations,
+                                          field_workspace, field_grads, loss);
+    const auto b = model.forward_backward(hops, k, label, modulations,
+                                          hop_workspace, hop_grads, loss);
+    EXPECT_TRUE(same_bits(&a.loss, &b.loss, 1)) << c.name << " sample " << k;
+    EXPECT_EQ(a.predicted, b.predicted);
+    EXPECT_TRUE(same_bits(field_grads, hop_grads))
+        << c.name << " sample " << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grids, StackRunner,
     ::testing::Values(StackCase{"radix2_n32", 32, 3, false,
@@ -612,6 +666,57 @@ TEST(Model, RunnerRejectsMismatchedTablesAndGradients) {
                ShapeError);
   const auto wrong_grid = random_input(DonnConfig::scaled(32).grid, 47);
   EXPECT_THROW(model.predict(wrong_grid), ShapeError);
+}
+
+TEST(Model, FirstHopsOfAnotherGeometryAreRejected) {
+  // Frames are only valid for the grid and PropagatorOptions that made
+  // them: a model with another distance, grid or padding must not start
+  // from them.
+  Rng rng(49);
+  const DonnConfig cfg = tiny_config(16, 2);
+  const DonnModel model(cfg, rng);
+  const std::vector<optics::Field> inputs = {random_input(cfg.grid, 50),
+                                             random_input(cfg.grid, 51)};
+  const auto make_hops = [&](const DonnModel& maker) {
+    return maker.first_hops(inputs.size(),
+                            [&](std::size_t k) { return inputs[k]; });
+  };
+  DonnConfig farther = cfg;
+  farther.distance *= 2.0;
+  DonnConfig padded = cfg;
+  padded.pad2x = true;
+  const DonnModel::FirstHops own = make_hops(model);
+  const DonnModel::FirstHops far = make_hops(DonnModel(farther, rng));
+  const DonnModel::FirstHops pad = make_hops(DonnModel(padded, rng));
+  const DonnConfig wider = tiny_config(20, 2);
+  const DonnModel::FirstHops wide = DonnModel(wider, rng).first_hops(
+      1, [&](std::size_t) { return random_input(wider.grid, 52); });
+
+  const std::vector<MatrixC> modulations = model.modulation_tables();
+  DonnModel::Workspace workspace;
+  auto grads = model.zero_gradients();
+  std::vector<std::size_t> predictions;
+  EXPECT_TRUE(model.accepts(own));
+  EXPECT_NO_THROW(
+      model.infer_batch(own, modulations, &predictions, nullptr, nullptr));
+  for (const DonnModel::FirstHops* hops : {&far, &pad, &wide}) {
+    EXPECT_FALSE(model.accepts(*hops));
+    EXPECT_THROW(
+        model.infer_batch(*hops, modulations, &predictions, nullptr, nullptr),
+        ShapeError);
+    EXPECT_THROW(model.forward_backward(*hops, 0, 0, modulations, workspace,
+                                        grads, {}),
+                 ShapeError);
+  }
+  EXPECT_THROW(model.forward_backward(own, inputs.size(), 0, modulations,
+                                      workspace, grads, {}),
+               ShapeError);
+  // Inputs of the wrong grid fail while the frames are made.
+  EXPECT_THROW(model.first_hops(1,
+                                [&](std::size_t) {
+                                  return random_input(wider.grid, 53);
+                                }),
+               ShapeError);
 }
 
 TEST(Model, MasksZeroPhasesAndGradients) {

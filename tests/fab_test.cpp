@@ -1,13 +1,16 @@
 // src/fab tests: perturbation statistics (roughness-field RMS and
 // correlation length), quantization exactness, per-model determinism, spec
-// parsing, and the MonteCarloEvaluator's determinism / common-random-number
-// contracts.
+// parsing and its hostile inputs, and the MonteCarloEvaluator's
+// determinism / common-random-number contracts and first-hop reuse.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "data/synthetic.hpp"
@@ -15,6 +18,7 @@
 #include "fab/montecarlo.hpp"
 #include "fab/perturbation.hpp"
 #include "fab/spec.hpp"
+#include "obs/metrics.hpp"
 #include "optics/fabrication.hpp"
 
 namespace odonn::fab {
@@ -294,9 +298,11 @@ struct McSetup {
   data::Dataset eval;
 };
 
-McSetup mc_setup(std::uint64_t seed = 7, std::size_t grid = 16) {
+McSetup mc_setup(std::uint64_t seed = 7, std::size_t grid = 16,
+                 bool pad2x = false) {
   donn::DonnConfig config = donn::DonnConfig::scaled(grid);
   config.num_layers = 2;
+  config.pad2x = pad2x;
   config.init = donn::PhaseInit::Uniform;
   Rng rng(seed);
   donn::DonnModel model(config, rng);
@@ -533,6 +539,188 @@ TEST(MonteCarloEvaluatorTest, RejectsGridMismatchAndEmptyConfig) {
   const MonteCarloEvaluator evaluator(wrong_grid, options);
   const auto stack = parse_perturbation_stack("quantize");
   EXPECT_THROW(evaluator.evaluate("m", setup.model, stack), Error);
+}
+
+// A temporary eval set would dangle: the evaluator keeps a reference.
+static_assert(std::is_constructible_v<MonteCarloEvaluator,
+                                      const data::Dataset&,
+                                      const MonteCarloOptions&>);
+static_assert(!std::is_constructible_v<MonteCarloEvaluator, data::Dataset&&,
+                                       const MonteCarloOptions&>);
+
+/// Accuracy of `predictions` against the eval labels, as the evaluator
+/// computes it.
+double accuracy(const std::vector<std::size_t>& predictions,
+                const data::Dataset& eval) {
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    correct += predictions[i] == eval.label(i) ? 1 : 0;
+  }
+  return static_cast<double>(correct) /
+         static_cast<double>(predictions.size());
+}
+
+struct ParityCase {
+  const char* name;
+  std::size_t grid;
+  bool pad2x;
+  bool antithetic;
+};
+
+class FirstHopParity : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(FirstHopParity, EvaluateAndCompareMatchARealizeAndPredictLoop) {
+  // The evaluator scores every model from cached first hops; its reports
+  // must equal realize_device + predict_batch over the encoded eval set,
+  // accuracy for accuracy, for the clean model and every realization, in
+  // evaluate() and in both variants of a compare().
+  const ParityCase c = GetParam();
+  const McSetup a = mc_setup(61, c.grid, c.pad2x);
+  const McSetup b = mc_setup(67, c.grid, c.pad2x);
+  MonteCarloOptions options;
+  options.realizations = 4;
+  options.seed = 5;
+  options.antithetic = c.antithetic;
+  const MonteCarloEvaluator evaluator(a.eval, options);
+  const auto stack = parse_perturbation_stack(kDefaultPerturbationSpec);
+
+  std::vector<optics::Field> inputs;
+  for (std::size_t i = 0; i < a.eval.size(); ++i) {
+    inputs.push_back(optics::encode_image(a.eval.image(i),
+                                          a.model.config().grid,
+                                          options.encode));
+  }
+  const auto check = [&](const RobustnessReport& report,
+                         const donn::DonnModel& model) {
+    SCOPED_TRACE(report.model_name);
+    EXPECT_EQ(report.clean_accuracy,
+              accuracy(model.predict_batch(inputs), a.eval));
+    ASSERT_EQ(report.accuracies.size(), options.realizations);
+    for (std::size_t r = 0; r < options.realizations; ++r) {
+      Rng rng = realization_rng(options.seed, r, options.antithetic);
+      const donn::DonnModel realized =
+          realize_device(model, stack, options.crosstalk,
+                         options.deploy_crosstalk, rng);
+      EXPECT_EQ(report.accuracies[r],
+                accuracy(realized.predict_batch(inputs), a.eval))
+          << "realization " << r;
+    }
+  };
+  check(evaluator.evaluate("a", a.model, stack), a.model);
+  const auto reports =
+      evaluator.compare({{"a", &a.model}, {"b", &b.model}}, stack);
+  ASSERT_EQ(reports.size(), 2u);
+  check(reports[0], a.model);
+  check(reports[1], b.model);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, FirstHopParity,
+    ::testing::Values(ParityCase{"radix2_n16", 16, false, false},
+                      ParityCase{"radix2_n16_antithetic", 16, false, true},
+                      ParityCase{"bluestein_n20", 20, false, false},
+                      ParityCase{"bluestein_n20_antithetic", 20, false, true},
+                      ParityCase{"pad2x_n16", 16, true, false},
+                      ParityCase{"pad2x_n16_antithetic", 16, true, true}),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(MonteCarloEvaluatorTest, FirstHopsArePropagatedOncePerInput) {
+  // An evaluate of R realizations over K inputs of an L-layer model costs
+  // K + (R+1)*K*L propagations on a cold cache and (R+1)*K*L on a warm one
+  // (the field path paid (R+1)*K*(L+1)); the constructor propagates
+  // nothing, and a model of other propagation options rebuilds the cache.
+#ifdef ODONN_OBS_DISABLE
+  GTEST_SKIP() << "counters are compiled out";
+#endif
+  const McSetup setup = mc_setup(71);
+  const McSetup padded = mc_setup(73, 16, /*pad2x=*/true);
+  MonteCarloOptions options;
+  options.realizations = 3;
+  const auto stack = parse_perturbation_stack(kDefaultPerturbationSpec);
+  const obs::Counter& propagations =
+      obs::MetricsRegistry::global().counter("optics.propagations");
+  const auto cost = [&](const auto& run) {
+    const std::uint64_t before = propagations.value();
+    run();
+    return propagations.value() - before;
+  };
+  const std::uint64_t k = setup.eval.size();
+  const std::uint64_t r = options.realizations;
+  const std::uint64_t l = setup.model.num_layers();
+  const std::uint64_t cold = k + (r + 1) * k * l;
+  const std::uint64_t warm = (r + 1) * k * l;
+
+  std::optional<MonteCarloEvaluator> evaluator;
+  EXPECT_EQ(cost([&] { evaluator.emplace(setup.eval, options); }), 0u);
+  const auto evaluate = [&](const donn::DonnModel& model) {
+    return cost([&] { evaluator->evaluate("m", model, stack); });
+  };
+  EXPECT_EQ(evaluate(setup.model), cold);
+  EXPECT_EQ(evaluate(setup.model), warm);
+  EXPECT_EQ(evaluate(padded.model), cold);  // pad2x: other frames
+  EXPECT_EQ(evaluate(padded.model), warm);
+  EXPECT_EQ(cost([&] {
+              evaluator->compare({{"a", &setup.model}, {"b", &setup.model}},
+                                 stack);
+            }),
+            cold + warm);
+}
+
+// ------------------------------------------------- hostile perturbation specs
+
+TEST(HostileSpec, InfiniteRoughnessSigmaIsAConfigError) {
+  EXPECT_THROW(parse_perturbation_stack("roughness(sigma_um=inf)"),
+               ConfigError);
+  EXPECT_THROW(parse_perturbation_stack("roughness(sigma_um=nan)"),
+               ConfigError);
+}
+
+TEST(HostileSpec, InfiniteMisalignSigmaIsAConfigError) {
+  EXPECT_THROW(parse_perturbation_stack("misalign(sigma_px=inf)"),
+               ConfigError);
+}
+
+TEST(HostileSpec, InfiniteCorrelationIsAConfigErrorAndSafeBelowTheParser) {
+  EXPECT_THROW(parse_perturbation_stack("roughness(corr=inf)"), ConfigError);
+  // Called directly, the field's blur radius is capped at the field size
+  // before the double -> long cast, so the field stays finite.
+  Rng rng(79);
+  const MatrixD field =
+      gaussian_random_field(16, 16, std::numeric_limits<double>::infinity(),
+                            rng);
+  for (const double v : field) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_NEAR(sample_rms(field), 1.0, 1e-12);
+}
+
+TEST(HostileSpec, OverflowingRoughnessSigmaFailsTheRealization) {
+  // 1e308 um is finite, so the parser takes it; the realized phase is not.
+  const auto stack = parse_perturbation_stack("roughness(sigma_um=1e308)");
+  const McSetup setup = mc_setup(83);
+  Rng rng(84);
+  EXPECT_THROW(realize_device(setup.model, stack, {}, true, rng),
+               NumericsError);
+  MonteCarloOptions options;
+  options.realizations = 2;
+  const MonteCarloEvaluator evaluator(setup.eval, options);
+  EXPECT_THROW(evaluator.evaluate("m", setup.model, stack), NumericsError);
+}
+
+TEST(HostileSpec, HugeCorrelationEvaluatesWithoutExhaustingMemory) {
+  // corr=1e12 px asked for a ~3e12-tap blur kernel (std::bad_alloc); the
+  // capped radius covers the whole field with the same taps.
+  const auto stack = parse_perturbation_stack("roughness(corr=1e12)");
+  const McSetup setup = mc_setup(89);
+  MonteCarloOptions options;
+  options.realizations = 2;
+  const MonteCarloEvaluator evaluator(setup.eval, options);
+  const RobustnessReport report = evaluator.evaluate("m", setup.model, stack);
+  ASSERT_EQ(report.accuracies.size(), 2u);
+  for (const double acc : report.accuracies) {
+    EXPECT_GE(acc, 0.0);
+    EXPECT_LE(acc, 1.0);
+  }
 }
 
 }  // namespace

@@ -207,6 +207,7 @@ TEST(MetricsRegistry, BuiltinSchemaPreRegistered) {
   EXPECT_TRUE(has("fft.plan_cache.hits"));
   EXPECT_TRUE(has("train.epochs"));
   EXPECT_TRUE(has("fab.realizations"));
+  EXPECT_TRUE(has("optics.propagations"));
   EXPECT_TRUE(has("pipeline.stages_run"));
   EXPECT_TRUE(has("parallel.tasks"));
   EXPECT_TRUE(has("parallel.queue_wait_us.depth1"));
