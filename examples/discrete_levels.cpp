@@ -24,7 +24,7 @@ namespace {
 /// phases, the optimizer updates the latent continuous ones.
 void ste_epoch(donn::DonnModel& model, std::vector<MatrixD>& latent,
                const donn::StePhaseQuantizer& ste,
-               const data::Dataset& train_set, train::Optimizer& optimizer,
+               const data::Dataset& train_set, train::Adam& optimizer,
                std::size_t batch_size) {
   const std::size_t count = train_set.size();
   for (std::size_t begin = 0; begin < count; begin += batch_size) {

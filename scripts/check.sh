@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 verify: configure, build, ctest, plus smokes of the Monte-Carlo
+# Tier-1 verify: configure, build, ctest, plus runs of the examples, the
+# ODONN_THREADS / thread-pool start-up errors, smokes of the Monte-Carlo
 # robustness CLI, robust training, the parallel table executor (with
 # cross-thread-count and cross-jobs digest compares, repeated for the
 # 5-layer differential-readout cell), the layer-scaling A/B bench, the
@@ -30,6 +31,48 @@ scripts/lint.sh --self-test
 cmake -B build -S .
 cmake --build build -j"$(nproc 2>/dev/null || echo 2)"
 cd build && ctest --output-on-failure -j"$(nproc 2>/dev/null || echo 2)"
+
+# Every build compiles examples/; run them too, at smoke size. Each must
+# exit 0: serving_demo exits 1 unless the 2*pi-smoothed model answers every
+# request like the dense one, and discrete_levels drives train::Adam
+# directly (STE fine-tuning).
+for example in "quickstart grid=16 samples=120 epochs=1" \
+               "discrete_levels grid=16 samples=120 epochs=2" \
+               "serving_demo grid=16 samples=120 epochs=1 requests=48"; do
+  # shellcheck disable=SC2086  # word-split the example and its arguments
+  ./$example > /dev/null ||
+    { echo "examples: '$example' failed" >&2; exit 1; }
+done
+echo "examples: quickstart, discrete_levels, serving_demo ran clean"
+
+# ODONN_THREADS is a whole number in [1, 1024]: anything else must be a
+# typed error (exit 1, "error:" on stderr), never a silent fallback to
+# every hardware thread. A pool that cannot start its threads (here: an
+# address-space limit too small for 1000 thread stacks) must also fail
+# with a typed error instead of aborting on joinable threads.
+threads_smoke() {  # $1=label, then the command
+  label="$1"
+  shift
+  err="$("$@" 2>&1 >/dev/null)" && code=0 || code=$?
+  if [ "$code" -ne 1 ]; then
+    echo "threads smoke: $label exited $code, expected 1" >&2
+    exit 1
+  fi
+  case "$err" in
+    *"error:"*) ;;
+    *) echo "threads smoke: $label printed no error:" >&2
+       echo "$err" >&2
+       exit 1 ;;
+  esac
+}
+threads_smoke "ODONN_THREADS=abc" \
+  env ODONN_THREADS=abc ./odonn_cli serve grid=16 samples=8 batch=4
+threads_smoke "ODONN_THREADS=100000" \
+  env ODONN_THREADS=100000 ./odonn_cli serve grid=16 samples=8 batch=4
+threads_smoke "ODONN_THREADS=1000 under ulimit -v 1500000" \
+  sh -c 'ulimit -v 1500000 &&
+         ODONN_THREADS=1000 exec ./odonn_cli serve grid=16 samples=8 batch=4'
+echo "threads smoke: bad ODONN_THREADS and a failed pool start exit 1"
 
 # Smoke the fabrication-variability subsystem end to end, and require the
 # Monte-Carlo report to be bitwise identical across thread counts: the

@@ -24,7 +24,7 @@ namespace {
 /// many workers this context may fan out to (0 = the whole pool). Leaf
 /// chunk tasks run with budget 1, so a parallel_for nested inside another
 /// parallel_for's body still runs inline; parallel_tasks lanes get an
-/// explicit share so a pipeline running as a task keeps parallelizing.
+/// even share so a pipeline running as a task keeps parallelizing.
 thread_local std::size_t t_depth = 0;
 thread_local std::size_t t_budget = 0;
 
@@ -77,21 +77,27 @@ void observe_queue_wait(std::size_t depth, double wait_us) {
 /// return, while the depth-0 caller may run anything.
 class ThreadPool {
  public:
+  /// Starts n workers. If the system refuses a thread (address-space or
+  /// process limits), the workers already started are stopped and joined
+  /// before a ConfigError reports how many could start: a joinable
+  /// std::thread destroyed during unwinding would abort the process.
   explicit ThreadPool(std::size_t n) {
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+    try {
+      workers_.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+    } catch (const std::exception& error) {
+      const std::size_t started = workers_.size();
+      stop();
+      throw ConfigError("thread pool: started only " +
+                        std::to_string(started) + " of " + std::to_string(n) +
+                        " worker threads (" + error.what() +
+                        "); lower ODONN_THREADS or threads=");
     }
   }
 
-  ~ThreadPool() {
-    {
-      MutexLock lock(mutex_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
+  ~ThreadPool() { stop(); }
 
   std::size_t size() const { return workers_.size(); }
 
@@ -158,6 +164,15 @@ class ThreadPool {
 #endif
   }
 
+  void stop() ODONN_EXCLUDES(mutex_) {
+    {
+      MutexLock lock(mutex_);
+      stopping_ = true;
+    }
+    cv_.notify_all();
+    for (auto& w : workers_) w.join();
+  }
+
   void worker_loop() {
     for (;;) {
       Task task;
@@ -187,13 +202,32 @@ Mutex g_pool_mutex;
 std::size_t g_requested_threads ODONN_GUARDED_BY(g_pool_mutex) = 0;  // 0 = auto
 std::atomic<bool> g_pool_built{false};
 
+/// Largest ODONN_THREADS value, the range `threads=` keys accept too.
+constexpr std::size_t kMaxThreads = 1024;
+
+/// ODONN_THREADS as a whole number in [1, kMaxThreads]; unset or empty
+/// means hardware_concurrency(). Anything else (a sign, blanks, a suffix,
+/// 0, too many) is a ConfigError rather than a silent fallback.
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("ODONN_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
+  const char* env = std::getenv("ODONN_THREADS");
+  if (env == nullptr || *env == '\0') {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  std::size_t n = 0;
+  for (const char* c = env; *c != '\0' && n <= kMaxThreads; ++c) {
+    if (*c < '0' || *c > '9') {
+      n = 0;
+      break;
+    }
+    n = n * 10 + static_cast<std::size_t>(*c - '0');
+  }
+  if (n < 1 || n > kMaxThreads) {
+    throw ConfigError("ODONN_THREADS='" + std::string(env) +
+                      "' must be a whole number in [1, " +
+                      std::to_string(kMaxThreads) + "]");
+  }
+  return n;
 }
 
 ThreadPool& pool() {
@@ -201,8 +235,11 @@ ThreadPool& pool() {
     MutexLock lock(g_pool_mutex);
     const std::size_t n =
         g_requested_threads > 0 ? g_requested_threads : default_thread_count();
+    // A constructor that throws leaves the pool unbuilt: the next parallel
+    // call retries.
+    ThreadPool* built = new ThreadPool(n);
     g_pool_built.store(true);
-    return new ThreadPool(n);
+    return built;
   }();
   return *instance;
 }
@@ -363,7 +400,7 @@ double parallel_sum(std::size_t begin, std::size_t end,
 }
 
 void parallel_tasks(std::vector<std::function<void()>> tasks,
-                    std::size_t max_concurrent, std::size_t inner_budget) {
+                    std::size_t max_concurrent) {
   const std::size_t n = tasks.size();
   if (n == 0) return;
   const std::size_t budget = t_budget == 0 ? thread_count() : t_budget;
@@ -377,9 +414,7 @@ void parallel_tasks(std::vector<std::function<void()>> tasks,
     return;
   }
 
-  const std::size_t share = inner_budget != 0
-                                ? inner_budget
-                                : std::max<std::size_t>(1, budget / lanes);
+  const std::size_t share = std::max<std::size_t>(1, budget / lanes);
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::vector<std::exception_ptr> errors(n);

@@ -4,7 +4,8 @@
 // table (parallel_tasks), across samples in a mini-batch (training) and
 // across rows of large transforms (FFT columns, kernels). Everything runs
 // on one process-wide pool. The pool is NESTING-AWARE:
-//   * a task started by parallel_tasks carries a thread BUDGET — its inner
+//   * a task started by parallel_tasks carries a thread BUDGET (an even
+//     split of the caller's budget across the concurrent lanes) — its inner
 //     parallel_for calls fan out to the shared pool within that budget
 //     instead of serializing (leaf chunks run with budget 1, so doubly
 //     nested loops still run inline);
@@ -63,9 +64,9 @@ double parallel_sum(std::size_t begin, std::size_t end,
 
 /// Runs every element of `tasks` concurrently on the shared pool, at most
 /// `max_concurrent` (0 = all) in flight at once. Each task executes with
-/// an inner parallelism budget of `inner_budget` threads (0 = the current
-/// budget split evenly across the concurrent lanes): nested parallel_for
-/// calls inside a task fan out to the shared pool within that budget. The
+/// an inner parallelism budget of the current budget split evenly across
+/// the concurrent lanes (at least 1 thread): nested parallel_for calls
+/// inside a task fan out to the shared pool within that budget. The
 /// caller helps drain pool work while waiting.
 ///
 /// With one lane (or a single-thread budget) the tasks run inline on the
@@ -73,8 +74,7 @@ double parallel_sum(std::size_t begin, std::size_t end,
 /// lowest-index captured exception is rethrown after all in-flight tasks
 /// finish; tasks not yet started by then are abandoned.
 void parallel_tasks(std::vector<std::function<void()>> tasks,
-                    std::size_t max_concurrent = 0,
-                    std::size_t inner_budget = 0);
+                    std::size_t max_concurrent = 0);
 
 /// Pins the CALLING thread's inner parallelism budget for the current
 /// scope: parallel_for/parallel_sum/parallel_tasks issued from this thread

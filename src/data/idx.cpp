@@ -24,6 +24,24 @@ std::uint32_t read_u32_be(std::istream& in, const std::string& path) {
          static_cast<std::uint32_t>(bytes[3]);
 }
 
+/// Throws unless the `payload` bytes a header declares follow the read
+/// position of `in` (which is restored; a stream that cannot seek proves
+/// nothing and fails). Runs before any allocation sized by the header, so a
+/// hostile count or shape fails here instead of reserving gigabytes.
+void check_payload(std::istream& in, std::uint64_t payload,
+                   const std::string& path) {
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here ||
+      payload > static_cast<std::uint64_t>(end - here)) {
+    throw IoError("IDX header of " + path + " declares " +
+                  std::to_string(payload) + " data bytes, more than the file "
+                  "holds (truncated or hostile header)");
+  }
+}
+
 void write_u32_be(std::ostream& out, std::uint32_t value) {
   const unsigned char bytes[4] = {
       static_cast<unsigned char>((value >> 24) & 0xff),
@@ -48,7 +66,18 @@ Dataset load_idx(const std::string& images_path,
   const std::uint32_t count = read_u32_be(img_in, images_path);
   const std::uint32_t rows = read_u32_be(img_in, images_path);
   const std::uint32_t cols = read_u32_be(img_in, images_path);
-  if (rows == 0 || cols == 0) throw IoError("empty IDX image shape");
+  if (count == 0 || rows == 0 || cols == 0) {
+    throw IoError("IDX header of " + images_path +
+                  " declares no images or an empty image shape");
+  }
+  // rows * cols < 2^64 always; times count it may wrap.
+  std::uint64_t image_bytes = 0;
+  if (__builtin_mul_overflow(std::uint64_t{rows} * cols, count,
+                             &image_bytes)) {
+    throw IoError("IDX header of " + images_path +
+                  " declares an image payload that overflows 64 bits");
+  }
+  check_payload(img_in, image_bytes, images_path);
 
   if (read_u32_be(lbl_in, labels_path) != kLabelsMagic) {
     throw IoError("bad IDX magic in " + labels_path);
@@ -58,6 +87,7 @@ Dataset load_idx(const std::string& images_path,
     throw IoError("IDX image/label count mismatch between " + images_path +
                   " and " + labels_path);
   }
+  check_payload(lbl_in, label_count, labels_path);
 
   std::vector<MatrixD> images;
   images.reserve(count);

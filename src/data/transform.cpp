@@ -42,16 +42,6 @@ MatrixD affine_warp(const MatrixD& src, double angle, double scale, double dx,
   return out;
 }
 
-MatrixD add_noise(const MatrixD& src, double sigma, Rng& rng) {
-  ODONN_CHECK(sigma >= 0.0, "add_noise: sigma must be >= 0");
-  MatrixD out = src;
-  if (sigma == 0.0) return out;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::clamp(out[i] + rng.normal(0.0, sigma), 0.0, 1.0);
-  }
-  return out;
-}
-
 Dataset resize_dataset(const Dataset& dataset, std::size_t target_n) {
   ODONN_CHECK(!dataset.empty(), "resize_dataset: empty dataset");
   std::vector<MatrixD> images;

@@ -1,8 +1,7 @@
-// Image transforms used by the data pipeline: augmentation warps and the
-// dataset->optical-grid preparation step (resize + optional centered embed).
+// Image transforms: the affine warp behind the fabrication misalignment
+// model (fab/perturbation) and the dataset->optical-grid preparation step.
 #pragma once
 
-#include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "tensor/matrix.hpp"
 
@@ -12,9 +11,6 @@ namespace odonn::data {
 /// (dx, dy) pixels) with bilinear sampling and zero fill.
 MatrixD affine_warp(const MatrixD& src, double angle, double scale, double dx,
                     double dy);
-
-/// Additive clipped Gaussian noise.
-MatrixD add_noise(const MatrixD& src, double sigma, Rng& rng);
 
 /// Upsamples every image to target_n x target_n (bilinear), the paper's
 /// 28x28 -> 200x200 interpolation (§IV-A1).

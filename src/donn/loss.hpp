@@ -7,7 +7,8 @@
 // sums to num_classes * s / (sum(|s|) + eps), which keeps softmax in a
 // useful dynamic range without changing argmax — the absolute-value total
 // also keeps the scale positive and bounded for signed differential-readout
-// scores. Cross-entropy is provided as an extension used by ablation benches.
+// scores. Cross-entropy (and NormMode::None) is an extension that only the
+// tests use; no bench, example or CLI path trains with it.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
+#include "optics/encode.hpp"
 #include "tensor/stats.hpp"
 
 namespace odonn::fab {
@@ -77,7 +78,7 @@ MonteCarloEvaluator::first_hops(const donn::DonnModel& model) const {
   const optics::GridSpec grid = model.config().grid;
   auto hops = std::make_shared<const donn::DonnModel::FirstHops>(
       model.first_hops(eval_.size(), [&](std::size_t i) {
-        return optics::encode_image(eval_.image(i), grid, options_.encode);
+        return optics::encode_image(eval_.image(i), grid);
       }));
   MutexLock lock(cache_mutex_);
   hops_ = hops;

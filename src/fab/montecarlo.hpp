@@ -38,7 +38,6 @@
 #include "data/dataset.hpp"
 #include "donn/model.hpp"
 #include "fab/perturbation.hpp"
-#include "optics/encode.hpp"
 
 namespace odonn::fab {
 
@@ -56,7 +55,6 @@ struct MonteCarloOptions {
   /// (the nominal options below, possibly jittered by the stack).
   bool deploy_crosstalk = true;
   donn::CrosstalkOptions crosstalk = {};
-  optics::EncodeOptions encode = {};
 };
 
 struct RobustnessReport {

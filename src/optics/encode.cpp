@@ -1,39 +1,20 @@
 #include "optics/encode.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "tensor/resize.hpp"
 
 namespace odonn::optics {
 
-Field encode_image(const MatrixD& image, const GridSpec& grid,
-                   const EncodeOptions& options) {
+Field encode_image(const MatrixD& image, const GridSpec& grid) {
   validate(grid);
   ODONN_CHECK_SHAPE(image.rows() == grid.n && image.cols() == grid.n,
                     "encode_image: image shape must match grid");
   MatrixC amp(grid.n, grid.n);
-  switch (options.mode) {
-    case Encoding::Amplitude:
-      for (std::size_t i = 0; i < image.size(); ++i) {
-        amp[i] = {image[i], 0.0};
-      }
-      break;
-    case Encoding::Phase:
-      for (std::size_t i = 0; i < image.size(); ++i) {
-        const double phi = 2.0 * M_PI * image[i];
-        amp[i] = {std::cos(phi), std::sin(phi)};
-      }
-      break;
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    amp[i] = {image[i], 0.0};
   }
   Field field(grid, std::move(amp));
-  if (options.normalize_power) field.normalize_power(1.0);
+  field.normalize_power(1.0);
   return field;
-}
-
-Field encode_resized(const MatrixD& image, const GridSpec& grid,
-                     const EncodeOptions& options) {
-  return encode_image(bilinear_resize(image, grid.n, grid.n), grid, options);
 }
 
 }  // namespace odonn::optics

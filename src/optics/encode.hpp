@@ -1,6 +1,7 @@
 // Input encoding: maps a grayscale image onto the coherent source field at
 // the input plane (§III-A: "the input image is first encoded with the
-// coherent laser light").
+// coherent laser light"). Pixel values become real field amplitudes, and
+// the field is scaled to unit total power.
 #pragma once
 
 #include "optics/field.hpp"
@@ -8,24 +9,8 @@
 
 namespace odonn::optics {
 
-enum class Encoding {
-  Amplitude,  ///< field = pixel value (real, non-negative)
-  Phase,      ///< field = exp(i * 2*pi * pixel)
-};
-
-struct EncodeOptions {
-  Encoding mode = Encoding::Amplitude;
-  bool normalize_power = true;  ///< scale so total power == 1
-};
-
 /// Encodes an image already sampled on the optical grid (image shape must be
 /// grid.n x grid.n; values expected in [0, 1]).
-Field encode_image(const MatrixD& image, const GridSpec& grid,
-                   const EncodeOptions& options = {});
-
-/// Convenience: bilinearly upsamples `image` (e.g. 28x28) to the grid and
-/// encodes it — the paper's interpolation step (§IV-A1).
-Field encode_resized(const MatrixD& image, const GridSpec& grid,
-                     const EncodeOptions& options = {});
+Field encode_image(const MatrixD& image, const GridSpec& grid);
 
 }  // namespace odonn::optics

@@ -82,7 +82,7 @@ std::vector<JobResult> ParallelTableRunner::run(
       ODONN_OBS_COUNT("pipeline.jobs_run", 1);
     });
   }
-  parallel_tasks(std::move(tasks), options_.jobs, options_.inner_threads);
+  parallel_tasks(std::move(tasks), options_.jobs);
   return results;
 }
 

@@ -3,10 +3,11 @@
 // A paper table (and the fig6 hyperparameter sweep) is N independent
 // recipe pipelines over one shared read-only dataset pair. The runner
 // executes them as parallel_tasks lanes on the shared pool: at most
-// `jobs` pipelines in flight, each with an inner thread budget so an
-// M-recipe table on T threads neither oversubscribes (M pipelines each
-// assuming T workers) nor serializes (a pipeline on a pool thread falling
-// back to inline loops, the pre-nesting-aware behavior).
+// `jobs` pipelines in flight, each with an inner thread budget of an even
+// share of the pool, so an M-recipe table on T threads neither
+// oversubscribes (M pipelines each assuming T workers) nor serializes (a
+// pipeline on a pool thread falling back to inline loops, the
+// pre-nesting-aware behavior).
 //
 // Determinism contract: every job owns its ArtifactStore, pipelines only
 // share immutable inputs (datasets attached by `setup`), and all shared
@@ -58,9 +59,6 @@ struct ExecutorOptions {
   /// Max pipelines in flight. 1 = the sequential reference path (runs on
   /// the caller, full pool budget per job — exactly the classic loop).
   std::size_t jobs = 1;
-  /// Inner parallel budget per running job; 0 = thread_count() split
-  /// evenly across the concurrent lanes.
-  std::size_t inner_threads = 0;
   /// Streaming per-stage progress (see header comment). May be empty.
   ProgressSink progress;
 };

@@ -102,7 +102,6 @@ std::vector<RecipeResult> run_recipes(const std::vector<RecipeRequest>& requests
 
   pl::ExecutorOptions executor;
   executor.jobs = table.jobs;
-  executor.inner_threads = table.inner_threads;
   if (table.progress) {
     // Adapt the train-layer sink to the executor's event type (the two
     // structs mirror each other; train must not include pipeline headers).

@@ -46,9 +46,7 @@ ServeCluster::ServeCluster(std::shared_ptr<ModelRegistry> registry,
   replicas_.reserve(options_.replicas);
   for (std::size_t i = 0; i < options_.replicas; ++i) {
     EngineOptions replica_options = engine;
-    if (options_.label_replicas) {
-      replica_options.label = "replica" + std::to_string(i);
-    }
+    replica_options.label = "replica" + std::to_string(i);
     replicas_.push_back(
         std::make_unique<InferenceEngine>(registry, replica_options));
   }

@@ -6,8 +6,10 @@
 // and differ only in their drain thread, request queue and plan cache).
 // Each replica runs with continuous (in-flight) batching by default and a
 // pinned inner thread budget — an even split of the shared pool unless the
-// caller overrides it — so R replicas give R concurrent kernels without
-// oversubscribing common/parallel.
+// caller sets `engine.inner_threads` — so R replicas give R concurrent
+// kernels without oversubscribing common/parallel. Replicas are labelled
+// "replica0", "replica1", ... and register serve.replicaK.* obs
+// instruments.
 //
 // Routing:
 //   * LeastLoaded (default): the replica with the shortest queue takes the
@@ -55,11 +57,8 @@ struct ClusterOptions {
   /// Template applied to every replica. `continuous` here is overridden by
   /// the cluster-level flag above; `inner_threads` 0 = an even split of
   /// the shared pool across replicas (at least 1); `label` must stay
-  /// empty — the cluster labels replicas itself ("replica0", "replica1",
-  /// ...) when `label_replicas` is set.
+  /// empty — the cluster labels replicas itself.
   EngineOptions engine;
-  /// Register per-replica obs instruments (serve.replicaK.*).
-  bool label_replicas = true;
 };
 
 class ServeCluster {

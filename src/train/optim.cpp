@@ -1,7 +1,5 @@
 #include "train/optim.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -10,15 +8,9 @@ namespace odonn::train {
 
 namespace {
 
-void check_shapes(const std::vector<MatrixD>& params,
-                  const std::vector<MatrixD>& grads) {
-  ODONN_CHECK_SHAPE(params.size() == grads.size(),
-                    "optimizer: parameter/gradient count mismatch");
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    ODONN_CHECK_SHAPE(params[i].same_shape(grads[i]),
-                      "optimizer: parameter/gradient shape mismatch");
-  }
-}
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
 
 void ensure_state(std::vector<MatrixD>& state,
                   const std::vector<MatrixD>& params) {
@@ -30,95 +22,33 @@ void ensure_state(std::vector<MatrixD>& state,
 
 }  // namespace
 
-Optimizer::Optimizer(double lr) : lr_(lr) {
+Adam::Adam(double lr) : lr_(lr) {
   ODONN_CHECK(lr > 0.0, "optimizer: learning rate must be positive");
-}
-
-void Optimizer::set_lr(double lr) {
-  ODONN_CHECK(lr > 0.0, "optimizer: learning rate must be positive");
-  lr_ = lr;
-}
-
-Sgd::Sgd(double lr, double momentum) : Optimizer(lr), momentum_(momentum) {
-  ODONN_CHECK(momentum >= 0.0 && momentum < 1.0,
-              "sgd: momentum must be in [0, 1)");
-}
-
-void Sgd::step(std::vector<MatrixD>& params,
-               const std::vector<MatrixD>& grads) {
-  check_shapes(params, grads);
-  if (momentum_ == 0.0) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      for (std::size_t j = 0; j < params[i].size(); ++j) {
-        params[i][j] -= lr_ * grads[i][j];
-      }
-    }
-    return;
-  }
-  ensure_state(velocity_, params);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    for (std::size_t j = 0; j < params[i].size(); ++j) {
-      velocity_[i][j] = momentum_ * velocity_[i][j] + grads[i][j];
-      params[i][j] -= lr_ * velocity_[i][j];
-    }
-  }
-}
-
-void Sgd::reset() { velocity_.clear(); }
-
-Adam::Adam(double lr, double beta1, double beta2, double eps,
-           double weight_decay)
-    : Optimizer(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
-  ODONN_CHECK(beta1 >= 0.0 && beta1 < 1.0, "adam: beta1 must be in [0, 1)");
-  ODONN_CHECK(beta2 >= 0.0 && beta2 < 1.0, "adam: beta2 must be in [0, 1)");
-  ODONN_CHECK(eps > 0.0, "adam: eps must be positive");
-  ODONN_CHECK(weight_decay >= 0.0, "adam: weight decay must be >= 0");
 }
 
 void Adam::step(std::vector<MatrixD>& params,
                 const std::vector<MatrixD>& grads) {
-  check_shapes(params, grads);
+  ODONN_CHECK_SHAPE(params.size() == grads.size(),
+                    "optimizer: parameter/gradient count mismatch");
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    ODONN_CHECK_SHAPE(params[i].same_shape(grads[i]),
+                      "optimizer: parameter/gradient shape mismatch");
+  }
   ensure_state(m_, params);
   ensure_state(v_, params);
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (std::size_t i = 0; i < params.size(); ++i) {
     for (std::size_t j = 0; j < params[i].size(); ++j) {
       const double g = grads[i][j];
-      m_[i][j] = beta1_ * m_[i][j] + (1.0 - beta1_) * g;
-      v_[i][j] = beta2_ * v_[i][j] + (1.0 - beta2_) * g * g;
+      m_[i][j] = kBeta1 * m_[i][j] + (1.0 - kBeta1) * g;
+      v_[i][j] = kBeta2 * v_[i][j] + (1.0 - kBeta2) * g * g;
       const double mhat = m_[i][j] / bc1;
       const double vhat = v_[i][j] / bc2;
-      double update = mhat / (std::sqrt(vhat) + eps_);
-      if (weight_decay_ > 0.0) update += weight_decay_ * params[i][j];
-      params[i][j] -= lr_ * update;
+      params[i][j] -= lr_ * (mhat / (std::sqrt(vhat) + kEps));
     }
   }
-}
-
-void Adam::reset() {
-  m_.clear();
-  v_.clear();
-  t_ = 0;
-}
-
-AdamW::AdamW(double lr, double weight_decay)
-    : Adam(lr, 0.9, 0.999, 1e-8, weight_decay) {}
-
-std::unique_ptr<Optimizer> make_optimizer(const std::string& name, double lr) {
-  std::string low(name.size(), '\0');
-  std::transform(name.begin(), name.end(), low.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (low == "sgd") return std::make_unique<Sgd>(lr);
-  if (low == "momentum") return std::make_unique<Sgd>(lr, 0.9);
-  if (low == "adam") return std::make_unique<Adam>(lr);
-  if (low == "adamw") return std::make_unique<AdamW>(lr, 1e-4);
-  throw ConfigError("unknown optimizer '" + name + "'");
 }
 
 }  // namespace odonn::train

@@ -1,69 +1,27 @@
-// First-order optimizers over per-layer matrix parameters. The paper trains
-// with Adam (lr 0.2 for the baseline, 0.001 during sparsification, §IV-A2);
-// SGD(+momentum) and AdamW are provided for ablations.
+// Adam over per-layer matrix parameters, the paper's optimizer (lr 0.2 for
+// the baseline, 0.001 during sparsification, §IV-A2) with its fixed
+// moments beta1 = 0.9, beta2 = 0.999, eps = 1e-8 and no weight decay.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "tensor/matrix.hpp"
 
 namespace odonn::train {
 
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(double lr);
 
   /// In-place parameter update from gradients (shapes must match the first
-  /// call; state is allocated lazily).
-  virtual void step(std::vector<MatrixD>& params,
-                    const std::vector<MatrixD>& grads) = 0;
+  /// call; the moments are allocated lazily).
+  void step(std::vector<MatrixD>& params, const std::vector<MatrixD>& grads);
 
-  /// Clears accumulated state (moments, step counter).
-  virtual void reset() = 0;
-
-  double lr() const { return lr_; }
-  void set_lr(double lr);
-
- protected:
-  explicit Optimizer(double lr);
+ private:
   double lr_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0);
-  void step(std::vector<MatrixD>& params,
-            const std::vector<MatrixD>& grads) override;
-  void reset() override;
-
- private:
-  double momentum_;
-  std::vector<MatrixD> velocity_;
-};
-
-class Adam : public Optimizer {
- public:
-  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8, double weight_decay = 0.0);
-  void step(std::vector<MatrixD>& params,
-            const std::vector<MatrixD>& grads) override;
-  void reset() override;
-
- private:
-  double beta1_, beta2_, eps_, weight_decay_;
   std::size_t t_ = 0;
   std::vector<MatrixD> m_, v_;
 };
-
-/// AdamW = Adam with decoupled weight decay.
-class AdamW final : public Adam {
- public:
-  AdamW(double lr, double weight_decay);
-};
-
-/// Factory by name: "sgd" | "momentum" | "adam" | "adamw".
-std::unique_ptr<Optimizer> make_optimizer(const std::string& name, double lr);
 
 }  // namespace odonn::train

@@ -75,10 +75,6 @@ struct RecipeRequest {
   std::string label;
 };
 
-/// How a batch of recipes (a table, a sweep) executes. Results are bitwise
-/// identical for every jobs= / inner_threads= combination: each recipe is
-/// deterministic over its own ArtifactStore (pipeline::ParallelTableRunner
-/// contract).
 /// One streamed stage event from a running table (mirrors
 /// pipeline::StageProgressEvent without depending on pipeline headers —
 /// the dependency arrow stays train <- pipeline).
@@ -95,9 +91,12 @@ struct TableProgress {
 /// finish — live streaming, not buffered until the table returns.
 using TableProgressSink = std::function<void(const TableProgress&)>;
 
+/// How a batch of recipes (a table, a sweep) executes. Results are bitwise
+/// identical for every jobs=: each recipe is deterministic over its own
+/// ArtifactStore (pipeline::ParallelTableRunner contract), and each running
+/// recipe gets an even share of the pool.
 struct TableRunOptions {
-  std::size_t jobs = 1;           ///< concurrent recipes (1 = sequential)
-  std::size_t inner_threads = 0;  ///< per-recipe thread budget (0 = auto)
+  std::size_t jobs = 1;  ///< concurrent recipes (1 = sequential)
   /// When non-empty, each recipe checkpoints under `<dir>/<label>/` —
   /// independent subdirectories, so resume=true fast-forwards exactly the
   /// recipes that completed, even after a parallel run failed midway.

@@ -11,7 +11,6 @@
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
 #include "optics/encode.hpp"
-#include "train/schedule.hpp"
 
 namespace odonn::train {
 
@@ -42,6 +41,9 @@ struct SliceAccumulator {
   }
 };
 
+/// SLR/ADMM compression rounds (Z-step + multiplier updates) per epoch.
+constexpr std::size_t kCompressRoundsPerEpoch = 4;
+
 /// Reduction-slice count. FIXED (not thread_count()) so the accumulation
 /// layout — which samples share a partial sum, and the order partials are
 /// reduced in — is a pure function of the configuration: trained models
@@ -53,7 +55,8 @@ constexpr std::size_t kGradientSlices = 32;
 
 Trainer::Trainer(donn::DonnModel& model, const data::Dataset& train,
                  const TrainOptions& options)
-    : model_(model), train_(train), options_(options), rng_(options.seed),
+    : model_(model), train_(train), options_(options),
+      optimizer_(options.lr), rng_(options.seed),
       realization_counter_(options.robust.counter_start) {
   check_dataset(model, train, "trainer");
   ODONN_CHECK(options.batch_size >= 1, "trainer: batch_size must be >= 1");
@@ -76,7 +79,6 @@ Trainer::Trainer(donn::DonnModel& model, const data::Dataset& train,
                 "even realization counter (stream from a plain odd-K run "
                 "cannot be pair-aligned)");
   }
-  optimizer_ = make_optimizer(options.optimizer, options.lr);
 }
 
 void Trainer::compress_round(double surrogate_loss) {
@@ -90,16 +92,7 @@ void Trainer::compress_round(double surrogate_loss) {
 EpochStats Trainer::run_epoch() {
   ODONN_OBS_SPAN(epoch_span, "train.epoch");
   ODONN_OBS_COUNT("train.epochs", 1);
-  // Epoch-wise augmentation: train this pass on a freshly jittered copy.
-  data::Dataset augmented;
-  const data::Dataset& epoch_data =
-      options_.augment
-          ? (augmented = data::augment_dataset(train_, rng_,
-                                               options_.augment_options),
-             augmented)
-          : train_;
-
-  const std::size_t count = epoch_data.size();
+  const std::size_t count = train_.size();
   std::vector<std::size_t> order(count);
   std::iota(order.begin(), order.end(), 0);
   rng_.shuffle(order);
@@ -116,8 +109,8 @@ EpochStats Trainer::run_epoch() {
              : kGradientSlices;
   const std::size_t slots = realizations * slices;
   const std::size_t batches = (count + options_.batch_size - 1) / options_.batch_size;
-  const std::size_t rounds = std::max<std::size_t>(1, options_.compress_rounds_per_epoch);
-  const std::size_t round_every = std::max<std::size_t>(1, batches / rounds);
+  const std::size_t round_every =
+      std::max<std::size_t>(1, batches / kCompressRoundsPerEpoch);
 
   double epoch_loss = 0.0;
   std::size_t epoch_correct = 0;
@@ -167,16 +160,16 @@ EpochStats Trainer::run_epoch() {
     }
 
     // Robust mode propagates the batch to the first mask once up front: the
-    // first hop P(input) depends only on (sample, grid, encode, propagation
-    // options), never on the phases, so the K realization blocks start from
+    // first hop P(input) depends only on (sample, grid, propagation options),
+    // never on the phases, so the K realization blocks start from
     // one batch of first-hop frames (the memory of the encoded fields)
     // instead of each re-encoding and re-propagating it. The clean path
     // (K = 1, each sample visited once) makes none and keeps encoding
     // inline, to avoid holding a batch of frames at paper-scale grids.
     const donn::DonnModel::FirstHops batch_hops = model_.first_hops(
         robust ? batch_count : 0, [&](std::size_t i) {
-          return optics::encode_image(epoch_data.image(order[begin + i]),
-                                      model_.config().grid, options_.encode);
+          return optics::encode_image(train_.image(order[begin + i]),
+                                      model_.config().grid);
         });
 
     SliceAccumulator acc(slots, model_);
@@ -191,15 +184,14 @@ EpochStats Trainer::run_epoch() {
       const std::size_t s = slot % slices;
       for (std::size_t i = begin + s; i < end; i += slices) {
         const std::size_t idx = order[i];
-        const std::size_t label = epoch_data.label(idx);
+        const std::size_t label = train_.label(idx);
         const auto result =
             robust ? net.forward_backward(batch_hops, i - begin, label,
                                           net_modulations, workspace,
                                           acc.grads[slot], options_.loss)
                    : net.forward_backward(
-                         optics::encode_image(epoch_data.image(idx),
-                                              model_.config().grid,
-                                              options_.encode),
+                         optics::encode_image(train_.image(idx),
+                                              model_.config().grid),
                          label, net_modulations, workspace, acc.grads[slot],
                          options_.loss);
         acc.losses[slot] += result.loss;
@@ -262,7 +254,7 @@ EpochStats Trainer::run_epoch() {
     }
 
     model_.mask_gradients(grads);
-    optimizer_->step(phases, grads);
+    optimizer_.step(phases, grads);
     model_.apply_masks();
 
     epoch_loss += batch_loss;
@@ -315,20 +307,16 @@ EpochStats Trainer::run_epoch() {
 }
 
 std::vector<EpochStats> Trainer::run() {
-  const auto schedule =
-      make_schedule(options_.schedule, options_.lr, options_.epochs);
   std::vector<EpochStats> history;
   history.reserve(options_.epochs);
   for (std::size_t e = 0; e < options_.epochs; ++e) {
-    optimizer_->set_lr(schedule->at(e));
     history.push_back(run_epoch());
   }
   return history;
 }
 
 double evaluate_accuracy(const donn::DonnModel& model,
-                         const data::Dataset& test,
-                         const optics::EncodeOptions& encode) {
+                         const data::Dataset& test) {
   check_dataset(model, test, "evaluate");
   const std::vector<MatrixC> modulations = model.modulation_tables();
   std::vector<std::uint8_t> hits(test.size(), 0);
@@ -336,7 +324,7 @@ double evaluate_accuracy(const donn::DonnModel& model,
     donn::DonnModel::Workspace workspace;
     for (std::size_t i = lo; i < hi; ++i) {
       const optics::Field input =
-          optics::encode_image(test.image(i), model.config().grid, encode);
+          optics::encode_image(test.image(i), model.config().grid);
       const std::size_t predicted =
           model.predict(input, modulations, workspace);
       hits[i] = predicted == test.label(i) ? 1 : 0;
@@ -349,8 +337,7 @@ double evaluate_accuracy(const donn::DonnModel& model,
 
 double evaluate_deployed_accuracy(const donn::DonnModel& model,
                                   const data::Dataset& test,
-                                  const donn::CrosstalkOptions& crosstalk,
-                                  const optics::EncodeOptions& encode) {
+                                  const donn::CrosstalkOptions& crosstalk) {
   // Copy the model and corrupt its phases with the crosstalk emulation.
   donn::DonnModel deployed = model;
   std::vector<MatrixD> corrupted;
@@ -360,7 +347,7 @@ double evaluate_deployed_accuracy(const donn::DonnModel& model,
   }
   deployed.clear_masks();  // corrupted masks are dense surfaces
   deployed.set_phases(std::move(corrupted));
-  return evaluate_accuracy(deployed, test, encode);
+  return evaluate_accuracy(deployed, test);
 }
 
 }  // namespace odonn::train

@@ -5,9 +5,10 @@
 //             (K = 1 clean, K = robust.realizations fabricated devices)
 //           + p * dR(W)/dW + q * dR_intra(W)/dW              (Eq. 5 / Eq. 8)
 //           + dPenalty/dW from the SLR or ADMM state (if attached)
-// then masked-gradient zeroing (if sparsity masks are frozen), optimizer
-// step, and mask re-application. Compression rounds (Z-step + multiplier
-// updates) run a fixed number of times per epoch.
+// then masked-gradient zeroing (if sparsity masks are frozen), an Adam step
+// at the fixed learning rate of the stage (§IV-A2: no schedule), and mask
+// re-application. Compression rounds (Z-step + multiplier updates) run four
+// times per epoch.
 //
 // Robust mode (RobustTrainOptions): each step samples K fabrication
 // realizations of the current device via counter-based fab streams, runs
@@ -24,14 +25,13 @@
 // same contract the Monte-Carlo evaluator gives for reports.
 //
 // Images are expected to be pre-resized to the optical grid (use
-// data::resize_dataset); encoding to a coherent field happens on the fly.
+// data::resize_dataset); they are amplitude-encoded to a unit-power
+// coherent field on the fly (optics::encode_image, §III-A).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "data/augment.hpp"
 #include "data/dataset.hpp"
 #include "donn/crosstalk.hpp"
 #include "donn/model.hpp"
@@ -83,7 +83,7 @@ struct RobustTrainOptions {
   bool deploy_crosstalk = false;
   donn::CrosstalkOptions crosstalk = {};
   /// Base of the counter-based realization stream (independent of the
-  /// shuffle/augment/init streams).
+  /// shuffle and init streams).
   std::uint64_t seed = 7;
   /// Stream counter to start from: checkpointed runs persist
   /// Trainer::realizations_sampled() and continue the identical stream.
@@ -94,20 +94,12 @@ struct TrainOptions {
   std::size_t epochs = 5;
   std::size_t batch_size = 200;  ///< paper batch size
   double lr = 0.2;               ///< paper baseline lr (Adam)
-  std::string optimizer = "adam";
-  std::string schedule = "constant";
   donn::LossOptions loss = {};
-  optics::EncodeOptions encode = {};
   RegularizerOptions reg = {};
-  /// When enabled, each epoch trains on a freshly augmented copy of the
-  /// training set (random affine + noise, data/augment.hpp).
-  bool augment = false;
-  data::AugmentOptions augment_options = {};
   std::uint64_t seed = 7;
   /// Optional compression state; at most one may be attached.
   slr::SlrState* slr = nullptr;
   slr::AdmmState* admm = nullptr;
-  std::size_t compress_rounds_per_epoch = 4;
   /// Noise-in-the-loop robust training (stack != nullptr enables).
   RobustTrainOptions robust = {};
   bool verbose = false;
@@ -149,7 +141,7 @@ class Trainer {
   donn::DonnModel& model_;
   const data::Dataset& train_;
   TrainOptions options_;
-  std::unique_ptr<Optimizer> optimizer_;
+  Adam optimizer_;
   Rng rng_;
   std::size_t epoch_ = 0;
   std::uint64_t realization_counter_ = 0;
@@ -158,14 +150,12 @@ class Trainer {
 /// Test-set accuracy of a model (batch-parallel). Images must match the
 /// model grid.
 double evaluate_accuracy(const donn::DonnModel& model,
-                         const data::Dataset& test,
-                         const optics::EncodeOptions& encode = {});
+                         const data::Dataset& test);
 
 /// Accuracy with every phase mask passed through the interpixel-crosstalk
 /// deployment model first (DESIGN.md §2) — the "physical deployment" column.
 double evaluate_deployed_accuracy(const donn::DonnModel& model,
                                   const data::Dataset& test,
-                                  const donn::CrosstalkOptions& crosstalk,
-                                  const optics::EncodeOptions& encode = {});
+                                  const donn::CrosstalkOptions& crosstalk);
 
 }  // namespace odonn::train

@@ -339,8 +339,10 @@ TEST(Parallel, SetThreadCountSameValueIsNoopAndConflictIsCatchable) {
 
 TEST(Parallel, TasksRunEveryTaskAndNestedLoopsStillFanOut) {
   // After the previous test the pool has >= 2 workers, so this exercises
-  // the genuinely concurrent path: 6 tasks, at most 3 in flight, each
-  // running an inner parallel_for under its per-task budget.
+  // the genuinely concurrent path: 6 tasks, at most 2 in flight, each
+  // running an inner parallel_for under its even share of the pool. On a
+  // pool of >= 4 workers that share is >= 2 threads, so the inner loops
+  // fan out as well.
   static constexpr std::size_t kTasks = 6;
   static constexpr std::size_t kN = 500;
   std::vector<std::vector<int>> hits(kTasks, std::vector<int>(kN, 0));
@@ -350,7 +352,7 @@ TEST(Parallel, TasksRunEveryTaskAndNestedLoopsStillFanOut) {
       parallel_for(0, kN, [&hits, t](std::size_t i) { hits[t][i]++; });
     });
   }
-  parallel_tasks(std::move(tasks), /*max_concurrent=*/3, /*inner_budget=*/2);
+  parallel_tasks(std::move(tasks), /*max_concurrent=*/2);
   for (const auto& task_hits : hits) {
     for (const int h : task_hits) EXPECT_EQ(h, 1);
   }

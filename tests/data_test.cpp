@@ -3,6 +3,7 @@
 // injection, transforms.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -220,6 +221,82 @@ TEST(Idx, CountMismatchRejected) {
   EXPECT_THROW(load_idx(img_a, lbl_b), IoError);
 }
 
+/// A hand-written IDX pair whose headers promise more than the files hold.
+struct HostileIdxCase {
+  const char* name;
+  std::uint32_t count, rows, cols;  ///< images header
+  std::size_t image_bytes;          ///< payload actually present
+  std::uint32_t label_count;        ///< labels header
+  std::size_t label_bytes;
+  bool blames_labels;  ///< the error must name the labels file, not images
+};
+
+void PrintTo(const HostileIdxCase& c, std::ostream* os) { *os << c.name; }
+
+void write_u32_be(std::ofstream& out, std::uint32_t value) {
+  const char bytes[4] = {static_cast<char>(value >> 24),
+                         static_cast<char>(value >> 16),
+                         static_cast<char>(value >> 8),
+                         static_cast<char>(value)};
+  out.write(bytes, 4);
+}
+
+class HostileIdx : public ::testing::TestWithParam<HostileIdxCase> {};
+
+TEST_P(HostileIdx, IsAnIoErrorNamingTheFileBeforeAllocating) {
+  // Sizes come from the header, so the loader must check them against the
+  // bytes left in each file before allocating: otherwise these headers
+  // escape as std::bad_alloc / std::length_error, or reserve gigabytes
+  // before a short read reports truncation.
+  const HostileIdxCase& c = GetParam();
+  const std::string img_path =
+      temp_path(std::string("hostile_") + c.name + "_images.bin");
+  const std::string lbl_path =
+      temp_path(std::string("hostile_") + c.name + "_labels.bin");
+  {
+    std::ofstream img(img_path, std::ios::binary);
+    write_u32_be(img, 0x00000803);
+    write_u32_be(img, c.count);
+    write_u32_be(img, c.rows);
+    write_u32_be(img, c.cols);
+    const std::string pixels(c.image_bytes, '\x7f');
+    img.write(pixels.data(), static_cast<std::streamsize>(pixels.size()));
+    std::ofstream lbl(lbl_path, std::ios::binary);
+    write_u32_be(lbl, 0x00000801);
+    write_u32_be(lbl, c.label_count);
+    const std::string labels(c.label_bytes, '\x01');
+    lbl.write(labels.data(), static_cast<std::streamsize>(labels.size()));
+  }
+  try {
+    load_idx(img_path, lbl_path);
+    FAIL() << "hostile IDX header accepted";
+  } catch (const IoError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(c.blames_labels ? lbl_path : img_path),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("header"), std::string::npos) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Idx, HostileIdx,
+    ::testing::Values(
+        HostileIdxCase{"huge_count", 0xFFFFFFFFu, 28, 28, 16, 0xFFFFFFFFu, 16,
+                       false},
+        HostileIdxCase{"huge_shape", 1, 0xFFFFFFFFu, 0xFFFFFFFFu, 16, 1, 1,
+                       false},
+        HostileIdxCase{"payload_overflows_64_bits", 0xFFFFFFFFu, 0xFFFFFFFFu,
+                       0xFFFFFFFFu, 16, 0xFFFFFFFFu, 16, false},
+        HostileIdxCase{"large_shape_short_payload", 1, 65536, 65536, 16, 1, 1,
+                       false},
+        HostileIdxCase{"no_images_huge_shape", 0, 0xFFFFFFFFu, 0xFFFFFFFFu, 0,
+                       0, 0, false},
+        HostileIdxCase{"short_label_payload", 4, 2, 2, 16, 4, 1, true}),
+    [](const ::testing::TestParamInfo<HostileIdxCase>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(Transform, AffineIdentityIsExact) {
   Rng rng(4);
   MatrixD img(12, 12);
@@ -234,15 +311,6 @@ TEST(Transform, AffineShiftMovesContent) {
   const MatrixD shifted = affine_warp(img, 0.0, 1.0, 2.0, 1.0);
   EXPECT_NEAR(shifted(7, 8), 1.0, 1e-9);
   EXPECT_NEAR(shifted(6, 6), 0.0, 1e-9);
-}
-
-TEST(Transform, NoiseIsClampedToUnitRange) {
-  MatrixD img(8, 8, 0.95);
-  Rng rng(5);
-  const MatrixD noisy = add_noise(img, 0.5, rng);
-  EXPECT_LE(max_value(noisy), 1.0);
-  EXPECT_GE(min_value(noisy), 0.0);
-  EXPECT_GT(max_abs_diff(noisy, img), 0.01);
 }
 
 TEST(Transform, ResizeDatasetChangesShapeOnly) {

@@ -1,8 +1,7 @@
 // Tests for the extension modules: discrete phase levels (donn/discrete),
 // the fabrication/thickness domain (optics/fabrication), Gaussian-beam
 // analytics as a physics reference (optics/beams), model serialization
-// (donn/serialize), simulated annealing 2*pi (smooth2pi/anneal), and data
-// augmentation (data/augment).
+// (donn/serialize) and simulated annealing 2*pi (smooth2pi/anneal).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,8 +11,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "data/augment.hpp"
-#include "data/synthetic.hpp"
 #include "donn/discrete.hpp"
 #include "donn/reflection.hpp"
 #include "donn/serialize.hpp"
@@ -535,39 +532,6 @@ TEST(Anneal, Validation) {
   smooth2pi::AnnealOptions opt;
   opt.t_end = 2.0;  // above t_start
   EXPECT_THROW(smooth2pi::anneal_2pi(phi, opt), Error);
-}
-
-// ----------------------------------------------------------------- augment
-
-TEST(Augment, ProducesDifferentViews) {
-  const auto ds = data::make_synthetic(data::SyntheticFamily::Digits, 4, 14);
-  Rng rng(15);
-  const MatrixD a = data::augment_image(ds.image(0), rng);
-  const MatrixD b = data::augment_image(ds.image(0), rng);
-  EXPECT_GT(max_abs_diff(a, b), 0.01);
-  EXPECT_EQ(a.rows(), ds.image(0).rows());
-}
-
-TEST(Augment, PreservesLabelsAndShape) {
-  const auto ds = data::make_synthetic(data::SyntheticFamily::Letters, 12, 16);
-  Rng rng(17);
-  const auto aug = data::augment_dataset(ds, rng);
-  ASSERT_EQ(aug.size(), ds.size());
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_EQ(aug.label(i), ds.label(i));
-  }
-}
-
-TEST(Augment, ZeroOptionsIsNearIdentity) {
-  const auto ds = data::make_synthetic(data::SyntheticFamily::Digits, 2, 18);
-  Rng rng(19);
-  data::AugmentOptions opt;
-  opt.max_rotate = 0.0;
-  opt.scale_jitter = 0.0;
-  opt.max_shift = 0.0;
-  opt.noise_sigma = 0.0;
-  const MatrixD same = data::augment_image(ds.image(0), rng, opt);
-  EXPECT_LT(max_abs_diff(same, ds.image(0)), 1e-12);
 }
 
 // ---------------------------------------------------------------- reflection

@@ -395,7 +395,7 @@ TEST(MonteCarloEvaluatorTest, CleanAccuracyCountsPerSamplePredictions) {
     std::size_t correct = 0;
     for (std::size_t i = 0; i < setup.eval.size(); ++i) {
       const optics::Field input = optics::encode_image(
-          setup.eval.image(i), setup.model.config().grid, options.encode);
+          setup.eval.image(i), setup.model.config().grid);
       correct += setup.model.predict(input) == setup.eval.label(i) ? 1 : 0;
     }
     EXPECT_EQ(report.clean_accuracy,
@@ -587,8 +587,7 @@ TEST_P(FirstHopParity, EvaluateAndCompareMatchARealizeAndPredictLoop) {
   std::vector<optics::Field> inputs;
   for (std::size_t i = 0; i < a.eval.size(); ++i) {
     inputs.push_back(optics::encode_image(a.eval.image(i),
-                                          a.model.config().grid,
-                                          options.encode));
+                                          a.model.config().grid));
   }
   const auto check = [&](const RobustnessReport& report,
                          const donn::DonnModel& model) {

@@ -340,30 +340,6 @@ TEST(Encode, AmplitudeEncodingNormalizesPower) {
   EXPECT_GT(std::abs(f(8, 8)), std::abs(f(8, 9)));
 }
 
-TEST(Encode, PhaseEncodingHasUniformMagnitude) {
-  Rng rng(8);
-  MatrixD image(8, 8);
-  for (auto& v : image) v = rng.uniform();
-  const GridSpec grid{8, 1e-6};
-  EncodeOptions opt;
-  opt.mode = Encoding::Phase;
-  opt.normalize_power = false;
-  const Field f = encode_image(image, grid, opt);
-  for (std::size_t i = 0; i < f.values().size(); ++i) {
-    EXPECT_NEAR(std::abs(f.values()[i]), 1.0, 1e-12);
-  }
-}
-
-TEST(Encode, ResizedEncodingMatchesManualResize) {
-  Rng rng(9);
-  MatrixD small(7, 7);
-  for (auto& v : small) v = rng.uniform();
-  const GridSpec grid{21, 1e-6};
-  const Field f = encode_resized(small, grid);
-  EXPECT_EQ(f.n(), 21u);
-  EXPECT_NEAR(f.power(), 1.0, 1e-12);
-}
-
 TEST(Encode, ShapeMismatchThrows) {
   MatrixD image(8, 8, 0.1);
   EXPECT_THROW(encode_image(image, {16, 1e-6}), ShapeError);
