@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
     std::vector<MatrixD> quantized;
     double err = 0.0;
     for (const auto& phiq : quant_model.phases()) {
-      quantized.push_back(donn::quantize_phase(phiq, {levels, true}));
-      err += donn::quantization_error(phiq, {levels, true});
+      quantized.push_back(donn::quantize_phase(phiq, {levels}));
+      err += donn::quantization_error(phiq, {levels});
     }
     err /= static_cast<double>(quant_model.num_layers());
     q.set_phases(std::move(quantized));

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     donn::DonnModel q = model;
     std::vector<MatrixD> quantized;
     for (const auto& phi : model.phases()) {
-      quantized.push_back(donn::quantize_phase(phi, {k, true}));
+      quantized.push_back(donn::quantize_phase(phi, {k}));
     }
     q.set_phases(std::move(quantized));
     std::printf("  %-8zu %9.2f%%\n", k,
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   }
 
   // STE quantization-aware fine-tuning at the requested level count.
-  donn::StePhaseQuantizer ste({levels, true});
+  donn::StePhaseQuantizer ste({levels});
   std::vector<MatrixD> latent = model.phases();
   donn::DonnModel ste_model = model;
   train::Adam optimizer(0.01);
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   {
     std::vector<MatrixD> quantized;
     for (const auto& phi : model.phases()) {
-      quantized.push_back(donn::quantize_phase(phi, {levels, true}));
+      quantized.push_back(donn::quantize_phase(phi, {levels}));
     }
     posthoc.set_phases(std::move(quantized));
   }

@@ -45,34 +45,76 @@ for example in "quickstart grid=16 samples=120 epochs=1" \
 done
 echo "examples: quickstart, discrete_levels, serving_demo ran clean"
 
+# expect_error <label> <needle> <command...>: the command must fail with
+# a typed error — exit 1 with <needle> on stderr — never crash, hang or
+# succeed.
+expect_error() {
+  label="$1"
+  needle="$2"
+  shift 2
+  err="$("$@" 2>&1 >/dev/null)" && code=0 || code=$?
+  if [ "$code" -ne 1 ]; then
+    echo "$label exited $code, expected 1" >&2
+    exit 1
+  fi
+  case "$err" in
+    *"$needle"*) ;;
+    *) echo "$label printed no $needle" >&2
+       echo "$err" >&2
+       exit 1 ;;
+  esac
+}
+
 # ODONN_THREADS is a whole number in [1, 1024]: anything else must be a
 # typed error (exit 1, "error:" on stderr), never a silent fallback to
 # every hardware thread. A pool that cannot start its threads (here: an
 # address-space limit too small for 1000 thread stacks) must also fail
 # with a typed error instead of aborting on joinable threads.
-threads_smoke() {  # $1=label, then the command
-  label="$1"
-  shift
-  err="$("$@" 2>&1 >/dev/null)" && code=0 || code=$?
-  if [ "$code" -ne 1 ]; then
-    echo "threads smoke: $label exited $code, expected 1" >&2
-    exit 1
-  fi
-  case "$err" in
-    *"error:"*) ;;
-    *) echo "threads smoke: $label printed no error:" >&2
-       echo "$err" >&2
-       exit 1 ;;
-  esac
-}
-threads_smoke "ODONN_THREADS=abc" \
+expect_error "threads smoke: ODONN_THREADS=abc" "error:" \
   env ODONN_THREADS=abc ./odonn_cli serve grid=16 samples=8 batch=4
-threads_smoke "ODONN_THREADS=100000" \
+expect_error "threads smoke: ODONN_THREADS=100000" "error:" \
   env ODONN_THREADS=100000 ./odonn_cli serve grid=16 samples=8 batch=4
-threads_smoke "ODONN_THREADS=1000 under ulimit -v 1500000" \
+expect_error "threads smoke: ODONN_THREADS=1000 under ulimit -v 1500000" \
+  "error:" \
   sh -c 'ulimit -v 1500000 &&
          ODONN_THREADS=1000 exec ./odonn_cli serve grid=16 samples=8 batch=4'
 echo "threads smoke: bad ODONN_THREADS and a failed pool start exit 1"
+
+# Checkpoint trust boundary: a header that claims a million classes, or
+# 64 layers at grid 4096 with no phase bytes behind it, must fail within
+# seconds with an IoError ("error: io:") before the loader builds a model.
+# Both are cut from the checkpoint serving_demo wrote above: its 64-byte
+# header, with u32 little-endian fields overwritten in place (grid at byte
+# 8, layer count at 44 and 60, classes at 48, detector size at 52).
+put_u32() {  # $1=file $2=byte offset $3=value
+  printf "$(printf '\\%03o\\%03o\\%03o\\%03o' $(($3 & 255)) \
+    $(($3 >> 8 & 255)) $(($3 >> 16 & 255)) $(($3 >> 24 & 255)))" |
+    dd of="$1" bs=1 seek="$2" conv=notrunc 2>/dev/null
+}
+head -c 64 serving_demo_smoothed.odnn > hostile_classes.odnn
+put_u32 hostile_classes.odnn 8 2048
+put_u32 hostile_classes.odnn 48 1000000
+put_u32 hostile_classes.odnn 52 1
+head -c 64 serving_demo_smoothed.odnn > hostile_layers.odnn
+put_u32 hostile_layers.odnn 8 4096
+put_u32 hostile_layers.odnn 44 64
+put_u32 hostile_layers.odnn 60 64
+expect_error "checkpoint smoke: 1000000-class header" "error: io:" \
+  timeout 10 ./odonn_cli serve model=hostile_classes.odnn action=list
+expect_error "checkpoint smoke: 4096^2 x 64-layer header" "error: io:" \
+  sh -c 'ulimit -v 4000000 &&
+         exec timeout 10 ./odonn_cli serve model=hostile_layers.odnn \
+           action=list'
+echo "checkpoint smoke: hostile headers rejected with IoError (exit 1)"
+
+# A throw on the serve drain thread once a batch has left the queue (here
+# building the forward pass of a grid-5000 model under an address-space
+# limit) must fail that batch's futures, so serve exits 1 with the error
+# instead of aborting in std::terminate.
+expect_error "serve drain smoke: grid=5000 under ulimit -v 3000000" "error:" \
+  sh -c 'ulimit -v 3000000 &&
+         exec ./odonn_cli serve grid=5000 samples=1 batch=1'
+echo "serve drain smoke: an allocation failure after dequeue exits 1"
 
 # Smoke the fabrication-variability subsystem end to end, and require the
 # Monte-Carlo report to be bitwise identical across thread counts: the

@@ -19,7 +19,7 @@
 #   thread-count  no thread_count() in src/ outside the scheduler owners —
 #                 slice layouts derived from the worker count break bitwise
 #                 independence from ODONN_THREADS (use fixed-slice layouts
-#                 like kParallelSumChunkCap / kGradientSlices)
+#                 like the trainer's kGradientSlices)
 #   isa-target    no __attribute__((target...)), target_clones,
 #                 #pragma GCC target|optimize, __builtin_cpu_supports or
 #                 <immintrin.h> in src/ outside the one lane-kernel dispatch

@@ -365,40 +365,6 @@ void parallel_for(std::size_t begin, std::size_t end,
       grain);
 }
 
-double parallel_sum(std::size_t begin, std::size_t end,
-                    const std::function<double(std::size_t)>& fn,
-                    std::size_t grain) {
-  if (begin >= end) return 0.0;
-  if (grain == 0) grain = 1;
-  const std::size_t total = end - begin;
-  // Fixed-slice layout: a pure function of (total, grain, cap) — never of
-  // the worker count or nesting context — so the summation tree is bitwise
-  // reproducible for any ODONN_THREADS. Slices are `grain` wide until the
-  // cap binds; then they grow uniformly so the partial buffer stays O(cap)
-  // instead of O(total/grain).
-  std::size_t step = grain;
-  if ((total + grain - 1) / grain > kParallelSumChunkCap) {
-    step = (total + kParallelSumChunkCap - 1) / kParallelSumChunkCap;
-  }
-  const std::size_t chunks = (total + step - 1) / step;
-  std::vector<double> partials(chunks, 0.0);
-  parallel_for_chunks(
-      0, chunks,
-      [&](std::size_t clo, std::size_t chi) {
-        for (std::size_t c = clo; c < chi; ++c) {
-          const std::size_t lo = begin + c * step;
-          const std::size_t hi = std::min(end, lo + step);
-          double acc = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) acc += fn(i);
-          partials[c] = acc;
-        }
-      },
-      1);
-  double total_sum = 0.0;
-  for (double p : partials) total_sum += p;  // fixed order => deterministic
-  return total_sum;
-}
-
 void parallel_tasks(std::vector<std::function<void()>> tasks,
                     std::size_t max_concurrent) {
   const std::size_t n = tasks.size();

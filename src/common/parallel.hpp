@@ -12,9 +12,10 @@
 //   * every submitter HELPS while waiting: instead of idling in the latch
 //     it drains queued work at its own nesting depth or deeper, which both
 //     keeps the caller busy and makes nested waits deadlock-free.
-// Reductions use fixed-slice partials combined in slice order, so results
-// are bitwise independent of thread scheduling, of ODONN_THREADS and of
-// how work was nested.
+// Callers that reduce (the trainer's kGradientSlices) fill fixed-slice
+// partials and combine them in slice order, so results are bitwise
+// independent of thread scheduling, of ODONN_THREADS and of how work was
+// nested.
 #pragma once
 
 #include <cstddef>
@@ -47,21 +48,6 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t grain = 1);
 
-/// Upper bound on the number of partial sums parallel_sum materializes.
-/// The slice layout is a pure function of (range length, grain, this cap)
-/// — never of the worker count — so the summation tree, and therefore the
-/// result bits, are identical for every ODONN_THREADS and nesting context.
-inline constexpr std::size_t kParallelSumChunkCap = 1024;
-
-/// Deterministic sum-reduction: fixed-layout slices are summed internally
-/// left-to-right and combined in ascending slice order regardless of
-/// completion order. Slices cover `grain` indices each until the
-/// kParallelSumChunkCap cap binds, after which they grow uniformly so the
-/// partial buffer stays O(cap) instead of O(total/grain).
-double parallel_sum(std::size_t begin, std::size_t end,
-                    const std::function<double(std::size_t)>& fn,
-                    std::size_t grain = 64);
-
 /// Runs every element of `tasks` concurrently on the shared pool, at most
 /// `max_concurrent` (0 = all) in flight at once. Each task executes with
 /// an inner parallelism budget of the current budget split evenly across
@@ -77,7 +63,7 @@ void parallel_tasks(std::vector<std::function<void()>> tasks,
                     std::size_t max_concurrent = 0);
 
 /// Pins the CALLING thread's inner parallelism budget for the current
-/// scope: parallel_for/parallel_sum/parallel_tasks issued from this thread
+/// scope: parallel_for/parallel_tasks issued from this thread
 /// fan out to at most `budget` pool workers (1 = run inline, 0 = restore
 /// the unrestricted default). Restores the previous budget on destruction.
 /// This is how long-lived threads that are not pool tasks — e.g. a serve

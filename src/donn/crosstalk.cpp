@@ -10,8 +10,6 @@ MatrixD apply_crosstalk(const MatrixD& phase, const CrosstalkOptions& options) {
   ODONN_CHECK(!phase.empty(), "apply_crosstalk: empty mask");
   ODONN_CHECK(options.strength >= 0.0 && options.strength <= 1.0,
               "apply_crosstalk: strength must be in [0, 1]");
-  ODONN_CHECK(options.half_response > 0.0,
-              "apply_crosstalk: half_response must be positive");
 
   const MatrixD local = roughness::roughness_map(phase, options.roughness);
   const long rows = static_cast<long>(phase.rows());
@@ -34,9 +32,8 @@ MatrixD apply_crosstalk(const MatrixD& phase, const CrosstalkOptions& options) {
       const double mean9 = acc / 9.0;
       const double rough = local(static_cast<std::size_t>(r),
                                  static_cast<std::size_t>(c));
-      // Saturating response: alpha = strength * rough / (rough + half).
-      const double alpha =
-          options.strength * rough / (rough + options.half_response);
+      // Saturating response, half-maximal at a roughness of 1 rad.
+      const double alpha = options.strength * rough / (rough + 1.0);
       const double ideal = phase(static_cast<std::size_t>(r),
                                  static_cast<std::size_t>(c));
       out(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) =

@@ -21,14 +21,14 @@ struct CrosstalkOptions {
   /// Maximum blend factor toward the neighborhood mean (0 = ideal device,
   /// 1 = full smearing at the roughest pixels).
   double strength = 0.5;
-  /// Local roughness that already produces half-maximal smearing [rad].
-  double half_response = 1.0;
   roughness::RoughnessOptions roughness = {};
 };
 
 /// Returns the "as-fabricated" phase mask: per-pixel blend between the ideal
-/// phase and the 3x3 neighborhood mean, weighted by local roughness.
-/// Smooth masks are nearly unchanged; rough masks are distorted.
+/// phase and the 3x3 neighborhood mean, weighted by the saturating response
+/// alpha = strength * R(p) / (R(p) + 1) of the local roughness R(p) (a
+/// roughness of 1 rad produces half-maximal smearing). Smooth masks are
+/// nearly unchanged; rough masks are distorted.
 MatrixD apply_crosstalk(const MatrixD& phase, const CrosstalkOptions& options = {});
 
 }  // namespace odonn::donn

@@ -29,7 +29,7 @@ MatrixD quantize_phase(const MatrixD& phase, const QuantizeOptions& options) {
   const double step = kTwoPi / static_cast<double>(options.levels);
   MatrixD out(phase.rows(), phase.cols());
   for (std::size_t i = 0; i < phase.size(); ++i) {
-    const double v = options.wrap ? wrap_value(phase[i]) : phase[i];
+    const double v = wrap_value(phase[i]);
     // Round to the nearest level; level `levels` wraps back to 0.
     long k = std::lround(v / step);
     k %= static_cast<long>(options.levels);
@@ -59,7 +59,7 @@ double quantization_error(const MatrixD& phase,
   const MatrixD q = quantize_phase(phase, options);
   double acc = 0.0;
   for (std::size_t i = 0; i < phase.size(); ++i) {
-    const double w = options.wrap ? wrap_value(phase[i]) : phase[i];
+    const double w = wrap_value(phase[i]);
     double d = std::abs(q[i] - w);
     d = std::min(d, kTwoPi - d);  // wrapped distance
     acc += d;

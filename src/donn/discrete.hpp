@@ -23,11 +23,10 @@ namespace odonn::donn {
 
 struct QuantizeOptions {
   std::size_t levels = 16;   ///< number of control levels over [0, 2*pi)
-  bool wrap = true;          ///< wrap input phases into [0, 2*pi) first
 };
 
-/// Nearest-level quantization of a phase mask. With wrap=true, values are
-/// first reduced mod 2*pi; level k maps to 2*pi*k/levels.
+/// Nearest-level quantization of a phase mask. Values are first reduced
+/// mod 2*pi; level k maps to 2*pi*k/levels.
 MatrixD quantize_phase(const MatrixD& phase, const QuantizeOptions& options = {});
 
 /// Index of the nearest level for every pixel (0..levels-1).

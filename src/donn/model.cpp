@@ -214,13 +214,6 @@ optics::Field DonnModel::propagate_through(const optics::Field& input) const {
   return optics::Field(config_.grid, std::move(values));
 }
 
-MatrixD DonnModel::output_intensity(const optics::Field& input) const {
-  Workspace workspace;
-  run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
-  fill_intensity(workspace);
-  return std::move(workspace.intensity);
-}
-
 std::vector<double> DonnModel::detector_sums(const optics::Field& input) const {
   Workspace workspace;
   run_stack(input, modulation_tables(), workspace, /*keep_propagated=*/false);
@@ -332,25 +325,11 @@ void DonnModel::infer_batch(const FirstHops& hops,
                 });
 }
 
-std::vector<std::size_t> DonnModel::predict_batch(
-    const std::vector<optics::Field>& inputs) const {
-  std::vector<std::size_t> predictions;
-  infer_batch(inputs, modulation_tables(), &predictions, nullptr, nullptr);
-  return predictions;
-}
-
 std::vector<std::vector<double>> DonnModel::detector_sums_batch(
     const std::vector<optics::Field>& inputs) const {
   std::vector<std::vector<double>> sums;
   infer_batch(inputs, modulation_tables(), nullptr, &sums, nullptr);
   return sums;
-}
-
-std::vector<MatrixD> DonnModel::output_intensity_batch(
-    const std::vector<optics::Field>& inputs) const {
-  std::vector<MatrixD> intensities;
-  infer_batch(inputs, modulation_tables(), nullptr, nullptr, &intensities);
-  return intensities;
 }
 
 std::vector<MatrixD> DonnModel::zero_gradients() const {

@@ -11,9 +11,9 @@
 //
 // One per-sample path
 // -------------------
-// Every entry point — propagate_through, output_intensity, detector_sums,
-// predict, infer_batch and forward_backward — runs one private stack runner
-// that works in place on a DonnModel::Workspace, multiplying by
+// Every entry point — propagate_through, detector_sums, predict,
+// infer_batch, detector_sums_batch and forward_backward — runs one private
+// stack runner that works in place on a DonnModel::Workspace, multiplying by
 // precomputed modulation tables w = exp(i*phi) (modulation_tables()). The
 // one-sample convenience overloads build the tables and a workspace per
 // call; hot loops (infer_batch per chunk, the trainer per batch and slot,
@@ -174,9 +174,6 @@ class DonnModel {
   /// Field at the detector plane.
   optics::Field propagate_through(const optics::Field& input) const;
 
-  /// Detector-plane intensity |f|^2.
-  MatrixD output_intensity(const optics::Field& input) const;
-
   /// Raw per-class scores (region intensity sums in Standard mode, signed
   /// +/- pair differences in Differential mode).
   std::vector<double> detector_sums(const optics::Field& input) const;
@@ -230,16 +227,9 @@ class DonnModel {
                    std::vector<std::vector<double>>* sums,
                    std::vector<MatrixD>* intensities) const;
 
-  /// Batched argmax classes (exact parity with per-sample predict()).
-  std::vector<std::size_t> predict_batch(
-      const std::vector<optics::Field>& inputs) const;
-
-  /// Batched raw per-class scores.
+  /// Batched raw per-class scores: infer_batch through this model's
+  /// modulation_tables().
   std::vector<std::vector<double>> detector_sums_batch(
-      const std::vector<optics::Field>& inputs) const;
-
-  /// Batched detector-plane intensities.
-  std::vector<MatrixD> output_intensity_batch(
       const std::vector<optics::Field>& inputs) const;
 
   struct ForwardBackwardResult {

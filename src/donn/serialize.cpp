@@ -18,6 +18,10 @@ constexpr char kMagic[4] = {'O', 'D', 'N', 'N'};
 constexpr std::uint32_t kVersion = 2;
 // Largest grid a checkpoint may claim (a 4096^2 complex field is 256 MiB).
 constexpr std::size_t kMaxGrid = 4096;
+// Largest class count a checkpoint may claim. Every driver builds 10; the
+// detector layout checks its regions pairwise, so a million classes would
+// spin for minutes before the first phase byte is read.
+constexpr std::size_t kMaxClasses = 1024;
 
 void write_u32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -39,6 +43,24 @@ double read_f64(std::istream& in, const std::string& path) {
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   if (!in) throw IoError("truncated model file " + path);
   return v;
+}
+
+/// Throws unless the `payload` bytes the header declares for the next block
+/// (`what`) follow the read position of `in` (which is restored; a stream
+/// that cannot seek proves nothing and fails). Runs before anything the
+/// block sizes is built or allocated.
+void check_payload(std::istream& in, std::uint64_t payload, const char* what,
+                   const std::string& path) {
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here ||
+      payload > static_cast<std::uint64_t>(end - here)) {
+    throw IoError("model file " + path + " declares " +
+                  std::to_string(payload) + " bytes of " + what +
+                  ", more than it holds (truncated or hostile header)");
+  }
 }
 
 }  // namespace
@@ -122,11 +144,23 @@ DonnModel load_model(const std::string& path) {
   if (cfg.num_layers == 0 || cfg.num_layers > 64) {
     throw IoError("implausible layer count in " + path);
   }
+  if (cfg.num_classes < 1 || cfg.num_classes > kMaxClasses) {
+    throw IoError("class count outside [1, " + std::to_string(kMaxClasses) +
+                  "] in " + path);
+  }
+  if (cfg.detector_size < 1 || cfg.detector_size > cfg.grid.n) {
+    throw IoError("detector size outside [1, grid size] in " + path);
+  }
 
   const std::uint32_t stored_layers = read_u32(in, path);
   if (stored_layers != cfg.num_layers) {
     throw IoError("layer count mismatch in " + path);
   }
+  // At most 64 layers of 4096^2 pixels: no product below overflows.
+  const std::uint64_t pixels = std::uint64_t{stored_layers} * cfg.grid.n *
+                               cfg.grid.n;
+  check_payload(in, pixels * sizeof(double) + 1, "phases and mask flag",
+                path);
 
   Rng rng(0);  // immediately overwritten by set_phases
   DonnModel model(cfg, rng);
@@ -150,6 +184,7 @@ DonnModel load_model(const std::string& path) {
   if (!in) throw IoError("truncated mask flag in " + path);
   std::vector<sparsify::SparsityMask> masks;
   if (has_masks != 0) {
+    check_payload(in, pixels, "sparsity masks", path);
     masks.reserve(stored_layers);
     for (std::uint32_t l = 0; l < stored_layers; ++l) {
       sparsify::SparsityMask mask(cfg.grid.n, cfg.grid.n, 1);

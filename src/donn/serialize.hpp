@@ -18,9 +18,12 @@ namespace odonn::donn {
 /// Writes the model (config + phases + masks) to `path`. Throws IoError.
 void save_model(const DonnModel& model, const std::string& path);
 
-/// Reads a model back. Validates magic/version/shape, the grid and optics
-/// bounds before allocating, finite phase values and the exact length (no
-/// byte after the mask block); throws IoError on any malformed content.
+/// Reads a model back. Before building or allocating anything it validates
+/// magic/version/shape, the grid, optics, class-count and detector-size
+/// bounds, and that the file holds the phase (and, once the flag is read,
+/// mask) bytes the header declares; then finite phase values and the exact
+/// length (no byte after the mask block). Throws IoError on any malformed
+/// content.
 DonnModel load_model(const std::string& path);
 
 }  // namespace odonn::donn

@@ -12,9 +12,8 @@ namespace odonn::io {
 void render_phase_mask(const std::string& path, const MatrixD& phase,
                        const MaskRenderOptions& options) {
   ODONN_CHECK(!phase.empty(), "render_phase_mask: empty mask");
-  ODONN_CHECK(options.upscale >= 1, "render_phase_mask: upscale must be >= 1");
   const double two_pi = 2.0 * M_PI;
-  const std::size_t up = options.upscale;
+  const std::size_t up = 2;  // pixel replication for visibility
   const std::size_t rows = phase.rows() * up;
   const std::size_t cols = phase.cols() * up;
   std::vector<Rgb> pixels(rows * cols);
@@ -24,12 +23,10 @@ void render_phase_mask(const std::string& path, const MatrixD& phase,
       Rgb color;
       if (options.zeros_black && v == 0.0) {
         color = {0, 0, 0};
-      } else if (options.wrap_to_2pi) {
+      } else {
         double w = std::fmod(v, two_pi);
         if (w < 0.0) w += two_pi;
         color = viridis(w / two_pi);
-      } else {
-        color = viridis(v / two_pi);
       }
       pixels[r * cols + c] = color;
     }

@@ -1,6 +1,8 @@
 // Phase-mask visualization (paper Fig. 5): renders a phase mask to a
 // colormapped PPM, with sparsified (exact-zero) pixels drawn black so the
-// cleared blocks stand out like the figure's black squares.
+// cleared blocks stand out like the figure's black squares. Phases are
+// displayed modulo 2*pi (what inference sees), and every mask pixel becomes
+// a 2x2 block of image pixels for visibility.
 #pragma once
 
 #include <string>
@@ -10,9 +12,7 @@
 namespace odonn::io {
 
 struct MaskRenderOptions {
-  bool wrap_to_2pi = true;   ///< display modulo 2*pi (inference-equivalent)
   bool zeros_black = true;   ///< paint exact-zero pixels black
-  std::size_t upscale = 2;   ///< integer pixel replication for visibility
 };
 
 void render_phase_mask(const std::string& path, const MatrixD& phase,

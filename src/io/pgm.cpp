@@ -1,54 +1,10 @@
 #include "io/pgm.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 
 #include "common/error.hpp"
 
 namespace odonn::io {
-
-void write_pgm(const std::string& path, const MatrixD& image, double lo,
-               double hi) {
-  ODONN_CHECK(!image.empty(), "write_pgm: empty image");
-  ODONN_CHECK(hi > lo, "write_pgm: hi must exceed lo");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot create " + path);
-  out << "P5\n" << image.cols() << ' ' << image.rows() << "\n255\n";
-  std::vector<unsigned char> row(image.cols());
-  for (std::size_t r = 0; r < image.rows(); ++r) {
-    for (std::size_t c = 0; c < image.cols(); ++c) {
-      const double v = std::clamp((image(r, c) - lo) / (hi - lo), 0.0, 1.0);
-      row[c] = static_cast<unsigned char>(std::lround(v * 255.0));
-    }
-    out.write(reinterpret_cast<const char*>(row.data()),
-              static_cast<std::streamsize>(row.size()));
-  }
-  if (!out) throw IoError("failed writing " + path);
-}
-
-MatrixD read_pgm(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open " + path);
-  std::string magic;
-  in >> magic;
-  if (magic != "P5") throw IoError("not a binary PGM: " + path);
-  std::size_t cols = 0, rows = 0, maxval = 0;
-  in >> cols >> rows >> maxval;
-  if (!in || cols == 0 || rows == 0 || maxval == 0 || maxval > 255) {
-    throw IoError("malformed PGM header in " + path);
-  }
-  in.get();  // single whitespace after header
-  std::vector<unsigned char> data(rows * cols);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  if (!in) throw IoError("truncated PGM data in " + path);
-  MatrixD image(rows, cols);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    image[i] = static_cast<double>(data[i]) / static_cast<double>(maxval);
-  }
-  return image;
-}
 
 void write_ppm(const std::string& path, const std::vector<Rgb>& pixels,
                std::size_t rows, std::size_t cols) {

@@ -1,6 +1,5 @@
-// Minimal netpbm writers/readers: binary PGM (P5) for grayscale and binary
-// PPM (P6) for color. Used to dump phase-mask galleries (paper Fig. 5) and
-// diffraction patterns without any external image dependency.
+// Minimal netpbm writer: binary PPM (P6) for color. Used to dump phase-mask
+// galleries (paper Fig. 5) without any external image dependency.
 #pragma once
 
 #include <array>
@@ -12,13 +11,6 @@
 namespace odonn::io {
 
 using Rgb = std::array<std::uint8_t, 3>;
-
-/// Writes `image` (expected range [lo, hi], linearly mapped to 0-255).
-void write_pgm(const std::string& path, const MatrixD& image, double lo = 0.0,
-               double hi = 1.0);
-
-/// Reads a binary P5 PGM back into [0, 1]. Throws IoError on malformed input.
-MatrixD read_pgm(const std::string& path);
 
 /// Writes an RGB image stored row-major (rows x cols pixels).
 void write_ppm(const std::string& path, const std::vector<Rgb>& pixels,

@@ -10,9 +10,9 @@ Propagator::Propagator(const GridSpec& grid, const PropagatorOptions& options)
     : grid_(grid), options_(options) {
   validate(grid);
   work_grid_ = options.pad2x ? GridSpec{grid.n * 2, grid.pitch} : grid;
-  kernel_ = transfer_function(work_grid_, options.kernel);
+  const MatrixC kernel = transfer_function(work_grid_, options.kernel);
   plan_ = fft::plan_for(work_grid_.n);
-  fft::column_lane_planes(kernel_.data(), work_grid_.n, work_grid_.n,
+  fft::column_lane_planes(kernel.data(), work_grid_.n, work_grid_.n,
                           kernel_re_, kernel_im_);
 }
 
@@ -63,15 +63,16 @@ void Propagator::apply_frame(fft::Frame& field, Workspace& workspace,
   }
 }
 
-void Propagator::apply_inplace(MatrixC& values, Workspace& workspace,
-                               bool conjugate_kernel) const {
-  ODONN_CHECK_SHAPE(values.rows() == grid_.n && values.cols() == grid_.n,
-                    "propagator grid does not match sample buffer shape");
-  fft::Frame& frame = workspace.frame;
-  frame.reshape(grid_.n, grid_.n);
-  frame.load(values.data());
+Field Propagator::apply(const Field& field, bool conjugate_kernel) const {
+  ODONN_CHECK_SHAPE(field.grid() == grid_,
+                    "propagator grid does not match field grid");
+  fft::Frame frame(grid_.n, grid_.n);
+  frame.load(field.values().data());
+  Workspace workspace;
   apply_frame(frame, workspace, conjugate_kernel);
-  frame.store(values.data());
+  Field out = field;
+  frame.store(out.values().data());
+  return out;
 }
 
 void Propagator::forward_frame(fft::Frame& field, Workspace& workspace) const {
@@ -82,44 +83,15 @@ void Propagator::adjoint_frame(fft::Frame& field, Workspace& workspace) const {
   apply_frame(field, workspace, /*conjugate_kernel=*/true);
 }
 
-void Propagator::forward_inplace(MatrixC& values, Workspace& workspace) const {
-  apply_inplace(values, workspace, /*conjugate_kernel=*/false);
-}
-
-void Propagator::adjoint_inplace(MatrixC& values, Workspace& workspace) const {
-  apply_inplace(values, workspace, /*conjugate_kernel=*/true);
-}
-
 Field Propagator::forward(const Field& input) const {
-  ODONN_CHECK_SHAPE(input.grid() == grid_,
-                    "propagator grid does not match field grid");
-  Field out = input;
-  Workspace workspace;
-  forward_inplace(out.values(), workspace);
-  return out;
+  return apply(input, /*conjugate_kernel=*/false);
 }
 
 Field Propagator::adjoint(const Field& grad_output) const {
   // P = C F^{-1} diag(H) F E with E = centered zero-pad, C = centered crop,
   // and C = E^T, so P* = E^T' ... the pad/crop pair is self-adjoint under
   // the same centering, giving P* = C F^{-1} diag(conj H) F E.
-  ODONN_CHECK_SHAPE(grad_output.grid() == grid_,
-                    "propagator grid does not match field grid");
-  Field out = grad_output;
-  Workspace workspace;
-  adjoint_inplace(out.values(), workspace);
-  return out;
-}
-
-Field propagate_in_steps(const Field& input, const KernelSpec& spec,
-                         std::size_t steps, bool pad2x) {
-  ODONN_CHECK(steps >= 1, "propagate_in_steps requires steps >= 1");
-  KernelSpec step_spec = spec;
-  step_spec.distance = spec.distance / static_cast<double>(steps);
-  Propagator prop(input.grid(), {step_spec, pad2x});
-  Field field = input;
-  for (std::size_t s = 0; s < steps; ++s) field = prop.forward(field);
-  return field;
+  return apply(grad_output, /*conjugate_kernel=*/true);
 }
 
 }  // namespace odonn::optics

@@ -17,18 +17,18 @@
 // of fft_plan.hpp's ISA dispatch (AVX2 when the CPU has it, never FMA). The
 // propagator holds its FFT plan (rows and columns share one length) and H in
 // the column pass's column-lane order, so a propagation looks nothing up.
-// forward_frame / adjoint_frame are the path itself; forward / adjoint and
-// the MatrixC *_inplace entry points convert into a workspace frame and
-// back. With pad2x the aperture is copied into the centre of a zeroed
-// 2n x 2n frame and cropped back after.
+// forward_frame / adjoint_frame are the path itself; the Field entry points
+// forward / adjoint load a frame, run it and store it back. With pad2x the
+// aperture is copied into the centre of a zeroed 2n x 2n frame and cropped
+// back after.
 //
 // Thread safety: a constructed Propagator is immutable (cached plan and
 // transfer function only) and all member functions are const, so one
 // instance may be shared across any number of threads — the serving path
 // (src/serve) relies on this to evaluate whole batches against a single
-// cached kernel. The *_inplace and *_frame entry points additionally let
-// hot loops reuse caller-owned buffers so steady-state propagation performs
-// no heap allocation.
+// cached kernel. The *_frame entry points additionally let hot loops reuse
+// caller-owned buffers so steady-state propagation performs no heap
+// allocation.
 #pragma once
 
 #include <memory>
@@ -53,11 +53,9 @@ class Propagator {
   const GridSpec& grid() const { return grid_; }
   const PropagatorOptions& options() const { return options_; }
 
-  /// Caller-owned scratch: the frame the MatrixC *_inplace entry points
-  /// convert into, and the zero-padded working frame when pad2x is on.
+  /// Caller-owned scratch: the zero-padded working frame when pad2x is on.
   /// Reusing one workspace across calls avoids reallocating per propagation.
   struct Workspace {
-    fft::Frame frame;
     fft::Frame padded;
   };
 
@@ -67,40 +65,24 @@ class Propagator {
   /// Applies the adjoint P* (used to pull gradients back through free space).
   Field adjoint(const Field& grad_output) const;
 
-  /// In-place variants over a raw n x n sample buffer: `values` is consumed
-  /// and overwritten with the propagated samples. Bit-for-bit identical to
-  /// forward()/adjoint() (the Field entry points are thin wrappers over this
-  /// path), but allocation-free at steady state — the model's stack runner
-  /// calls these per hop with a caller-owned workspace.
-  void forward_inplace(MatrixC& values, Workspace& workspace) const;
-  void adjoint_inplace(MatrixC& values, Workspace& workspace) const;
-
   /// The path itself, in place on an n x n row-lane frame (idle lanes of a
   /// partial last group are carried along and never read). The model's
   /// stack runner keeps its fields in frames and calls these per hop.
   void forward_frame(fft::Frame& field, Workspace& workspace) const;
   void adjoint_frame(fft::Frame& field, Workspace& workspace) const;
 
-  /// The cached transfer function (on the padded grid if pad2x).
-  const MatrixC& transfer() const { return kernel_; }
-
  private:
-  void apply_inplace(MatrixC& values, Workspace& workspace,
-                     bool conjugate_kernel) const;
+  /// forward / adjoint: loads `field` into a frame, applies P or P*.
+  Field apply(const Field& field, bool conjugate_kernel) const;
   void apply_frame(fft::Frame& field, Workspace& workspace,
                    bool conjugate_kernel) const;
 
   GridSpec grid_;
   PropagatorOptions options_;
   GridSpec work_grid_;  ///< grid_ or 2x padded
-  MatrixC kernel_;
   std::shared_ptr<const fft::Plan> plan_;  ///< length work_grid_.n
-  fft::Plane kernel_re_, kernel_im_;  ///< H in column-lane order
+  fft::Plane kernel_re_, kernel_im_;  ///< H (transfer_function on work_grid_)
+                                      ///< in column-lane order
 };
-
-/// Composes a propagation over z via `steps` sequential applications of
-/// z/steps. Used by tests to check the semigroup property P(z1+z2)=P(z1)P(z2).
-Field propagate_in_steps(const Field& input, const KernelSpec& spec,
-                         std::size_t steps, bool pad2x = false);
 
 }  // namespace odonn::optics

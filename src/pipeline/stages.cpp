@@ -24,7 +24,6 @@ train::TrainOptions base_train_options(const train::RecipeOptions& options,
                                        RegularizerFlags flags) {
   train::TrainOptions base;
   base.batch_size = options.batch_size;
-  base.loss = options.loss;
   base.seed = options.seed + 1;
   base.verbose = options.verbose;
   base.reg.roughness = options.roughness;
@@ -59,8 +58,6 @@ data::Dataset load_idx_resized(const DatasetStageOptions& options,
 
 std::pair<data::Dataset, data::Dataset> load_or_synthesize(
     const DatasetStageOptions& options) {
-  ODONN_CHECK(options.train_fraction > 0.0 && options.train_fraction < 1.0,
-              "dataset stage: train_fraction must be in (0, 1)");
   if (!options.data_dir.empty()) {
     return {load_idx_resized(options, "train-images-idx3-ubyte",
                              "train-labels-idx1-ubyte"),
@@ -73,7 +70,7 @@ std::pair<data::Dataset, data::Dataset> load_or_synthesize(
                                         options.seed + 10);
   const auto resized = data::resize_dataset(raw, options.grid);
   Rng split_rng(options.seed + 11);
-  return resized.split(options.train_fraction, split_rng);
+  return resized.split(0.8, split_rng);
 }
 
 data::Dataset load_eval_set(const DatasetStageOptions& options) {

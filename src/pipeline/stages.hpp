@@ -62,7 +62,7 @@ struct RegularizerFlags {
 /// How a DatasetStage obtains its data: real IDX files (MNIST container
 /// format) from data_dir when set, else the synthetic generator — with
 /// identical downstream arithmetic (resize to the optical grid, then a
-/// deterministic shuffled split).
+/// deterministic shuffled 80/20 train/test split).
 struct DatasetStageOptions {
   data::SyntheticFamily family = data::SyntheticFamily::Digits;
   /// Directory holding train-images-idx3-ubyte / train-labels-idx1-ubyte /
@@ -70,7 +70,6 @@ struct DatasetStageOptions {
   std::string data_dir;
   std::size_t samples = 1200;  ///< synthetic total (split train/test)
   std::size_t grid = 48;       ///< optical grid side (resize target)
-  double train_fraction = 0.8;
   std::uint64_t seed = 7;
 };
 

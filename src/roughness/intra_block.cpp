@@ -22,8 +22,8 @@ void for_each_tile(const MatrixD& mask, std::size_t b, Fn&& fn) {
   }
 }
 
-double tile_variance(const MatrixD& mask, const TileRange& t,
-                     bool sample_variance) {
+/// Sample variance (denominator m-1) of one tile.
+double tile_variance(const MatrixD& mask, const TileRange& t) {
   const double m = static_cast<double>(t.count());
   if (t.count() < 2) return 0.0;
   double sum = 0.0;
@@ -38,7 +38,7 @@ double tile_variance(const MatrixD& mask, const TileRange& t,
       acc += d * d;
     }
   }
-  return acc / (sample_variance ? m - 1.0 : m);
+  return acc / (m - 1.0);
 }
 
 void check_options(const MatrixD& mask, const IntraBlockOptions& options) {
@@ -56,7 +56,7 @@ MatrixD block_variance_map(const MatrixD& mask,
   const std::size_t tc = (mask.cols() + b - 1) / b;
   MatrixD out(tr, tc);
   for_each_tile(mask, b, [&](const TileRange& t) {
-    out(t.r0 / b, t.c0 / b) = tile_variance(mask, t, options.sample_variance);
+    out(t.r0 / b, t.c0 / b) = tile_variance(mask, t);
   });
   return out;
 }
@@ -87,7 +87,7 @@ double intra_block_variance_with_grad(const MatrixD& mask, MatrixD& grad,
       for (std::size_t c = t.c0; c < t.c1; ++c) sum += mask(r, c);
     }
     const double mu = sum / m;
-    const double denom = options.sample_variance ? m - 1.0 : m;
+    const double denom = m - 1.0;
     double acc = 0.0;
     for (std::size_t r = t.r0; r < t.r1; ++r) {
       for (std::size_t c = t.c0; c < t.c1; ++c) {

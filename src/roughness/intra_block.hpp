@@ -15,7 +15,6 @@ namespace odonn::roughness {
 
 struct IntraBlockOptions {
   std::size_t block_size = 2;
-  bool sample_variance = true;  ///< divide by m-1 (matches Fig. 4); false => m
 };
 
 /// Per-tile variance grid of shape ceil(rows/b) x ceil(cols/b). Partial

@@ -19,6 +19,13 @@ constexpr std::array<Offset, 8> kEight = {{{-1, -1}, {-1, 0}, {-1, 1},
                                            {0, -1}, {0, 1},
                                            {1, -1}, {1, 0}, {1, 1}}};
 
+/// Smoothing inside the gradient's sqrt, so identical neighbors never hit
+/// the kink of the norm.
+constexpr double kGradEps = 1e-12;
+
+/// R(p)'s divisor 2k (the Fig. 3 normalization, see roughness.hpp).
+double divisor(Neighborhood nb) { return static_cast<double>(nb) * 2.0; }
+
 /// Value at (r, c) with one-pixel zero padding outside the mask.
 inline double padded(const MatrixD& m, long r, long c) {
   if (r < 0 || c < 0 || r >= static_cast<long>(m.rows()) ||
@@ -94,10 +101,7 @@ void with_offsets(Neighborhood nb, Fn&& fn) {
 
 MatrixD roughness_map(const MatrixD& mask, const RoughnessOptions& options) {
   ODONN_CHECK(!mask.empty(), "roughness_map: empty mask");
-  ODONN_CHECK(options.k_scale > 0.0, "roughness: k_scale must be positive");
-  const bool l2 = options.reduce == PixelReduce::L2Norm;
-  const double k = static_cast<double>(options.neighborhood) *
-                   (l2 ? options.k_scale : 1.0);
+  const double k = divisor(options.neighborhood);
   MatrixD out(mask.rows(), mask.cols());
   with_offsets(options.neighborhood, [&](const auto& offsets) {
     for_each_pixel(mask, [&](const auto& at) {
@@ -106,10 +110,10 @@ MatrixD roughness_map(const MatrixD& mask, const RoughnessOptions& options) {
       double acc = 0.0;
       for (const Offset& o : offsets) {
         const double d = at.value(o) - center;
-        acc += l2 ? d * d : std::abs(d);
+        acc += d * d;
       }
       out(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c)) =
-          l2 ? std::sqrt(acc) / k : acc / k;
+          std::sqrt(acc) / k;
     });
   });
   return out;
@@ -124,54 +128,31 @@ double roughness_with_grad(const MatrixD& mask, MatrixD& grad, double scale,
   ODONN_CHECK(!mask.empty(), "roughness_with_grad: empty mask");
   ODONN_CHECK_SHAPE(grad.same_shape(mask),
                     "roughness_with_grad: gradient shape mismatch");
-  ODONN_CHECK(options.k_scale > 0.0, "roughness: k_scale must be positive");
-  const double k = static_cast<double>(options.neighborhood) *
-                   (options.reduce == PixelReduce::L2Norm ? options.k_scale : 1.0);
+  const double k = divisor(options.neighborhood);
   double total = 0.0;
 
-  if (options.reduce == PixelReduce::L2Norm) {
-    // R(p) = (1/k) sqrt(sum_q d_q^2 + eps), d_q = w_q - w_p.
-    // dR(p)/dw_p = -(1/k) sum_q d_q / sqrt(.), dR(p)/dw_q = (1/k) d_q / sqrt(.)
-    with_offsets(options.neighborhood, [&](const auto& offsets) {
-      for_each_pixel(mask, [&](const auto& at) {
-        const double center = mask(static_cast<std::size_t>(at.r),
-                                   static_cast<std::size_t>(at.c));
-        double sum_sq = options.eps;
-        for (const Offset& o : offsets) {
-          const double d = at.value(o) - center;
-          sum_sq += d * d;
-        }
-        const double root = std::sqrt(sum_sq);
-        total += root / k;
-        const double inv = scale / (k * root);
-        double center_grad = 0.0;
-        for (const Offset& o : offsets) {
-          const double d = at.value(o) - center;
-          center_grad -= d * inv;
-          if (double* cell = at.grad_cell(grad, o)) *cell += d * inv;
-        }
-        grad(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c)) +=
-            center_grad;
-      });
-    });
-    return total;
-  }
-
-  // MeanAbs: R(p) = (1/k) sum_q |d_q|; d|d|/dd = d / sqrt(d^2 + eps).
+  // R(p) = (1/k) sqrt(sum_q d_q^2 + eps), d_q = w_q - w_p.
+  // dR(p)/dw_p = -(1/k) sum_q d_q / sqrt(.), dR(p)/dw_q = (1/k) d_q / sqrt(.)
   with_offsets(options.neighborhood, [&](const auto& offsets) {
     for_each_pixel(mask, [&](const auto& at) {
-      double& center_cell =
-          grad(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c));
       const double center = mask(static_cast<std::size_t>(at.r),
                                  static_cast<std::size_t>(at.c));
+      double sum_sq = kGradEps;
       for (const Offset& o : offsets) {
         const double d = at.value(o) - center;
-        total += std::abs(d) / k;
-        const double sign = d / std::sqrt(d * d + options.eps);
-        const double g = scale * sign / k;
-        center_cell -= g;
-        if (double* cell = at.grad_cell(grad, o)) *cell += g;
+        sum_sq += d * d;
       }
+      const double root = std::sqrt(sum_sq);
+      total += root / k;
+      const double inv = scale / (k * root);
+      double center_grad = 0.0;
+      for (const Offset& o : offsets) {
+        const double d = at.value(o) - center;
+        center_grad -= d * inv;
+        if (double* cell = at.grad_cell(grad, o)) *cell += d * inv;
+      }
+      grad(static_cast<std::size_t>(at.r), static_cast<std::size_t>(at.c)) +=
+          center_grad;
     });
   });
   return total;

@@ -1,21 +1,17 @@
 // Roughness modelling (paper §III-B, Eq. 3-4).
 //
-// The roughness of pixel p is the reduced L2 difference between p and its
-// 4- or 8-neighborhood, with one-pixel zero padding at the boundary (virtual
-// zero neighbors, k stays fixed). The mask roughness R(W) is the sum of all
-// per-pixel values. Two reductions of the neighbor-difference vector are
-// provided:
-//   * L2Norm:  R(p) = sqrt(sum_q (w_q - w_p)^2) / (k * k_scale) — vector L2
-//     norm. With the default k_scale = 2 this reproduces the values printed
-//     in the paper's Fig. 3 (23.78 / 25.80 / 25.88) to within the figure's
-//     one-decimal display rounding, and it is the only reading that also
-//     reproduces the figure's ordering block < non-structured < bank.
-//     Set k_scale = 1 for the literal Eq. 3 normalization (global scale
-//     factors do not change any of the paper's percentage-reduction claims).
-//   * MeanAbs: R(p) = (1/k) * sum_q |w_q - w_p| — elementwise reading, kept
-//     for ablation (it inverts the Fig. 3 ordering, see tests).
-// Both are differentiable almost everywhere; gradients use an eps-smoothed
-// norm so training never hits the kink at identical neighbors.
+// The roughness of pixel p is the L2 norm of the differences between p and
+// its 4- or 8-neighborhood, with one-pixel zero padding at the boundary
+// (virtual zero neighbors, k stays fixed):
+//   R(p) = sqrt(sum_q (w_q - w_p)^2) / (2k).
+// The factor 2 is the Fig. 3 normalization: it reproduces the values printed
+// in the paper's Fig. 3 (23.78 / 25.80 / 25.88) to within the figure's
+// one-decimal display rounding, and a global scale changes none of the
+// paper's percentage-reduction claims. The elementwise reading
+// (1/k) sum_q |w_q - w_p| inverts Fig. 3's ordering block < non-structured
+// < bank, which is why only the L2 reading remains. The mask roughness R(W)
+// is the sum of all per-pixel values. Gradients use an eps-smoothed norm so
+// training never hits the kink at identical neighbors.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +22,8 @@ namespace odonn::roughness {
 
 enum class Neighborhood { Four = 4, Eight = 8 };
 
-enum class PixelReduce { L2Norm, MeanAbs };
-
 struct RoughnessOptions {
   Neighborhood neighborhood = Neighborhood::Eight;
-  PixelReduce reduce = PixelReduce::L2Norm;
-  double eps = 1e-12;     ///< smoothing inside sqrt/abs for gradients
-  double k_scale = 2.0;   ///< divisor = k * k_scale (2 matches Fig. 3; 1 = literal Eq. 3)
 };
 
 /// Per-pixel roughness map R(p) (same shape as the mask).

@@ -160,44 +160,62 @@ void InferenceEngine::drain_loop() {
     const ServeStats::Clock::time_point dequeued = ServeStats::Clock::now();
     for (Request& request : batch) request.dequeued = dequeued;
 
-    if (options_.on_batch_start) options_.on_batch_start(batch.size());
-
-    // Group by model, preserving submission order within each group.
-    std::vector<std::pair<std::string, std::vector<Request*>>> groups;
-    for (Request& request : batch) {
-      auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-        return g.first == request.model;
-      });
-      if (it == groups.end()) {
-        groups.emplace_back(request.model, std::vector<Request*>{});
-        it = std::prev(groups.end());
-      }
-      it->second.push_back(&request);
-    }
-    for (auto& [name, group] : groups) {
-      run_group(name, std::move(group));
-    }
-
-    // Drop plan-cache entries whose registry name is gone, so erased or
-    // superseded snapshots (masks, modulation tables) don't stay resident
-    // for the engine's whole lifetime.
-    for (auto it = plans_.begin(); it != plans_.end();) {
-      if (registry_->find(it->first) == nullptr) {
-        it = plans_.erase(it);
-      } else {
-        ++it;
+    try {
+      run_batch(batch);
+    } catch (...) {
+      // Whatever threw once the batch left the queue (the hook, building a
+      // model's forward pass, a result vector) fails the requests still
+      // waiting on it; the drain thread lives on to serve the next batch.
+      const std::exception_ptr error = std::current_exception();
+      for (Request& request : batch) {
+        if (!request.answered) fail_request(request, error);
       }
     }
   }
 }
 
+void InferenceEngine::run_batch(std::vector<Request>& batch) {
+  if (options_.on_batch_start) options_.on_batch_start(batch.size());
+
+  // Group by model, preserving submission order within each group.
+  std::vector<std::pair<std::string, std::vector<Request*>>> groups;
+  for (Request& request : batch) {
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return g.first == request.model;
+    });
+    if (it == groups.end()) {
+      groups.emplace_back(request.model, std::vector<Request*>{});
+      it = std::prev(groups.end());
+    }
+    it->second.push_back(&request);
+  }
+  for (auto& [name, group] : groups) {
+    run_group(name, std::move(group));
+  }
+
+  // Drop plan-cache entries whose registry name is gone, so erased or
+  // superseded snapshots (masks, modulation tables) don't stay resident
+  // for the engine's whole lifetime.
+  for (auto it = plans_.begin(); it != plans_.end();) {
+    if (registry_->find(it->first) == nullptr) {
+      it = plans_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void InferenceEngine::fail_request(Request& request,
+                                   std::exception_ptr error) {
+  stats_.record_error();
+  request.answered = true;
+  request.promise.set_exception(std::move(error));
+}
+
 void InferenceEngine::run_group(const std::string& model_name,
                                 std::vector<Request*> group) {
   const auto fail = [&](std::exception_ptr error) {
-    for (Request* request : group) {
-      stats_.record_error();
-      request->promise.set_exception(error);
-    }
+    for (Request* request : group) fail_request(*request, error);
   };
 
   std::shared_ptr<const donn::DonnModel> model = registry_->find(model_name);
@@ -232,8 +250,7 @@ void InferenceEngine::run_group(const std::string& model_name,
           "')"));
     }
     if (error) {
-      stats_.record_error();
-      request->promise.set_exception(error);
+      fail_request(*request, error);
     } else {
       valid.push_back(request);
     }
@@ -305,6 +322,7 @@ void InferenceEngine::run_group(const std::string& model_name,
       obs::record_span("request/compute", t_kernel, micros(done - kernel_start),
                        2, request.id);
     }
+    request.answered = true;
     request.promise.set_value(std::move(prediction));
   }
 }

@@ -30,6 +30,12 @@
 // before the worker exits; submissions after shutdown() (and submitters
 // still blocked on backpressure at shutdown) throw.
 //
+// Failures stay per request: an unknown model, a malformed input or a
+// throwing forward pass fails the affected futures, and any other throw
+// once a batch has left the queue (the on_batch_start hook, building a
+// model's forward pass) fails that batch's unanswered futures. Each is
+// counted in stats().errors, and the drain thread keeps serving.
+//
 // Observability: stats() summarizes the engine's own latency and
 // attribution windows (ServeStats, exposed through recorder() for the
 // cluster merge). Global serve.* instruments are always recorded; a
@@ -45,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -175,6 +182,7 @@ class InferenceEngine {
     std::uint64_t id = 0;  ///< process-unique (shared across replicas)
     ServeStats::Clock::time_point enqueued;
     ServeStats::Clock::time_point dequeued;  ///< stamped once per batch
+    bool answered = false;  ///< promise resolved (value or exception)
   };
 
   /// Per-replica labelled instruments (null when options_.label is empty
@@ -189,7 +197,13 @@ class InferenceEngine {
   };
 
   void drain_loop();
+  /// Everything after a batch leaves the queue: the hook, grouping by
+  /// model and run_group per group. drain_loop fails the still-unanswered
+  /// requests with whatever this throws.
+  void run_batch(std::vector<Request>& batch);
   void run_group(const std::string& model_name, std::vector<Request*> group);
+  /// Fails one request with `error` and counts it in stats().errors.
+  void fail_request(Request& request, std::exception_ptr error);
   void note_queue_depth(std::size_t depth);
 
   std::shared_ptr<ModelRegistry> registry_;

@@ -19,9 +19,7 @@ double window_roughness(const MatrixD& m, long r, long c,
   const long rows = static_cast<long>(m.rows());
   const long cols = static_cast<long>(m.cols());
   const bool eight = opt.neighborhood == roughness::Neighborhood::Eight;
-  const double k = static_cast<double>(opt.neighborhood) *
-                   (opt.reduce == roughness::PixelReduce::L2Norm ? opt.k_scale
-                                                                 : 1.0);
+  const double k = static_cast<double>(opt.neighborhood) * 2.0;
   double acc = 0.0;
   for (long pr = r - 1; pr <= r + 1; ++pr) {
     for (long pc = c - 1; pc <= c + 1; ++pc) {
@@ -40,13 +38,10 @@ double window_roughness(const MatrixD& m, long r, long c,
                                : m(static_cast<std::size_t>(nr),
                                    static_cast<std::size_t>(nc));
           const double d = v - center;
-          sum += (opt.reduce == roughness::PixelReduce::L2Norm) ? d * d
-                                                                : std::abs(d);
+          sum += d * d;
         }
       }
-      acc += (opt.reduce == roughness::PixelReduce::L2Norm)
-                 ? std::sqrt(sum) / k
-                 : sum / k;
+      acc += std::sqrt(sum) / k;
     }
   }
   return acc;

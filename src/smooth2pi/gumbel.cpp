@@ -21,11 +21,6 @@ double gumbel_sigmoid_sample(double theta, double tau, Rng& rng) {
   return sigmoid((theta + noise) / tau);
 }
 
-double soft_select(double theta, double tau) {
-  ODONN_CHECK(tau > 0.0, "soft_select: tau must be positive");
-  return sigmoid(theta / tau);
-}
-
 double anneal_tau(double tau_start, double tau_end, std::size_t step,
                   std::size_t iterations) {
   ODONN_CHECK(tau_start > 0.0 && tau_end > 0.0, "anneal_tau: tau must be > 0");

@@ -18,9 +18,6 @@ double sigmoid(double x);
 /// G1 - G2 ~ Logistic(0, 1). tau > 0 is the temperature.
 double gumbel_sigmoid_sample(double theta, double tau, Rng& rng);
 
-/// Deterministic relaxation (no noise): sigmoid(theta / tau).
-double soft_select(double theta, double tau);
-
 /// Linear temperature annealing from tau_start to tau_end across
 /// `iterations` steps (step in [0, iterations-1]).
 double anneal_tau(double tau_start, double tau_end, std::size_t step,

@@ -38,14 +38,10 @@ double pixel_roughness(const MatrixD& m, long r, long c,
                          : m(static_cast<std::size_t>(nr),
                              static_cast<std::size_t>(nc));
     const double d = v - center;
-    acc += (opt.reduce == roughness::PixelReduce::L2Norm) ? d * d
-                                                          : std::abs(d);
+    acc += d * d;
   }
-  const double k = static_cast<double>(opt.neighborhood) *
-                   (opt.reduce == roughness::PixelReduce::L2Norm ? opt.k_scale
-                                                                 : 1.0);
-  return (opt.reduce == roughness::PixelReduce::L2Norm) ? std::sqrt(acc) / k
-                                                        : acc / k;
+  const double k = static_cast<double>(opt.neighborhood) * 2.0;
+  return std::sqrt(acc) / k;
 }
 
 /// Sum of pixel roughness over the 3x3 window around (r, c) — everything a
@@ -113,6 +109,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
   MatrixD adam_m(mask.rows(), mask.cols(), 0.0);
   MatrixD adam_v(mask.rows(), mask.cols(), 0.0);
   const double beta1 = 0.9, beta2 = 0.999, adam_eps = 1e-8;
+  const double lr = 0.3;  // Adam step size on the selection logits
 
   Rng rng(options.seed);
   MatrixD soft(mask.rows(), mask.cols(), 0.0);
@@ -143,14 +140,12 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
   evaluate_hard();
 
   for (std::size_t it = 0; it < options.iterations; ++it) {
-    const double tau =
-        anneal_tau(options.tau_start, options.tau_end, it, options.iterations);
+    // Gumbel-Softmax temperature, annealed linearly from 2.0 to 0.2.
+    const double tau = anneal_tau(2.0, 0.2, it, options.iterations);
 
-    // Forward: soft selection and relaxed mask.
+    // Forward: noisy soft selection and relaxed mask.
     for (std::size_t i = 0; i < size; ++i) {
-      soft[i] = options.stochastic
-                    ? gumbel_sigmoid_sample(theta[i], tau, rng)
-                    : soft_select(theta[i], tau);
+      soft[i] = gumbel_sigmoid_sample(theta[i], tau, rng);
       relaxed[i] = mask[i] + kTwoPi * soft[i];
     }
 
@@ -165,7 +160,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
       const double g = grad_relaxed[i] * kTwoPi * soft[i] * (1.0 - soft[i]) / tau;
       adam_m[i] = beta1 * adam_m[i] + (1.0 - beta1) * g;
       adam_v[i] = beta2 * adam_v[i] + (1.0 - beta2) * g * g;
-      theta[i] -= options.lr * (adam_m[i] / bc1) /
+      theta[i] -= lr * (adam_m[i] / bc1) /
                   (std::sqrt(adam_v[i] / bc2) + adam_eps);
     }
 
@@ -215,9 +210,7 @@ std::vector<std::uint8_t> exact_1d_selection(
   // A 1 x n mask: the left/right neighbors are real, everything else is
   // zero padding — 2 pad terms for 4-neighborhood, 6 for 8-neighborhood.
   const double pad_terms = eight ? 6.0 : 2.0;
-  const double k = static_cast<double>(ropt.neighborhood) *
-                   (ropt.reduce == roughness::PixelReduce::L2Norm ? ropt.k_scale
-                                                                  : 1.0);
+  const double k = static_cast<double>(ropt.neighborhood) * 2.0;
 
   const auto value_of = [&](std::size_t i, int s) {
     return values[i] + (s != 0 ? kTwoPi : 0.0);
@@ -228,10 +221,7 @@ std::vector<std::uint8_t> exact_1d_selection(
     const double wc = value_of(i, sc);
     const double dl = (i == 0 ? 0.0 : value_of(i - 1, sl)) - wc;
     const double dr = (i + 1 >= n ? 0.0 : value_of(i + 1, sr)) - wc;
-    if (ropt.reduce == roughness::PixelReduce::L2Norm) {
-      return std::sqrt(dl * dl + dr * dr + pad_terms * wc * wc) / k;
-    }
-    return (std::abs(dl) + std::abs(dr) + pad_terms * std::abs(wc)) / k;
+    return std::sqrt(dl * dl + dr * dr + pad_terms * wc * wc) / k;
   };
 
   if (n == 1) {

@@ -3,8 +3,11 @@
 // Phase modulation is 2*pi-periodic, so adding 2*pi to any pixel leaves the
 // DONN's inference bit-identical while changing the roughness score. The
 // paper formulates the per-pixel add-0-or-2*pi choice as a combinatorial
-// optimization solved with Gumbel-Softmax + gradient descent; this module
-// implements that solver plus two references:
+// optimization solved with Gumbel-Softmax + gradient descent. optimize_2pi
+// is that solver with the paper's one configuration: noisy Gumbel-sigmoid
+// samples of the selection logits, a temperature annealed linearly from 2.0
+// to 0.2, and Adam at step size 0.3 on the logits. Two references sit
+// beside it:
 //   * a greedy coordinate-descent (sweep until no single flip helps), and
 //   * an exact DP for single-row masks (4-neighborhood), used by tests to
 //     certify solution quality.
@@ -27,10 +30,6 @@ struct TwoPiOptions {
   /// 800 iterations fails on masks where 2500 recovers the exact optimum
   /// (the per-iteration cost is one roughness gradient, ~0.1 ms at 64x64).
   std::size_t iterations = 2500;
-  double lr = 0.3;              ///< Adam step size on the selection logits
-  double tau_start = 2.0;       ///< Gumbel-Softmax temperature annealing
-  double tau_end = 0.2;
-  bool stochastic = true;       ///< false = deterministic sigmoid relaxation
   std::uint64_t seed = 0x2718;
   roughness::RoughnessOptions roughness = {};
 };

@@ -1,7 +1,6 @@
 #include "tensor/resize.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -36,35 +35,6 @@ MatrixD bilinear_resize(const MatrixD& src, std::size_t out_rows,
       out(r, c) = top * (1.0 - fr) + bot * fr;
     }
   }
-  return out;
-}
-
-MatrixD nearest_resize(const MatrixD& src, std::size_t out_rows,
-                       std::size_t out_cols) {
-  ODONN_CHECK(!src.empty(), "nearest_resize: empty source");
-  ODONN_CHECK(out_rows >= 1 && out_cols >= 1,
-              "nearest_resize: empty destination");
-  MatrixD out(out_rows, out_cols);
-  for (std::size_t r = 0; r < out_rows; ++r) {
-    std::size_t src_r = (r * src.rows()) / out_rows;
-    src_r = std::min(src_r, src.rows() - 1);
-    for (std::size_t c = 0; c < out_cols; ++c) {
-      std::size_t src_c = (c * src.cols()) / out_cols;
-      src_c = std::min(src_c, src.cols() - 1);
-      out(r, c) = src(src_r, src_c);
-    }
-  }
-  return out;
-}
-
-MatrixD embed_centered(const MatrixD& src, std::size_t rows, std::size_t cols,
-                       double fill) {
-  ODONN_CHECK_SHAPE(src.rows() <= rows && src.cols() <= cols,
-                    "embed_centered: source larger than canvas");
-  MatrixD out(rows, cols, fill);
-  const std::size_t r0 = (rows - src.rows()) / 2;
-  const std::size_t c0 = (cols - src.cols()) / 2;
-  out.set_block(r0, c0, src);
   return out;
 }
 

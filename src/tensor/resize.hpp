@@ -1,6 +1,5 @@
-// Image-style resampling helpers: the paper interpolates 28x28 dataset
-// images up to the 200x200 optical grid (§IV-A1); we additionally support
-// embedding a resized image centered in a larger aperture.
+// Image resampling: the paper interpolates 28x28 dataset images up to the
+// 200x200 optical grid (§IV-A1).
 #pragma once
 
 #include <cstddef>
@@ -14,14 +13,5 @@ namespace odonn {
 /// codebases for upscaling masks).
 MatrixD bilinear_resize(const MatrixD& src, std::size_t out_rows,
                         std::size_t out_cols);
-
-/// Nearest-neighbor resampling (used for label-like / mask-like grids).
-MatrixD nearest_resize(const MatrixD& src, std::size_t out_rows,
-                       std::size_t out_cols);
-
-/// Places `src` centered inside a rows x cols canvas filled with `fill`.
-/// src must fit.
-MatrixD embed_centered(const MatrixD& src, std::size_t rows, std::size_t cols,
-                       double fill = 0.0);
 
 }  // namespace odonn

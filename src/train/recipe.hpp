@@ -48,7 +48,6 @@ struct RecipeOptions {
   sparsify::SchemeOptions scheme{sparsify::Scheme::Block, 0.1, 5, 3};
   smooth2pi::TwoPiOptions two_pi = {};
   donn::CrosstalkOptions crosstalk = {};
-  donn::LossOptions loss = {};
   std::uint64_t seed = 7;
   bool verbose = false;
 };

@@ -188,12 +188,12 @@ EpochStats Trainer::run_epoch() {
         const auto result =
             robust ? net.forward_backward(batch_hops, i - begin, label,
                                           net_modulations, workspace,
-                                          acc.grads[slot], options_.loss)
+                                          acc.grads[slot], donn::LossOptions{})
                    : net.forward_backward(
                          optics::encode_image(train_.image(idx),
                                               model_.config().grid),
                          label, net_modulations, workspace, acc.grads[slot],
-                         options_.loss);
+                         donn::LossOptions{});
         acc.losses[slot] += result.loss;
         if (result.predicted == label) ++acc.correct[slot];
       }

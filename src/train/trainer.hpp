@@ -94,7 +94,6 @@ struct TrainOptions {
   std::size_t epochs = 5;
   std::size_t batch_size = 200;  ///< paper batch size
   double lr = 0.2;               ///< paper baseline lr (Adam)
-  donn::LossOptions loss = {};
   RegularizerOptions reg = {};
   std::uint64_t seed = 7;
   /// Optional compression state; at most one may be attached.

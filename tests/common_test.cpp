@@ -243,18 +243,6 @@ TEST(Parallel, EmptyRangeIsNoop) {
   EXPECT_FALSE(called);
 }
 
-TEST(Parallel, SumIsDeterministicAndCorrect) {
-  const auto f = [](std::size_t i) {
-    return std::sin(static_cast<double>(i)) * 1e-3;
-  };
-  const double a = parallel_sum(0, 100000, f);
-  const double b = parallel_sum(0, 100000, f);
-  EXPECT_EQ(a, b);  // bitwise deterministic
-  double serial = 0.0;
-  for (std::size_t i = 0; i < 100000; ++i) serial += f(i);
-  EXPECT_NEAR(a, serial, 1e-9);
-}
-
 TEST(Parallel, ExceptionsPropagateToCaller) {
   EXPECT_THROW(parallel_for(0, 100,
                             [](std::size_t i) {
@@ -269,43 +257,6 @@ TEST(Parallel, NestedCallsRunInline) {
     parallel_for(0, 8, [&](std::size_t) { total++; });
   });
   EXPECT_EQ(total.load(), 64);
-}
-
-TEST(Parallel, SumFixedSliceLayoutIsBitwiseReproducible) {
-  const auto f = [](std::size_t i) {
-    return std::sin(static_cast<double>(i)) * 1e-3;
-  };
-  // The documented fixed-slice layout: grain-wide slices until
-  // kParallelSumChunkCap binds, then uniformly grown slices; slice sums
-  // accumulate left-to-right and combine in slice order. A pure function
-  // of (total, grain) — the sequential replica below must match the
-  // parallel result bit for bit whether or not the cap binds, and for any
-  // worker count.
-  const auto reference = [&](std::size_t total, std::size_t grain) {
-    std::size_t step = grain;
-    if ((total + grain - 1) / grain > kParallelSumChunkCap) {
-      step = (total + kParallelSumChunkCap - 1) / kParallelSumChunkCap;
-    }
-    double sum = 0.0;
-    for (std::size_t lo = 0; lo < total; lo += step) {
-      const std::size_t hi = std::min(total, lo + step);
-      double acc = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) acc += f(i);
-      sum += acc;
-    }
-    return sum;
-  };
-  const std::vector<std::pair<std::size_t, std::size_t>> cases = {
-      {200000, 1},   // cap binds hard (200000 grain-chunks -> 1024 slices)
-      {200000, 64},  // cap binds (3125 -> 1024)
-      {1000, 1},     // cap does not bind
-      {1000, 64},    // small: a handful of grain-wide slices
-  };
-  for (const auto& [total, grain] : cases) {
-    const double once = parallel_sum(0, total, f, grain);
-    EXPECT_EQ(once, parallel_sum(0, total, f, grain));  // deterministic
-    EXPECT_EQ(once, reference(total, grain));           // documented layout
-  }
 }
 
 TEST(Parallel, SetThreadCountSameValueIsNoopAndConflictIsCatchable) {

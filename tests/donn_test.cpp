@@ -13,13 +13,14 @@
 #include "data/dataset.hpp"
 #include "donn/crosstalk.hpp"
 #include "donn/detector.hpp"
-#include "donn/gradcheck.hpp"
 #include "donn/loss.hpp"
 #include "donn/model.hpp"
 #include "donn/phase_mask.hpp"
 #include "optics/encode.hpp"
 #include "roughness/roughness.hpp"
 #include "train/trainer.hpp"
+
+#include "support/gradcheck.hpp"
 
 namespace odonn::donn {
 namespace {
@@ -228,13 +229,8 @@ TEST(Loss, PerfectPredictionHasLowLoss) {
   EXPECT_EQ(good.predicted, 0u);
 }
 
-class LossGrad : public ::testing::TestWithParam<std::tuple<LossType, NormMode>> {};
-
-TEST_P(LossGrad, MatchesFiniteDifferences) {
-  const auto [type, norm] = GetParam();
-  LossOptions opt;
-  opt.type = type;
-  opt.norm = norm;
+TEST(LossGrad, MatchesFiniteDifferences) {
+  const LossOptions opt;
   const std::vector<double> sums{0.31, 0.12, 0.44, 0.08, 0.21};
   const std::size_t label = 2;
   const auto result = evaluate_loss(sums, label, opt);
@@ -252,18 +248,11 @@ TEST_P(LossGrad, MatchesFiniteDifferences) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, LossGrad,
-    ::testing::Combine(::testing::Values(LossType::SoftmaxMse,
-                                         LossType::CrossEntropy),
-                       ::testing::Values(NormMode::None, NormMode::TotalPower)));
-
 TEST(Loss, TotalPowerNormalizesSignedScoresByAbsSum) {
   // Regression for differential readout: signed scores used to normalize by
   // the raw sum, which can cancel toward zero and blow the logits up (or
   // flip their signs). The scale must use sum(|s|).
-  LossOptions opt;
-  opt.norm = NormMode::TotalPower;
+  const LossOptions opt;
   // Raw sum = 0.0 exactly; abs sum = 0.84.
   const std::vector<double> sums{0.4, -0.39, 0.02, -0.03};
   const auto result = evaluate_loss(sums, 0, opt);
@@ -282,14 +271,8 @@ TEST(Loss, TotalPowerNormalizesSignedScoresByAbsSum) {
   }
 }
 
-class SignedLossGrad
-    : public ::testing::TestWithParam<std::tuple<LossType, NormMode>> {};
-
-TEST_P(SignedLossGrad, MatchesFiniteDifferences) {
-  const auto [type, norm] = GetParam();
-  LossOptions opt;
-  opt.type = type;
-  opt.norm = norm;
+TEST(SignedLossGrad, MatchesFiniteDifferences) {
+  const LossOptions opt;
   const std::vector<double> sums{0.31, -0.12, 0.44, -0.08, 0.21};
   const std::size_t label = 1;
   const auto result = evaluate_loss(sums, label, opt);
@@ -305,12 +288,6 @@ TEST_P(SignedLossGrad, MatchesFiniteDifferences) {
     EXPECT_NEAR(result.grad_sums[j], numeric, 1e-5) << "logit " << j;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, SignedLossGrad,
-    ::testing::Combine(::testing::Values(LossType::SoftmaxMse,
-                                         LossType::CrossEntropy),
-                       ::testing::Values(NormMode::None, NormMode::TotalPower)));
 
 TEST(Loss, InvalidInputsThrow) {
   EXPECT_THROW(evaluate_loss({1.0}, 0, {}), Error);
@@ -497,9 +474,7 @@ TEST_P(StackRunner, ReusedWorkspaceMatchesFreshOneBitForBit) {
   const std::size_t other_n = c.n == 32 ? 24 : 32;
   const DonnModel other =
       stack_model({"other", other_n, 3, false, DetectorMode::Standard}, 42);
-  LossOptions loss;
-  loss.norm = c.detector == DetectorMode::Differential ? NormMode::TotalPower
-                                                       : NormMode::None;
+  const LossOptions loss;
   DonnModel::Workspace reused;
   const auto check = [&](const DonnModel& net,
                          const std::vector<optics::Field>& inputs) {
@@ -531,8 +506,8 @@ TEST_P(StackRunner, ReusedWorkspaceMatchesFreshOneBitForBit) {
 }
 
 TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
-  // infer_batch, detector_sums, predict (both overloads), output_intensity
-  // and propagate_through run the same runner; evaluate_accuracy counts the
+  // infer_batch, detector_sums, predict (both overloads) and
+  // propagate_through run the same runner; evaluate_accuracy counts the
   // same predictions.
   const StackCase c = GetParam();
   const DonnModel model = stack_model(c, 43);
@@ -552,11 +527,10 @@ TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
         << c.name << " sample " << k;
     EXPECT_EQ(predictions[k], model.predict(inputs[k]));
     EXPECT_EQ(predictions[k], model.predict(inputs[k], modulations, workspace));
-    const MatrixD intensity = model.output_intensity(inputs[k]);
-    EXPECT_TRUE(same_bits(intensities[k].data(), intensity.data(),
-                          intensity.size()));
     const MatrixD through = model.propagate_through(inputs[k]).intensity();
-    EXPECT_TRUE(same_bits(through.data(), intensity.data(), intensity.size()));
+    ASSERT_EQ(through.size(), intensities[k].size());
+    EXPECT_TRUE(
+        same_bits(through.data(), intensities[k].data(), through.size()));
   }
 
   Rng rng(44);
@@ -614,9 +588,7 @@ TEST_P(StackRunner, FirstHopEntryPointsMatchFieldOnesBitForBit) {
         << c.name << " sample " << k;
   }
 
-  LossOptions loss;
-  loss.norm = c.detector == DetectorMode::Differential ? NormMode::TotalPower
-                                                       : NormMode::None;
+  const LossOptions loss;
   DonnModel::Workspace field_workspace;
   DonnModel::Workspace hop_workspace;
   for (std::size_t k = 0; k < inputs.size(); ++k) {
@@ -809,9 +781,6 @@ TEST(Crosstalk, OptionValidation) {
   MatrixD phi(4, 4, 1.0);
   CrosstalkOptions bad;
   bad.strength = 1.5;
-  EXPECT_THROW(apply_crosstalk(phi, bad), Error);
-  bad.strength = 0.5;
-  bad.half_response = 0.0;
   EXPECT_THROW(apply_crosstalk(phi, bad), Error);
 }
 

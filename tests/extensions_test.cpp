@@ -4,6 +4,7 @@
 // (donn/serialize) and simulated annealing 2*pi (smooth2pi/anneal).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -14,12 +15,13 @@
 #include "donn/discrete.hpp"
 #include "donn/reflection.hpp"
 #include "donn/serialize.hpp"
-#include "optics/beams.hpp"
 #include "optics/fabrication.hpp"
 #include "optics/propagate.hpp"
 #include "smooth2pi/anneal.hpp"
 #include "sparsify/block_sparsify.hpp"
 #include "train/trainer.hpp"
+
+#include "support/beams.hpp"
 
 namespace odonn {
 namespace {
@@ -41,7 +43,7 @@ TEST(Discrete, QuantizeSnapsToNearestLevel) {
 
 TEST(Discrete, QuantizeWrapsOutOfRangeValues) {
   MatrixD phase = {{-0.2, 7.0}};
-  const MatrixD q = donn::quantize_phase(phase, {16, true});
+  const MatrixD q = donn::quantize_phase(phase, {16});
   for (std::size_t i = 0; i < q.size(); ++i) {
     EXPECT_GE(q[i], 0.0);
     EXPECT_LT(q[i], kTwoPi);
@@ -54,7 +56,7 @@ TEST(Discrete, ErrorDecreasesWithMoreLevels) {
   for (auto& v : phase) v = rng.uniform(0.0, kTwoPi);
   double prev = 1e300;
   for (std::size_t levels : {2u, 4u, 8u, 16u, 64u}) {
-    const double err = donn::quantization_error(phase, {levels, true});
+    const double err = donn::quantization_error(phase, {levels});
     EXPECT_LT(err, prev);
     // Mean |error| of uniform phases vs k levels ~ step/4.
     EXPECT_NEAR(err, kTwoPi / static_cast<double>(levels) / 4.0,
@@ -83,11 +85,11 @@ TEST(Discrete, SteQuantizerForwardsQuantizedPhases) {
   for (auto& layer : latent) {
     for (auto& v : layer) v = rng.uniform(0.0, kTwoPi);
   }
-  donn::StePhaseQuantizer ste({8, true});
+  donn::StePhaseQuantizer ste({8});
   const auto q = ste.forward(latent);
   ASSERT_EQ(q.size(), 2u);
   for (std::size_t l = 0; l < 2; ++l) {
-    EXPECT_LT(max_abs_diff(q[l], donn::quantize_phase(latent[l], {8, true})),
+    EXPECT_LT(max_abs_diff(q[l], donn::quantize_phase(latent[l], {8})),
               1e-15);
   }
   // STE backward is the identity.
@@ -122,7 +124,7 @@ TEST(Discrete, GumbelLevelSampleLowTauApproachesArgmax) {
 
 TEST(Discrete, Validation) {
   MatrixD phase(2, 2, 0.0);
-  EXPECT_THROW(donn::quantize_phase(phase, {1, true}), Error);
+  EXPECT_THROW(donn::quantize_phase(phase, {1}), Error);
   Rng rng(6);
   std::vector<MatrixD> one(1, MatrixD(2, 2, 0.0));
   EXPECT_THROW(donn::gumbel_level_sample(one, 1.0, rng), Error);
@@ -322,14 +324,21 @@ TEST(Serialize, VersionOneStreamLoadsAsStandard) {
 }
 
 TEST(Serialize, RejectsImplausibleHeaderBeforeAllocating) {
-  // A corrupt or hostile header must fail with IoError before its claimed
-  // grid sizes any allocation: n = 200000 alone would ask for hundreds of
-  // gigabytes. No phase data follows the header.
+  // A corrupt or hostile header must fail with IoError, within a second,
+  // before its claimed sizes build or allocate anything: n = 200000 alone
+  // would ask for hundreds of gigabytes, a million classes would spin in
+  // the detector layout's pairwise overlap check, and 64 layers at
+  // n = 4096 would build a 256 MiB transfer function and 8 GiB of random
+  // masks. No phase data follows the header.
   const donn::DonnConfig cfg = donn::DonnConfig::scaled(16);
   const std::string path = ::testing::TempDir() + "/hostile_model.odnn";
   struct Header {
     std::uint32_t n;
     double pitch, wavelength, distance;
+    std::uint32_t layers = 2;
+    std::uint32_t classes = 10;
+    std::uint32_t detector_size = 2;
+    std::uint32_t pad2x = 0;
   };
   const auto write_header = [&](const Header& h) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -346,24 +355,39 @@ TEST(Serialize, RejectsImplausibleHeaderBeforeAllocating) {
     f64(h.wavelength);
     f64(h.distance);
     u32(static_cast<std::uint32_t>(cfg.kernel));
-    u32(0);  // pad2x
-    u32(2);  // num_layers
-    u32(static_cast<std::uint32_t>(cfg.num_classes));
-    u32(static_cast<std::uint32_t>(cfg.detector_size));
+    u32(h.pad2x);
+    u32(h.layers);
+    u32(h.classes);
+    u32(h.detector_size);
     u32(0);  // detector mode: Standard
-    u32(2);  // stored layer count
+    u32(h.layers);  // stored layer count
   };
   const double p = cfg.grid.pitch, w = cfg.wavelength, d = cfg.distance;
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const Header& h : {Header{200000, p, w, d}, Header{0, p, w, d},
-                          Header{4097, p, w, d}, Header{16, nan, w, d},
-                          Header{16, p, -w, d}, Header{16, p, w, 0.0},
-                          Header{16, p, w, inf}}) {
+  for (const Header& h :
+       {Header{200000, p, w, d}, Header{0, p, w, d}, Header{4097, p, w, d},
+        Header{16, nan, w, d}, Header{16, p, -w, d}, Header{16, p, w, 0.0},
+        Header{16, p, w, inf},
+        // Class count outside [1, 1024], detector size outside [1, n].
+        Header{16, p, w, d, 2, 0}, Header{16, p, w, d, 2, 0xFFFFFFFFu, 1},
+        Header{16, p, w, d, 2, 10, 0}, Header{16, p, w, d, 2, 10, 17},
+        Header{2048, p, w, d, 2, 1000000, 1},
+        // Plausible header, but the phases it declares are not in the file.
+        Header{4096, p, w, d, 64, 10, 1}, Header{4096, p, w, d, 64, 10, 1, 1},
+        Header{16, p, w, d, 2, 10, 2}}) {
     write_header(h);
+    const auto start = std::chrono::steady_clock::now();
     EXPECT_THROW(donn::load_model(path), IoError)
         << "n=" << h.n << " pitch=" << h.pitch << " wavelength="
-        << h.wavelength << " distance=" << h.distance;
+        << h.wavelength << " distance=" << h.distance << " layers="
+        << h.layers << " classes=" << h.classes << " detector_size="
+        << h.detector_size << " pad2x=" << h.pad2x;
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count(),
+              1.0)
+        << "n=" << h.n << " classes=" << h.classes;
   }
 }
 

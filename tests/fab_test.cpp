@@ -380,7 +380,7 @@ TEST(MonteCarloEvaluatorTest, RepeatedEvaluationIsBitwiseIdentical) {
 }
 
 TEST(MonteCarloEvaluatorTest, CleanAccuracyCountsPerSamplePredictions) {
-  // evaluate() scores the clean model with predict_batch; its accuracy must
+  // evaluate() scores the clean model with infer_batch; its accuracy must
   // be exactly the share of eval samples whose per-sample predict() hits
   // the label, on a radix-2 and a Bluestein grid.
   for (const std::size_t grid : {16, 20}) {
@@ -548,10 +548,15 @@ static_assert(std::is_constructible_v<MonteCarloEvaluator,
 static_assert(!std::is_constructible_v<MonteCarloEvaluator, data::Dataset&&,
                                        const MonteCarloOptions&>);
 
-/// Accuracy of `predictions` against the eval labels, as the evaluator
-/// computes it.
-double accuracy(const std::vector<std::size_t>& predictions,
+/// Accuracy of `model` on the encoded eval `inputs` against the eval
+/// labels, as the evaluator computes it: infer_batch through the model's own
+/// tables.
+double accuracy(const donn::DonnModel& model,
+                const std::vector<optics::Field>& inputs,
                 const data::Dataset& eval) {
+  std::vector<std::size_t> predictions;
+  model.infer_batch(inputs, model.modulation_tables(), &predictions, nullptr,
+                    nullptr);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     correct += predictions[i] == eval.label(i) ? 1 : 0;
@@ -571,7 +576,7 @@ class FirstHopParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(FirstHopParity, EvaluateAndCompareMatchARealizeAndPredictLoop) {
   // The evaluator scores every model from cached first hops; its reports
-  // must equal realize_device + predict_batch over the encoded eval set,
+  // must equal realize_device + infer_batch over the encoded eval set,
   // accuracy for accuracy, for the clean model and every realization, in
   // evaluate() and in both variants of a compare().
   const ParityCase c = GetParam();
@@ -593,7 +598,7 @@ TEST_P(FirstHopParity, EvaluateAndCompareMatchARealizeAndPredictLoop) {
                          const donn::DonnModel& model) {
     SCOPED_TRACE(report.model_name);
     EXPECT_EQ(report.clean_accuracy,
-              accuracy(model.predict_batch(inputs), a.eval));
+              accuracy(model, inputs, a.eval));
     ASSERT_EQ(report.accuracies.size(), options.realizations);
     for (std::size_t r = 0; r < options.realizations; ++r) {
       Rng rng = realization_rng(options.seed, r, options.antithetic);
@@ -601,7 +606,7 @@ TEST_P(FirstHopParity, EvaluateAndCompareMatchARealizeAndPredictLoop) {
           realize_device(model, stack, options.crosstalk,
                          options.deploy_crosstalk, rng);
       EXPECT_EQ(report.accuracies[r],
-                accuracy(realized.predict_batch(inputs), a.eval))
+                accuracy(realized, inputs, a.eval))
           << "realization " << r;
     }
   };

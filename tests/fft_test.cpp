@@ -18,9 +18,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "fft/dft_ref.hpp"
 #include "fft/fft2d.hpp"
 #include "fft/fft_plan.hpp"
+
+#include "support/dft_ref.hpp"
 
 namespace odonn::fft {
 namespace {

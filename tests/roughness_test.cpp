@@ -10,11 +10,12 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "donn/gradcheck.hpp"
 #include "roughness/intra_block.hpp"
 #include "roughness/report.hpp"
 #include "roughness/roughness.hpp"
 #include "sparsify/schemes.hpp"
+
+#include "support/gradcheck.hpp"
 
 namespace odonn::roughness {
 namespace {
@@ -48,17 +49,17 @@ TEST(Roughness, ConstantMaskHasOnlyBoundaryRoughness) {
 
 TEST(Roughness, SinglePixelFourNeighbor) {
   // Fig. 2 definitional check: one non-zero pixel in the center of a 3x3
-  // mask. 4-neighbor (literal Eq. 3, k_scale=1): center pixel has 4 equal
-  // differences of |v|, so R(center) = sqrt(4 v^2)/4 = v/2.
+  // mask. 4-neighbor at the Fig. 3 normalization (divisor 2k = 8): the
+  // center pixel has 4 equal differences of |v|, so
+  // R(center) = sqrt(4 v^2)/8 = v/4.
   MatrixD m(3, 3, 0.0);
   m(1, 1) = 2.0;
   RoughnessOptions opt;
   opt.neighborhood = Neighborhood::Four;
-  opt.k_scale = 1.0;
   const MatrixD map = roughness_map(m, opt);
-  EXPECT_NEAR(map(1, 1), 1.0, 1e-12);
+  EXPECT_NEAR(map(1, 1), 0.5, 1e-12);
   // Each edge-adjacent neighbor sees exactly one difference of 2.0.
-  EXPECT_NEAR(map(0, 1), std::sqrt(4.0) / 4.0, 1e-12);
+  EXPECT_NEAR(map(0, 1), std::sqrt(4.0) / 8.0, 1e-12);
   // Corner pixels are diagonal to the center: no 4-neighbor difference.
   EXPECT_NEAR(map(0, 0), 0.0, 1e-12);
 }
@@ -68,10 +69,9 @@ TEST(Roughness, SinglePixelEightNeighborSeesDiagonals) {
   m(1, 1) = 2.0;
   RoughnessOptions opt;
   opt.neighborhood = Neighborhood::Eight;
-  opt.k_scale = 1.0;
   const MatrixD map = roughness_map(m, opt);
   EXPECT_GT(map(0, 0), 0.0);  // corners now see the center diagonally
-  EXPECT_NEAR(map(1, 1), std::sqrt(8.0 * 4.0) / 8.0, 1e-12);
+  EXPECT_NEAR(map(1, 1), std::sqrt(8.0 * 4.0) / 16.0, 1e-12);
 }
 
 TEST(Roughness, Fig3BlockValueReproduced) {
@@ -113,30 +113,6 @@ TEST(Roughness, Fig3OrderingBlockLowest) {
   EXPECT_LT(rb, mask_roughness(bank));
 }
 
-TEST(Roughness, MeanAbsReduceInvertsFigureOrdering) {
-  // Documented negative result: the elementwise |.| reading does NOT
-  // reproduce the figure's non-structured < bank ordering, which is why
-  // L2Norm is the default.
-  RoughnessOptions opt;
-  opt.reduce = PixelReduce::MeanAbs;
-  MatrixD nonstruct = figure_matrix();
-  sparsify::apply_mask(nonstruct,
-                       sparsify::magnitude_sparsify(nonstruct, {12.0 / 36.0}));
-  MatrixD bank = figure_matrix();
-  sparsify::apply_mask(bank,
-                       sparsify::bank_balanced_sparsify(bank, {3, 1.0 / 3.0}));
-  EXPECT_GT(mask_roughness(nonstruct, opt), mask_roughness(bank, opt));
-}
-
-TEST(Roughness, KScaleIsAPureRescale) {
-  const MatrixD w = figure_matrix();
-  RoughnessOptions one;
-  one.k_scale = 1.0;
-  RoughnessOptions two;
-  two.k_scale = 2.0;
-  EXPECT_NEAR(mask_roughness(w, one), 2.0 * mask_roughness(w, two), 1e-9);
-}
-
 TEST(Roughness, SmootherMaskScoresLower) {
   Rng rng(5);
   MatrixD rough(16, 16);
@@ -162,15 +138,11 @@ TEST(Roughness, SmootherMaskScoresLower) {
   EXPECT_LT(mask_roughness(smooth), mask_roughness(rough));
 }
 
-class RoughnessGrad
-    : public ::testing::TestWithParam<std::tuple<Neighborhood, PixelReduce>> {};
+class RoughnessGrad : public ::testing::TestWithParam<Neighborhood> {};
 
 TEST_P(RoughnessGrad, MatchesFiniteDifferences) {
-  const auto [nb, reduce] = GetParam();
   RoughnessOptions opt;
-  opt.neighborhood = nb;
-  opt.reduce = reduce;
-  opt.eps = 1e-12;
+  opt.neighborhood = GetParam();
 
   Rng rng(42);
   MatrixD w(6, 6);
@@ -183,12 +155,9 @@ TEST_P(RoughnessGrad, MatchesFiniteDifferences) {
   EXPECT_LT(donn::gradient_rel_error(analytic, numeric), 1e-5);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, RoughnessGrad,
-    ::testing::Combine(::testing::Values(Neighborhood::Four,
-                                         Neighborhood::Eight),
-                       ::testing::Values(PixelReduce::L2Norm,
-                                         PixelReduce::MeanAbs)));
+INSTANTIATE_TEST_SUITE_P(AllVariants, RoughnessGrad,
+                         ::testing::Values(Neighborhood::Four,
+                                           Neighborhood::Eight));
 
 TEST(Roughness, GradScaleFoldsIntoGradient) {
   MatrixD w = figure_matrix();
@@ -268,16 +237,6 @@ TEST(IntraBlock, GradientMatchesFiniteDifferences) {
   EXPECT_LT(donn::gradient_rel_error(analytic, numeric), 1e-6);
 }
 
-TEST(IntraBlock, PopulationVarianceOption) {
-  MatrixD w = {{0.0, 2.0}, {0.0, 2.0}};
-  IntraBlockOptions sample;
-  sample.block_size = 2;
-  IntraBlockOptions pop = sample;
-  pop.sample_variance = false;
-  EXPECT_NEAR(intra_block_variance_sum(w, sample), 4.0 / 3.0, 1e-12);
-  EXPECT_NEAR(intra_block_variance_sum(w, pop), 1.0, 1e-12);
-}
-
 // ---------------------------------------------------------------------------
 // The bounds-checked reference: every neighbor read and gradient write goes
 // through the zero-padding test, pixel by pixel in raster order. The library
@@ -303,9 +262,7 @@ double ref_padded(const MatrixD& m, long r, long c) {
 }
 
 MatrixD ref_roughness_map(const MatrixD& mask, const RoughnessOptions& opt) {
-  const bool l2 = opt.reduce == PixelReduce::L2Norm;
-  const double k =
-      static_cast<double>(opt.neighborhood) * (l2 ? opt.k_scale : 1.0);
+  const double k = static_cast<double>(opt.neighborhood) * 2.0;
   MatrixD out(mask.rows(), mask.cols());
   for (std::size_t r = 0; r < mask.rows(); ++r) {
     for (std::size_t c = 0; c < mask.cols(); ++c) {
@@ -315,9 +272,9 @@ MatrixD ref_roughness_map(const MatrixD& mask, const RoughnessOptions& opt) {
         const double d = ref_padded(mask, static_cast<long>(r) + o.dr,
                                     static_cast<long>(c) + o.dc) -
                          center;
-        acc += l2 ? d * d : std::abs(d);
+        acc += d * d;
       }
-      out(r, c) = l2 ? std::sqrt(acc) / k : acc / k;
+      out(r, c) = std::sqrt(acc) / k;
     }
   }
   return out;
@@ -325,9 +282,7 @@ MatrixD ref_roughness_map(const MatrixD& mask, const RoughnessOptions& opt) {
 
 double ref_roughness_with_grad(const MatrixD& mask, MatrixD& grad,
                                double scale, const RoughnessOptions& opt) {
-  const bool l2 = opt.reduce == PixelReduce::L2Norm;
-  const double k =
-      static_cast<double>(opt.neighborhood) * (l2 ? opt.k_scale : 1.0);
+  const double k = static_cast<double>(opt.neighborhood) * 2.0;
   const long rows = static_cast<long>(mask.rows());
   const long cols = static_cast<long>(mask.cols());
   const auto inside = [&](long r, long c) {
@@ -340,32 +295,21 @@ double ref_roughness_with_grad(const MatrixD& mask, MatrixD& grad,
   for (long r = 0; r < rows; ++r) {
     for (long c = 0; c < cols; ++c) {
       const double center = ref_padded(mask, r, c);
-      if (l2) {
-        double sum_sq = opt.eps;
-        for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
-          const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
-          sum_sq += d * d;
-        }
-        const double root = std::sqrt(sum_sq);
-        total += root / k;
-        const double inv = scale / (k * root);
-        double center_grad = 0.0;
-        for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
-          const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
-          center_grad -= d * inv;
-          if (inside(r + o.dr, c + o.dc)) cell(r + o.dr, c + o.dc) += d * inv;
-        }
-        cell(r, c) += center_grad;
-      } else {
-        for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
-          const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
-          total += std::abs(d) / k;
-          const double sign = d / std::sqrt(d * d + opt.eps);
-          const double g = scale * sign / k;
-          cell(r, c) -= g;
-          if (inside(r + o.dr, c + o.dc)) cell(r + o.dr, c + o.dc) += g;
-        }
+      double sum_sq = 1e-12;
+      for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
+        const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
+        sum_sq += d * d;
       }
+      const double root = std::sqrt(sum_sq);
+      total += root / k;
+      const double inv = scale / (k * root);
+      double center_grad = 0.0;
+      for (const RefOffset& o : ref_offsets(opt.neighborhood)) {
+        const double d = ref_padded(mask, r + o.dr, c + o.dc) - center;
+        center_grad -= d * inv;
+        if (inside(r + o.dr, c + o.dc)) cell(r + o.dr, c + o.dc) += d * inv;
+      }
+      cell(r, c) += center_grad;
     }
   }
   return total;
@@ -391,27 +335,21 @@ TEST(Roughness, InteriorFastPathMatchesBoundsCheckedLoopsBitwise) {
     MatrixD start(rows, cols);
     for (auto& v : start) v = rng.uniform(-1.0, 1.0);
     for (const Neighborhood nb : {Neighborhood::Four, Neighborhood::Eight}) {
-      for (const PixelReduce reduce :
-           {PixelReduce::L2Norm, PixelReduce::MeanAbs}) {
-        RoughnessOptions opt;
-        opt.neighborhood = nb;
-        opt.reduce = reduce;
-        const std::string where =
-            std::to_string(rows) + "x" + std::to_string(cols) +
-            (nb == Neighborhood::Four ? " four" : " eight") +
-            (reduce == PixelReduce::L2Norm ? " l2" : " meanabs");
-        EXPECT_TRUE(same_bits(roughness_map(mask, opt),
-                              ref_roughness_map(mask, opt)))
-            << where;
-        MatrixD grad = start;
-        MatrixD ref_grad = start;
-        const double total = roughness_with_grad(mask, grad, 0.37, opt);
-        const double ref_total =
-            ref_roughness_with_grad(mask, ref_grad, 0.37, opt);
-        EXPECT_EQ(std::memcmp(&total, &ref_total, sizeof(double)), 0)
-            << where;
-        EXPECT_TRUE(same_bits(grad, ref_grad)) << where;
-      }
+      RoughnessOptions opt;
+      opt.neighborhood = nb;
+      const std::string where = std::to_string(rows) + "x" +
+                                std::to_string(cols) +
+                                (nb == Neighborhood::Four ? " four" : " eight");
+      EXPECT_TRUE(
+          same_bits(roughness_map(mask, opt), ref_roughness_map(mask, opt)))
+          << where;
+      MatrixD grad = start;
+      MatrixD ref_grad = start;
+      const double total = roughness_with_grad(mask, grad, 0.37, opt);
+      const double ref_total =
+          ref_roughness_with_grad(mask, ref_grad, 0.37, opt);
+      EXPECT_EQ(std::memcmp(&total, &ref_total, sizeof(double)), 0) << where;
+      EXPECT_TRUE(same_bits(grad, ref_grad)) << where;
     }
   }
 }

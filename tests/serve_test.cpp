@@ -5,11 +5,13 @@
 // submission, and the stats percentile rules.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,39 +61,13 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-TEST(PropagatorInplace, MatchesFieldEntryPointExactly) {
-  const donn::DonnConfig cfg = tiny_config(16, 1);
-  const donn::DonnModel model = make_model(cfg, 11);
-  const auto inputs = random_inputs(cfg.grid, 1, 12);
-
-  const optics::Field via_field = model.propagator().forward(inputs[0]);
-  MatrixC buf = inputs[0].values();
-  optics::Propagator::Workspace workspace;
-  model.propagator().forward_inplace(buf, workspace);
-  EXPECT_EQ(max_abs_diff(via_field.values(), buf), 0.0);
-
-  const optics::Field adj_field = model.propagator().adjoint(inputs[0]);
-  MatrixC adj_buf = inputs[0].values();
-  model.propagator().adjoint_inplace(adj_buf, workspace);
-  EXPECT_EQ(max_abs_diff(adj_field.values(), adj_buf), 0.0);
-}
-
-TEST(PropagatorInplace, Pad2xMatchesFieldEntryPoint) {
-  donn::DonnConfig cfg = tiny_config(16, 1);
-  cfg.pad2x = true;
-  const donn::DonnModel model = make_model(cfg, 13);
-  const auto inputs = random_inputs(cfg.grid, 1, 14);
-
-  const optics::Field via_field = model.propagator().forward(inputs[0]);
-  MatrixC buf = inputs[0].values();
-  optics::Propagator::Workspace workspace;
-  model.propagator().forward_inplace(buf, workspace);
-  EXPECT_EQ(max_abs_diff(via_field.values(), buf), 0.0);
-
-  // Workspace reuse across calls must not change results.
-  MatrixC again = inputs[0].values();
-  model.propagator().forward_inplace(again, workspace);
-  EXPECT_EQ(max_abs_diff(via_field.values(), again), 0.0);
+/// Batched argmax classes: infer_batch through the model's own tables.
+std::vector<std::size_t> batch_predictions(
+    const donn::DonnModel& model, const std::vector<optics::Field>& inputs) {
+  std::vector<std::size_t> predictions;
+  model.infer_batch(inputs, model.modulation_tables(), &predictions, nullptr,
+                    nullptr);
+  return predictions;
 }
 
 TEST(ModulationTables, MatchPhaseMasks) {
@@ -113,9 +89,11 @@ TEST(BatchedInference, BitForBitParityWithSingleSample) {
   const donn::DonnModel model = make_model(cfg, 31);
   const auto inputs = random_inputs(cfg.grid, 9, 32);
 
-  const auto predictions = model.predict_batch(inputs);
-  const auto sums = model.detector_sums_batch(inputs);
-  const auto intensities = model.output_intensity_batch(inputs);
+  std::vector<std::size_t> predictions;
+  std::vector<std::vector<double>> sums;
+  std::vector<MatrixD> intensities;
+  model.infer_batch(inputs, model.modulation_tables(), &predictions, &sums,
+                    &intensities);
   ASSERT_EQ(predictions.size(), inputs.size());
   ASSERT_EQ(sums.size(), inputs.size());
   ASSERT_EQ(intensities.size(), inputs.size());
@@ -128,7 +106,8 @@ TEST(BatchedInference, BitForBitParityWithSingleSample) {
       // Exact equality: the batched path performs identical arithmetic.
       EXPECT_EQ(sums[k][c], single_sums[c]);
     }
-    EXPECT_EQ(max_abs_diff(intensities[k], model.output_intensity(inputs[k])),
+    EXPECT_EQ(max_abs_diff(intensities[k],
+                           model.propagate_through(inputs[k]).intensity()),
               0.0);
   }
 }
@@ -162,7 +141,7 @@ TEST(BatchedInference, SparsifiedModelParity) {
   model.set_masks(std::move(masks));
 
   const auto inputs = random_inputs(cfg.grid, 6, 52);
-  const auto predictions = model.predict_batch(inputs);
+  const auto predictions = batch_predictions(model, inputs);
   const auto sums = model.detector_sums_batch(inputs);
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     EXPECT_EQ(predictions[k], model.predict(inputs[k]));
@@ -176,10 +155,10 @@ TEST(BatchedInference, SparsifiedModelParity) {
 TEST(BatchedInference, EmptyBatchAndShapeErrors) {
   const donn::DonnConfig cfg = tiny_config(16, 2);
   const donn::DonnModel model = make_model(cfg, 61);
-  EXPECT_TRUE(model.predict_batch({}).empty());
+  EXPECT_TRUE(batch_predictions(model, {}).empty());
 
   const auto wrong = random_inputs(donn::DonnConfig::scaled(32).grid, 1, 62);
-  EXPECT_THROW(model.predict_batch(wrong), ShapeError);
+  EXPECT_THROW(batch_predictions(model, wrong), ShapeError);
 
   std::vector<MatrixC> bad_mods(model.num_layers() - 1);
   std::vector<std::size_t> predictions;
@@ -294,8 +273,8 @@ TEST(Registry, SerializeRoundTripServesIdentically) {
   }
 
   const auto inputs = random_inputs(cfg.grid, 5, 92);
-  const auto from_disk = loaded->predict_batch(inputs);
-  const auto in_memory = model.predict_batch(inputs);
+  const auto from_disk = batch_predictions(*loaded, inputs);
+  const auto in_memory = batch_predictions(model, inputs);
   EXPECT_EQ(from_disk, in_memory);
 }
 
@@ -558,6 +537,45 @@ TEST(Engine, NonFiniteInputsFailAloneAndValidSumsStayBitExact) {
     EXPECT_EQ(result.predicted, model->predict(good[k]));
   }
   EXPECT_EQ(engine.stats().errors, 2u);
+}
+
+TEST(Engine, ThrowAfterDequeueFailsItsBatchAndTheDrainThreadServesOn) {
+  // Anything that throws once a batch has left the queue (here the hook;
+  // when serving, building a model's forward pass can run out of memory)
+  // must resolve every future of that batch with the exception and count
+  // it as an error, not escape the drain thread and terminate the process.
+  // The next batch is served normally.
+  auto registry = std::make_shared<ModelRegistry>();
+  const donn::DonnConfig cfg = tiny_config(16, 2);
+  auto model = registry->add("m", make_model(cfg, 171));
+  const auto inputs = random_inputs(cfg.grid, 6, 172);
+
+  // A long window with max_batch 3 makes each three submissions one batch.
+  std::atomic<std::size_t> batches{0};
+  EngineOptions options;
+  options.batch_window = std::chrono::microseconds(10'000'000);
+  options.max_batch = 3;
+  options.on_batch_start = [&batches](std::size_t) {
+    if (batches.fetch_add(1) == 0) throw std::runtime_error("hook failed");
+  };
+  InferenceEngine engine(registry, options);
+
+  std::vector<std::future<PredictResult>> first;
+  for (std::size_t k = 0; k < 3; ++k) {
+    first.push_back(engine.submit("m", inputs[k]));
+  }
+  for (auto& future : first) EXPECT_THROW(future.get(), std::runtime_error);
+  EXPECT_EQ(engine.stats().errors, 3u);
+
+  std::vector<std::future<PredictResult>> second;
+  for (std::size_t k = 3; k < 6; ++k) {
+    second.push_back(engine.submit("m", inputs[k]));
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(second[k].get().predicted, model->predict(inputs[3 + k]));
+  }
+  EXPECT_EQ(batches.load(), 2u);
+  EXPECT_EQ(engine.stats().errors, 3u);
 }
 
 TEST(Engine, ShutdownDrainsQueuedWorkAndRejectsNewWork) {

@@ -6,10 +6,11 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "donn/gradcheck.hpp"
 #include "slr/admm.hpp"
 #include "slr/slr.hpp"
 #include "sparsify/mask.hpp"
+
+#include "support/gradcheck.hpp"
 
 namespace odonn::slr {
 namespace {

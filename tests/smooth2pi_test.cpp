@@ -185,15 +185,6 @@ TEST(Optimize2Pi, DeterministicForSameSeed) {
   EXPECT_DOUBLE_EQ(a.roughness_after, b.roughness_after);
 }
 
-TEST(Optimize2Pi, DeterministicRelaxationAlsoWorks) {
-  const MatrixD phi = sparsified_phase_mask(12, 6);
-  TwoPiOptions opt;
-  opt.iterations = 150;
-  opt.stochastic = false;
-  const auto result = optimize_2pi(phi, opt);
-  EXPECT_LT(result.roughness_after, result.roughness_before * 0.95);
-}
-
 TEST(Optimize2Pi, SelectionMatchesOptimizedValues) {
   const MatrixD phi = sparsified_phase_mask(12, 7);
   const auto result = optimize_2pi(phi, {});

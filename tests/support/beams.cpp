@@ -1,4 +1,4 @@
-#include "optics/beams.hpp"
+#include "support/beams.hpp"
 
 #include <cmath>
 

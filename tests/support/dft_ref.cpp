@@ -1,4 +1,4 @@
-#include "fft/dft_ref.hpp"
+#include "support/dft_ref.hpp"
 
 #include <cmath>
 

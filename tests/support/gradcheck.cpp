@@ -1,4 +1,4 @@
-#include "donn/gradcheck.hpp"
+#include "support/gradcheck.hpp"
 
 #include <algorithm>
 #include <cmath>

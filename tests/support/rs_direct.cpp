@@ -1,4 +1,4 @@
-#include "optics/rs_direct.hpp"
+#include "support/rs_direct.hpp"
 
 #include <cmath>
 

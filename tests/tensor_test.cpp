@@ -157,25 +157,5 @@ TEST(Resize, ValuesStayWithinInputRange) {
   }
 }
 
-TEST(Resize, NearestKeepsExactValues) {
-  MatrixD m = {{1.0, 2.0}, {3.0, 4.0}};
-  const MatrixD up = nearest_resize(m, 4, 4);
-  EXPECT_DOUBLE_EQ(up(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(up(0, 3), 2.0);
-  EXPECT_DOUBLE_EQ(up(3, 3), 4.0);
-  for (std::size_t i = 0; i < up.size(); ++i) {
-    EXPECT_TRUE(up[i] == 1.0 || up[i] == 2.0 || up[i] == 3.0 || up[i] == 4.0);
-  }
-}
-
-TEST(Resize, EmbedCenteredPlacesAndFills) {
-  MatrixD m(2, 2, 5.0);
-  const MatrixD canvas = embed_centered(m, 6, 6, -1.0);
-  EXPECT_DOUBLE_EQ(canvas(2, 2), 5.0);
-  EXPECT_DOUBLE_EQ(canvas(3, 3), 5.0);
-  EXPECT_DOUBLE_EQ(canvas(0, 0), -1.0);
-  EXPECT_THROW(embed_centered(canvas, 2, 2), ShapeError);
-}
-
 }  // namespace
 }  // namespace odonn

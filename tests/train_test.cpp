@@ -190,7 +190,6 @@ TEST(Trainer, DeployedAccuracyDoesNotBeatClean) {
   const double clean = evaluate_accuracy(model, test_set);
   donn::CrosstalkOptions strong;
   strong.strength = 0.9;
-  strong.half_response = 0.3;
   const double deployed =
       evaluate_deployed_accuracy(model, test_set, strong);
   EXPECT_LE(deployed, clean + 0.05);

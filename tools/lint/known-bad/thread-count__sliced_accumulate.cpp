@@ -1,7 +1,7 @@
 // Known-bad corpus: partial-sum layout derived from the worker count. The
 // summation tree then depends on ODONN_THREADS, so results stop being
-// bitwise reproducible across thread counts — the exact failure mode
-// kGradientSlices / kParallelSumChunkCap exist to prevent.
+// bitwise reproducible across thread counts — the exact failure mode the
+// trainer's fixed kGradientSlices layout exists to prevent.
 #include <cstddef>
 #include <vector>
 
