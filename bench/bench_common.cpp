@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "data/transform.hpp"
 #include "obs/obs.hpp"
-#include "optics/encode.hpp"
 #include "tensor/stats.hpp"
 
 namespace odonn::bench {
@@ -125,20 +124,6 @@ PreparedData prepare_dataset(data::SyntheticFamily family,
   Rng rng(cfg.seed + 2000);
   auto [train, test] = resized.split(0.8, rng);
   return {std::move(train), std::move(test)};
-}
-
-std::vector<optics::Field> random_fields(const optics::GridSpec& grid,
-                                         std::size_t count,
-                                         std::uint64_t seed) {
-  Rng rng(seed + 1);
-  std::vector<optics::Field> fields;
-  fields.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    MatrixD image(grid.n, grid.n);
-    for (auto& v : image) v = rng.uniform();
-    fields.push_back(optics::encode_image(image, grid));
-  }
-  return fields;
 }
 
 std::string json_quote(const std::string& text) {
@@ -321,8 +306,8 @@ void print_table_text(const TableSpec& spec, const BenchConfig& cfg,
 void print_table_json(const TableSpec& spec, const BenchConfig& cfg,
                       const std::vector<train::RecipeResult>& rows,
                       int failures, double wall_seconds) {
-  // Same perf-record convention as bench/serve_throughput.cpp: one JSON
-  // document on stdout, suitable for diffing a trajectory across PRs.
+  // The perf-record convention every bench follows: one JSON document on
+  // stdout, suitable for diffing a trajectory across PRs.
   // Each row carries FNV digests of the trained and 2*pi-smoothed phase
   // bits: scripts/check.sh compares them across ODONN_THREADS=1 vs 4 and
   // across jobs=1 vs 4 (the parallel-executor determinism contract).

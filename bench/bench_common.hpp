@@ -7,7 +7,8 @@
 // grids, synthetic data, reduced epochs — see DESIGN.md §2); the SHAPE
 // checks printed at the end of each bench assert the qualitative claims.
 // Every table bench additionally emits a machine-readable JSON perf record
-// (same convention as serve_throughput) so later PRs can diff a trajectory.
+// (one JSON document on stdout after the text, the convention every bench
+// follows) so later PRs can diff a trajectory.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +19,6 @@
 #include "common/config.hpp"
 #include "data/dataset.hpp"
 #include "data/synthetic.hpp"
-#include "optics/field.hpp"
-#include "optics/grid.hpp"
 #include "train/recipe.hpp"
 
 namespace odonn::bench {
@@ -79,15 +78,6 @@ struct PreparedData {
 };
 PreparedData prepare_dataset(data::SyntheticFamily family,
                              const BenchConfig& cfg);
-
-/// `count` serve request fields on `grid`: uniform [0, 1) pixels drawn from
-/// Rng(seed + 1) (the stream next to the model's Rng(seed)), encoded with
-/// optics::encode_image. The one input stream of the serve drivers
-/// (serve_load, serve_throughput, odonn_cli serve), so their prediction
-/// digests depend on (model, grid, count, seed) alone.
-std::vector<optics::Field> random_fields(const optics::GridSpec& grid,
-                                         std::size_t count,
-                                         std::uint64_t seed);
 
 /// One row of a paper table (dash-able paper_after for Ours-A).
 struct PaperRow {

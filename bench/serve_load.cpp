@@ -1,39 +1,62 @@
-// Serve-cluster load bench: closed- and open-loop load generation against
-// ServeCluster, sweeping replica counts and offered QPS.
+// Serve load bench: closed- and open-loop load generation against
+// ServeCluster, sweeping replica counts and offered QPS, next to the
+// direct-call modes that the cluster is measured against.
 //
 // Two phases:
-//   1. Closed loop (saturation): for each replica count 1..replicas=, every
-//      request is submitted at once and the cluster drains flat out. Each
-//      replica pins inner_threads=1 so the kernel runs inline on the drain
-//      thread and REPLICATION is the only scaling lever — what the
-//      replicas=2 > replicas=1 check measures on multi-core hosts
-//      (self-skipped with a logged reason on small containers, same rule as
-//      bench/table_parallel). The replica counts take turns over 5 passes,
-//      in reverse order on odd passes, and each reports its median pass,
-//      so a drift in host speed hits every count alike.
+//   1. Closed loop (saturation). Every mode answers every request once per
+//      pass. The modes take turns over 5 passes, in reverse order on odd
+//      passes, and each reports its median pass, so a drift in host speed
+//      hits every mode alike. The modes:
+//        naive     DonnModel::detector_sums per request from the calling
+//                  thread (the pre-serving deployment story; its frame
+//                  passes still fan out on the shared pool);
+//        batched   serve::BatchedForward::run over windows of b requests,
+//                  b in {1, 8, 32, 128}, fanning out over each window's
+//                  samples on the shared pool;
+//        replicas  a ServeCluster of 1..replicas= replicas, driven by the
+//                  closed-loop harness that `odonn_cli serve` also runs
+//                  (serve_harness.hpp: every request submitted at once).
+//                  Each replica pins inner_threads=1 so the kernel runs
+//                  inline on its drain thread and REPLICATION is the only
+//                  scaling lever.
+//      The direct modes warm up with one untimed pass, the clusters with
+//      the harness's one-at-a-time warm-up.
 //   2. Open loop (SLO curve): requests arrive on a fixed schedule at
 //      offered rates derived from the measured saturation (0.5x / 0.9x /
 //      1.3x), submitted the moment their arrival time passes regardless of
 //      completions. Rejections (OverloadError under the bounded queue) are
 //      counted, never retried.
 //
-// Latency percentiles (p50/p99/p999) and the attribution rows come from
-// ServeCluster::stats(), which merges the replicas' retained windows under
-// the repo-wide nearest-rank rule. Predictions are digested FNV-1a over
-// the IEEE-754 bits of every detector sum in submit order; the digest must
-// be identical across replica counts (checked here) and across
-// ODONN_THREADS (checked by scripts/check.sh).
+// Gates: every mode, replica count and pass gives the same prediction
+// digest (FNV-1a over the IEEE-754 bits of every detector sum in submit
+// order; scripts/check.sh also compares it across ODONN_THREADS and with
+// `odonn_cli serve`); the best batched mode beats the naive loop; and
+// replicas=2 saturation beats replicas=1 (self-skipped with a logged reason
+// below 4 hardware threads, same rule as bench/table_parallel).
 //
-// Emits a JSON perf record after the table:
-//   { "bench": "serve_load", "grid": ..., "requests": ..., "threads": ...,
-//     "digest": "....", "speedup": ..., "closed": [...], "open": [...] }
+// Every cluster row embeds "stats": the ServeCluster::stats() body that
+// GET /snapshot serves (serve::cluster_snapshot_json), whose percentiles
+// and attribution merge the replicas' windows under the repo-wide
+// nearest-rank rule. A closed-loop cluster's windows accumulate over all
+// 5 passes; an open-loop row's cover its own schedule. JSON perf record
+// after the table:
+//   {"bench": "serve_load", "grid": ..., "requests": ..., "threads": ...,
+//    "digest": "....", "speedup": ..., "batched_speedup": ...,
+//    "closed": [{"mode": "naive", "rps": ..., "digest": ...},
+//               {"mode": "batched", "batch": 8, "rps": ..., ...},
+//               {"mode": "replicas", "replicas": 1, "rps": ...,
+//                "stats": {...}, "digest": ...}, ...],
+//    "open": [{"offered_qps": ..., ..., "stats": {...}}, ...]}
 //
 //   ./serve_load [grid=32] [requests=192] [replicas=2] [max_batch=8]
 //                [queue_depth=65536] [continuous=1] [seed=7] [format=both]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,8 +68,10 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "donn/model.hpp"
+#include "serve/batched_forward.hpp"
 #include "serve/cluster.hpp"
 #include "serve/registry.hpp"
+#include "serve_harness.hpp"
 #include "tensor/stats.hpp"
 
 using namespace odonn;
@@ -58,34 +83,49 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Interleaved closed-loop passes per replica count; saturation is the
-/// median pass.
+/// Interleaved closed-loop passes per mode; each mode reports its median.
 constexpr std::size_t kClosedPasses = 5;
 
-using ClusterSnapshot = serve::ServeCluster::ClusterSnapshot;
+/// Window sizes of the direct batched mode.
+constexpr std::size_t kBatchSizes[] = {1, 8, 32, 128};
 
-std::string json_percentiles(const ClusterSnapshot::AttributionSummary& p) {
-  return "{\"p50_ms\": " + bench::json_number(p.p50_ms) +
-         ", \"p99_ms\": " + bench::json_number(p.p99_ms) +
-         ", \"p999_ms\": " + bench::json_number(p.p999_ms) + "}";
-}
-
-/// The end-to-end percentiles and the "attr" object of one row.
-std::string json_latency(const ClusterSnapshot& s) {
-  return "\"p50_ms\": " + bench::json_number(s.p50_ms) +
-         ", \"p99_ms\": " + bench::json_number(s.p99_ms) +
-         ", \"p999_ms\": " + bench::json_number(s.p999_ms) +
-         ", \"attr\": {\"queue_wait\": " + json_percentiles(s.queue_wait) +
-         ", \"batch_wait\": " + json_percentiles(s.batch_wait) +
-         ", \"compute\": " + json_percentiles(s.compute) + "}";
-}
-
-struct ClosedRow {
-  std::size_t replicas = 0;
-  double saturation_rps = 0.0;
-  ClusterSnapshot stats;
-  std::uint64_t digest = kFnv1aBasis;
+/// One closed-loop mode: `pass` answers every input once and returns its
+/// wall time and digest.
+struct ClosedMode {
+  std::string label;  ///< table label
+  std::string key;    ///< the JSON row's identifying fields
+  std::function<bench::Burst()> pass;
+  serve::ServeCluster* cluster;  ///< replicas modes only, else null
 };
+
+bench::Burst naive_pass(const donn::DonnModel& model,
+                        const std::vector<optics::Field>& inputs) {
+  const Clock::time_point start = Clock::now();
+  bench::Burst burst;
+  for (const auto& input : inputs) {
+    burst.digest = bench::fold_sums(burst.digest, model.detector_sums(input));
+  }
+  burst.seconds = seconds_since(start);
+  return burst;
+}
+
+bench::Burst batched_pass(const serve::BatchedForward& forward,
+                          const std::vector<optics::Field>& inputs,
+                          std::size_t batch) {
+  const Clock::time_point start = Clock::now();
+  bench::Burst burst;
+  for (std::size_t done = 0; done < inputs.size(); done += batch) {
+    const auto first = inputs.begin() + static_cast<std::ptrdiff_t>(done);
+    const std::vector<optics::Field> window(
+        first, first + static_cast<std::ptrdiff_t>(
+                           std::min(batch, inputs.size() - done)));
+    for (const auto& sums : forward.run(window).detector_sums) {
+      burst.digest = bench::fold_sums(burst.digest, sums);
+    }
+  }
+  burst.seconds = seconds_since(start);
+  return burst;
+}
 
 struct OpenRow {
   double offered_qps = 0.0;
@@ -93,29 +133,10 @@ struct OpenRow {
   std::size_t submitted = 0;
   std::size_t completed = 0;
   std::size_t rejected = 0;
-  ClusterSnapshot stats;
+  serve::ServeCluster::ClusterSnapshot stats;
 };
 
-std::string json_closed(const ClosedRow& r) {
-  return "{\"replicas\": " + std::to_string(r.replicas) +
-         ", \"saturation_rps\": " + bench::json_number(r.saturation_rps) +
-         ", \"mean_batch\": " + bench::json_number(r.stats.mean_batch_size) +
-         ", " + json_latency(r.stats) +
-         ", \"digest\": \"" + bench::hex64(r.digest) + "\"}";
-}
-
-std::string json_open(const OpenRow& r) {
-  return "{\"offered_qps\": " + bench::json_number(r.offered_qps) +
-         ", \"achieved_rps\": " + bench::json_number(r.achieved_rps) +
-         ", \"submitted\": " + std::to_string(r.submitted) +
-         ", \"completed\": " + std::to_string(r.completed) +
-         ", \"rejected\": " + std::to_string(r.rejected) + ", " +
-         json_latency(r.stats) + "}";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   cfg.strict({"grid", "requests", "replicas", "max_batch", "queue_depth",
               "continuous", "seed", "format"});
@@ -134,7 +155,8 @@ int main(int argc, char** argv) {
   config.init = donn::PhaseInit::Uniform;
   Rng rng(seed);
   auto registry = std::make_shared<serve::ModelRegistry>();
-  registry->add("served", donn::DonnModel(config, rng));
+  const auto model = registry->add("served", donn::DonnModel(config, rng));
+  const serve::BatchedForward forward(model);
 
   const std::vector<optics::Field> inputs =
       bench::random_fields(config.grid, requests, seed);
@@ -161,84 +183,110 @@ int main(int argc, char** argv) {
     return options;
   };
 
-  // ---- phase 1: closed-loop saturation sweep over replica counts ---------
-  if (print_text) {
-    std::printf("closed loop (saturation)\n");
-    std::printf("%8s | %14s | %8s | %8s | %8s | %10s\n", "replicas",
-                "saturation_rps", "p50 ms", "p99 ms", "p999 ms", "mean batch");
+  // ---- phase 1: interleaved closed-loop passes over every mode -----------
+  std::vector<ClosedMode> modes;
+  modes.push_back({"naive", "\"mode\": \"naive\"",
+                   [&] { return naive_pass(*model, inputs); }, nullptr});
+  for (const std::size_t batch : kBatchSizes) {
+    modes.push_back(
+        {"batched b=" + std::to_string(batch),
+         "\"mode\": \"batched\", \"batch\": " + std::to_string(batch),
+         [&, batch] { return batched_pass(forward, inputs, batch); },
+         nullptr});
   }
-  // One warmed-up cluster per replica count; the counts take turns, pass by
-  // pass, and the latency windows accumulate over every pass.
+  for (ClosedMode& mode : modes) mode.pass();  // direct modes: warm-up
+  const std::size_t first_cluster = modes.size();
   std::vector<std::unique_ptr<serve::ServeCluster>> clusters;
   for (std::size_t replicas = 1; replicas <= max_replicas; ++replicas) {
     clusters.push_back(std::make_unique<serve::ServeCluster>(
         registry, make_options(replicas)));
-    for (std::size_t k = 0; k < std::min<std::size_t>(16, requests); ++k) {
-      clusters.back()->submit("served", inputs[k]).get();  // warm-up
-    }
-    clusters.back()->reset_stats();
+    serve::ServeCluster* cluster = clusters.back().get();
+    bench::warm_up(*cluster, "served", inputs);
+    modes.push_back(
+        {"replicas=" + std::to_string(replicas),
+         "\"mode\": \"replicas\", \"replicas\": " + std::to_string(replicas),
+         [cluster, &inputs] {
+           return bench::closed_loop_burst(*cluster, "served", inputs);
+         },
+         cluster});
   }
-  std::vector<ClosedRow> closed(max_replicas);
-  std::vector<std::vector<double>> rates(max_replicas);
-  bool passes_agree = true;
+  std::vector<std::vector<double>> rates(modes.size());
+  std::vector<std::uint64_t> digests(modes.size());
+  bool digests_agree = true;
   for (std::size_t pass = 0; pass < kClosedPasses; ++pass) {
-    for (std::size_t k = 0; k < max_replicas; ++k) {
-      // Odd passes run the counts in reverse, so a steady drift in host
-      // speed within a pass does not always favour the same count.
-      const std::size_t i = pass % 2 == 0 ? k : max_replicas - 1 - k;
-      std::vector<std::future<serve::PredictResult>> futures;
-      futures.reserve(requests);
-      const Clock::time_point start = Clock::now();
-      for (const auto& input : inputs) {
-        futures.push_back(clusters[i]->submit("served", input));
-      }
-      std::uint64_t digest = kFnv1aBasis;
-      for (auto& future : futures) {
-        const serve::PredictResult result = future.get();
-        for (const double v : result.detector_sums) {
-          digest = fnv1a_mix(digest, v);
-        }
-      }
-      rates[i].push_back(static_cast<double>(requests) / seconds_since(start));
-      if (pass == 0) closed[i].digest = digest;
-      passes_agree = passes_agree && digest == closed[i].digest;
+    for (std::size_t k = 0; k < modes.size(); ++k) {
+      // Odd passes run the modes in reverse, so a steady drift in host
+      // speed within a pass does not always favour the same mode.
+      const std::size_t i = pass % 2 == 0 ? k : modes.size() - 1 - k;
+      const bench::Burst burst = modes[i].pass();
+      rates[i].push_back(static_cast<double>(requests) / burst.seconds);
+      if (pass == 0) digests[i] = burst.digest;
+      digests_agree = digests_agree && burst.digest == digests.front();
     }
   }
-  for (std::size_t i = 0; i < max_replicas; ++i) {
-    ClosedRow& row = closed[i];
-    row.replicas = i + 1;
-    row.saturation_rps = percentile_nearest_rank(rates[i], 0.5);
-    row.stats = clusters[i]->stats();
-    if (print_text) {
-      std::printf("%8zu | %14.1f | %8.3f | %8.3f | %8.3f | %10.1f\n",
-                  row.replicas, row.saturation_rps, row.stats.p50_ms,
-                  row.stats.p99_ms, row.stats.p999_ms,
-                  row.stats.mean_batch_size);
-    }
+
+  if (print_text) {
+    std::printf("closed loop (medians of %zu interleaved passes)\n",
+                kClosedPasses);
+    std::printf("%-13s | %12s | %8s | %8s | %8s | %10s\n", "mode", "rps",
+                "p50 ms", "p99 ms", "p999 ms", "mean batch");
   }
+  std::vector<double> rps(modes.size());
+  std::string closed_json;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    const ClosedMode& mode = modes[i];
+    rps[i] = percentile_nearest_rank(rates[i], 0.5);
+    closed_json +=
+        "  {" + mode.key + ", \"rps\": " + bench::json_number(rps[i]);
+    if (print_text) std::printf("%-13s | %12.1f", mode.label.c_str(), rps[i]);
+    if (mode.cluster != nullptr) {
+      const auto stats = mode.cluster->stats();
+      closed_json += ", \"stats\": " + serve::cluster_snapshot_json(stats);
+      if (print_text) {
+        std::printf(" | %8.3f | %8.3f | %8.3f | %10.1f", stats.p50_ms,
+                    stats.p99_ms, stats.p999_ms, stats.mean_batch_size);
+      }
+    }
+    if (print_text) std::printf("\n");
+    closed_json += ", \"digest\": \"" + bench::hex64(digests[i]) + "\"}" +
+                   (i + 1 < modes.size() ? ",\n" : "\n");
+  }
+  const std::uint64_t digest = digests[first_cluster];
+  modes.clear();
   clusters.clear();
 
   int failures = 0;
-  bool digests_agree = true;
-  for (const ClosedRow& row : closed) {
-    digests_agree = digests_agree && row.digest == closed.front().digest;
-  }
   failures += !bench::shape_check(
-      digests_agree && passes_agree,
-      "predictions bitwise identical across replica counts and passes");
+      digests_agree,
+      "predictions bitwise identical across modes, replica counts and "
+      "passes");
+
+  // Batching: the naive loop and every window run the same per-sample
+  // frame runner, so what a window adds is the shared modulation-table
+  // snapshot and workspace (detector_sums rebuilds exp(i*phi) and its
+  // buffers per call) plus sample parallelism. The gate is only that the
+  // best window wins.
+  const auto best =
+      std::max_element(rps.begin() + 1, rps.begin() + first_cluster);
+  const double batched_speedup = rps.front() > 0.0 ? *best / rps.front() : 0.0;
+  char label[160];
+  std::snprintf(label, sizeof(label),
+                "best batched > naive loop (%.2fx: %.1f rps at b=%zu vs "
+                "%.1f rps)",
+                batched_speedup, *best,
+                kBatchSizes[std::distance(rps.begin() + 1, best)],
+                rps.front());
+  failures += !bench::shape_check(batched_speedup > 1.0, label);
 
   // Replication speedup: needs real cores to mean anything. Same self-skip
   // rule as bench/table_parallel — the 1-core container logs the reason.
   double speedup = 0.0;
-  if (closed.size() >= 2 && closed.front().saturation_rps > 0.0) {
-    speedup = closed[1].saturation_rps / closed.front().saturation_rps;
+  if (max_replicas >= 2 && rps[first_cluster] > 0.0) {
+    speedup = rps[first_cluster + 1] / rps[first_cluster];
   }
-  if (closed.size() >= 2 && hw >= 4 && thread_count() >= 4) {
-    char label[128];
+  if (max_replicas >= 2 && hw >= 4 && thread_count() >= 4) {
     std::snprintf(label, sizeof(label),
-                  "replicas=2 saturation > replicas=1 (%.2fx; medians of %zu "
-                  "interleaved passes)",
-                  speedup, kClosedPasses);
+                  "replicas=2 saturation > replicas=1 (%.2fx)", speedup);
     failures += !bench::shape_check(speedup > 1.0, label);
   } else if (print_text) {
     std::printf(
@@ -248,7 +296,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- phase 2: open-loop QPS sweep at the largest replica count ---------
-  const double saturation = closed.back().saturation_rps;
+  const double saturation = rps.back();
   std::vector<OpenRow> open;
   if (saturation > 0.0) {
     if (print_text) {
@@ -310,18 +358,35 @@ int main(int argc, char** argv) {
         ", \"continuous\": " + (continuous ? "true" : "false") +
         ", \"threads\": " + std::to_string(thread_count()) +
         ", \"hardware_threads\": " + std::to_string(hw) +
-        ", \"digest\": \"" + bench::hex64(closed.front().digest) + "\"" +
-        ", \"speedup\": " + bench::json_number(speedup) + ",\n \"closed\": [\n";
-    for (std::size_t i = 0; i < closed.size(); ++i) {
-      json += "  " + json_closed(closed[i]) +
-              (i + 1 < closed.size() ? ",\n" : "\n");
-    }
-    json += " ],\n \"open\": [\n";
+        ", \"digest\": \"" + bench::hex64(digest) + "\"" +
+        ", \"speedup\": " + bench::json_number(speedup) +
+        ", \"batched_speedup\": " + bench::json_number(batched_speedup) +
+        ",\n \"closed\": [\n" + closed_json + " ],\n \"open\": [\n";
     for (std::size_t i = 0; i < open.size(); ++i) {
-      json += "  " + json_open(open[i]) + (i + 1 < open.size() ? ",\n" : "\n");
+      const OpenRow& r = open[i];
+      json += "  {\"offered_qps\": " + bench::json_number(r.offered_qps) +
+              ", \"achieved_rps\": " + bench::json_number(r.achieved_rps) +
+              ", \"submitted\": " + std::to_string(r.submitted) +
+              ", \"completed\": " + std::to_string(r.completed) +
+              ", \"rejected\": " + std::to_string(r.rejected) +
+              ", \"stats\": " + serve::cluster_snapshot_json(r.stats) + "}" +
+              (i + 1 < open.size() ? ",\n" : "\n");
     }
     json += " ]}";
     std::printf("%s\n", json.c_str());
   }
   return failures;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Same policy as odonn_cli: any error (a bad key, an empty sweep, a
+  // failed request) ends with a message and exit 1, never an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
+  }
 }

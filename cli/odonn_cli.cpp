@@ -62,7 +62,6 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,6 +70,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "serve_harness.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -82,7 +82,6 @@
 #include "fab/spec.hpp"
 #include "obs/http_server.hpp"
 #include "obs/obs.hpp"
-#include "tensor/stats.hpp"
 #include "pipeline/parser.hpp"
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
@@ -691,12 +690,6 @@ int cmd_serve(const Config& cfg) {
     json += ", \"http_port\": " + std::to_string(http->server.port());
   }
   json += ", \"rows\": [\n";
-  const auto attr_row =
-      [](const serve::ServeCluster::ClusterSnapshot::AttributionSummary& s) {
-        return "{\"p50_ms\": " + bench::json_number(s.p50_ms) +
-               ", \"p99_ms\": " + bench::json_number(s.p99_ms) +
-               ", \"p999_ms\": " + bench::json_number(s.p999_ms) + "}";
-      };
   for (std::size_t i = 0; i < names.size(); ++i) {
     const std::string& name = names[i];
     // Inputs are generated per model at that model's own grid (checkpoints
@@ -704,44 +697,18 @@ int cmd_serve(const Config& cfg) {
     // reseeded so every model sees the same pixels.
     const auto inputs =
         bench::random_fields(registry->get(name)->config().grid, samples, seed);
-    for (std::size_t k = 0; k < std::min<std::size_t>(16, samples); ++k) {
-      cluster.submit(name, inputs[k]).get();  // warm-up
-    }
-    cluster.reset_stats();
-    std::vector<std::future<serve::PredictResult>> futures;
-    futures.reserve(samples);
-    const Clock::time_point start = Clock::now();
-    for (const auto& input : inputs) {
-      futures.push_back(cluster.submit(name, input));
-    }
-    // Digest in submit order: a deterministic function of seed + grid
-    // alone, so it must be bitwise identical across replicas=, routing=,
-    // ODONN_THREADS and http_port= on/off (scripts/check.sh compares).
-    std::uint64_t digest = kFnv1aBasis;
-    for (auto& future : futures) {
-      const serve::PredictResult result = future.get();
-      for (const double v : result.detector_sums) {
-        digest = fnv1a_mix(digest, v);
-      }
-    }
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    bench::warm_up(cluster, name, inputs);
+    const bench::Burst burst = bench::closed_loop_burst(cluster, name, inputs);
     const auto snap = cluster.stats();
-    const double throughput = static_cast<double>(samples) / elapsed;
+    const double throughput = static_cast<double>(samples) / burst.seconds;
     if (print_text) {
       std::printf("%-24s | %12.1f | %8.3f | %8.3f | %10.1f\n", name.c_str(),
                   throughput, snap.p50_ms, snap.p99_ms, snap.mean_batch_size);
     }
     json += std::string("  {\"model\": ") + bench::json_quote(name) +
             ", \"samples_per_sec\": " + bench::json_number(throughput) +
-            ", \"p50_ms\": " + bench::json_number(snap.p50_ms) +
-            ", \"p99_ms\": " + bench::json_number(snap.p99_ms) +
-            ", \"p999_ms\": " + bench::json_number(snap.p999_ms) +
-            ", \"mean_batch\": " + bench::json_number(snap.mean_batch_size) +
-            ", \"attr\": {\"queue_wait\": " + attr_row(snap.queue_wait) +
-            ", \"batch_wait\": " + attr_row(snap.batch_wait) +
-            ", \"compute\": " + attr_row(snap.compute) + "}" +
-            ", \"digest\": \"" + bench::hex64(digest) + "\"}" +
+            ", \"stats\": " + serve::cluster_snapshot_json(snap) +
+            ", \"digest\": \"" + bench::hex64(burst.digest) + "\"}" +
             (i + 1 < names.size() ? ",\n" : "\n");
   }
   json += "]}";

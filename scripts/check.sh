@@ -7,8 +7,9 @@
 # observability
 # exports (metrics-on rows bitwise identical to plain), the serve
 # cluster (cluster-vs-single-engine prediction digest equality across
-# ODONN_THREADS), and the observability HTTP plane (scrape a live serve
-# run, then prove digests identical with the plane on vs off) — the
+# ODONN_THREADS and against odonn_cli serve), and the observability HTTP
+# plane (scrape a live serve run, then prove digests identical with the
+# plane on vs off) — the
 # single entry point CI and humans run before merging. The whole tree
 # (library, tests, benches, examples, cli, tools) compiles with
 # -Wall -Wextra -Werror (set in CMakeLists.txt), so any warning anywhere
@@ -301,8 +302,9 @@ ODONN_THREADS=4 ./table_parallel bench.scale=smoke format=text ||
 # be identical between a single-threaded single engine and a 4-thread
 # 2-replica cluster — replication, routing and thread count move requests,
 # never bits. The replicas=2 JSON record is kept for CI upload
-# (build/serve_artifacts/), alongside the bench's own internal
-# cross-replica digest and speedup shape checks.
+# (build/serve_artifacts/), alongside the bench's own shape checks: one
+# digest across every mode, replica count and pass, best batched > naive
+# loop, and replicas=2 > replicas=1.
 serve_smoke() {  # $1=threads $2=replicas
   ODONN_THREADS="$1" ./serve_load grid=16 requests=64 replicas="$2" \
     format=json ||
@@ -324,6 +326,27 @@ if [ "$sd1" != "$sd2" ]; then
   exit 1
 fi
 echo "serve smoke: cluster digest identical to single engine (threads 1 vs 4)"
+# odonn_cli serve runs the same closed-loop harness (bench/serve_harness)
+# over the same model (scaled(16), uniform init, Rng(7)) and input stream,
+# so its first row must carry serve_load's digest: the harness's two
+# callers cannot drift apart.
+cli_out="$(ODONN_THREADS=4 ./odonn_cli serve grid=16 samples=64 format=json)" ||
+  { echo "serve smoke: odonn_cli serve failed" >&2; exit 1; }
+sd3="$(printf '%s\n' "$cli_out" | grep -o '"digest": "[0-9a-f]*"' | head -n 1)"
+if [ "$sd1" != "$sd3" ]; then
+  echo "serve smoke: odonn_cli serve and serve_load digests differ" >&2
+  echo "serve_load threads=1 replicas=1: $sd1" >&2
+  echo "odonn_cli serve threads=4:       $sd3" >&2
+  exit 1
+fi
+echo "serve smoke: odonn_cli serve digest identical to serve_load"
+# A bad key or an empty sweep must end serve_load with a typed error
+# (exit 1, "error:" on stderr), the odonn_cli policy, never an abort.
+expect_error "serve smoke: serve_load requests=0" "error:" \
+  ./serve_load requests=0
+expect_error "serve smoke: serve_load grid=abc" "error:" \
+  ./serve_load grid=abc
+echo "serve smoke: serve_load requests=0 and grid=abc exit 1"
 
 # HTTP-plane smoke: a live serve run with the observability HTTP plane up
 # must (a) report build provenance on /healthz, (b) serve a /metrics body
