@@ -7,7 +7,9 @@
 # observability
 # exports (metrics-on rows bitwise identical to plain), the serve
 # cluster (cluster-vs-single-engine prediction digest equality across
-# ODONN_THREADS and against odonn_cli serve), and the observability HTTP
+# ODONN_THREADS and against odonn_cli serve, and odonn_cli serve at the
+# non-power-of-two grids 20 and 22 across ODONN_THREADS), and the
+# observability HTTP
 # plane (scrape a live serve run, then prove digests identical with the
 # plane on vs off) — the
 # single entry point CI and humans run before merging. The whole tree
@@ -340,6 +342,34 @@ if [ "$sd1" != "$sd3" ]; then
   exit 1
 fi
 echo "serve smoke: odonn_cli serve digest identical to serve_load"
+# The smokes above all run at grid 16, a power of two. Grid 20 (2^2 * 5)
+# runs the mixed-radix FFT and grid 22 (2 * 11) Bluestein: each must print
+# one digest at ODONN_THREADS=1 and 4, so both non-power-of-two engines are
+# held to the thread-count contract end to end.
+for grid in 20 22; do
+  gd=""
+  for threads in 1 4; do
+    g_out="$(ODONN_THREADS="$threads" ./odonn_cli serve grid="$grid" \
+      samples=64 format=json)" ||
+      { echo "serve smoke: odonn_cli serve grid=$grid failed" \
+             "(threads=$threads)" >&2
+        exit 1; }
+    g_digest="$(printf '%s\n' "$g_out" |
+      grep -o '"digest": "[0-9a-f]*"' | head -n 1)"
+    [ -n "$g_digest" ] ||
+      { echo "serve smoke: grid=$grid printed no digest" >&2; exit 1; }
+    if [ -n "$gd" ] && [ "$gd" != "$g_digest" ]; then
+      echo "serve smoke: grid=$grid digests differ between ODONN_THREADS=1" \
+           "and 4" >&2
+      echo "threads=1: $gd" >&2
+      echo "threads=4: $g_digest" >&2
+      exit 1
+    fi
+    gd="$g_digest"
+  done
+done
+echo "serve smoke: grid=20 (mixed radix) and grid=22 (Bluestein) digests" \
+     "identical at ODONN_THREADS=1 and 4"
 # A bad key or an empty sweep must end serve_load with a typed error
 # (exit 1, "error:" on stderr), the odonn_cli policy, never an abort.
 expect_error "serve smoke: serve_load requests=0" "error:" \

@@ -75,11 +75,20 @@ void frame_rows(Frame& frame, const Plan& row_plan, Direction dir,
                 LaneIsa isa) {
   ODONN_CHECK_SHAPE(row_plan.size() == frame.cols(),
                     "frame_rows: plan length does not match frame width");
-  const std::size_t step = frame.cols() * L;
-  double* re = frame.re();
-  double* im = frame.im();
-  parallel_for(0, frame.groups(), [&](std::size_t g) {
-    row_plan.execute_lanes(re + g * step, im + g * step, dir, isa);
+  // The loop body captures one pointer to this context, so its
+  // std::function fits the small-object buffer and the call allocates
+  // nothing (six captured references would not).
+  const struct {
+    const Plan* plan;
+    double* re;
+    double* im;
+    std::size_t step;
+    Direction dir;
+    LaneIsa isa;
+  } pass{&row_plan, frame.re(), frame.im(), frame.cols() * L, dir, isa};
+  parallel_for(0, frame.groups(), [&pass](std::size_t g) {
+    pass.plan->execute_lanes(pass.re + g * pass.step, pass.im + g * pass.step,
+                             pass.dir, pass.isa);
   });
 }
 

@@ -20,7 +20,10 @@
 // and are never read as matrix elements. Both passes parallelize over lane
 // groups when called from a non-worker thread; the grouping depends on the
 // index alone, never on the thread count. Each pass runs the lane kernels
-// of fft_plan.hpp's ISA dispatch (no FMA; see there).
+// of fft_plan.hpp's ISA dispatch (no FMA; see there) on the plan's engine.
+// A radix-2 or mixed-radix column pass folds its bit or digit reversal into
+// the tile gather; a mixed-radix row pass moves each group's elements to
+// their digit-reversed slots through a per-thread copy.
 //
 // Bitwise contract: transform_2d equals Plan::execute on every row, then on
 // every column, bit for bit, in every lane-kernel variant; the interleaved

@@ -47,6 +47,39 @@ std::vector<Cplx> radix2_twiddles(std::size_t n) {
   return tw;
 }
 
+/// The radices of a mixed-radix plan for n > 1, in the order its stages
+/// run: 4 while it divides, then 2 if it still does, then every 3, then
+/// every 5. Empty when n has a prime factor above 5.
+std::vector<std::size_t> mixed_radices(std::size_t n) {
+  std::vector<std::size_t> radices;
+  for (const std::size_t p : {4, 2, 3, 5}) {
+    while (n % p == 0) {
+      radices.push_back(p);
+      n /= p;
+    }
+  }
+  if (n != 1) radices.clear();
+  return radices;
+}
+
+/// x * w as (ac - bd, ad + bc), with w conjugated for an inverse.
+Cplx twiddled(const Cplx& x, const Cplx& w, bool inverse) {
+  const double wr = w.real();
+  const double wi = inverse ? -w.imag() : w.imag();
+  return {x.real() * wr - x.imag() * wi, x.real() * wi + x.imag() * wr};
+}
+
+/// c * z, part by part.
+Cplx scaled(double c, const Cplx& z) { return {c * z.real(), c * z.imag()}; }
+
+/// a - i*b and a + i*b.
+Cplx minus_i(const Cplx& a, const Cplx& b) {
+  return {a.real() + b.imag(), a.imag() - b.real()};
+}
+Cplx plus_i(const Cplx& a, const Cplx& b) {
+  return {a.real() - b.imag(), a.imag() + b.real()};
+}
+
 }  // namespace
 
 std::size_t next_pow2(std::size_t n) {
@@ -69,7 +102,39 @@ Plan::Plan(std::size_t n) : n_(n) {
     return;
   }
 
+  if (const std::vector<std::size_t> radices = mixed_radices(n);
+      !radices.empty()) {
+    engine_ = Engine::MixedRadix;
+    std::size_t span = 1;
+    for (const std::size_t p : radices) {
+      stages_.push_back({p, span, stage_twiddles_.size()});
+      for (std::size_t k = 0; k < span; ++k) {
+        for (std::size_t q = 1; q < p; ++q) {
+          const double angle = -2.0 * M_PI * static_cast<double>(q * k) /
+                               static_cast<double>(span * p);
+          stage_twiddles_.emplace_back(std::cos(angle), std::sin(angle));
+        }
+      }
+      span *= p;
+    }
+    // Element j's digits, the last stage's least significant, each weighted
+    // by its stage's span: a DIT stage of radix p over spans m reads the p
+    // interleaved subsequences j = q (mod p) as consecutive blocks of m.
+    digit_reverse_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      std::size_t rest = j;
+      std::size_t at = 0;
+      for (auto stage = stages_.rbegin(); stage != stages_.rend(); ++stage) {
+        at += (rest % stage->radix) * stage->span;
+        rest /= stage->radix;
+      }
+      digit_reverse_[j] = at;
+    }
+    return;
+  }
+
   // Bluestein setup: convolution length m >= 2n-1, power of two.
+  engine_ = Engine::Bluestein;
   conv_n_ = next_pow2(2 * n - 1);
   twiddles_ = radix2_twiddles(conv_n_);
   bit_reverse_ = bit_reverse_permutation(conv_n_);
@@ -112,6 +177,72 @@ void Plan::pow2_transform(Cplx* data, std::size_t n, bool inverse) const {
   }
 }
 
+void Plan::mixed_radix_transform(Cplx* data, bool inverse) const {
+  auto& moved = scratch(n_);
+  std::copy(data, data + n_, moved.begin());
+  for (std::size_t j = 0; j < n_; ++j) data[digit_reverse_[j]] = moved[j];
+
+  // Radix-3 and radix-5 sines, negated for an inverse.
+  const double sin3 = inverse ? -kSin2Pi3 : kSin2Pi3;
+  const double sin5 = inverse ? -kSin2Pi5 : kSin2Pi5;
+  const double sin25 = inverse ? -kSin4Pi5 : kSin4Pi5;
+  for (const Stage& stage : stages_) {
+    const std::size_t p = stage.radix;
+    const std::size_t m = stage.span;
+    for (std::size_t base = 0; base < n_; base += m * p) {
+      for (std::size_t k = 0; k < m; ++k) {
+        Cplx* x = data + base + k;
+        Cplx a[5];
+        for (std::size_t q = 0; q < p; ++q) a[q] = x[q * m];
+        if (k > 0) {
+          const Cplx* w =
+              stage_twiddles_.data() + stage.twiddle_at + k * (p - 1);
+          for (std::size_t q = 1; q < p; ++q) {
+            a[q] = twiddled(a[q], w[q - 1], inverse);
+          }
+        }
+        if (p == 2) {
+          x[0] = a[0] + a[1];
+          x[m] = a[0] - a[1];
+        } else if (p == 3) {
+          const Cplx s = a[1] + a[2];
+          const Cplx t = scaled(sin3, a[1] - a[2]);
+          const Cplx mid(a[0].real() - 0.5 * s.real(),
+                         a[0].imag() - 0.5 * s.imag());
+          x[0] = a[0] + s;
+          x[m] = minus_i(mid, t);
+          x[2 * m] = plus_i(mid, t);
+        } else if (p == 4) {
+          const Cplx t0 = a[0] + a[2];
+          const Cplx t1 = a[0] - a[2];
+          const Cplx t2 = a[1] + a[3];
+          const Cplx t3 = a[1] - a[3];
+          x[0] = t0 + t2;
+          x[2 * m] = t0 - t2;
+          x[inverse ? 3 * m : m] = minus_i(t1, t3);
+          x[inverse ? m : 3 * m] = plus_i(t1, t3);
+        } else {
+          const Cplx s14 = a[1] + a[4];
+          const Cplx d14 = a[1] - a[4];
+          const Cplx s23 = a[2] + a[3];
+          const Cplx d23 = a[2] - a[3];
+          const Cplx m1 =
+              (a[0] + scaled(kCos2Pi5, s14)) + scaled(kCos4Pi5, s23);
+          const Cplx m2 =
+              (a[0] + scaled(kCos4Pi5, s14)) + scaled(kCos2Pi5, s23);
+          const Cplx n1 = scaled(sin5, d14) + scaled(sin25, d23);
+          const Cplx n2 = scaled(sin25, d14) - scaled(sin5, d23);
+          x[0] = (a[0] + s14) + s23;
+          x[m] = minus_i(m1, n1);
+          x[2 * m] = minus_i(m2, n2);
+          x[3 * m] = plus_i(m2, n2);
+          x[4 * m] = plus_i(m1, n1);
+        }
+      }
+    }
+  }
+}
+
 void Plan::bluestein_forward(Cplx* data) const {
   const std::size_t m = conv_n_;
   auto& u = scratch(m);
@@ -130,8 +261,12 @@ void Plan::bluestein_forward(Cplx* data) const {
 
 void Plan::execute(Cplx* data, Direction dir) const {
   if (n_ == 1) return;
-  if (!uses_bluestein()) {
-    pow2_transform(data, n_, dir == Direction::Inverse);
+  if (engine_ != Engine::Bluestein) {
+    if (engine_ == Engine::Radix2) {
+      pow2_transform(data, n_, dir == Direction::Inverse);
+    } else {
+      mixed_radix_transform(data, dir == Direction::Inverse);
+    }
     if (dir == Direction::Inverse) {
       const double scale = 1.0 / static_cast<double>(n_);
       for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;

@@ -1,16 +1,36 @@
 // 1-D complex FFT plans.
 //
-// Two engines:
-//  * iterative radix-2 Cooley–Tukey for power-of-two lengths;
-//  * Bluestein chirp-z for arbitrary lengths (the paper's 200x200 masks are
-//    not powers of two), which re-expresses the DFT as a convolution carried
-//    out with an internal radix-2 plan.
+// Three engines, picked by the length n alone (Plan::engine()):
+//  * radix-2: iterative Cooley–Tukey for power-of-two lengths;
+//  * mixed radix: iterative decimation-in-time for lengths whose prime
+//    factors are all 2, 3 or 5 (the paper's 200 = 2^3 * 5^2, PyONN's
+//    120 = 2^3 * 3 * 5), with radix-4, -2, -3 and -5 stages in that order;
+//  * Bluestein chirp-z for every other length (a prime factor above 5),
+//    which re-expresses the DFT as a convolution carried out with an
+//    internal radix-2 plan.
 //
 // Plans are immutable after construction (twiddle/chirp tables only) and are
 // safe to execute concurrently from many threads; per-call scratch lives in
 // thread_local storage. Convention: unnormalized forward, 1/n inverse, i.e.
 //   forward:  X_k = sum_j x_j exp(-2*pi*i*j*k/n)
 //   inverse:  x_j = (1/n) sum_k X_k exp(+2*pi*i*j*k/n)
+//
+// Mixed-radix arithmetic. The input moves to digit-reversed order (element
+// j to digit_reverse_[j]; unlike bit reversal this is not an involution),
+// then stage s of radix p over sub-transforms of length m (the product of
+// the earlier radices) runs, for every block and every k < m, one radix-p
+// butterfly on the elements k + q*m, q < p, of that block:
+//  * for k > 0, element q >= 1 is first multiplied by its twiddle
+//    w = exp(-2*pi*i*q*k/(m*p)) as (ac - bd, ad + bc), with w conjugated
+//    for an inverse; k = 0 skips the multiply (w = 1);
+//  * then the p-point DFT in the fixed operation order written out in
+//    Plan::mixed_radix_transform (fft_plan.cpp), using the constants
+//    sin(2pi/3), cos(2pi/5), cos(4pi/5), sin(2pi/5), sin(4pi/5) below (the
+//    sines negated for an inverse), with each product by -i or +i folded
+//    into the add or subtract that follows it as a swap of parts;
+//  * an inverse scales by 1/n last, as radix-2 does.
+// Real scalings are spelled (c * re, c * im), never a complex product, and
+// no operation is fused.
 //
 // Lane execution. execute_lanes runs Plan::kLanes independent transforms at
 // once over structure-of-arrays planes: element j of lane s sits at
@@ -20,17 +40,18 @@
 // such groups, four rows each, and fft2d.cpp is the one caller that packs
 // lanes (scripts/lint.sh, check lane-pack).
 //
-// ISA dispatch. The lane kernels (radix-2 and Bluestein butterflies, and
-// the frame column pass with its tile moves and transfer multiply) are
-// written once as plain C++ in fft/lane_kernels.cpp and compiled twice
-// there: as baseline x86-64 (or whatever the target architecture's
-// baseline is) and under __attribute__((target("avx2"))), via `flatten`
-// wrappers that inline the whole kernel into each variant. The first lane
-// call picks one set per process with __builtin_cpu_supports("avx2");
-// other CPUs and architectures run the baseline set. That file is the only
-// one in src/ allowed to name an instruction set (scripts/lint.sh,
-// check isa-target), so every ISA-specific instruction lives where
-// tests/fft_test.cpp runs both variants against execute().
+// ISA dispatch. The lane kernels (radix-2, mixed-radix and Bluestein
+// butterflies, and the frame column pass with its tile moves and transfer
+// multiply) are written once as plain C++ in fft/lane_kernels.cpp and
+// compiled twice there: as baseline x86-64 (or whatever the target
+// architecture's baseline is) and under __attribute__((target("avx2"))), via
+// `flatten` wrappers that inline the whole kernel into each variant. The
+// first lane call picks one set per process with
+// __builtin_cpu_supports("avx2"); other CPUs and architectures run the
+// baseline set. That file is the only one in src/ allowed to name an
+// instruction set (scripts/lint.sh, check isa-target), so every ISA-specific
+// instruction lives where tests/fft_test.cpp runs both variants against
+// execute().
 //
 // No FMA, and no AVX-512. GCC 12 at -std=c++20 contracts a*b + c into a
 // fused multiply-add whenever the target enables FMA — target("avx512f")
@@ -43,17 +64,18 @@
 // baseline callers on CPUs without AVX2.
 //
 // Bitwise contract: every lane performs exactly the IEEE operations of
-// execute() on the same input — the same bit-reversal order and butterflies,
-// complex products as (ac - bd, ad + bc), inverse twiddles as conjugates, the
-// same Bluestein order (chirp multiply, zero-pad, forward pass, multiply by
-// FFT(b), unscaled inverse pass, then (u * 1/m) * a) and the same conj wrap
-// with 1/n for Bluestein inverses — so results match lane for lane, bit for
-// bit, signed zeros included, in either ISA variant. The contract covers
-// finite inputs whose products do not overflow: when both parts of a
-// std::complex product come out NaN, the scalar path falls back to the C99
-// Annex G recovery routine (__muldc3), which the lane path does not
-// replicate — serve::InferenceEngine therefore rejects non-finite inputs
-// before they reach a lane.
+// execute() on the same input — the same bit-reversal or digit-reversal
+// order and butterflies, complex products as (ac - bd, ad + bc), inverse
+// twiddles as conjugates, the same Bluestein order (chirp multiply,
+// zero-pad, forward pass, multiply by FFT(b), unscaled inverse pass, then
+// (u * 1/m) * a) and the same conj wrap with 1/n for Bluestein inverses —
+// so results match lane for lane, bit for bit, signed zeros included, in
+// either ISA variant. The contract covers finite inputs whose products do
+// not overflow: when both parts of a std::complex product come out NaN, the
+// radix-2 and Bluestein scalar paths fall back to the C99 Annex G recovery
+// routine (__muldc3), which the lane path does not replicate —
+// serve::InferenceEngine therefore rejects non-finite inputs before they
+// reach a lane.
 #pragma once
 
 #include <complex>
@@ -68,6 +90,9 @@ namespace odonn::fft {
 using Cplx = std::complex<double>;
 
 enum class Direction { Forward, Inverse };
+
+/// The algorithm a Plan runs, fixed by its length (see the file comment).
+enum class Engine { Radix2, MixedRadix, Bluestein };
 
 /// Instruction sets the lane kernels are compiled for.
 enum class LaneIsa { Baseline, Avx2 };
@@ -95,11 +120,12 @@ class Plan {
   static constexpr std::size_t kLanes = 4;
 
   /// Builds a plan for length n (n >= 1). Radix-2 when n is a power of two,
-  /// Bluestein otherwise.
+  /// mixed radix when n's prime factors are all 2, 3 or 5, Bluestein
+  /// otherwise.
   explicit Plan(std::size_t n);
 
   std::size_t size() const { return n_; }
-  bool uses_bluestein() const { return !bluestein_b_fft_.empty(); }
+  Engine engine() const { return engine_; }
 
   /// In-place transform of exactly size() elements. The scalar reference.
   void execute(Cplx* data, Direction dir) const;
@@ -119,16 +145,40 @@ class Plan {
   template <typename Vector>
   friend struct LaneKernels;
 
+  /// One mixed-radix stage: radix-`radix` butterflies over sub-transforms
+  /// of length `span`; its twiddles are stage_twiddles_[twiddle_at + k *
+  /// (radix - 1) + q - 1] = exp(-2*pi*i*q*k/(span*radix)), k < span,
+  /// 1 <= q < radix.
+  struct Stage {
+    std::size_t radix;
+    std::size_t span;
+    std::size_t twiddle_at;
+  };
+
+  // Butterfly constants, correctly rounded: sin(2pi/3), cos(2pi/5),
+  // cos(4pi/5), sin(2pi/5), sin(4pi/5).
+  static constexpr double kSin2Pi3 = 0.86602540378443864676372317075293618;
+  static constexpr double kCos2Pi5 = 0.30901699437494742410229341718281906;
+  static constexpr double kCos4Pi5 = -0.80901699437494742410229341718281906;
+  static constexpr double kSin2Pi5 = 0.95105651629515357211643933337938214;
+  static constexpr double kSin4Pi5 = 0.58778525229247312916870595463907277;
+
   void pow2_transform(Cplx* data, std::size_t n, bool inverse) const;
+  void mixed_radix_transform(Cplx* data, bool inverse) const;
   void bluestein_forward(Cplx* data) const;
 
   std::size_t n_;
+  Engine engine_ = Engine::Radix2;
   // Radix-2 twiddles for the plan length itself (pow2 plans) or for the
-  // internal convolution length m (Bluestein plans).
+  // internal convolution length m (Bluestein plans); empty for mixed radix.
   std::size_t conv_n_ = 0;                 // pow2 length actually transformed
   std::vector<Cplx> twiddles_;             // exp(-2*pi*i*k/conv_n), k < conv_n/2
   std::vector<std::size_t> bit_reverse_;   // permutation for conv_n
-  // Bluestein tables (empty for pow2 plans).
+  // Mixed-radix tables (empty unless engine_ is MixedRadix).
+  std::vector<Stage> stages_;              // in the order they run
+  std::vector<std::size_t> digit_reverse_; // element j moves to [j]
+  std::vector<Cplx> stage_twiddles_;       // every stage's, see Stage
+  // Bluestein tables (empty unless engine_ is Bluestein).
   std::vector<Cplx> bluestein_a_;          // chirp a_j = exp(-i*pi*j^2/n)
   std::vector<Cplx> bluestein_b_fft_;      // FFT_m of the extended chirp b
 };

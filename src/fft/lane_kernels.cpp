@@ -1,17 +1,18 @@
 // The lane kernels and their ISA dispatch — the one file in src/ that may
 // name an instruction set (scripts/lint.sh, check isa-target).
 //
-// Everything above the dispatch section is plain C++: the radix-2 and
-// Bluestein lane transforms of Plan::execute_lanes and the frame column
+// Everything above the dispatch section is plain C++: the radix-2, mixed-radix
+// (radix-2/3/4/5 butterflies, the operations of Plan::mixed_radix_transform)
+// and Bluestein lane transforms of Plan::execute_lanes and the frame column
 // pass (tile moves, column transform, transfer multiply), as LaneKernels<V>
 // over a 2- or 4-double vector type. Each dispatched entry point has two
 // `flatten` wrappers below: LaneKernels<Vec2> for the baseline ISA and
 // LaneKernels<Vec4> under target("avx2"). flatten inlines the whole kernel
 // into its wrapper, so only the wrapper bodies are compiled for AVX2 and no
-// AVX2 copy of a shared inline function can reach baseline callers. The
-// target string is "avx2" and nothing else: no FMA (which would fuse
-// a*b + c and break the bitwise contract of fft_plan.hpp) and no AVX-512
-// (which implies FMA).
+// AVX2 copy of a shared inline function can reach baseline callers. The target
+// string is "avx2" and nothing else: no FMA (which would fuse a*b + c and
+// break the bitwise contract of fft_plan.hpp) and no AVX-512 (which implies
+// FMA).
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
@@ -59,6 +60,13 @@ Planes& column_scratch() {
   return planes;
 }
 
+/// The lane groups of a mixed-radix row transform, copied out so they can
+/// move back in digit-reversed order.
+Planes& digit_reverse_scratch() {
+  thread_local Planes planes;
+  return planes;
+}
+
 /// A complex table as interleaved {re, im} doubles, a layout the standard
 /// guarantees for std::complex. The lane kernels read table entries through
 /// it: a Cplx temporary per butterfly let GCC spill the pair and reload it
@@ -90,12 +98,12 @@ struct ColumnPass {
 };
 
 // The lane path below performs the arithmetic of pow2_transform /
-// bluestein_forward / execute operation for operation (only where values
-// move differs); each lane loop spells out the std::complex operation it
-// replaces, (a+bi)(c+di) = (ac - bd, ad + bc). V is the vector type one
-// step covers; a lane group is L / W steps. V values only ever live in
-// locals — never in a by-value parameter or return — so no function's ABI
-// depends on the ISA.
+// mixed_radix_transform / bluestein_forward / execute operation for
+// operation (only where values move differs); each lane loop spells out the
+// std::complex operation it replaces, (a+bi)(c+di) = (ac - bd, ad + bc).
+// V is the vector type one step covers; a lane group is L / W steps. V
+// values only ever live in locals (or behind a reference) — never in a
+// by-value parameter or return — so no function's ABI depends on the ISA.
 template <typename V>
 struct LaneKernels {
   static constexpr std::size_t W = sizeof(V) / sizeof(double);
@@ -277,12 +285,218 @@ struct LaneKernels {
     }
   }
 
-  /// A radix-2 plan's transform of lane groups already in bit-reversed
-  /// order: the butterflies, then 1/n for an inverse.
-  static void radix2_from_bit_reversed(const Plan& plan, double* re,
-                                       double* im, Direction dir) {
-    butterfly_stages(plan, re, im, dir == Direction::Inverse);
-    if (dir == Direction::Inverse) {
+  /// x *= w for one vector step, as (ac - bd, ad + bc), with w = {re, im}
+  /// conjugated for an inverse.
+  template <bool Inverse>
+  static void twiddle(V& xr, V& xi, const double* w) {
+    const double wr = w[0];
+    const double wi = Inverse ? -w[1] : w[1];
+    const V r = xr * wr - xi * wi;
+    const V i = xr * wi + xi * wr;
+    xr = r;
+    xi = i;
+  }
+
+  /// One mixed-radix butterfly of radix P on the lane groups at re/im + q *
+  /// stride, q < P, with twiddles w (P - 1 {re, im} pairs) when Twiddled.
+  /// The operations are those of Plan::mixed_radix_transform.
+  template <std::size_t P, bool Inverse, bool Twiddled>
+  static void radix_butterfly(double* re, double* im, std::size_t stride,
+                              const double* w) {
+    for (std::size_t h = 0; h < L; h += W) {
+      double* const r0 = re + h;
+      double* const i0 = im + h;
+      V a0r, a0i, a1r, a1i;
+      load(a0r, r0);
+      load(a0i, i0);
+      load(a1r, r0 + stride);
+      load(a1i, i0 + stride);
+      if constexpr (P == 2) {
+        if constexpr (Twiddled) twiddle<Inverse>(a1r, a1i, w);
+        const V y0r = a0r + a1r;
+        const V y0i = a0i + a1i;
+        const V y1r = a0r - a1r;
+        const V y1i = a0i - a1i;
+        store(r0, y0r);
+        store(i0, y0i);
+        store(r0 + stride, y1r);
+        store(i0 + stride, y1i);
+      } else if constexpr (P == 3) {
+        const double sin3 = Inverse ? -Plan::kSin2Pi3 : Plan::kSin2Pi3;
+        V a2r, a2i;
+        load(a2r, r0 + 2 * stride);
+        load(a2i, i0 + 2 * stride);
+        if constexpr (Twiddled) {
+          twiddle<Inverse>(a1r, a1i, w);
+          twiddle<Inverse>(a2r, a2i, w + 2);
+        }
+        const V sr = a1r + a2r;
+        const V si = a1i + a2i;
+        const V dr = a1r - a2r;
+        const V di = a1i - a2i;
+        const V tr = dr * sin3;
+        const V ti = di * sin3;
+        const V mr = a0r - sr * 0.5;
+        const V mi = a0i - si * 0.5;
+        const V y0r = a0r + sr;
+        const V y0i = a0i + si;
+        const V y1r = mr + ti;  // mid - i*t
+        const V y1i = mi - tr;
+        const V y2r = mr - ti;  // mid + i*t
+        const V y2i = mi + tr;
+        store(r0, y0r);
+        store(i0, y0i);
+        store(r0 + stride, y1r);
+        store(i0 + stride, y1i);
+        store(r0 + 2 * stride, y2r);
+        store(i0 + 2 * stride, y2i);
+      } else if constexpr (P == 4) {
+        V a2r, a2i, a3r, a3i;
+        load(a2r, r0 + 2 * stride);
+        load(a2i, i0 + 2 * stride);
+        load(a3r, r0 + 3 * stride);
+        load(a3i, i0 + 3 * stride);
+        if constexpr (Twiddled) {
+          twiddle<Inverse>(a1r, a1i, w);
+          twiddle<Inverse>(a2r, a2i, w + 2);
+          twiddle<Inverse>(a3r, a3i, w + 4);
+        }
+        const V t0r = a0r + a2r;
+        const V t0i = a0i + a2i;
+        const V t1r = a0r - a2r;
+        const V t1i = a0i - a2i;
+        const V t2r = a1r + a3r;
+        const V t2i = a1i + a3i;
+        const V t3r = a1r - a3r;
+        const V t3i = a1i - a3i;
+        const V y0r = t0r + t2r;
+        const V y0i = t0i + t2i;
+        const V y2r = t0r - t2r;
+        const V y2i = t0i - t2i;
+        const V mr = t1r + t3i;  // t1 - i*t3
+        const V mi = t1i - t3r;
+        const V pr = t1r - t3i;  // t1 + i*t3
+        const V pi = t1i + t3r;
+        // Forward: y1 = t1 - i*t3, y3 = t1 + i*t3; an inverse swaps them.
+        double* const r1 = r0 + (Inverse ? 3 : 1) * stride;
+        double* const i1 = i0 + (Inverse ? 3 : 1) * stride;
+        double* const r3 = r0 + (Inverse ? 1 : 3) * stride;
+        double* const i3 = i0 + (Inverse ? 1 : 3) * stride;
+        store(r0, y0r);
+        store(i0, y0i);
+        store(r0 + 2 * stride, y2r);
+        store(i0 + 2 * stride, y2i);
+        store(r1, mr);
+        store(i1, mi);
+        store(r3, pr);
+        store(i3, pi);
+      } else {
+        static_assert(P == 5, "mixed-radix stages are radix 2, 3, 4 or 5");
+        const double sin5 = Inverse ? -Plan::kSin2Pi5 : Plan::kSin2Pi5;
+        const double sin25 = Inverse ? -Plan::kSin4Pi5 : Plan::kSin4Pi5;
+        V a2r, a2i, a3r, a3i, a4r, a4i;
+        load(a2r, r0 + 2 * stride);
+        load(a2i, i0 + 2 * stride);
+        load(a3r, r0 + 3 * stride);
+        load(a3i, i0 + 3 * stride);
+        load(a4r, r0 + 4 * stride);
+        load(a4i, i0 + 4 * stride);
+        if constexpr (Twiddled) {
+          twiddle<Inverse>(a1r, a1i, w);
+          twiddle<Inverse>(a2r, a2i, w + 2);
+          twiddle<Inverse>(a3r, a3i, w + 4);
+          twiddle<Inverse>(a4r, a4i, w + 6);
+        }
+        const V s14r = a1r + a4r;
+        const V s14i = a1i + a4i;
+        const V d14r = a1r - a4r;
+        const V d14i = a1i - a4i;
+        const V s23r = a2r + a3r;
+        const V s23i = a2i + a3i;
+        const V d23r = a2r - a3r;
+        const V d23i = a2i - a3i;
+        const V m1r = (a0r + s14r * Plan::kCos2Pi5) + s23r * Plan::kCos4Pi5;
+        const V m1i = (a0i + s14i * Plan::kCos2Pi5) + s23i * Plan::kCos4Pi5;
+        const V m2r = (a0r + s14r * Plan::kCos4Pi5) + s23r * Plan::kCos2Pi5;
+        const V m2i = (a0i + s14i * Plan::kCos4Pi5) + s23i * Plan::kCos2Pi5;
+        const V n1r = d14r * sin5 + d23r * sin25;
+        const V n1i = d14i * sin5 + d23i * sin25;
+        const V n2r = d14r * sin25 - d23r * sin5;
+        const V n2i = d14i * sin25 - d23i * sin5;
+        const V y0r = (a0r + s14r) + s23r;
+        const V y0i = (a0i + s14i) + s23i;
+        store(r0, y0r);
+        store(i0, y0i);
+        const V y1r = m1r + n1i;  // m1 - i*n1
+        const V y1i = m1i - n1r;
+        const V y4r = m1r - n1i;  // m1 + i*n1
+        const V y4i = m1i + n1r;
+        const V y2r = m2r + n2i;  // m2 - i*n2
+        const V y2i = m2i - n2r;
+        const V y3r = m2r - n2i;  // m2 + i*n2
+        const V y3i = m2i + n2r;
+        store(r0 + stride, y1r);
+        store(i0 + stride, y1i);
+        store(r0 + 2 * stride, y2r);
+        store(i0 + 2 * stride, y2i);
+        store(r0 + 3 * stride, y3r);
+        store(i0 + 3 * stride, y3i);
+        store(r0 + 4 * stride, y4r);
+        store(i0 + 4 * stride, y4i);
+      }
+    }
+  }
+
+  /// One mixed-radix stage of radix P over spans m: the twiddle-free k = 0
+  /// butterfly of every block, then k = 1..m-1, each across all blocks.
+  template <std::size_t P, bool Inverse>
+  static void radix_stage(std::size_t n, std::size_t m, const double* tw,
+                          double* re, double* im) {
+    const std::size_t stride = m * L;
+    for (std::size_t base = 0; base < n; base += m * P) {
+      radix_butterfly<P, Inverse, false>(re + base * L, im + base * L,
+                                         stride, nullptr);
+    }
+    for (std::size_t k = 1; k < m; ++k) {
+      const double* w = tw + 2 * k * (P - 1);
+      for (std::size_t at = k; at < n; at += m * P) {
+        radix_butterfly<P, Inverse, true>(re + at * L, im + at * L, stride,
+                                          w);
+      }
+    }
+  }
+
+  /// The mixed-radix stages over n lane groups already in digit-reversed
+  /// order.
+  template <bool Inverse>
+  static void mixed_radix_stages(const Plan& plan, double* re, double* im) {
+    const std::size_t n = plan.n_;
+    for (const Plan::Stage& stage : plan.stages_) {
+      const double* tw = parts(plan.stage_twiddles_) + 2 * stage.twiddle_at;
+      const std::size_t m = stage.span;
+      switch (stage.radix) {
+        case 2: radix_stage<2, Inverse>(n, m, tw, re, im); break;
+        case 3: radix_stage<3, Inverse>(n, m, tw, re, im); break;
+        case 4: radix_stage<4, Inverse>(n, m, tw, re, im); break;
+        default: radix_stage<5, Inverse>(n, m, tw, re, im); break;
+      }
+    }
+  }
+
+  /// A radix-2 or mixed-radix plan's transform of lane groups already in
+  /// bit- or digit-reversed order: the butterflies, then 1/n for an
+  /// inverse.
+  static void from_reversed(const Plan& plan, double* re, double* im,
+                            Direction dir) {
+    const bool inverse = dir == Direction::Inverse;
+    if (plan.engine_ == Engine::Radix2) {
+      butterfly_stages(plan, re, im, inverse);
+    } else if (inverse) {
+      mixed_radix_stages<true>(plan, re, im);
+    } else {
+      mixed_radix_stages<false>(plan, re, im);
+    }
+    if (inverse) {
       const double scale = 1.0 / static_cast<double>(plan.n_);
       scale_lanes<false>(re, scale, plan.n_);
       scale_lanes<false>(im, scale, plan.n_);
@@ -334,7 +548,7 @@ struct LaneKernels {
                       Direction dir) {
     const std::size_t n = plan.n_;
     if (n == 1) return;
-    if (!plan.uses_bluestein()) {
+    if (plan.engine_ == Engine::Radix2) {
       const std::vector<std::size_t>& rev = plan.bit_reverse_;
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t j = rev[i];
@@ -343,7 +557,24 @@ struct LaneKernels {
           swap_lanes(im + i * L, im + j * L);
         }
       }
-      radix2_from_bit_reversed(plan, re, im, dir);
+      from_reversed(plan, re, im, dir);
+      return;
+    }
+    if (plan.engine_ == Engine::MixedRadix) {
+      // Digit reversal is not an involution, so the groups are copied out
+      // and moved back in to their digit-reversed slots.
+      Planes& moved = digit_reverse_scratch();
+      moved.ensure(n * L);
+      std::memcpy(moved.re.data(), re, n * L * sizeof(double));
+      std::memcpy(moved.im.data(), im, n * L * sizeof(double));
+      const std::vector<std::size_t>& rev = plan.digit_reverse_;
+      for (std::size_t j = 0; j < n; ++j) {
+        std::memcpy(re + rev[j] * L, moved.re.data() + j * L,
+                    L * sizeof(double));
+        std::memcpy(im + rev[j] * L, moved.im.data() + j * L,
+                    L * sizeof(double));
+      }
+      from_reversed(plan, re, im, dir);
       return;
     }
 
@@ -361,17 +592,23 @@ struct LaneKernels {
 
   /// Column group cg: columns 4cg..4cg+3 gather tile by tile into the
   /// column-lane scratch, transform there, take the transfer multiply and
-  /// scatter back. A radix-2 plan's bit-reversal permutation is folded into
-  /// the gather (row r lands at bit_reverse_[r], a move, not an arithmetic
-  /// change), so its transform starts at the butterflies. Idle column lanes
-  /// of a partial last group are zeroed so the transform reads defined
-  /// values; their results are dropped.
+  /// scatter back. A radix-2 plan's bit-reversal permutation, or a
+  /// mixed-radix plan's digit reversal, is folded into the gather (row r
+  /// lands at bit_reverse_[r] or digit_reverse_[r], a move, not an
+  /// arithmetic change), so its transform starts at the butterflies. Idle
+  /// column lanes of a partial last group are zeroed so the transform reads
+  /// defined values; their results are dropped.
   static void column_group(const ColumnPass& pass, std::size_t cg) {
     const Plan& plan = *pass.plan;
     const std::size_t rows = pass.rows;
     const std::size_t c0 = cg * L;
     const std::size_t lanes = std::min(L, pass.cols - c0);
-    const bool radix2 = rows > 1 && !plan.uses_bluestein();
+    const std::size_t* order = nullptr;  // the folded permutation, if any
+    if (plan.engine_ == Engine::MixedRadix) {
+      order = plan.digit_reverse_.data();
+    } else if (plan.engine_ == Engine::Radix2 && rows > 1) {
+      order = plan.bit_reverse_.data();
+    }
     Planes& scratch = column_scratch();
     scratch.ensure(rows * L);
     double* xr = scratch.re.data();
@@ -383,11 +620,9 @@ struct LaneKernels {
 
     // Row group g's tile starts at g * step + c0 * L and holds column
     // c0 + t's four rows at [t * L, t * L + L); scratch row r (slot r, or
-    // bit_reverse_[r] when folded) sits at x + slot * L.
+    // order[r] when folded) sits at x + slot * L.
     const std::size_t step = pass.cols * L;
-    const auto slot = [&](std::size_t r) {
-      return radix2 ? plan.bit_reverse_[r] : r;
-    };
+    const auto slot = [&](std::size_t r) { return order ? order[r] : r; };
     for (std::size_t g = 0; g * L < rows; ++g) {
       const std::size_t tile_rows = std::min(L, rows - g * L);
       const std::size_t at = g * step + c0 * L;
@@ -411,8 +646,8 @@ struct LaneKernels {
       }
     }
 
-    if (radix2) {
-      radix2_from_bit_reversed(plan, xr, xi, pass.dir);
+    if (order) {
+      from_reversed(plan, xr, xi, pass.dir);
     } else {
       execute(plan, xr, xi, pass.dir);
     }

@@ -435,7 +435,8 @@ bool same_bits(const std::vector<MatrixD>& a, const std::vector<MatrixD>& b) {
 }
 
 /// One stack geometry the per-sample runner must handle: a radix-2 grid, a
-/// Bluestein grid, a zero-padded (pad2x) grid and a deep differential stack.
+/// mixed-radix grid, a Bluestein grid, a zero-padded (pad2x) grid and a
+/// deep differential stack.
 struct StackCase {
   const char* name;
   std::size_t n;
@@ -610,7 +611,9 @@ INSTANTIATE_TEST_SUITE_P(
     Grids, StackRunner,
     ::testing::Values(StackCase{"radix2_n32", 32, 3, false,
                                 DetectorMode::Standard},
-                      StackCase{"bluestein_n20", 20, 3, false,
+                      StackCase{"mixed_radix_n20", 20, 3, false,
+                                DetectorMode::Standard},
+                      StackCase{"bluestein_n22", 22, 3, false,
                                 DetectorMode::Standard},
                       StackCase{"pad2x_n16", 16, 2, true,
                                 DetectorMode::Standard},

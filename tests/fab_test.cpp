@@ -382,8 +382,8 @@ TEST(MonteCarloEvaluatorTest, RepeatedEvaluationIsBitwiseIdentical) {
 TEST(MonteCarloEvaluatorTest, CleanAccuracyCountsPerSamplePredictions) {
   // evaluate() scores the clean model with infer_batch; its accuracy must
   // be exactly the share of eval samples whose per-sample predict() hits
-  // the label, on a radix-2 and a Bluestein grid.
-  for (const std::size_t grid : {16, 20}) {
+  // the label, on a radix-2, a mixed-radix and a Bluestein grid.
+  for (const std::size_t grid : {16, 20, 22}) {
     SCOPED_TRACE("grid " + std::to_string(grid));
     const McSetup setup = mc_setup(37, grid);
     MonteCarloOptions options;
@@ -622,8 +622,10 @@ INSTANTIATE_TEST_SUITE_P(
     Grids, FirstHopParity,
     ::testing::Values(ParityCase{"radix2_n16", 16, false, false},
                       ParityCase{"radix2_n16_antithetic", 16, false, true},
-                      ParityCase{"bluestein_n20", 20, false, false},
-                      ParityCase{"bluestein_n20_antithetic", 20, false, true},
+                      ParityCase{"mixed_radix_n20", 20, false, false},
+                      ParityCase{"mixed_radix_n20_antithetic", 20, false,
+                                 true},
+                      ParityCase{"bluestein_n22", 22, false, false},
                       ParityCase{"pad2x_n16", 16, true, false},
                       ParityCase{"pad2x_n16_antithetic", 16, true, true}),
     [](const ::testing::TestParamInfo<ParityCase>& info) {

@@ -1,7 +1,8 @@
 // Tests for src/fft: correctness against the naive DFT, inverse round
 // trips, Parseval, linearity, shift theorem, 2-D transforms, fftshift, and
-// frequency coordinates — parameterized across power-of-two and Bluestein
-// sizes (including the paper's 200). The lane path (Plan::execute_lanes and
+// frequency coordinates — parameterized across radix-2, mixed-radix (every
+// radix-2/3/4/5 stage type, the paper's 200 and its pad2x 400) and
+// Bluestein sizes. The lane path (Plan::execute_lanes and
 // the frame passes and transform_2d built on it) is held to the scalar
 // Plan::execute bit for bit, signed zeros included, in every lane-kernel
 // ISA variant the host supports (unsupported variants are skipped with the
@@ -76,19 +77,28 @@ TEST(FftPlan, IsPow2) {
 }
 
 TEST(FftPlan, EngineSelection) {
-  EXPECT_FALSE(Plan(64).uses_bluestein());
-  EXPECT_TRUE(Plan(200).uses_bluestein());
-  EXPECT_TRUE(Plan(13).uses_bluestein());
+  EXPECT_EQ(Plan(64).engine(), Engine::Radix2);
+  for (const std::size_t n : {12, 20, 120, 200, 400}) {
+    EXPECT_EQ(Plan(n).engine(), Engine::MixedRadix) << n;
+  }
+  for (const std::size_t n : {7, 13, 22}) {
+    EXPECT_EQ(Plan(n).engine(), Engine::Bluestein) << n;
+  }
 }
 
 class FftSizes : public ::testing::TestWithParam<std::size_t> {};
+
+/// Error bound against the naive DFT: a few ulps per term of the reference
+/// sum, tight enough that a twiddle off in its 8th digit (1e-7 errors) or
+/// a misplaced element fails it.
+double dft_tolerance(std::size_t n) { return 1e-15 * static_cast<double>(n); }
 
 TEST_P(FftSizes, MatchesNaiveDft) {
   const std::size_t n = GetParam();
   auto signal = random_signal(n, 100 + n);
   const auto expected = dft_reference(signal, Direction::Forward);
   Plan(n).execute(signal.data(), Direction::Forward);
-  EXPECT_LT(max_err(signal, expected), 1e-9 * static_cast<double>(n));
+  EXPECT_LT(max_err(signal, expected), dft_tolerance(n));
 }
 
 TEST_P(FftSizes, InverseMatchesNaiveDft) {
@@ -96,7 +106,7 @@ TEST_P(FftSizes, InverseMatchesNaiveDft) {
   auto signal = random_signal(n, 200 + n);
   const auto expected = dft_reference(signal, Direction::Inverse);
   Plan(n).execute(signal.data(), Direction::Inverse);
-  EXPECT_LT(max_err(signal, expected), 1e-9 * static_cast<double>(n));
+  EXPECT_LT(max_err(signal, expected), dft_tolerance(n));
 }
 
 TEST_P(FftSizes, RoundTripIsIdentity) {
@@ -215,8 +225,9 @@ TEST_P(LaneIsaSizes, ExecuteLanesMatchesExecuteBitwise) {
   }
 }
 
-constexpr std::size_t kFftSizes[] = {1,  2,  3,  4,  5,   7,   8,   13, 16,
-                                     27, 32, 50, 64, 100, 128, 200, 256};
+constexpr std::size_t kFftSizes[] = {1,  2,  3,  4,  5,   7,   8,   12,  13,
+                                     16, 20, 22, 24, 27,  32,  45,  50,  64,
+                                     100, 120, 128, 200, 256, 400};
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizes, ::testing::ValuesIn(kFftSizes));
 

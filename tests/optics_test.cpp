@@ -269,7 +269,8 @@ TEST(FramePropagationShape, RejectsFrameOfAnotherGrid) {
 INSTANTIATE_TEST_SUITE_P(
     Grids, FramePropagation,
     ::testing::Values(FrameCase{"radix2_n32", 32, false},
-                      FrameCase{"bluestein_n20", 20, false},
+                      FrameCase{"mixed_radix_n20", 20, false},
+                      FrameCase{"bluestein_n22", 22, false},
                       FrameCase{"pad2x_n16", 16, true},
                       FrameCase{"pad2x_n21", 21, true},
                       FrameCase{"odd_n21", 21, false}),

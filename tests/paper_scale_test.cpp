@@ -1,8 +1,8 @@
-// Exercises the exact paper geometry (§IV-A1): 200x200 grid (Bluestein FFT
-// path), 36 um pixels, 532 nm, 27.94 cm spacing, three layers, ten 20x20
-// detector regions. These tests are heavier than the unit suites (a few
-// hundred ms each) but prove the full-scale configuration is functional,
-// not just the reduced CPU-sized one.
+// Exercises the exact paper geometry (§IV-A1): 200x200 grid (mixed-radix
+// FFT path, 200 = 2^3 * 5^2), 36 um pixels, 532 nm, 27.94 cm spacing, three
+// layers, ten 20x20 detector regions. These tests are heavier than the unit
+// suites (a few hundred ms each) but prove the full-scale configuration is
+// functional, not just the reduced CPU-sized one.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -338,19 +339,22 @@ TEST(TwoPiEquivalence, WrapPhaseIsInferenceIdentity) {
 // ----------------------------------------------------------- FFT identities
 
 TEST(FftProperty, ConjugationSymmetry) {
-  // FFT(conj(x)) == conj(reverse(FFT(x))) (frequency reversal).
-  const std::size_t n = 24;  // Bluestein path
-  Rng rng(51);
-  std::vector<fft::Cplx> x(n);
-  for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  auto fx = x;
-  fft::transform(fx, fft::Direction::Forward);
-  std::vector<fft::Cplx> cx(n);
-  for (std::size_t i = 0; i < n; ++i) cx[i] = std::conj(x[i]);
-  fft::transform(cx, fft::Direction::Forward);
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto expected = std::conj(fx[(n - k) % n]);
-    EXPECT_LT(std::abs(cx[k] - expected), 1e-9);
+  // FFT(conj(x)) == conj(reverse(FFT(x))) (frequency reversal), on the
+  // mixed-radix (24) and Bluestein (22) paths.
+  for (const std::size_t n : {24, 22}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    Rng rng(51);
+    std::vector<fft::Cplx> x(n);
+    for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    auto fx = x;
+    fft::transform(fx, fft::Direction::Forward);
+    std::vector<fft::Cplx> cx(n);
+    for (std::size_t i = 0; i < n; ++i) cx[i] = std::conj(x[i]);
+    fft::transform(cx, fft::Direction::Forward);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto expected = std::conj(fx[(n - k) % n]);
+      EXPECT_LT(std::abs(cx[k] - expected), 1e-9);
+    }
   }
 }
 

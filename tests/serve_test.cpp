@@ -169,9 +169,10 @@ TEST(BatchedInference, EmptyBatchAndShapeErrors) {
 
 TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
   // BatchedForward is a table snapshot over DonnModel's frame runner: on
-  // radix-2, differential, Bluestein and pad2x stacks, and at batch sizes on
-  // both sides of a lane group (0, 1, 2, 3, 9), run() and predict() must
-  // reproduce the per-sample predict / detector_sums exactly.
+  // radix-2, differential, mixed-radix, Bluestein and pad2x stacks, and at
+  // batch sizes on both sides of a lane group (0, 1, 2, 3, 9), run() and
+  // predict() must reproduce the per-sample predict / detector_sums
+  // exactly.
   struct Case {
     const char* name;
     std::size_t n;
@@ -182,7 +183,8 @@ TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
   const Case cases[] = {
       {"radix2_n16", 16, 3, false, donn::DetectorMode::Standard},
       {"differential_n16", 16, 3, false, donn::DetectorMode::Differential},
-      {"bluestein_n20", 20, 2, false, donn::DetectorMode::Standard},
+      {"mixed_radix_n20", 20, 2, false, donn::DetectorMode::Standard},
+      {"bluestein_n22", 22, 2, false, donn::DetectorMode::Standard},
       {"pad2x_n16", 16, 2, true, donn::DetectorMode::Standard},
   };
   for (const Case& c : cases) {
@@ -217,7 +219,7 @@ TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
 }
 
 TEST(BatchedForwardPass, ReusesPlansAcrossBatches) {
-  // Bluestein grid. The model's Propagator took its plans from the shared
+  // Mixed-radix grid. The model's Propagator took its plans from the shared
   // fft::plan_for cache once, at construction, so a batch touches the cache
   // not at all.
   const donn::DonnConfig cfg = tiny_config(20, 2);
