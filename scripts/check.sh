@@ -7,9 +7,9 @@
 # observability
 # exports (metrics-on rows bitwise identical to plain), the serve
 # cluster (cluster-vs-single-engine prediction digest equality across
-# ODONN_THREADS and against odonn_cli serve, and odonn_cli serve at the
-# non-power-of-two grids 20 and 22 across ODONN_THREADS), and the
-# observability HTTP
+# ODONN_THREADS and against odonn_cli serve, odonn_cli serve at the
+# mixed-radix grids 20 and 18 across ODONN_THREADS, and its typed rejection
+# of grid 22), and the observability HTTP
 # plane (scrape a live serve run, then prove digests identical with the
 # plane on vs off) — the
 # single entry point CI and humans run before merging. The whole tree
@@ -342,11 +342,14 @@ if [ "$sd1" != "$sd3" ]; then
   exit 1
 fi
 echo "serve smoke: odonn_cli serve digest identical to serve_load"
-# The smokes above all run at grid 16, a power of two. Grid 20 (2^2 * 5)
-# runs the mixed-radix FFT and grid 22 (2 * 11) Bluestein: each must print
-# one digest at ODONN_THREADS=1 and 4, so both non-power-of-two engines are
-# held to the thread-count contract end to end.
-for grid in 20 22; do
+# The smokes above all run at grid 16, a power of two. Grids 20 (2^2 * 5)
+# and 18 (2 * 3^2) run the mixed-radix FFT, 18 with a partial last lane
+# group (18 % 4 = 2): each must print one digest at ODONN_THREADS=1 and 4,
+# so the mixed-radix engine is held to the thread-count contract end to
+# end. Grid 22 (2 * 11) has a prime factor above 5, which no FFT engine
+# runs: serve must exit 1 with a ConfigError naming the next supported
+# length.
+for grid in 20 18; do
   gd=""
   for threads in 1 4; do
     g_out="$(ODONN_THREADS="$threads" ./odonn_cli serve grid="$grid" \
@@ -368,8 +371,11 @@ for grid in 20 22; do
     gd="$g_digest"
   done
 done
-echo "serve smoke: grid=20 (mixed radix) and grid=22 (Bluestein) digests" \
-     "identical at ODONN_THREADS=1 and 4"
+echo "serve smoke: grid=20 and grid=18 (mixed radix) digests identical at" \
+     "ODONN_THREADS=1 and 4"
+expect_error "serve smoke: odonn_cli serve grid=22" "error: config:" \
+  ./odonn_cli serve grid=22 samples=8
+echo "serve smoke: grid=22 (prime factor 11) exits 1 with a ConfigError"
 # A bad key or an empty sweep must end serve_load with a typed error
 # (exit 1, "error:" on stderr), the odonn_cli policy, never an abort.
 expect_error "serve smoke: serve_load requests=0" "error:" \

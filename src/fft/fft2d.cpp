@@ -108,36 +108,6 @@ void transform_2d(Cplx* data, std::size_t rows, std::size_t cols,
   frame.store(data);
 }
 
-namespace {
-
-/// Circularly shifts each row left by `shift` columns and each column up by
-/// `row_shift` rows (i.e. out[r][c] = in[(r+row_shift)%rows][(c+shift)%cols]).
-void circular_shift(Cplx* data, std::size_t rows, std::size_t cols,
-                    std::size_t row_shift, std::size_t col_shift) {
-  if (row_shift == 0 && col_shift == 0) return;
-  std::vector<Cplx> tmp(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t src_r = (r + row_shift) % rows;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t src_c = (c + col_shift) % cols;
-      tmp[r * cols + c] = data[src_r * cols + src_c];
-    }
-  }
-  std::copy(tmp.begin(), tmp.end(), data);
-}
-
-}  // namespace
-
-void fftshift_2d(Cplx* data, std::size_t rows, std::size_t cols) {
-  // fftshift moves bin 0 to the center: shift by ceil(n/2) sources forward,
-  // equivalently out[i] = in[(i + n - n/2) % n] with n/2 = floor.
-  circular_shift(data, rows, cols, rows - rows / 2, cols - cols / 2);
-}
-
-void ifftshift_2d(Cplx* data, std::size_t rows, std::size_t cols) {
-  circular_shift(data, rows, cols, rows / 2, cols / 2);
-}
-
 std::vector<double> fft_freqs(std::size_t n, double spacing) {
   ODONN_CHECK(n >= 1, "fft_freqs requires n >= 1");
   ODONN_CHECK(spacing > 0.0, "fft_freqs requires positive spacing");

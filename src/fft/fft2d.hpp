@@ -1,7 +1,6 @@
-// 2-D complex FFT over row-lane frames, plus fftshift helpers and frequency
-// coordinates. Operates on raw pointers and its own plane type so the FFT
-// layer stays independent of the tensor module; optics wraps it for Field
-// objects.
+// 2-D complex FFT over row-lane frames, plus frequency coordinates.
+// Operates on raw pointers and its own plane type so the FFT layer stays
+// independent of the tensor module; optics wraps it for Field objects.
 //
 // Row-lane frames
 // ---------------
@@ -20,10 +19,10 @@
 // and are never read as matrix elements. Both passes parallelize over lane
 // groups when called from a non-worker thread; the grouping depends on the
 // index alone, never on the thread count. Each pass runs the lane kernels
-// of fft_plan.hpp's ISA dispatch (no FMA; see there) on the plan's engine.
-// A radix-2 or mixed-radix column pass folds its bit or digit reversal into
-// the tile gather; a mixed-radix row pass moves each group's elements to
-// their digit-reversed slots through a per-thread copy.
+// of fft_plan.hpp's ISA dispatch (no FMA; see there) on the plan's engine,
+// radix-2 or mixed radix. The column pass folds the plan's bit or digit
+// reversal into the tile gather; a mixed-radix row pass moves each group's
+// elements to their digit-reversed slots through a per-thread copy.
 //
 // Bitwise contract: transform_2d equals Plan::execute on every row, then on
 // every column, bit for bit, in every lane-kernel variant; the interleaved
@@ -142,11 +141,6 @@ void transform_2d(Frame& frame, Direction dir, LaneIsa isa = active_lane_isa());
 /// bitwise identical to Plan::execute on each row, then each column.
 void transform_2d(Cplx* data, std::size_t rows, std::size_t cols,
                   Direction dir);
-
-/// Swaps quadrants so the zero-frequency bin moves to the center
-/// (fftshift) or back (ifftshift). For odd sizes the two differ.
-void fftshift_2d(Cplx* data, std::size_t rows, std::size_t cols);
-void ifftshift_2d(Cplx* data, std::size_t rows, std::size_t cols);
 
 /// FFT sample frequencies in cycles per unit, matching numpy.fft.fftfreq:
 /// [0, 1, ..., n/2-1, -n/2, ..., -1] / (n * spacing).

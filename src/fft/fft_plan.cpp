@@ -1,7 +1,10 @@
 #include "fft/fft_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -21,21 +24,6 @@ std::vector<Cplx>& scratch(std::size_t n) {
   return buf;
 }
 
-/// Bit-reversal order of [0, n) for power-of-two n.
-std::vector<std::size_t> bit_reverse_permutation(std::size_t n) {
-  std::vector<std::size_t> rev(n);
-  std::size_t log2n = 0;
-  while ((std::size_t{1} << log2n) < n) ++log2n;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < log2n; ++b) {
-      r = (r << 1) | ((i >> b) & 1U);
-    }
-    rev[i] = r;
-  }
-  return rev;
-}
-
 /// exp(-2*pi*i*k/n) for k < n/2.
 std::vector<Cplx> radix2_twiddles(std::size_t n) {
   std::vector<Cplx> tw(n / 2);
@@ -47,10 +35,11 @@ std::vector<Cplx> radix2_twiddles(std::size_t n) {
   return tw;
 }
 
-/// The radices of a mixed-radix plan for n > 1, in the order its stages
-/// run: 4 while it divides, then 2 if it still does, then every 3, then
-/// every 5. Empty when n has a prime factor above 5.
-std::vector<std::size_t> mixed_radices(std::size_t n) {
+/// The radices of a plan for n, in the order its stages run: all 2 for a
+/// power of two; otherwise 4 while it divides, then 2 if it still does,
+/// then every 3, then every 5. Empty when n has a prime factor above 5.
+std::vector<std::size_t> stage_radices(std::size_t n) {
+  if (is_pow2(n)) return std::vector<std::size_t>(std::countr_zero(n), 2);
   std::vector<std::size_t> radices;
   for (const std::size_t p : {4, 2, 3, 5}) {
     while (n % p == 0) {
@@ -60,6 +49,42 @@ std::vector<std::size_t> mixed_radices(std::size_t n) {
   }
   if (n != 1) radices.clear();
   return radices;
+}
+
+/// The smallest 2^a * 3^b * 5^c >= n (n >= 1), found without overflow.
+std::size_t next_supported_length(std::size_t n) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t best = kMax;
+  for (std::size_t f5 = 1;; f5 *= 5) {
+    for (std::size_t f = f5;; f *= 3) {
+      std::size_t v = f;
+      while (v < n && v <= kMax / 2) v *= 2;
+      if (v >= n) best = std::min(best, v);
+      if (f >= n || f > kMax / 3) break;
+    }
+    if (f5 >= n || f5 > kMax / 5) break;
+  }
+  return best;
+}
+
+/// Where element j starts a decimation-in-time transform with these stage
+/// radices: its digits, the last stage's least significant, each weighted
+/// by its stage's span (a stage of radix p over spans m reads the p
+/// interleaved subsequences j = q (mod p) as consecutive blocks of m). With
+/// every radix 2 this is bit reversal.
+std::vector<std::size_t> digit_reversal(
+    std::size_t n, const std::vector<std::size_t>& radices) {
+  std::vector<std::size_t> at(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t rest = j;
+    std::size_t span = n;
+    for (auto p = radices.rbegin(); p != radices.rend(); ++p) {
+      span /= *p;
+      at[j] += (rest % *p) * span;
+      rest /= *p;
+    }
+  }
+  return at;
 }
 
 /// x * w as (ac - bd, ad + bc), with w conjugated for an inverse.
@@ -82,83 +107,42 @@ Cplx plus_i(const Cplx& a, const Cplx& b) {
 
 }  // namespace
 
-std::size_t next_pow2(std::size_t n) {
-  ODONN_CHECK(n >= 1, "next_pow2 requires n >= 1");
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
 Plan::Plan(std::size_t n) : n_(n) {
   ODONN_CHECK(n >= 1, "FFT length must be >= 1");
+  const std::vector<std::size_t> radices = stage_radices(n);
+  if (radices.empty() && n > 1) {
+    throw ConfigError("FFT length " + std::to_string(n) +
+                      " has a prime factor above 5; lengths must be "
+                      "2^a * 3^b * 5^c (next supported length: " +
+                      std::to_string(next_supported_length(n)) + ")");
+  }
+  reverse_ = digit_reversal(n, radices);
   if (is_pow2(n)) {
-    conv_n_ = n;
-    if (n > 1) {
-      twiddles_ = radix2_twiddles(n);
-      bit_reverse_ = bit_reverse_permutation(n);
-    }
+    twiddles_ = radix2_twiddles(n);
     return;
   }
 
-  if (const std::vector<std::size_t> radices = mixed_radices(n);
-      !radices.empty()) {
-    engine_ = Engine::MixedRadix;
-    std::size_t span = 1;
-    for (const std::size_t p : radices) {
-      stages_.push_back({p, span, stage_twiddles_.size()});
-      for (std::size_t k = 0; k < span; ++k) {
-        for (std::size_t q = 1; q < p; ++q) {
-          const double angle = -2.0 * M_PI * static_cast<double>(q * k) /
-                               static_cast<double>(span * p);
-          stage_twiddles_.emplace_back(std::cos(angle), std::sin(angle));
-        }
+  engine_ = Engine::MixedRadix;
+  std::size_t span = 1;
+  for (const std::size_t p : radices) {
+    stages_.push_back({p, span, stage_twiddles_.size()});
+    for (std::size_t k = 0; k < span; ++k) {
+      for (std::size_t q = 1; q < p; ++q) {
+        const double angle = -2.0 * M_PI * static_cast<double>(q * k) /
+                             static_cast<double>(span * p);
+        stage_twiddles_.emplace_back(std::cos(angle), std::sin(angle));
       }
-      span *= p;
     }
-    // Element j's digits, the last stage's least significant, each weighted
-    // by its stage's span: a DIT stage of radix p over spans m reads the p
-    // interleaved subsequences j = q (mod p) as consecutive blocks of m.
-    digit_reverse_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      std::size_t rest = j;
-      std::size_t at = 0;
-      for (auto stage = stages_.rbegin(); stage != stages_.rend(); ++stage) {
-        at += (rest % stage->radix) * stage->span;
-        rest /= stage->radix;
-      }
-      digit_reverse_[j] = at;
-    }
-    return;
+    span *= p;
   }
-
-  // Bluestein setup: convolution length m >= 2n-1, power of two.
-  engine_ = Engine::Bluestein;
-  conv_n_ = next_pow2(2 * n - 1);
-  twiddles_ = radix2_twiddles(conv_n_);
-  bit_reverse_ = bit_reverse_permutation(conv_n_);
-
-  bluestein_a_.resize(n);
-  std::vector<Cplx> b(conv_n_, Cplx(0.0, 0.0));
-  for (std::size_t j = 0; j < n; ++j) {
-    // Reduce j^2 mod 2n before converting to an angle: keeps the chirp phase
-    // accurate for large n.
-    const std::size_t j2 = (j * j) % (2 * n);
-    const double angle = M_PI * static_cast<double>(j2) / static_cast<double>(n);
-    bluestein_a_[j] = Cplx(std::cos(angle), -std::sin(angle));  // e^{-i pi j^2/n}
-    const Cplx bj = std::conj(bluestein_a_[j]);                 // e^{+i pi j^2/n}
-    b[j] = bj;
-    if (j != 0) b[conv_n_ - j] = bj;
-  }
-  pow2_transform(b.data(), conv_n_, /*inverse=*/false);
-  bluestein_b_fft_ = std::move(b);
 }
 
-void Plan::pow2_transform(Cplx* data, std::size_t n, bool inverse) const {
-  if (n <= 1) return;
+void Plan::pow2_transform(Cplx* data, bool inverse) const {
+  const std::size_t n = n_;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = bit_reverse_[i];
+    const std::size_t j = reverse_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
   for (std::size_t len = 2; len <= n; len <<= 1) {
@@ -180,7 +164,7 @@ void Plan::pow2_transform(Cplx* data, std::size_t n, bool inverse) const {
 void Plan::mixed_radix_transform(Cplx* data, bool inverse) const {
   auto& moved = scratch(n_);
   std::copy(data, data + n_, moved.begin());
-  for (std::size_t j = 0; j < n_; ++j) data[digit_reverse_[j]] = moved[j];
+  for (std::size_t j = 0; j < n_; ++j) data[reverse_[j]] = moved[j];
 
   // Radix-3 and radix-5 sines, negated for an inverse.
   const double sin3 = inverse ? -kSin2Pi3 : kSin2Pi3;
@@ -243,52 +227,18 @@ void Plan::mixed_radix_transform(Cplx* data, bool inverse) const {
   }
 }
 
-void Plan::bluestein_forward(Cplx* data) const {
-  const std::size_t m = conv_n_;
-  auto& u = scratch(m);
-  for (std::size_t j = 0; j < n_; ++j) u[j] = data[j] * bluestein_a_[j];
-  for (std::size_t j = n_; j < m; ++j) u[j] = Cplx(0.0, 0.0);
-
-  pow2_transform(u.data(), m, /*inverse=*/false);
-  for (std::size_t j = 0; j < m; ++j) u[j] *= bluestein_b_fft_[j];
-  pow2_transform(u.data(), m, /*inverse=*/true);
-
-  const double scale = 1.0 / static_cast<double>(m);
-  for (std::size_t k = 0; k < n_; ++k) {
-    data[k] = u[k] * scale * bluestein_a_[k];
-  }
-}
-
 void Plan::execute(Cplx* data, Direction dir) const {
   if (n_ == 1) return;
-  if (engine_ != Engine::Bluestein) {
-    if (engine_ == Engine::Radix2) {
-      pow2_transform(data, n_, dir == Direction::Inverse);
-    } else {
-      mixed_radix_transform(data, dir == Direction::Inverse);
-    }
-    if (dir == Direction::Inverse) {
-      const double scale = 1.0 / static_cast<double>(n_);
-      for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
-    }
-    return;
+  const bool inverse = dir == Direction::Inverse;
+  if (engine_ == Engine::Radix2) {
+    pow2_transform(data, inverse);
+  } else {
+    mixed_radix_transform(data, inverse);
   }
-
-  if (dir == Direction::Forward) {
-    bluestein_forward(data);
-    return;
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n_);
+    for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
   }
-  // Inverse via conjugation: ifft(x) = conj(fft(conj(x))) / n.
-  for (std::size_t i = 0; i < n_; ++i) data[i] = std::conj(data[i]);
-  bluestein_forward(data);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) data[i] = std::conj(data[i]) * scale;
-}
-
-void Plan::execute(std::span<Cplx> data, Direction dir) const {
-  ODONN_CHECK_SHAPE(data.size() == n_,
-                    "FFT buffer length does not match plan size");
-  execute(data.data(), dir);
 }
 
 namespace {
@@ -317,9 +267,9 @@ std::shared_ptr<const Plan> plan_for(std::size_t n) {
     ODONN_OBS_COUNT("fft.plan_cache.hits", 1);
     return it->second;
   }
+  auto plan = std::make_shared<const Plan>(n);  // throws for unsupported n
   ++cache.misses;
   ODONN_OBS_COUNT("fft.plan_cache.misses", 1);
-  auto plan = std::make_shared<const Plan>(n);
   cache.plans.emplace(n, plan);
   ODONN_OBS_GAUGE_SET("fft.plan_cache.lengths", cache.plans.size());
   return plan;
@@ -329,10 +279,6 @@ PlanCacheStats plan_cache_stats() {
   PlanCache& cache = plan_cache();
   MutexLock lock(cache.mutex);
   return {cache.plans.size(), cache.hits, cache.misses};
-}
-
-void transform(std::span<Cplx> data, Direction dir) {
-  plan_for(data.size())->execute(data, dir);
 }
 
 }  // namespace odonn::fft

@@ -1,25 +1,29 @@
 // 1-D complex FFT plans.
 //
-// Three engines, picked by the length n alone (Plan::engine()):
+// Two engines, picked by the length n alone (Plan::engine()):
 //  * radix-2: iterative Cooley–Tukey for power-of-two lengths;
-//  * mixed radix: iterative decimation-in-time for lengths whose prime
-//    factors are all 2, 3 or 5 (the paper's 200 = 2^3 * 5^2, PyONN's
-//    120 = 2^3 * 3 * 5), with radix-4, -2, -3 and -5 stages in that order;
-//  * Bluestein chirp-z for every other length (a prime factor above 5),
-//    which re-expresses the DFT as a convolution carried out with an
-//    internal radix-2 plan.
+//  * mixed radix: iterative decimation-in-time for every other length whose
+//    prime factors are all 2, 3 or 5 (the paper's 200 = 2^3 * 5^2, PyONN's
+//    120 = 2^3 * 3 * 5), with radix-4, -2, -3 and -5 stages in that order.
+// A length with a prime factor above 5 has no engine: its Plan throws a
+// ConfigError naming the next supported length, and the grids that reach a
+// plan (optics::Propagator, before it allocates anything n x n) inherit the
+// rule.
 //
-// Plans are immutable after construction (twiddle/chirp tables only) and are
-// safe to execute concurrently from many threads; per-call scratch lives in
+// Plans are immutable after construction (twiddle tables only) and are safe
+// to execute concurrently from many threads; per-call scratch lives in
 // thread_local storage. Convention: unnormalized forward, 1/n inverse, i.e.
 //   forward:  X_k = sum_j x_j exp(-2*pi*i*j*k/n)
 //   inverse:  x_j = (1/n) sum_k X_k exp(+2*pi*i*j*k/n)
 //
-// Mixed-radix arithmetic. The input moves to digit-reversed order (element
-// j to digit_reverse_[j]; unlike bit reversal this is not an involution),
-// then stage s of radix p over sub-transforms of length m (the product of
-// the earlier radices) runs, for every block and every k < m, one radix-p
-// butterfly on the elements k + q*m, q < p, of that block:
+// Both engines first move element j to reverse_[j]: bit reversal for
+// radix-2 (an involution, applied as swaps), digit reversal for mixed radix
+// (not an involution, applied through a copy).
+//
+// Mixed-radix arithmetic. After the digit reversal, stage s of radix p over
+// sub-transforms of length m (the product of the earlier radices) runs, for
+// every block and every k < m, one radix-p butterfly on the elements
+// k + q*m, q < p, of that block:
 //  * for k > 0, element q >= 1 is first multiplied by its twiddle
 //    w = exp(-2*pi*i*q*k/(m*p)) as (ac - bd, ad + bc), with w conjugated
 //    for an inverse; k = 0 skips the multiply (w = 1);
@@ -40,18 +44,17 @@
 // such groups, four rows each, and fft2d.cpp is the one caller that packs
 // lanes (scripts/lint.sh, check lane-pack).
 //
-// ISA dispatch. The lane kernels (radix-2, mixed-radix and Bluestein
-// butterflies, and the frame column pass with its tile moves and transfer
-// multiply) are written once as plain C++ in fft/lane_kernels.cpp and
-// compiled twice there: as baseline x86-64 (or whatever the target
-// architecture's baseline is) and under __attribute__((target("avx2"))), via
-// `flatten` wrappers that inline the whole kernel into each variant. The
-// first lane call picks one set per process with
-// __builtin_cpu_supports("avx2"); other CPUs and architectures run the
-// baseline set. That file is the only one in src/ allowed to name an
-// instruction set (scripts/lint.sh, check isa-target), so every ISA-specific
-// instruction lives where tests/fft_test.cpp runs both variants against
-// execute().
+// ISA dispatch. The lane kernels (radix-2 and mixed-radix butterflies, and
+// the frame column pass with its tile moves and transfer multiply) are
+// written once as plain C++ in fft/lane_kernels.cpp and compiled twice
+// there: as baseline x86-64 (or whatever the target architecture's baseline
+// is) and under __attribute__((target("avx2"))), via `flatten` wrappers that
+// inline the whole kernel into each variant. The first lane call picks one
+// set per process with __builtin_cpu_supports("avx2"); other CPUs and
+// architectures run the baseline set. That file is the only one in src/
+// allowed to name an instruction set (scripts/lint.sh, check isa-target), so
+// every ISA-specific instruction lives where tests/fft_test.cpp runs both
+// variants against execute().
 //
 // No FMA, and no AVX-512. GCC 12 at -std=c++20 contracts a*b + c into a
 // fused multiply-add whenever the target enables FMA — target("avx512f")
@@ -64,25 +67,21 @@
 // baseline callers on CPUs without AVX2.
 //
 // Bitwise contract: every lane performs exactly the IEEE operations of
-// execute() on the same input — the same bit-reversal or digit-reversal
-// order and butterflies, complex products as (ac - bd, ad + bc), inverse
-// twiddles as conjugates, the same Bluestein order (chirp multiply,
-// zero-pad, forward pass, multiply by FFT(b), unscaled inverse pass, then
-// (u * 1/m) * a) and the same conj wrap with 1/n for Bluestein inverses —
-// so results match lane for lane, bit for bit, signed zeros included, in
-// either ISA variant. The contract covers finite inputs whose products do
-// not overflow: when both parts of a std::complex product come out NaN, the
-// radix-2 and Bluestein scalar paths fall back to the C99 Annex G recovery
-// routine (__muldc3), which the lane path does not replicate —
-// serve::InferenceEngine therefore rejects non-finite inputs before they
-// reach a lane.
+// execute() on the same input — the same bit- or digit-reversal order and
+// butterflies, complex products as (ac - bd, ad + bc), inverse twiddles as
+// conjugates, and 1/n last for an inverse — so results match lane for lane,
+// bit for bit, signed zeros included, in either ISA variant. The contract
+// covers finite inputs whose products do not overflow: when both parts of a
+// std::complex product come out NaN, the radix-2 scalar path falls back to
+// the C99 Annex G recovery routine (__muldc3), which the lane path does not
+// replicate — serve::InferenceEngine therefore rejects non-finite inputs
+// before they reach a lane.
 #pragma once
 
 #include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 namespace odonn::fft {
@@ -92,7 +91,7 @@ using Cplx = std::complex<double>;
 enum class Direction { Forward, Inverse };
 
 /// The algorithm a Plan runs, fixed by its length (see the file comment).
-enum class Engine { Radix2, MixedRadix, Bluestein };
+enum class Engine { Radix2, MixedRadix };
 
 /// Instruction sets the lane kernels are compiled for.
 enum class LaneIsa { Baseline, Avx2 };
@@ -108,9 +107,6 @@ bool lane_isa_supported(LaneIsa isa);
 /// otherwise: Avx2 when supported, else Baseline. Chosen once per process.
 LaneIsa active_lane_isa();
 
-/// Smallest power of two >= n (n >= 1).
-std::size_t next_pow2(std::size_t n);
-
 /// True if n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
 
@@ -119,9 +115,9 @@ class Plan {
   /// Transforms advanced side by side by execute_lanes.
   static constexpr std::size_t kLanes = 4;
 
-  /// Builds a plan for length n (n >= 1). Radix-2 when n is a power of two,
-  /// mixed radix when n's prime factors are all 2, 3 or 5, Bluestein
-  /// otherwise.
+  /// Builds a plan for length n (n >= 1): radix-2 when n is a power of two,
+  /// else mixed radix. Throws ConfigError, naming the next supported length,
+  /// when n has a prime factor above 5.
   explicit Plan(std::size_t n);
 
   std::size_t size() const { return n_; }
@@ -129,7 +125,6 @@ class Plan {
 
   /// In-place transform of exactly size() elements. The scalar reference.
   void execute(Cplx* data, Direction dir) const;
-  void execute(std::span<Cplx> data, Direction dir) const;
 
   /// kLanes in-place transforms of size() elements each, over split planes
   /// of size() * kLanes doubles laid out lane-major (see the file comment).
@@ -163,24 +158,17 @@ class Plan {
   static constexpr double kSin2Pi5 = 0.95105651629515357211643933337938214;
   static constexpr double kSin4Pi5 = 0.58778525229247312916870595463907277;
 
-  void pow2_transform(Cplx* data, std::size_t n, bool inverse) const;
+  void pow2_transform(Cplx* data, bool inverse) const;
   void mixed_radix_transform(Cplx* data, bool inverse) const;
-  void bluestein_forward(Cplx* data) const;
 
   std::size_t n_;
   Engine engine_ = Engine::Radix2;
-  // Radix-2 twiddles for the plan length itself (pow2 plans) or for the
-  // internal convolution length m (Bluestein plans); empty for mixed radix.
-  std::size_t conv_n_ = 0;                 // pow2 length actually transformed
-  std::vector<Cplx> twiddles_;             // exp(-2*pi*i*k/conv_n), k < conv_n/2
-  std::vector<std::size_t> bit_reverse_;   // permutation for conv_n
-  // Mixed-radix tables (empty unless engine_ is MixedRadix).
-  std::vector<Stage> stages_;              // in the order they run
-  std::vector<std::size_t> digit_reverse_; // element j moves to [j]
-  std::vector<Cplx> stage_twiddles_;       // every stage's, see Stage
-  // Bluestein tables (empty unless engine_ is Bluestein).
-  std::vector<Cplx> bluestein_a_;          // chirp a_j = exp(-i*pi*j^2/n)
-  std::vector<Cplx> bluestein_b_fft_;      // FFT_m of the extended chirp b
+  std::vector<std::size_t> reverse_;  // element j moves to [j]
+  // Radix-2 twiddles (empty for mixed radix).
+  std::vector<Cplx> twiddles_;        // exp(-2*pi*i*k/n), k < n/2
+  // Mixed-radix tables (empty for radix-2).
+  std::vector<Stage> stages_;         // in the order they run
+  std::vector<Cplx> stage_twiddles_;  // every stage's, see Stage
 };
 
 /// Returns a cached shared plan for length n. Thread-safe; plans persist for
@@ -190,16 +178,12 @@ std::shared_ptr<const Plan> plan_for(std::size_t n);
 /// Plan-cache audit counters. Propagators take their plans once, at
 /// construction, so a warmed-up serving or training loop does no lookups
 /// at all: `misses`, `hits` and `cached_lengths` all stay flat while
-/// traffic flows. Only the one-shot helpers (transform, the interleaved
-/// transform_2d) look plans up per call.
+/// traffic flows. Only transform_2d looks plans up per call.
 struct PlanCacheStats {
   std::size_t cached_lengths = 0;  ///< distinct plan lengths resident
   std::uint64_t hits = 0;          ///< plan_for calls served from cache
   std::uint64_t misses = 0;        ///< plan_for calls that built a plan
 };
 PlanCacheStats plan_cache_stats();
-
-/// One-shot convenience over the plan cache.
-void transform(std::span<Cplx> data, Direction dir);
 
 }  // namespace odonn::fft

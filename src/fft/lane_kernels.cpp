@@ -1,18 +1,18 @@
 // The lane kernels and their ISA dispatch — the one file in src/ that may
 // name an instruction set (scripts/lint.sh, check isa-target).
 //
-// Everything above the dispatch section is plain C++: the radix-2, mixed-radix
-// (radix-2/3/4/5 butterflies, the operations of Plan::mixed_radix_transform)
-// and Bluestein lane transforms of Plan::execute_lanes and the frame column
-// pass (tile moves, column transform, transfer multiply), as LaneKernels<V>
-// over a 2- or 4-double vector type. Each dispatched entry point has two
-// `flatten` wrappers below: LaneKernels<Vec2> for the baseline ISA and
-// LaneKernels<Vec4> under target("avx2"). flatten inlines the whole kernel
-// into its wrapper, so only the wrapper bodies are compiled for AVX2 and no
-// AVX2 copy of a shared inline function can reach baseline callers. The target
-// string is "avx2" and nothing else: no FMA (which would fuse a*b + c and
-// break the bitwise contract of fft_plan.hpp) and no AVX-512 (which implies
-// FMA).
+// Everything above the dispatch section is plain C++: the radix-2 and
+// mixed-radix (radix-2/3/4/5 butterflies, the operations of
+// Plan::mixed_radix_transform) lane transforms of Plan::execute_lanes and
+// the frame column pass (tile moves, column transform, transfer multiply),
+// as LaneKernels<V> over a 2- or 4-double vector type. Each dispatched entry
+// point has two `flatten` wrappers below: LaneKernels<Vec2> for the baseline
+// ISA and LaneKernels<Vec4> under target("avx2"). flatten inlines the whole
+// kernel into its wrapper, so only the wrapper bodies are compiled for AVX2
+// and no AVX2 copy of a shared inline function can reach baseline callers.
+// The target string is "avx2" and nothing else: no FMA (which would fuse
+// a*b + c and break the bitwise contract of fft_plan.hpp) and no AVX-512
+// (which implies FMA).
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
@@ -43,16 +43,6 @@ struct Planes {
     }
   }
 };
-
-/// The Bluestein lane path's two sequences u, v of conv_n lane groups.
-Planes& bluestein_u() {
-  thread_local Planes planes;
-  return planes;
-}
-Planes& bluestein_v() {
-  thread_local Planes planes;
-  return planes;
-}
 
 /// One column group of the frame column pass.
 Planes& column_scratch() {
@@ -98,9 +88,9 @@ struct ColumnPass {
 };
 
 // The lane path below performs the arithmetic of pow2_transform /
-// mixed_radix_transform / bluestein_forward / execute operation for
-// operation (only where values move differs); each lane loop spells out the
-// std::complex operation it replaces, (a+bi)(c+di) = (ac - bd, ad + bc).
+// mixed_radix_transform / execute operation for operation (only where values
+// move differs); each lane loop spells out the std::complex operation it
+// replaces, (a+bi)(c+di) = (ac - bd, ad + bc).
 // V is the vector type one step covers; a lane group is L / W steps. V
 // values only ever live in locals (or behind a reference) — never in a
 // by-value parameter or return — so no function's ABI depends on the ISA.
@@ -111,42 +101,6 @@ struct LaneKernels {
 
   static void load(V& v, const double* p) { std::memcpy(&v, p, sizeof v); }
   static void store(double* p, const V& v) { std::memcpy(p, &v, sizeof v); }
-
-  /// out = x * c across one lane group; c points at {re, im}.
-  static void mul_lanes(const double* xr, const double* xi, const double* c,
-                        double* out_r, double* out_i) {
-    const double cr = c[0];
-    const double ci = c[1];
-    for (std::size_t h = 0; h < L; h += W) {
-      V a, b;
-      load(a, xr + h);
-      load(b, xi + h);
-      const V re = a * cr - b * ci;
-      const V im = a * ci + b * cr;
-      store(out_r + h, re);
-      store(out_i + h, im);
-    }
-  }
-
-  /// out = (x * scale) * c across one lane group: std::complex evaluates
-  /// x * scale * c left to right, scaling each part first.
-  static void scale_mul_lanes(const double* xr, const double* xi,
-                              double scale, const double* c, double* out_r,
-                              double* out_i) {
-    const double cr = c[0];
-    const double ci = c[1];
-    for (std::size_t h = 0; h < L; h += W) {
-      V a, b;
-      load(a, xr + h);
-      load(b, xi + h);
-      const V vr = a * scale;
-      const V vi = b * scale;
-      const V re = vr * cr - vi * ci;
-      const V im = vr * ci + vi * cr;
-      store(out_r + h, re);
-      store(out_i + h, im);
-    }
-  }
 
   /// Radix-2 butterfly on lane groups p and q with twiddle w: odd = q * w,
   /// then p = even + odd and q = even - odd.
@@ -181,22 +135,12 @@ struct LaneKernels {
     }
   }
 
-  /// x = x * scale, or x = -x * scale when Negate, over `groups` groups.
-  template <bool Negate>
+  /// x = x * scale over `groups` lane groups.
   static void scale_lanes(double* x, double scale, std::size_t groups) {
     for (std::size_t i = 0; i < groups * L; i += W) {
       V v;
       load(v, x + i);
-      const V out = Negate ? -v * scale : v * scale;
-      store(x + i, out);
-    }
-  }
-
-  static void negate_lanes(double* x, std::size_t groups) {
-    for (std::size_t i = 0; i < groups * L; i += W) {
-      V v;
-      load(v, x + i);
-      const V out = -v;
+      const V out = v * scale;
       store(x + i, out);
     }
   }
@@ -264,11 +208,11 @@ struct LaneKernels {
     }
   }
 
-  /// The radix-2 butterflies over conv_n lane groups already in
-  /// bit-reversed order.
+  /// The radix-2 butterflies over n lane groups already in bit-reversed
+  /// order.
   static void butterfly_stages(const Plan& plan, double* re, double* im,
                                bool inverse) {
-    const std::size_t n = plan.conv_n_;
+    const std::size_t n = plan.n_;
     const double* tw = parts(plan.twiddles_);
     for (std::size_t len = 2; len <= n; len <<= 1) {
       const std::size_t half = len >> 1;
@@ -483,11 +427,12 @@ struct LaneKernels {
     }
   }
 
-  /// A radix-2 or mixed-radix plan's transform of lane groups already in
-  /// bit- or digit-reversed order: the butterflies, then 1/n for an
-  /// inverse.
+  /// The transform of lane groups already in the plan's reversed order:
+  /// the butterflies, then 1/n for an inverse. A length-1 plan is the
+  /// identity.
   static void from_reversed(const Plan& plan, double* re, double* im,
                             Direction dir) {
+    if (plan.n_ == 1) return;
     const bool inverse = dir == Direction::Inverse;
     if (plan.engine_ == Engine::Radix2) {
       butterfly_stages(plan, re, im, inverse);
@@ -498,58 +443,17 @@ struct LaneKernels {
     }
     if (inverse) {
       const double scale = 1.0 / static_cast<double>(plan.n_);
-      scale_lanes<false>(re, scale, plan.n_);
-      scale_lanes<false>(im, scale, plan.n_);
-    }
-  }
-
-  static void bluestein_forward(const Plan& plan, double* re, double* im) {
-    // Each radix-2 pass's bit-reversal permutation is folded into the
-    // multiply that feeds it: the product of element j lands at
-    // bit_reverse_[j] (a move, not an arithmetic change), so both passes
-    // start at their butterflies.
-    const std::size_t n = plan.n_;
-    const std::size_t m = plan.conv_n_;
-    const std::vector<std::size_t>& rev = plan.bit_reverse_;
-    Planes& u = bluestein_u();
-    Planes& v = bluestein_v();
-    u.ensure(m * L);
-    v.ensure(m * L);
-    double* ur = u.re.data();
-    double* ui = u.im.data();
-    double* vr = v.re.data();
-    double* vi = v.im.data();
-
-    const double* a = parts(plan.bluestein_a_);
-    const double* b = parts(plan.bluestein_b_fft_);
-
-    zero_lanes(ur, m);  // u = data * a, zero-padded to m
-    zero_lanes(ui, m);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t to = rev[j] * L;
-      mul_lanes(re + j * L, im + j * L, a + 2 * j, ur + to, ui + to);
-    }
-    butterfly_stages(plan, ur, ui, /*inverse=*/false);
-
-    for (std::size_t j = 0; j < m; ++j) {  // v = u * FFT(b)
-      const std::size_t to = rev[j] * L;
-      mul_lanes(ur + j * L, ui + j * L, b + 2 * j, vr + to, vi + to);
-    }
-    butterfly_stages(plan, vr, vi, /*inverse=*/true);
-
-    const double scale = 1.0 / static_cast<double>(m);
-    for (std::size_t k = 0; k < n; ++k) {  // data = (v * scale) * a
-      scale_mul_lanes(vr + k * L, vi + k * L, scale, a + 2 * k, re + k * L,
-                      im + k * L);
+      scale_lanes(re, scale, plan.n_);
+      scale_lanes(im, scale, plan.n_);
     }
   }
 
   static void execute(const Plan& plan, double* re, double* im,
                       Direction dir) {
     const std::size_t n = plan.n_;
-    if (n == 1) return;
+    const std::vector<std::size_t>& rev = plan.reverse_;
     if (plan.engine_ == Engine::Radix2) {
-      const std::vector<std::size_t>& rev = plan.bit_reverse_;
+      // Bit reversal is an involution: swap pairs in place.
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t j = rev[i];
         if (i < j) {
@@ -557,58 +461,36 @@ struct LaneKernels {
           swap_lanes(im + i * L, im + j * L);
         }
       }
-      from_reversed(plan, re, im, dir);
-      return;
-    }
-    if (plan.engine_ == Engine::MixedRadix) {
-      // Digit reversal is not an involution, so the groups are copied out
-      // and moved back in to their digit-reversed slots.
+    } else {
+      // Digit reversal is not, so the groups are copied out and moved back
+      // in to their digit-reversed slots.
       Planes& moved = digit_reverse_scratch();
       moved.ensure(n * L);
       std::memcpy(moved.re.data(), re, n * L * sizeof(double));
       std::memcpy(moved.im.data(), im, n * L * sizeof(double));
-      const std::vector<std::size_t>& rev = plan.digit_reverse_;
       for (std::size_t j = 0; j < n; ++j) {
         std::memcpy(re + rev[j] * L, moved.re.data() + j * L,
                     L * sizeof(double));
         std::memcpy(im + rev[j] * L, moved.im.data() + j * L,
                     L * sizeof(double));
       }
-      from_reversed(plan, re, im, dir);
-      return;
     }
-
-    if (dir == Direction::Forward) {
-      bluestein_forward(plan, re, im);
-      return;
-    }
-    // Inverse via conjugation: ifft(x) = conj(fft(conj(x))) / n.
-    negate_lanes(im, n);
-    bluestein_forward(plan, re, im);
-    const double scale = 1.0 / static_cast<double>(n);
-    scale_lanes<false>(re, scale, n);
-    scale_lanes<true>(im, scale, n);
+    from_reversed(plan, re, im, dir);
   }
 
   /// Column group cg: columns 4cg..4cg+3 gather tile by tile into the
   /// column-lane scratch, transform there, take the transfer multiply and
-  /// scatter back. A radix-2 plan's bit-reversal permutation, or a
-  /// mixed-radix plan's digit reversal, is folded into the gather (row r
-  /// lands at bit_reverse_[r] or digit_reverse_[r], a move, not an
-  /// arithmetic change), so its transform starts at the butterflies. Idle
-  /// column lanes of a partial last group are zeroed so the transform reads
-  /// defined values; their results are dropped.
+  /// scatter back. The plan's bit or digit reversal is folded into the
+  /// gather (row r lands at reverse_[r], a move, not an arithmetic change),
+  /// so the transform starts at the butterflies. Idle column lanes of a
+  /// partial last group are zeroed so the transform reads defined values;
+  /// their results are dropped.
   static void column_group(const ColumnPass& pass, std::size_t cg) {
     const Plan& plan = *pass.plan;
     const std::size_t rows = pass.rows;
     const std::size_t c0 = cg * L;
     const std::size_t lanes = std::min(L, pass.cols - c0);
-    const std::size_t* order = nullptr;  // the folded permutation, if any
-    if (plan.engine_ == Engine::MixedRadix) {
-      order = plan.digit_reverse_.data();
-    } else if (plan.engine_ == Engine::Radix2 && rows > 1) {
-      order = plan.bit_reverse_.data();
-    }
+    const std::size_t* order = plan.reverse_.data();
     Planes& scratch = column_scratch();
     scratch.ensure(rows * L);
     double* xr = scratch.re.data();
@@ -619,10 +501,9 @@ struct LaneKernels {
     }
 
     // Row group g's tile starts at g * step + c0 * L and holds column
-    // c0 + t's four rows at [t * L, t * L + L); scratch row r (slot r, or
-    // order[r] when folded) sits at x + slot * L.
+    // c0 + t's four rows at [t * L, t * L + L); scratch row r sits at
+    // x + order[r] * L.
     const std::size_t step = pass.cols * L;
-    const auto slot = [&](std::size_t r) { return order ? order[r] : r; };
     for (std::size_t g = 0; g * L < rows; ++g) {
       const std::size_t tile_rows = std::min(L, rows - g * L);
       const std::size_t at = g * step + c0 * L;
@@ -630,15 +511,15 @@ struct LaneKernels {
         double* to_r[L];
         double* to_i[L];
         for (std::size_t u = 0; u < L; ++u) {
-          to_r[u] = xr + slot(g * L + u) * L;
-          to_i[u] = xi + slot(g * L + u) * L;
+          to_r[u] = xr + order[g * L + u] * L;
+          to_i[u] = xi + order[g * L + u] * L;
         }
         transpose_tile(pass.re + at, to_r);
         transpose_tile(pass.im + at, to_i);
         continue;
       }
       for (std::size_t u = 0; u < tile_rows; ++u) {
-        const std::size_t to = slot(g * L + u) * L;
+        const std::size_t to = order[g * L + u] * L;
         for (std::size_t t = 0; t < lanes; ++t) {
           xr[to + t] = pass.re[at + t * L + u];
           xi[to + t] = pass.im[at + t * L + u];
@@ -646,11 +527,7 @@ struct LaneKernels {
       }
     }
 
-    if (order) {
-      from_reversed(plan, xr, xi, pass.dir);
-    } else {
-      execute(plan, xr, xi, pass.dir);
-    }
+    from_reversed(plan, xr, xi, pass.dir);
     if (const ColumnTransfer* h = pass.transfer) {
       const std::size_t at = cg * rows * L;
       if (h->conjugate) {

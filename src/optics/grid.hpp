@@ -16,7 +16,9 @@ struct GridSpec {
   bool operator==(const GridSpec&) const = default;
 };
 
-/// Validates n >= 2 and pitch > 0; throws ConfigError otherwise.
+/// Validates n >= 2 and pitch > 0; throws ConfigError otherwise. Which
+/// sides the FFT runs (2^a * 3^b * 5^c) is fft::Plan's rule alone, checked
+/// when a Propagator takes its plan.
 void validate(const GridSpec& grid);
 
 /// Centered spatial coordinates of sample centers: x_i = (i - n/2) * pitch.

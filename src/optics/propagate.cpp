@@ -10,8 +10,10 @@ Propagator::Propagator(const GridSpec& grid, const PropagatorOptions& options)
     : grid_(grid), options_(options) {
   validate(grid);
   work_grid_ = options.pad2x ? GridSpec{grid.n * 2, grid.pitch} : grid;
-  const MatrixC kernel = transfer_function(work_grid_, options.kernel);
+  // The plan first: a length the FFT does not run throws here, before the
+  // n x n transfer table is allocated.
   plan_ = fft::plan_for(work_grid_.n);
+  const MatrixC kernel = transfer_function(work_grid_, options.kernel);
   fft::column_lane_planes(kernel.data(), work_grid_.n, work_grid_.n,
                           kernel_re_, kernel_im_);
 }

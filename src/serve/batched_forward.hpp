@@ -5,7 +5,7 @@
 // every subsequent run() hands that snapshot to DonnModel::infer_batch, which
 // shares it plus the model's Propagator (plans and transfer function) across
 // all samples of every batch and parallelizes over samples via
-// common/parallel. Every grid — radix-2, Bluestein and pad2x — runs the one
+// common/parallel. Every grid — radix-2, mixed radix and pad2x — runs the one
 // per-sample row-lane runner the model's own entry points run. Deployment-
 // style workloads (Li et al. 2022; Shi & Zhang 2020 treat trained masks as
 // fixed artifacts evaluated under many inputs) are exactly this read-only

@@ -2,7 +2,7 @@
 // images, gradients). Value-semantic, bounds-checked in at(), unchecked in
 // operator() for hot loops. Deliberately small: no expression templates, no
 // views that outlive their parent — the paper's pipeline only needs whole-
-// matrix elementwise work plus block reads/writes.
+// matrix elementwise work.
 #pragma once
 
 #include <complex>
@@ -129,29 +129,6 @@ class Matrix {
   bool operator==(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_ &&
            data_ == other.data_;
-  }
-
-  /// Copies an h x w sub-block starting at (r0, c0).
-  Matrix block(std::size_t r0, std::size_t c0, std::size_t h,
-               std::size_t w) const {
-    ODONN_CHECK_SHAPE(r0 + h <= rows_ && c0 + w <= cols_,
-                      "Matrix::block out of range");
-    Matrix out(h, w);
-    for (std::size_t r = 0; r < h; ++r) {
-      for (std::size_t c = 0; c < w; ++c) out(r, c) = (*this)(r0 + r, c0 + c);
-    }
-    return out;
-  }
-
-  /// Writes `src` into this matrix with top-left corner at (r0, c0).
-  void set_block(std::size_t r0, std::size_t c0, const Matrix& src) {
-    ODONN_CHECK_SHAPE(r0 + src.rows_ <= rows_ && c0 + src.cols_ <= cols_,
-                      "Matrix::set_block out of range");
-    for (std::size_t r = 0; r < src.rows_; ++r) {
-      for (std::size_t c = 0; c < src.cols_; ++c) {
-        (*this)(r0 + r, c0 + c) = src(r, c);
-      }
-    }
   }
 
  private:

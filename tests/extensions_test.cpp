@@ -391,12 +391,13 @@ TEST(Serialize, RejectsImplausibleHeaderBeforeAllocating) {
   }
 }
 
-/// Hand-built version-2 checkpoint of a two-layer scaled(16) model whose
+/// Hand-built version-2 checkpoint of a two-layer scaled(grid) model whose
 /// phases are all `phase` except pixel 0 of layer 1, which is `odd`,
 /// followed by `trailing` extra bytes.
 void write_checkpoint(const std::string& path, double phase, double odd,
-                      bool with_masks, std::size_t trailing) {
-  const donn::DonnConfig cfg = donn::DonnConfig::scaled(16);
+                      bool with_masks, std::size_t trailing,
+                      std::size_t grid = 16) {
+  const donn::DonnConfig cfg = donn::DonnConfig::scaled(grid);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   const auto u32 = [&out](std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -459,6 +460,22 @@ TEST(Serialize, RejectsBytesAfterTheMaskBlock) {
       EXPECT_THROW(donn::load_model(path), IoError)
           << "masks " << with_masks << " trailing " << trailing;
     }
+  }
+}
+
+TEST(Serialize, RejectsGridTheFftDoesNotRun) {
+  // A well-formed checkpoint whose grid has a prime factor above 5 (22 =
+  // 2 * 11) passes every header and payload check, then fails with a
+  // ConfigError when the model asks for its FFT plan.
+  const std::string path = ::testing::TempDir() + "/grid22_model.odnn";
+  write_checkpoint(path, 0.5, 0.5, true, 0, 22);
+  try {
+    donn::load_model(path);
+    FAIL() << "a grid-22 checkpoint loaded";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("next supported length: 24"),
+              std::string::npos)
+        << error.what();
   }
 }
 

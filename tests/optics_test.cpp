@@ -270,10 +270,10 @@ INSTANTIATE_TEST_SUITE_P(
     Grids, FramePropagation,
     ::testing::Values(FrameCase{"radix2_n32", 32, false},
                       FrameCase{"mixed_radix_n20", 20, false},
-                      FrameCase{"bluestein_n22", 22, false},
+                      FrameCase{"mixed_radix_n18", 18, false},
                       FrameCase{"pad2x_n16", 16, true},
-                      FrameCase{"pad2x_n21", 21, true},
-                      FrameCase{"odd_n21", 21, false}),
+                      FrameCase{"pad2x_n25", 25, true},
+                      FrameCase{"odd_n25", 25, false}),
     [](const ::testing::TestParamInfo<FrameCase>& info) {
       return std::string(info.param.name);
     });

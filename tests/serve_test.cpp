@@ -169,10 +169,10 @@ TEST(BatchedInference, EmptyBatchAndShapeErrors) {
 
 TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
   // BatchedForward is a table snapshot over DonnModel's frame runner: on
-  // radix-2, differential, mixed-radix, Bluestein and pad2x stacks, and at
-  // batch sizes on both sides of a lane group (0, 1, 2, 3, 9), run() and
-  // predict() must reproduce the per-sample predict / detector_sums
-  // exactly.
+  // radix-2, differential, mixed-radix (a whole and a partial last lane
+  // group) and pad2x stacks, and at batch sizes on both sides of a lane
+  // group (0, 1, 2, 3, 9), run() and predict() must reproduce the
+  // per-sample predict / detector_sums exactly.
   struct Case {
     const char* name;
     std::size_t n;
@@ -184,7 +184,7 @@ TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
       {"radix2_n16", 16, 3, false, donn::DetectorMode::Standard},
       {"differential_n16", 16, 3, false, donn::DetectorMode::Differential},
       {"mixed_radix_n20", 20, 2, false, donn::DetectorMode::Standard},
-      {"bluestein_n22", 22, 2, false, donn::DetectorMode::Standard},
+      {"mixed_radix_n18", 18, 2, false, donn::DetectorMode::Standard},
       {"pad2x_n16", 16, 2, true, donn::DetectorMode::Standard},
   };
   for (const Case& c : cases) {

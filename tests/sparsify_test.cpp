@@ -49,9 +49,11 @@ TEST(BlockSparsify, ExactRatioOnDivisibleGrid) {
 }
 
 TEST(BlockSparsify, RemovesSmallestNormBlocks) {
-  MatrixD w(4, 4, 10.0);
-  // Make block (0, 0) tiny.
-  w.set_block(0, 0, MatrixD(2, 2, 0.01));
+  // Block (0, 0) is tiny.
+  const MatrixD w = {{0.01, 0.01, 10.0, 10.0},
+                     {0.01, 0.01, 10.0, 10.0},
+                     {10.0, 10.0, 10.0, 10.0},
+                     {10.0, 10.0, 10.0, 10.0}};
   const auto mask = block_sparsify(w, {2, 0.25});
   EXPECT_EQ(mask(0, 0), 0);
   EXPECT_EQ(mask(1, 1), 0);
@@ -75,8 +77,10 @@ TEST(BlockSparsify, ZeroedAreasAreContiguousBlocks) {
 }
 
 TEST(BlockSparsify, ThresholdVariant) {
-  MatrixD w(4, 4, 1.0);
-  w.set_block(2, 2, MatrixD(2, 2, 100.0));
+  const MatrixD w = {{1.0, 1.0, 1.0, 1.0},
+                     {1.0, 1.0, 1.0, 1.0},
+                     {1.0, 1.0, 100.0, 100.0},
+                     {1.0, 1.0, 100.0, 100.0}};
   // Block norms: 2.0 for small blocks, 200 for the big one.
   const auto mask = block_sparsify_threshold(w, 2, 3.0);
   EXPECT_EQ(mask(0, 0), 0);

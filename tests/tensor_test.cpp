@@ -50,17 +50,6 @@ TEST(Matrix, SumMapTransform) {
   EXPECT_DOUBLE_EQ(m(1, 1), 16.0);
 }
 
-TEST(Matrix, BlockReadWrite) {
-  MatrixD m(4, 4, 0.0);
-  MatrixD patch = {{1.0, 2.0}, {3.0, 4.0}};
-  m.set_block(1, 2, patch);
-  EXPECT_DOUBLE_EQ(m(2, 3), 4.0);
-  const MatrixD read = m.block(1, 2, 2, 2);
-  EXPECT_EQ(read, patch);
-  EXPECT_THROW(m.block(3, 3, 2, 2), ShapeError);
-  EXPECT_THROW(m.set_block(3, 3, patch), ShapeError);
-}
-
 TEST(Matrix, NormsAndDiff) {
   MatrixD a = {{3.0, 0.0}, {0.0, 4.0}};
   EXPECT_DOUBLE_EQ(frobenius_norm(a), 5.0);
