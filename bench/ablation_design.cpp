@@ -2,7 +2,7 @@
 //   1. propagation kernel: angular spectrum vs band-limited vs Fresnel
 //   2. FFT padding: circular (paper-style, unpadded) vs 2x zero-padded
 //   3. roughness neighborhood: 4 vs 8 neighbors as the training regularizer
-//   4. 2pi solver: Gumbel-Softmax vs greedy coordinate descent vs annealing
+//   4. 2pi solver: Gumbel-Softmax vs greedy coordinate descent
 //   5. compression optimizer: SLR vs classic ADMM
 //   6. discrete phase control levels (inference-time quantization)
 //   7. phase initialization: flat (default) vs classic uniform [0, 2*pi)
@@ -11,11 +11,11 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "donn/discrete.hpp"
 #include "donn/reflection.hpp"
 #include "roughness/report.hpp"
 #include "slr/admm.hpp"
-#include "smooth2pi/anneal.hpp"
 #include "smooth2pi/two_pi_opt.hpp"
 #include "sparsify/block_sparsify.hpp"
 
@@ -40,9 +40,7 @@ double train_once(const bench::BenchConfig& cfg, donn::DonnConfig model_cfg,
   return train::evaluate_accuracy(model, dataset.test);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   auto cfg = bench::make_bench_config(argc, argv);
   if (cfg.scale == bench::Scale::Default) {
     cfg.samples = std::min<std::size_t>(cfg.samples, 1200);
@@ -95,8 +93,6 @@ int main(int argc, char** argv) {
   const auto t1 = std::chrono::steady_clock::now();
   const auto greedy = smooth2pi::greedy_2pi(phi);
   const auto t2 = std::chrono::steady_clock::now();
-  const auto annealed = smooth2pi::anneal_2pi(phi, {});
-  const auto t3 = std::chrono::steady_clock::now();
   const auto ms = [](auto a, auto b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
@@ -106,13 +102,10 @@ int main(int argc, char** argv) {
               gs.roughness_before, gs.roughness_after, ms(t0, t1));
   std::printf("%-16s %12.2f %12.2f %10.1f\n", "greedy",
               greedy.roughness_before, greedy.roughness_after, ms(t1, t2));
-  std::printf("%-16s %12.2f %12.2f %10.1f\n", "annealing",
-              annealed.roughness_before, annealed.roughness_after, ms(t2, t3));
   std::printf("lifting a sparsified block is a cooperative move: greedy "
-              "descent cannot cross it at all,\nannealing needs enough "
-              "temperature (and degrades on larger masks), while the "
-              "paper's\nGumbel-Softmax relaxation moves whole blocks "
-              "through the soft selection.\n");
+              "descent cannot cross it at all,\nwhile the paper's "
+              "Gumbel-Softmax relaxation moves whole blocks through the "
+              "soft selection.\n");
 
   // 5: SLR vs ADMM at equal budget.
   std::printf("\n(5) compression optimizer: SLR vs ADMM (block sparsity "
@@ -260,4 +253,10 @@ int main(int argc, char** argv) {
                                   "continuous model");
   std::printf("\n%d shape-check failure(s)\n", failures);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
+#include "common/run_main.hpp"
 #include "roughness/roughness.hpp"
 #include "sparsify/schemes.hpp"
 
@@ -33,9 +34,10 @@ double sparsified_roughness(const MatrixD& w, sparsify::Scheme scheme,
   return roughness::mask_roughness(x);
 }
 
-}  // namespace
-
-int main(int, char**) {
+int run(int argc, char** argv) {
+  // The figure's inputs are fixed, so any key is rejected rather than
+  // silently ignored.
+  Config::from_args(argc, argv).strict({});
   std::printf("=== Fig. 3: sparsification scheme vs roughness (ratio 0.33, "
               "8-neighbor) ===\n\n");
 
@@ -81,4 +83,10 @@ int main(int, char**) {
   }
   std::printf("\n%d shape-check failure(s)\n", failures);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

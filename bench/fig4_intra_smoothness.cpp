@@ -5,12 +5,18 @@
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
+#include "common/run_main.hpp"
 #include "roughness/intra_block.hpp"
 #include "sparsify/block_sparsify.hpp"
 
 using namespace odonn;
 
-int main(int, char**) {
+namespace {
+
+int run(int argc, char** argv) {
+  // The figure's inputs are fixed, so any key is rejected rather than
+  // silently ignored.
+  Config::from_args(argc, argv).strict({});
   std::printf("=== Fig. 4: intra-block smoothness (block 2, sparsity 0.33) "
               "===\n\n");
   MatrixD w = {{4.7, 5.7, 0.9, 0.4, 2.6, 8.6}, {4.5, 0.9, 3.8, 1.5, 5.4, 3.7},
@@ -55,4 +61,10 @@ int main(int, char**) {
   }
   std::printf("\n%d shape-check failure(s)\n", failures);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

@@ -7,12 +7,15 @@
 #include <filesystem>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "io/mask_render.hpp"
 #include "optics/fabrication.hpp"
 
 using namespace odonn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const auto cfg = bench::make_bench_config(argc, argv);
   std::printf("=== Fig. 5: phase-mask gallery (EMNIST stand-in, scale=%s) "
               "===\n\n", bench::scale_name(cfg.scale));
@@ -72,4 +75,10 @@ int main(int argc, char** argv) {
       "final smoothed mask is smoother than the baseline layer");
   std::printf("%d shape-check failure(s)\n", failures);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

@@ -12,6 +12,7 @@
 #include <functional>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "io/csv.hpp"
 
 using namespace odonn;
@@ -61,9 +62,7 @@ void print_series(const char* title, const char* xlabel,
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   cli.strict(bench::parallel_bench_config_keys());
   auto cfg = bench::make_bench_config(cli);
@@ -169,4 +168,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%d shape-check failure(s)\n", failures);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

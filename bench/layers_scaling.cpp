@@ -30,10 +30,10 @@
 
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
+#include "common/run_main.hpp"
 #include "donn/detector.hpp"
 #include "fab/montecarlo.hpp"
 #include "fab/spec.hpp"
-#include "pipeline/artifact_store.hpp"
 #include "pipeline/parser.hpp"
 #include "train/recipe.hpp"
 
@@ -52,26 +52,7 @@ std::string cell_name(const Cell& cell) {
          donn::detector_mode_name(cell.detector);
 }
 
-/// Trains the Ours-C recipe for one cell and returns the smoothed model.
-donn::DonnModel train_cell(const train::RecipeOptions& options,
-                           const data::Dataset& train_set,
-                           const data::Dataset& test_set) {
-  pipeline::PipelineSpec spec =
-      pipeline::spec_for_recipe(train::RecipeKind::OursC);
-  std::erase_if(spec.stages, [](pipeline::StageKind stage) {
-    return stage != pipeline::StageKind::Train &&
-           stage != pipeline::StageKind::Sparsify &&
-           stage != pipeline::StageKind::Smooth;
-  });
-  pipeline::ArtifactStore store;
-  store.set_data(&train_set, &test_set);
-  pipeline::build_pipeline(spec, options).run(store);
-  return donn::DonnModel(store.model(pipeline::artifacts::kSmoothedModel));
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   std::vector<std::string> keys = bench::bench_config_keys();
   // The four cells ARE the bench: a caller-supplied layers=/detector= would
@@ -121,7 +102,9 @@ int main(int argc, char** argv) {
     cell_bc.detector = cells[i].detector;
     const train::RecipeOptions options = bench::recipe_options(cell_bc, 5);
     if (i == 0) first_options = options;
-    models.push_back(train_cell(options, data.train, data.test));
+    models.push_back(pipeline::recipe_models(train::RecipeKind::OursC,
+                                             options, data.train, data.test)
+                         .smoothed);
     train_digests.push_back(bench::phases_digest(models.back().phases()));
   }
   const double train_seconds =
@@ -214,4 +197,10 @@ int main(int argc, char** argv) {
   json += "]}";
   if (format != bench::OutputFormat::Text) std::printf("%s\n", json.c_str());
   return failures;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

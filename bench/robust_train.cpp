@@ -50,9 +50,9 @@
 
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
+#include "common/run_main.hpp"
 #include "fab/montecarlo.hpp"
 #include "fab/spec.hpp"
-#include "pipeline/artifact_store.hpp"
 #include "pipeline/parser.hpp"
 #include "tensor/stats.hpp"
 #include "train/recipe.hpp"
@@ -62,31 +62,7 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-/// Trains the baseline recipe's model-producing stages (train -> smooth),
-/// optionally swapping in the robust_train stage, and returns the
-/// 2*pi-smoothed model.
-donn::DonnModel train_smoothed_variant(
-    const train::RecipeOptions& options,
-    const pipeline::RobustTrainStageOptions& robust_options, bool robust,
-    const data::Dataset& train_set, const data::Dataset& test_set) {
-  pipeline::PipelineSpec spec =
-      pipeline::spec_for_recipe(train::RecipeKind::Baseline);
-  std::erase_if(spec.stages, [](pipeline::StageKind stage) {
-    return stage != pipeline::StageKind::Train &&
-           stage != pipeline::StageKind::Smooth;
-  });
-  if (robust) pipeline::apply_robust_train(spec);
-  pipeline::BuildContext context;
-  context.robust_train = robust_options;
-  pipeline::ArtifactStore store;
-  store.set_data(&train_set, &test_set);
-  pipeline::build_pipeline(spec, options, context).run(store);
-  return donn::DonnModel(store.model(pipeline::artifacts::kSmoothedModel));
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   std::vector<std::string> keys = bench::bench_config_keys();
   for (const char* key :
@@ -142,10 +118,14 @@ int main(int argc, char** argv) {
   }
 
   const Clock::time_point t_train = Clock::now();
-  const donn::DonnModel smoothed_only = train_smoothed_variant(
-      options, robust_options, /*robust=*/false, data.train, data.test);
-  const donn::DonnModel robust_smoothed = train_smoothed_variant(
-      options, robust_options, /*robust=*/true, data.train, data.test);
+  const donn::DonnModel smoothed_only =
+      pipeline::recipe_models(train::RecipeKind::Baseline, options,
+                              data.train, data.test)
+          .smoothed;
+  const donn::DonnModel robust_smoothed =
+      pipeline::recipe_models(train::RecipeKind::Baseline, options,
+                              data.train, data.test, &robust_options)
+          .smoothed;
   const double train_seconds =
       std::chrono::duration<double>(Clock::now() - t_train).count();
 
@@ -240,4 +220,10 @@ int main(int argc, char** argv) {
   json += "]}";
   if (format != bench::OutputFormat::Text) std::printf("%s\n", json.c_str());
   return failures;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

@@ -23,18 +23,19 @@
 //   ./robust_yield [bench.scale=smoke|default|paper] [grid=] [samples=]
 //                  [seed=] [realizations=32] [perturb=SPEC] [format=]
 //
-// Emits the established JSON perf-record convention (seconds included).
+// Emits the established JSON perf-record convention (seconds included);
+// each row carries its report's digest (RobustnessReport::digest()), which
+// scripts/check.sh compares across ODONN_THREADS.
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
+#include "common/run_main.hpp"
 #include "fab/montecarlo.hpp"
 #include "fab/spec.hpp"
-#include "pipeline/artifact_store.hpp"
 #include "pipeline/parser.hpp"
 #include "train/recipe.hpp"
 
@@ -42,24 +43,6 @@ using namespace odonn;
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-/// Trains one recipe (model-producing stages only) and returns the raw and
-/// 2*pi-smoothed models.
-std::pair<donn::DonnModel, donn::DonnModel> train_variant(
-    train::RecipeKind kind, const train::RecipeOptions& options,
-    const data::Dataset& train_set, const data::Dataset& test_set) {
-  pipeline::PipelineSpec spec = pipeline::spec_for_recipe(kind);
-  std::erase_if(spec.stages, [](pipeline::StageKind stage) {
-    return stage != pipeline::StageKind::Train &&
-           stage != pipeline::StageKind::Sparsify &&
-           stage != pipeline::StageKind::Smooth;
-  });
-  pipeline::ArtifactStore store;
-  store.set_data(&train_set, &test_set);
-  pipeline::build_pipeline(spec, options).run(store);
-  return {donn::DonnModel(store.model(pipeline::artifacts::kMainModel)),
-          donn::DonnModel(store.model(pipeline::artifacts::kSmoothedModel))};
-}
 
 std::string json_row(const fab::RobustnessReport& r, double yield_at_spec) {
   return "{\"model\": " + bench::json_quote(r.model_name) +
@@ -69,12 +52,11 @@ std::string json_row(const fab::RobustnessReport& r, double yield_at_spec) {
          ", \"min\": " + bench::json_number(r.min) +
          ", \"p50\": " + bench::json_number(r.p50) +
          ", \"p95\": " + bench::json_number(r.p95) +
-         ", \"yield_at_spec\": " + bench::json_number(yield_at_spec) + "}";
+         ", \"yield_at_spec\": " + bench::json_number(yield_at_spec) +
+         ", \"digest\": " + bench::json_quote(bench::hex64(r.digest())) + "}";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   std::vector<std::string> keys = bench::bench_config_keys();
   keys.emplace_back("realizations");
@@ -105,10 +87,10 @@ int main(int argc, char** argv) {
   }
 
   const Clock::time_point t_train = Clock::now();
-  auto [baseline, baseline_smoothed] = train_variant(
+  const auto [baseline, baseline_smoothed] = pipeline::recipe_models(
       train::RecipeKind::Baseline, options, data.train, data.test);
-  auto [ours, ours_smoothed] = train_variant(train::RecipeKind::OursC,
-                                             options, data.train, data.test);
+  const auto [ours, ours_smoothed] = pipeline::recipe_models(
+      train::RecipeKind::OursC, options, data.train, data.test);
   const double train_seconds =
       std::chrono::duration<double>(Clock::now() - t_train).count();
 
@@ -193,4 +175,10 @@ int main(int argc, char** argv) {
   json += "]}";
   if (format != bench::OutputFormat::Text) std::printf("%s\n", json.c_str());
   return failures;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

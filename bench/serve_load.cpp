@@ -53,7 +53,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <functional>
 #include <future>
 #include <iterator>
@@ -67,6 +66,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/run_main.hpp"
 #include "donn/model.hpp"
 #include "serve/batched_forward.hpp"
 #include "serve/cluster.hpp"
@@ -381,12 +381,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Same policy as odonn_cli: any error (a bad key, an empty sweep, a
-  // failed request) ends with a message and exit 1, never an abort.
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
-  }
+  return run_main([&] { return run(argc, argv); });
 }

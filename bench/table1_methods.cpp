@@ -5,11 +5,14 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "smooth2pi/two_pi_opt.hpp"
 
 using namespace odonn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   auto cfg = bench::make_bench_config(argc, argv);
   if (cfg.scale == bench::Scale::Default) {
     cfg.samples = std::min<std::size_t>(cfg.samples, 1600);
@@ -62,4 +65,10 @@ int main(int argc, char** argv) {
       "the full method beats roughness-oblivious training");
   std::printf("\n%d shape-check failure(s)\n", failures);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

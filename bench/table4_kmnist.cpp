@@ -2,10 +2,13 @@
 // bench_common's TableSpec). Also reachable as `odonn_cli table
 // dataset=kmnist`.
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
 int main(int argc, char** argv) {
-  odonn::bench::run_table_bench(
-      odonn::bench::table_spec(odonn::data::SyntheticFamily::Kana), argc,
-      argv);
-  return 0;
+  return odonn::run_main([&] {
+    odonn::bench::run_table_bench(
+        odonn::bench::table_spec(odonn::data::SyntheticFamily::Kana), argc,
+        argv);
+    return 0;
+  });
 }

@@ -35,6 +35,7 @@
 
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
+#include "common/run_main.hpp"
 #include "obs/obs.hpp"
 #include "train/recipe.hpp"
 
@@ -74,9 +75,7 @@ bool rows_bitwise_equal(const std::vector<train::RecipeResult>& a,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   cli.strict(bench::parallel_bench_config_keys());
   const auto cfg = bench::make_bench_config(cli);
@@ -225,4 +224,10 @@ int main(int argc, char** argv) {
     std::printf("%s\n", json.c_str());
   }
   return failures > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

@@ -51,15 +51,15 @@
 // bitwise identical with metrics on or off (scripts/check.sh asserts this).
 //
 // All arguments are key=value; unknown keys are rejected (Config::strict)
-// and format=text|json|both selects the output. Exit code 0 on success,
-// 1 on configuration errors.
+// and format=text|json|both selects the output. Exit code 0 on success;
+// any error prints "error: <what>" and exits 1 (odonn::run_main, the
+// policy every bench and example main shares).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -75,6 +75,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
+#include "common/run_main.hpp"
 #include "data/synthetic.hpp"
 #include "data/transform.hpp"
 #include "donn/serialize.hpp"
@@ -801,33 +802,22 @@ int cmd_robust(const Config& cfg) {
     data::Dataset train_set = std::move(prepared.first);
     test_set = std::move(prepared.second);
     const bool robust_train = cfg.get_bool("robust_train", false);
-    pipeline::BuildContext train_context;
-    train_context.robust_train =
+    const pipeline::RobustTrainStageOptions robust_train_opt =
         pipeline::robust_train_options_from_config(cfg);
     for (const std::string& name :
          split_csv(cfg.get_string("recipe", "baseline,ours-c"))) {
       const train::RecipeKind kind = train::parse_recipe(name);
-      pipeline::PipelineSpec spec = pipeline::spec_for_recipe(kind);
-      // Only the model-producing stages: robust evaluation replaces the
-      // recipe's own eval/report tail.
-      std::erase_if(spec.stages, [](pipeline::StageKind stage) {
-        return stage != pipeline::StageKind::Train &&
-               stage != pipeline::StageKind::Sparsify &&
-               stage != pipeline::StageKind::Smooth;
-      });
-      if (robust_train) pipeline::apply_robust_train(spec);
-      pipeline::ArtifactStore store;
-      store.set_data(&train_set, &test_set);
-      pipeline::build_pipeline(spec, opt, train_context).run(store);
+      // Robust evaluation replaces the recipe's own eval/report tail.
+      pipeline::RecipeModels models = pipeline::recipe_models(
+          kind, opt, train_set, test_set,
+          robust_train ? &robust_train_opt : nullptr);
       const std::string label = std::string(train::recipe_name(kind)) +
                                 (robust_train ? "-robust" : "");
-      variants.emplace_back(
-          label, std::make_shared<const donn::DonnModel>(
-                     store.model(pipeline::artifacts::kMainModel)));
-      variants.emplace_back(
-          label + "-smoothed",
-          std::make_shared<const donn::DonnModel>(
-              store.model(pipeline::artifacts::kSmoothedModel)));
+      variants.emplace_back(label, std::make_shared<const donn::DonnModel>(
+                                       std::move(models.main)));
+      variants.emplace_back(label + "-smoothed",
+                            std::make_shared<const donn::DonnModel>(
+                                std::move(models.smoothed)));
     }
   }
 
@@ -879,9 +869,6 @@ int cmd_robust(const Config& cfg) {
           r.model_name.c_str(), 100.0 * r.clean_accuracy, 100.0 * r.mean,
           r.stddev, 100.0 * r.min, 100.0 * r.p50, 100.0 * r.p95, r.yield);
     }
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(r.digest()));
     json += "  {\"model\": " + bench::json_quote(r.model_name) +
             ", \"clean\": " + bench::json_number(r.clean_accuracy) +
             ", \"mean\": " + bench::json_number(r.mean) +
@@ -890,7 +877,8 @@ int cmd_robust(const Config& cfg) {
             ", \"p50\": " + bench::json_number(r.p50) +
             ", \"p95\": " + bench::json_number(r.p95) +
             ", \"yield\": " + bench::json_number(r.yield) +
-            ", \"digest\": " + bench::json_quote(digest) + "}" +
+            ", \"digest\": " + bench::json_quote(bench::hex64(r.digest())) +
+            "}" +
             (i + 1 < reports.size() ? ",\n" : "\n");
   }
   json += "]}";
@@ -898,43 +886,40 @@ int cmd_robust(const Config& cfg) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) {
     print_usage();
     return 1;
   }
   const std::string command = argv[1];
-  try {
-    const Config cfg = Config::from_args(argc - 1, argv + 1);
-    if (command != "run" && command != "table" && command != "serve" &&
-        command != "robust") {
-      std::fprintf(stderr, "unknown subcommand '%s'\n\n", command.c_str());
-      print_usage();
-      return 1;
-    }
-    // Enable collection before the command runs, export after it succeeds.
-    const ObsOptions obs_options = obs_options_from_config(cfg);
-    int code = 1;
-    try {
-      if (command == "run") code = cmd_run(cfg);
-      if (command == "table") code = cmd_table(cfg);
-      if (command == "serve") code = cmd_serve(cfg);
-      if (command == "robust") code = cmd_robust(cfg);
-    } catch (...) {
-      // The streamed spans written so far are exactly what makes a failed
-      // long run diagnosable — flush and close before rethrowing.
-      obs::close_trace_flush_file();
-      throw;
-    }
-    obs::close_trace_flush_file();
-    if (code == 0) write_obs_outputs(obs_options);
-    return code;
-  } catch (const std::exception& error) {
-    // odonn::Error and everything else (std::bad_alloc from a hostile
-    // input, ...) end the same way: a message and a non-zero exit.
-    std::fprintf(stderr, "error: %s\n", error.what());
+  const Config cfg = Config::from_args(argc - 1, argv + 1);
+  if (command != "run" && command != "table" && command != "serve" &&
+      command != "robust") {
+    std::fprintf(stderr, "unknown subcommand '%s'\n\n", command.c_str());
+    print_usage();
     return 1;
   }
+  // Enable collection before the command runs, export after it succeeds.
+  const ObsOptions obs_options = obs_options_from_config(cfg);
+  int code = 1;
+  try {
+    if (command == "run") code = cmd_run(cfg);
+    if (command == "table") code = cmd_table(cfg);
+    if (command == "serve") code = cmd_serve(cfg);
+    if (command == "robust") code = cmd_robust(cfg);
+  } catch (...) {
+    // The streamed spans written so far are exactly what makes a failed
+    // long run diagnosable — flush and close before rethrowing.
+    obs::close_trace_flush_file();
+    throw;
+  }
+  obs::close_trace_flush_file();
+  if (code == 0) write_obs_outputs(obs_options);
+  return code;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

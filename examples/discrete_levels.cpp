@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "data/synthetic.hpp"
 #include "data/transform.hpp"
 #include "donn/discrete.hpp"
@@ -44,10 +45,9 @@ void ste_epoch(donn::DonnModel& model, std::vector<MatrixD>& latent,
   model.set_phases(ste.forward(latent));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
+  cfg.strict({"grid", "samples", "epochs", "levels", "seed"});
   const std::size_t grid = cfg.get_count("grid", 48);
   const std::size_t samples = cfg.get_count("samples", 800);
   const std::size_t epochs = cfg.get_count("epochs", 3);
@@ -111,4 +111,10 @@ int main(int argc, char** argv) {
   std::printf("(STE training quantizes in the forward pass and updates the "
               "latent continuous phases.)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

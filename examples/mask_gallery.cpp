@@ -4,11 +4,13 @@
 // 2pi-optimized can be inspected directly (sparsified blocks render black,
 // exactly like the paper's figure).
 //
-//   ./mask_gallery [dataset=emnist] [grid=48] [samples=800] [outdir=gallery]
+//   ./mask_gallery [dataset=emnist] [grid=48] [samples=800] [epochs=2]
+//                  [outdir=gallery] [seed=7]
 #include <cstdio>
 #include <filesystem>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "data/synthetic.hpp"
 #include "data/transform.hpp"
 #include "io/mask_render.hpp"
@@ -16,8 +18,11 @@
 
 using namespace odonn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
+  cfg.strict({"dataset", "grid", "samples", "epochs", "outdir", "seed"});
   const auto family = data::parse_family(cfg.get_string("dataset", "emnist"));
   const std::size_t grid = cfg.get_count("grid", 48);
   const std::size_t samples = cfg.get_count("samples", 800);
@@ -63,4 +68,10 @@ int main(int argc, char** argv) {
   }
   std::printf("gallery written to %s/\n", outdir.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

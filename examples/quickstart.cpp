@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "data/synthetic.hpp"
 #include "data/transform.hpp"
 #include "donn/model.hpp"
@@ -16,8 +17,11 @@
 
 using namespace odonn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
+  cfg.strict({"grid", "samples", "epochs", "seed"});
   const std::size_t grid = cfg.get_count("grid", 48);
   const std::size_t samples = cfg.get_count("samples", 600);
   const std::size_t epochs = cfg.get_count("epochs", 3);
@@ -69,4 +73,10 @@ int main(int argc, char** argv) {
   std::printf("test accuracy after 2pi: %.3f (unchanged by construction)\n",
               train::evaluate_accuracy(model, test_set));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "data/synthetic.hpp"
 #include "data/transform.hpp"
 #include "donn/model.hpp"
@@ -23,8 +24,11 @@
 
 using namespace odonn;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
+  cfg.strict({"grid", "samples", "epochs", "requests", "seed"});
   const std::size_t grid = cfg.get_count("grid", 32);
   const std::size_t samples = cfg.get_count("samples", 240);
   const std::size_t epochs = cfg.get_count("epochs", 2);
@@ -108,4 +112,10 @@ int main(int argc, char** argv) {
   std::printf("dense vs smoothed agreement: %zu/%zu (2*pi smoothing is "
               "inference-invariant)\n", agree, n_requests);
   return agree == n_requests ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run(argc, argv); });
 }

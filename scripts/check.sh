@@ -1,19 +1,18 @@
 #!/usr/bin/env sh
-# Tier-1 verify: configure, build, ctest, plus runs of the examples, the
-# ODONN_THREADS / thread-pool start-up errors, smokes of the Monte-Carlo
-# robustness CLI, robust training, the parallel table executor (with
-# cross-thread-count and cross-jobs digest compares, repeated for the
-# 5-layer differential-readout cell), the layer-scaling A/B bench, the
-# observability
-# exports (metrics-on rows bitwise identical to plain), the serve
-# cluster (cluster-vs-single-engine prediction digest equality across
-# ODONN_THREADS and against odonn_cli serve, odonn_cli serve at the
-# mixed-radix grids 20 and 18 across ODONN_THREADS, and its typed rejection
-# of grid 22), and the observability HTTP
-# plane (scrape a live serve run, then prove digests identical with the
-# plane on vs off) — the
-# single entry point CI and humans run before merging. The whole tree
-# (library, tests, benches, examples, cli, tools) compiles with
+# Tier-1 verify: configure, build, ctest, plus runs of the examples, every
+# main's typed exit on a bad or unknown key, the ODONN_THREADS /
+# thread-pool start-up errors, smokes of the Monte-Carlo robustness CLI,
+# robust training, the fabrication-yield bench, the parallel table
+# executor (with cross-thread-count and cross-jobs digest compares,
+# repeated for the 5-layer differential-readout cell), the layer-scaling
+# A/B bench, the observability exports (metrics-on rows bitwise identical
+# to plain), the serve cluster (cluster-vs-single-engine prediction digest
+# equality across ODONN_THREADS and against odonn_cli serve, odonn_cli
+# serve at the mixed-radix grids 20 and 18 across ODONN_THREADS, and its
+# typed rejection of grid 22), and the observability HTTP plane (scrape a
+# live serve run, then prove digests identical with the plane on vs off)
+# — the single entry point CI and humans run before merging. The whole
+# tree (library, tests, benches, examples, cli, tools) compiles with
 # -Wall -Wextra -Werror (set in CMakeLists.txt), so any warning anywhere
 # fails this script at the build step.
 #
@@ -68,6 +67,26 @@ expect_error() {
   esac
 }
 
+# One error policy for every main (odonn::run_main): a malformed value
+# and an unknown key each end odonn_cli run, the 15 bench mains and the 4
+# examples with exit 1 and "error:" on stderr before any work starts —
+# never an abort (exit 134), never a silently ignored key. The timeout
+# turns a main that ignores the key and runs its default workload into
+# a quick failure.
+for bin in "odonn_cli run" ablation_design fig3_sparsity_roughness \
+           fig4_intra_smoothness fig5_masks fig6_hyperparam layers_scaling \
+           robust_train robust_yield serve_load table1_methods \
+           table2_mnist table3_fmnist table4_kmnist table5_emnist \
+           table_parallel quickstart discrete_levels mask_gallery \
+           serving_demo; do
+  for arg in grid=abc no_such_key=1; do
+    # shellcheck disable=SC2086  # word-split "odonn_cli run"
+    expect_error "mains smoke: $bin $arg" "error:" \
+      timeout 30 ./$bin "$arg"
+  done
+done
+echo "mains smoke: all 20 mains exit 1 on grid=abc and on an unknown key"
+
 # ODONN_THREADS is a whole number in [1, 1024]: anything else must be a
 # typed error (exit 1, "error:" on stderr), never a silent fallback to
 # every hardware thread. A pool that cannot start its threads (here: an
@@ -119,28 +138,34 @@ expect_error "serve drain smoke: grid=5000 under ulimit -v 3000000" "error:" \
          exec ./odonn_cli serve grid=5000 samples=1 batch=1'
 echo "serve drain smoke: an allocation failure after dequeue exits 1"
 
-# Smoke the fabrication-variability subsystem end to end, and require the
-# Monte-Carlo report to be bitwise identical across thread counts: the
-# per-realization accuracy digests must not depend on ODONN_THREADS.
-# Capture the CLI output first so its own exit status is checked (a
-# pipeline would report only grep's), then extract digests separately.
-robust_smoke() {
-  ODONN_THREADS="$1" ./odonn_cli robust recipe=baseline grid=16 samples=120 \
-    epochs=1 layers=2 two_pi_iters=200 realizations=4 format=json ||
-    { echo "robust smoke: odonn_cli robust failed (threads=$1)" >&2; exit 1; }
+# digest_parity <label> <command...>: runs the command at ODONN_THREADS=1
+# and at 4. Both runs must exit 0 and print the same non-empty list of
+# "...digest" fields. Capturing the output first checks the command's own
+# exit status (a pipeline would report only grep's).
+digest_parity() {
+  label="$1"
+  shift
+  p1="$(ODONN_THREADS=1 "$@")" ||
+    { echo "$label: '$*' failed (threads=1)" >&2; exit 1; }
+  p4="$(ODONN_THREADS=4 "$@")" ||
+    { echo "$label: '$*' failed (threads=4)" >&2; exit 1; }
+  pd1="$(printf '%s\n' "$p1" | grep -o '"[a-z_]*digest": "[0-9a-f]*"' || true)"
+  pd4="$(printf '%s\n' "$p4" | grep -o '"[a-z_]*digest": "[0-9a-f]*"' || true)"
+  [ -n "$pd1" ] || { echo "$label: no digests emitted" >&2; exit 1; }
+  if [ "$pd1" != "$pd4" ]; then
+    echo "$label: digests differ between ODONN_THREADS=1 and 4" >&2
+    echo "threads=1: $pd1" >&2
+    echo "threads=4: $pd4" >&2
+    exit 1
+  fi
+  echo "$label: ODONN_THREADS=1 vs 4 digests identical"
 }
-out1="$(robust_smoke 1)"
-out4="$(robust_smoke 4)"
-d1="$(printf '%s\n' "$out1" | grep -o '"digest": "[0-9a-f]*"' || true)"
-d4="$(printf '%s\n' "$out4" | grep -o '"digest": "[0-9a-f]*"' || true)"
-[ -n "$d1" ] || { echo "robust smoke: no digests emitted" >&2; exit 1; }
-if [ "$d1" != "$d4" ]; then
-  echo "robust smoke: reports differ between ODONN_THREADS=1 and 4" >&2
-  echo "threads=1: $d1" >&2
-  echo "threads=4: $d4" >&2
-  exit 1
-fi
-echo "robust smoke: ODONN_THREADS=1 vs 4 digests identical"
+
+# Smoke the fabrication-variability subsystem end to end: the per-
+# realization accuracy digests of the Monte-Carlo report must not depend
+# on ODONN_THREADS.
+digest_parity "robust smoke" ./odonn_cli robust recipe=baseline grid=16 \
+  samples=120 epochs=1 layers=2 two_pi_iters=200 realizations=4 format=json
 
 # A hostile perturbation spec must fail fast with a typed config error
 # (exit 1), not run realizations whose phases are all non-finite.
@@ -164,23 +189,15 @@ echo "robust smoke: perturb='roughness(sigma_um=inf)' rejected (exit 1)"
 # variant under CRN) AND emit bitwise-identical digests across thread
 # counts — "train_digest" hashes the trained PHASE BITS, so this enforces
 # the trainer's fixed-slice determinism contract, not just the evaluator's.
-robust_train_smoke() {
-  ODONN_THREADS="$1" ./robust_train bench.scale=smoke format=json ||
-    { echo "robust-train smoke: robust_train bench failed (threads=$1)" >&2
-      exit 1; }
-}
-t1="$(robust_train_smoke 1)"
-t4="$(robust_train_smoke 4)"
-td1="$(printf '%s\n' "$t1" | grep -o '"[a-z_]*digest": "[0-9a-f]*"' || true)"
-td4="$(printf '%s\n' "$t4" | grep -o '"[a-z_]*digest": "[0-9a-f]*"' || true)"
-[ -n "$td1" ] || { echo "robust-train smoke: no digests emitted" >&2; exit 1; }
-if [ "$td1" != "$td4" ]; then
-  echo "robust-train smoke: reports differ between ODONN_THREADS=1 and 4" >&2
-  echo "threads=1: $td1" >&2
-  echo "threads=4: $td4" >&2
-  exit 1
-fi
-echo "robust-train smoke: ODONN_THREADS=1 vs 4 digests identical"
+digest_parity "robust-train smoke" ./robust_train bench.scale=smoke \
+  format=json
+
+# Fabrication-yield smoke: robust_yield trains Baseline and Ours-C through
+# the same pipeline::recipe_models as the two smokes above, must pass its
+# shape checks, and its per-row Monte-Carlo digests must not depend on
+# ODONN_THREADS.
+digest_parity "robust-yield smoke" ./robust_yield bench.scale=smoke \
+  realizations=4 format=json
 
 # Parallel-table smoke: a full smoke-scale table must produce bitwise
 # identical rows — trained AND 2*pi-smoothed phase digests (the smooth2pi
@@ -376,13 +393,11 @@ echo "serve smoke: grid=20 and grid=18 (mixed radix) digests identical at" \
 expect_error "serve smoke: odonn_cli serve grid=22" "error: config:" \
   ./odonn_cli serve grid=22 samples=8
 echo "serve smoke: grid=22 (prime factor 11) exits 1 with a ConfigError"
-# A bad key or an empty sweep must end serve_load with a typed error
-# (exit 1, "error:" on stderr), the odonn_cli policy, never an abort.
+# An empty sweep must end serve_load with a typed error (exit 1, "error:"
+# on stderr), never an abort; the mains smoke above covers its bad keys.
 expect_error "serve smoke: serve_load requests=0" "error:" \
   ./serve_load requests=0
-expect_error "serve smoke: serve_load grid=abc" "error:" \
-  ./serve_load grid=abc
-echo "serve smoke: serve_load requests=0 and grid=abc exit 1"
+echo "serve smoke: serve_load requests=0 exits 1"
 
 # HTTP-plane smoke: a live serve run with the observability HTTP plane up
 # must (a) report build provenance on /healthz, (b) serve a /metrics body

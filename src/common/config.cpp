@@ -158,8 +158,11 @@ std::string Config::get_enum(const std::string& key, const std::string& dflt,
 void Config::strict(const std::vector<std::string>& allowed) const {
   for (const auto& [key, _] : values_) {
     if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw ConfigError("unrecognized key '" + key + "' (accepted keys: " +
-                        join_with_commas(allowed) + ")");
+      throw ConfigError("unrecognized key '" + key + "' (" +
+                        (allowed.empty()
+                             ? std::string("no keys are accepted")
+                             : "accepted keys: " + join_with_commas(allowed)) +
+                        ")");
     }
   }
 }

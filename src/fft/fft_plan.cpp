@@ -51,22 +51,6 @@ std::vector<std::size_t> stage_radices(std::size_t n) {
   return radices;
 }
 
-/// The smallest 2^a * 3^b * 5^c >= n (n >= 1), found without overflow.
-std::size_t next_supported_length(std::size_t n) {
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  std::size_t best = kMax;
-  for (std::size_t f5 = 1;; f5 *= 5) {
-    for (std::size_t f = f5;; f *= 3) {
-      std::size_t v = f;
-      while (v < n && v <= kMax / 2) v *= 2;
-      if (v >= n) best = std::min(best, v);
-      if (f >= n || f > kMax / 3) break;
-    }
-    if (f5 >= n || f5 > kMax / 5) break;
-  }
-  return best;
-}
-
 /// Where element j starts a decimation-in-time transform with these stage
 /// radices: its digits, the last stage's least significant, each weighted
 /// by its stage's span (a stage of radix p over spans m reads the p
@@ -108,6 +92,21 @@ Cplx plus_i(const Cplx& a, const Cplx& b) {
 }  // namespace
 
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
+
+std::size_t next_supported_length(std::size_t n) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t best = kMax;
+  for (std::size_t f5 = 1;; f5 *= 5) {
+    for (std::size_t f = f5;; f *= 3) {
+      std::size_t v = f;
+      while (v < n && v <= kMax / 2) v *= 2;
+      if (v >= n) best = std::min(best, v);
+      if (f >= n || f > kMax / 3) break;
+    }
+    if (f5 >= n || f5 > kMax / 5) break;
+  }
+  return best;
+}
 
 Plan::Plan(std::size_t n) : n_(n) {
   ODONN_CHECK(n >= 1, "FFT length must be >= 1");

@@ -110,6 +110,10 @@ LaneIsa active_lane_isa();
 /// True if n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
 
+/// The smallest length >= n (n >= 1) that a Plan runs: 2^a * 3^b * 5^c,
+/// found without overflow. n itself when n is supported.
+std::size_t next_supported_length(std::size_t n);
+
 class Plan {
  public:
   /// Transforms advanced side by side by execute_lanes.

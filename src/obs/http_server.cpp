@@ -19,6 +19,14 @@ namespace odonn::obs {
 
 namespace {
 
+/// Worker threads rendering responses. Scrapes are cheap; two keep a slow
+/// reader from blocking the next scrape.
+constexpr std::size_t kHandlerThreads = 2;
+
+/// A request head past this many bytes gets a 400: a scrape never needs
+/// more than a request line and a few headers.
+constexpr std::size_t kMaxRequestBytes = 8192;
+
 /// Reason phrases for the statuses this plane actually emits.
 const char* status_text(int status) {
   switch (status) {
@@ -66,12 +74,7 @@ void write_response(int fd, const HttpResponse& response) {
 }  // namespace
 
 HttpServer::HttpServer(HttpServerOptions options)
-    : options_(std::move(options)) {
-  ODONN_CHECK(options_.handler_threads >= 1,
-              "http: handler_threads must be >= 1");
-  ODONN_CHECK(options_.max_request_bytes >= 64,
-              "http: max_request_bytes must be >= 64");
-}
+    : options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -133,8 +136,8 @@ void HttpServer::start() {
   }
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { accept_loop(); });
-  workers_.reserve(options_.handler_threads);
-  for (std::size_t i = 0; i < options_.handler_threads; ++i) {
+  workers_.reserve(kHandlerThreads);
+  for (std::size_t i = 0; i < kHandlerThreads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -212,7 +215,7 @@ void HttpServer::serve_connection(int fd) {
   // Read the request head (we never accept bodies on this plane).
   std::string head;
   char buffer[1024];
-  while (head.size() < options_.max_request_bytes &&
+  while (head.size() < kMaxRequestBytes &&
          head.find("\r\n\r\n") == std::string::npos) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n <= 0) break;

@@ -60,12 +60,6 @@ struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (resolved via port()).
   std::uint16_t port = 0;
-  /// Worker threads rendering responses. Scrapes are cheap; two keep a
-  /// slow reader from blocking the next scrape.
-  std::size_t handler_threads = 2;
-  /// Reject request heads larger than this (we never need more than a
-  /// request line and a few headers).
-  std::size_t max_request_bytes = 8192;
 };
 
 class HttpServer {

@@ -1,5 +1,7 @@
 #include "optics/propagate.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "fft/fft2d.hpp"
 #include "obs/obs.hpp"
@@ -9,6 +11,15 @@ namespace odonn::optics {
 Propagator::Propagator(const GridSpec& grid, const PropagatorOptions& options)
     : grid_(grid), options_(options) {
   validate(grid);
+  // 2n runs exactly when n does, so a rejected pad2x grid names the side
+  // the user picks rather than the padded FFT length.
+  const std::size_t side = fft::next_supported_length(grid.n);
+  if (options.pad2x && side != grid.n) {
+    throw ConfigError("pad2x grid side " + std::to_string(grid.n) +
+                      " has a prime factor above 5; sides must be "
+                      "2^a * 3^b * 5^c (next supported side: " +
+                      std::to_string(side) + ")");
+  }
   work_grid_ = options.pad2x ? GridSpec{grid.n * 2, grid.pitch} : grid;
   // The plan first: a length the FFT does not run throws here, before the
   // n x n transfer table is allocated.

@@ -222,4 +222,26 @@ Pipeline build_pipeline(const PipelineSpec& spec,
   return pipe;
 }
 
+RecipeModels recipe_models(train::RecipeKind kind,
+                           const train::RecipeOptions& options,
+                           const data::Dataset& train,
+                           const data::Dataset& test,
+                           const RobustTrainStageOptions* robust_train) {
+  PipelineSpec spec = spec_for_recipe(kind);
+  std::erase_if(spec.stages, [](StageKind stage) {
+    return stage != StageKind::Train && stage != StageKind::Sparsify &&
+           stage != StageKind::Smooth;
+  });
+  BuildContext context;
+  if (robust_train != nullptr) {
+    apply_robust_train(spec);
+    context.robust_train = *robust_train;
+  }
+  ArtifactStore store;
+  store.set_data(&train, &test);
+  build_pipeline(spec, options, context).run(store);
+  return {store.model(artifacts::kMainModel),
+          store.model(artifacts::kSmoothedModel)};
+}
+
 }  // namespace odonn::pipeline

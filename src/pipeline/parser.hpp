@@ -105,4 +105,21 @@ Pipeline build_pipeline(const PipelineSpec& spec,
                         const train::RecipeOptions& options,
                         const BuildContext& context = {});
 
+/// The two models a recipe produces: the trained (for Ours-B..D also
+/// sparsified) model and its 2*pi-smoothed copy.
+struct RecipeModels {
+  donn::DonnModel main;
+  donn::DonnModel smoothed;
+};
+
+/// Runs only the model-producing stages of a recipe (train, sparsify,
+/// smooth; the report and eval stages are dropped) on pre-resized data
+/// and returns kMainModel and kSmoothedModel, bitwise the trained_phases
+/// and smoothed_phases of train::run_recipe. A non-null `robust_train`
+/// swaps every train stage for robust_train with those options.
+RecipeModels recipe_models(
+    train::RecipeKind kind, const train::RecipeOptions& options,
+    const data::Dataset& train, const data::Dataset& test,
+    const RobustTrainStageOptions* robust_train = nullptr);
+
 }  // namespace odonn::pipeline

@@ -24,9 +24,9 @@ namespace odonn::smooth2pi {
 
 struct TwoPiOptions {
   /// Gradient steps on the selection logits. Lifting a whole sparsified
-  /// block is a cooperative move: single-flip local search (greedy,
-  /// annealing) cannot cross it, and the soft relaxation needs the
-  /// temperature anneal to play out before the hard decode stabilizes —
+  /// block is a cooperative move: single-flip local search (greedy_2pi)
+  /// cannot cross it, and the soft relaxation needs the temperature
+  /// anneal to play out before the hard decode stabilizes —
   /// 800 iterations fails on masks where 2500 recovers the exact optimum
   /// (the per-iteration cost is one roughness gradient, ~0.1 ms at 64x64).
   std::size_t iterations = 2500;

@@ -1,7 +1,7 @@
 // Tests for the extension modules: discrete phase levels (donn/discrete),
 // the fabrication/thickness domain (optics/fabrication), Gaussian-beam
 // analytics as a physics reference (optics/beams), model serialization
-// (donn/serialize) and simulated annealing 2*pi (smooth2pi/anneal).
+// (donn/serialize) and interlayer reflection (donn/reflection).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +17,6 @@
 #include "donn/serialize.hpp"
 #include "optics/fabrication.hpp"
 #include "optics/propagate.hpp"
-#include "smooth2pi/anneal.hpp"
 #include "sparsify/block_sparsify.hpp"
 #include "train/trainer.hpp"
 
@@ -505,74 +504,6 @@ TEST(Serialize, RejectsTruncation) {
 
 TEST(Serialize, RejectsMissingFile) {
   EXPECT_THROW(donn::load_model("/nonexistent/m.odnn"), IoError);
-}
-
-// ------------------------------------------------------------------ anneal
-
-TEST(Anneal, NeverWorseThanIdentity) {
-  Rng rng(11);
-  MatrixD phi(10, 10);
-  for (auto& v : phi) v = rng.uniform(0.0, kTwoPi);
-  const auto result = smooth2pi::anneal_2pi(phi, {});
-  EXPECT_LE(result.roughness_after, result.roughness_before + 1e-9);
-}
-
-TEST(Anneal, FindsSingleFlipImprovements) {
-  // One pixel at 0 surrounded by values near 2*pi: lifting it is a pure
-  // single-flip gain that annealing must find.
-  MatrixD phi(8, 8, 6.0);
-  phi(4, 4) = 0.0;
-  smooth2pi::AnnealOptions opt;
-  opt.iterations = 5000;
-  const auto result = smooth2pi::anneal_2pi(phi, opt);
-  EXPECT_EQ(result.selection(4, 4), 1);
-  EXPECT_LT(result.roughness_after, result.roughness_before);
-}
-
-TEST(Anneal, SelectionConsistentWithOptimizedMask) {
-  Rng rng(12);
-  MatrixD phi(8, 8);
-  for (auto& v : phi) v = rng.uniform(0.0, kTwoPi);
-  smooth2pi::AnnealOptions opt;
-  opt.iterations = 3000;
-  const auto result = smooth2pi::anneal_2pi(phi, opt);
-  for (std::size_t i = 0; i < phi.size(); ++i) {
-    const double expected =
-        phi[i] + (result.selection[i] != 0 ? kTwoPi : 0.0);
-    EXPECT_DOUBLE_EQ(result.optimized[i], expected);
-  }
-}
-
-TEST(Anneal, MatchesExactDpOnSmallChains) {
-  Rng rng(13);
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::size_t n = 5 + rng.uniform_index(4);
-    MatrixD row(1, n);
-    std::vector<double> values(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      values[i] = rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.0, kTwoPi);
-      row(0, i) = values[i];
-    }
-    roughness::RoughnessOptions ropt;
-    smooth2pi::AnnealOptions opt;
-    opt.iterations = 20000;
-    opt.seed = 100 + static_cast<std::uint64_t>(trial);
-    const auto annealed = smooth2pi::anneal_2pi(row, opt);
-    const auto dp = smooth2pi::exact_1d_selection(values, ropt);
-    MatrixD dp_mask(1, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dp_mask(0, i) = values[i] + (dp[i] != 0 ? kTwoPi : 0.0);
-    }
-    const double dp_score = roughness::mask_roughness(dp_mask, ropt);
-    EXPECT_LE(annealed.roughness_after, dp_score * 1.05 + 1e-9);
-  }
-}
-
-TEST(Anneal, Validation) {
-  MatrixD phi(4, 4, 1.0);
-  smooth2pi::AnnealOptions opt;
-  opt.t_end = 2.0;  // above t_start
-  EXPECT_THROW(smooth2pi::anneal_2pi(phi, opt), Error);
 }
 
 // ---------------------------------------------------------------- reflection

@@ -3,10 +3,17 @@
 // collisions), scraped with the in-repo obs::http_get client, and checked
 // for: exact byte equality between the /metrics body and
 // MetricsRegistry::to_text() (the scrape counts itself BEFORE rendering),
-// /healthz build provenance, typed error statuses (404/405/500), graceful
-// stop, and concurrent scrapes.
+// /healthz build provenance, typed error statuses (404/405/500), the
+// request-head cap, graceful stop, and concurrent scrapes.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,11 +182,51 @@ TEST(HttpServer, ClientReportsTransportErrors) {
   EXPECT_NE(bad_host.error.find("IPv4"), std::string::npos);
 }
 
-TEST(HttpServer, RejectsInvalidConfiguration) {
-  obs::HttpServerOptions no_threads;
-  no_threads.handler_threads = 0;
-  EXPECT_THROW(obs::HttpServer{no_threads}, Error);
+TEST(HttpServer, OversizedHeadGetsA400BeforeTheReceiveTimeout) {
+  obs::HttpServer server;
+  server.start();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A client-side bound, so a server that never answers fails the test
+  // instead of hanging it.
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, kLoopback, &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
 
+  // Exactly the 8192-byte head cap and no CRLF: the server must stop
+  // reading at the cap and answer at once, not wait out its 5 s receive
+  // timeout. Bytes past the cap would stay unread at close, and the reset
+  // they cause can reach the client before the 400.
+  const std::string head(8192, 'A');
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t sent = 0;
+  while (sent < head.size()) {
+    const ssize_t n = ::send(fd, head.data() + sent, head.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string response;
+  char buffer[1024];
+  for (ssize_t n; (n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0;) {
+    response.append(buffer, static_cast<std::size_t>(n));
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ::close(fd);
+  EXPECT_EQ(response.rfind("HTTP/1.1 400 ", 0), 0u) << response;
+  EXPECT_LT(seconds, 2.5);
+}
+
+TEST(HttpServer, RejectsInvalidConfiguration) {
   obs::HttpServerOptions bad_address;
   bad_address.bind_address = "definitely.not.an.address";
   obs::HttpServer server(bad_address);

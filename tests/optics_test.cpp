@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -277,6 +278,30 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FrameCase>& info) {
       return std::string(info.param.name);
     });
+
+TEST(Propagate, Pad2xRejectionNamesTheGridSide) {
+  // A pad2x side with a prime factor above 5 pads to a length no FFT
+  // engine runs (44 for 22, 34 for 17). The error names the side a user
+  // picks and the next side that runs, not the padded length.
+  const std::pair<std::size_t, std::size_t> rejected[] = {{22, 24},
+                                                          {17, 18}};
+  for (const auto& [side, next] : rejected) {
+    try {
+      const Propagator prop(
+          test_grid(side),
+          {{KernelType::AngularSpectrum, kLambda, 0.01}, /*pad2x=*/true});
+      ADD_FAILURE() << "pad2x side " << side << " was accepted";
+    } catch (const ConfigError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("grid side " + std::to_string(side)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("next supported side: " + std::to_string(next)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
 
 TEST(Propagate, SemigroupComposition) {
   // P(z1) P(z2) == P(z1 + z2) for the unpadded transfer-function method.

@@ -1,9 +1,11 @@
 // Pipeline API tests: recipe parity (run_recipe vs an explicitly composed
-// pipeline, live vs checkpoint-restored — bit-for-bit), declarative
-// construction, validation, checkpoint resume, robust training stage, and
-// the PublishStage -> ModelRegistry -> InferenceEngine hand-off.
+// pipeline, live vs checkpoint-restored, and vs recipe_models' trimmed
+// pipeline — bit-for-bit), declarative construction, validation,
+// checkpoint resume, robust training stage, and the PublishStage ->
+// ModelRegistry -> InferenceEngine hand-off.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -150,6 +152,34 @@ TEST(StageParity, BaselinePipelineVsCheckpointedPipelineBitForBit) {
       train::RecipeKind::Baseline, setup, dir, /*resume=*/true);
   expect_bit_identical(via_pipeline, via_checkpoints);
   std::filesystem::remove_all(dir);
+}
+
+TEST(StageParity, RecipeModelsMatchRunRecipeBitForBit) {
+  // recipe_models keeps only the model-producing stages (train, sparsify,
+  // smooth). Dropping report and eval must not move a bit of either model,
+  // and dropping sparsify would: Ours-C and Ours-D pin that it stays.
+  const TinySetup setup = tiny_setup(59);
+  const auto same_bits = [](const MatrixD& a, const MatrixD& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (const train::RecipeKind kind :
+       {train::RecipeKind::Baseline, train::RecipeKind::OursC,
+        train::RecipeKind::OursD}) {
+    SCOPED_TRACE(train::recipe_name(kind));
+    const auto row =
+        train::run_recipe(kind, setup.options, setup.train, setup.test);
+    const RecipeModels models =
+        recipe_models(kind, setup.options, setup.train, setup.test);
+    const auto& trained = models.main.phases();
+    const auto& smoothed = models.smoothed.phases();
+    ASSERT_EQ(trained.size(), row.trained_phases.size());
+    ASSERT_EQ(smoothed.size(), row.smoothed_phases.size());
+    for (std::size_t l = 0; l < trained.size(); ++l) {
+      EXPECT_TRUE(same_bits(trained[l], row.trained_phases[l])) << l;
+      EXPECT_TRUE(same_bits(smoothed[l], row.smoothed_phases[l])) << l;
+    }
+  }
 }
 
 // ------------------------------------------------------ spec / parser
