@@ -31,8 +31,7 @@ const char* scale_name(Scale scale) {
 }
 
 std::vector<std::string> bench_config_keys() {
-  return {"bench.scale", "grid", "samples", "layers", "detector", "seed",
-          "format"};
+  return {"bench.scale", "grid", "samples", "layers", "detector", "seed"};
 }
 
 std::vector<std::string> parallel_bench_config_keys() {
@@ -85,9 +84,10 @@ BenchConfig make_bench_config(const Config& cfg) {
   return bc;
 }
 
-BenchConfig make_bench_config(int argc, char** argv) {
+BenchConfig make_bench_config(int argc, char** argv,
+                              const std::vector<std::string>& keys) {
   const Config cfg = Config::from_args(argc, argv);
-  cfg.strict(bench_config_keys());
+  cfg.strict(keys);
   return make_bench_config(cfg);
 }
 
@@ -411,7 +411,9 @@ int run_table_bench(const TableSpec& spec, const BenchConfig& cfg,
 
 int run_table_bench(const TableSpec& spec, int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
-  cfg.strict(parallel_bench_config_keys());
+  std::vector<std::string> keys = parallel_bench_config_keys();
+  keys.emplace_back("format");
+  cfg.strict(keys);
   return run_table_bench(spec, make_bench_config(cfg), parse_format(cfg));
 }
 

@@ -52,11 +52,16 @@ struct BenchConfig {
 /// layers=, detector=, jobs=.
 BenchConfig make_bench_config(const Config& cfg);
 
-/// from_args + strict key validation (bench_config_keys) + the above.
-BenchConfig make_bench_config(int argc, char** argv);
+/// from_args + Config::strict(keys) + the above: for the mains whose key
+/// list is exactly `keys`.
+BenchConfig make_bench_config(int argc, char** argv,
+                              const std::vector<std::string>& keys);
 
-/// Keys every bench accepts (for Config::strict; benches with extra keys
-/// append their own before validating).
+/// The keys make_bench_config reads apart from jobs=: bench.scale, grid,
+/// samples, layers, detector and seed. Each main passes Config::strict the
+/// keys it reads, so one that ignores some of these (layers= and detector=
+/// where no model comes from recipe_options) removes them, and one that
+/// reads more (format=, its own knobs) appends them.
 std::vector<std::string> bench_config_keys();
 
 /// bench_config_keys + jobs= — for the benches that actually route work
@@ -114,7 +119,8 @@ int run_table_bench(const TableSpec& spec, const BenchConfig& cfg,
                     OutputFormat format = OutputFormat::Both);
 
 /// argv wrapper for the thin bench mains: strict-parses the config
-/// (bench_config_keys) and runs at the requested scale/format.
+/// (parallel_bench_config_keys + format=) and runs at the requested
+/// scale/format. Returns the number of failed shape checks.
 int run_table_bench(const TableSpec& spec, int argc, char** argv);
 
 /// Prints "[check] PASS/FAIL description"; returns pass.

@@ -82,7 +82,7 @@ int run(int argc, char** argv) {
         "block lowest at ratio " + std::to_string(ratio));
   }
   std::printf("\n%d shape-check failure(s)\n", failures);
-  return 0;
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ int run(int argc, char** argv) {
                 roughness::intra_block_variance_mean(m, sweep));
   }
   std::printf("\n%d shape-check failure(s)\n", failures);
-  return 0;
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace

@@ -16,7 +16,8 @@ using namespace odonn;
 namespace {
 
 int run(int argc, char** argv) {
-  const auto cfg = bench::make_bench_config(argc, argv);
+  const auto cfg =
+      bench::make_bench_config(argc, argv, bench::bench_config_keys());
   std::printf("=== Fig. 5: phase-mask gallery (EMNIST stand-in, scale=%s) "
               "===\n\n", bench::scale_name(cfg.scale));
   const std::string outdir = "bench_out/fig5";
@@ -74,7 +75,7 @@ int run(int argc, char** argv) {
       last_after < baseline_rough,
       "final smoothed mask is smoother than the baseline layer");
   std::printf("%d shape-check failure(s)\n", failures);
-  return 0;
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace

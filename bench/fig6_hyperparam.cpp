@@ -167,7 +167,7 @@ int run(int argc, char** argv) {
                                     "roughness trade-off");
   }
   std::printf("%d shape-check failure(s)\n", failures);
-  return 0;
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ int run(int argc, char** argv) {
        {"realizations", "train_realizations", "antithetic",
         "train_antithetic", "train_resample", "train_warmup",
         "train_lr_scale", "train_crosstalk", "yield_threshold", "perturb",
-        "epochs"}) {
+        "epochs", "format"}) {
     keys.emplace_back(key);
   }
   cli.strict(keys);

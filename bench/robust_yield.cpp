@@ -61,6 +61,7 @@ int run(int argc, char** argv) {
   std::vector<std::string> keys = bench::bench_config_keys();
   keys.emplace_back("realizations");
   keys.emplace_back("perturb");
+  keys.emplace_back("format");
   cli.strict(keys);
   const bench::BenchConfig bc = bench::make_bench_config(cli);
   const auto format = bench::parse_format(cli);

@@ -15,10 +15,11 @@
 //                  samples on the shared pool;
 //        replicas  a ServeCluster of 1..replicas= replicas, driven by the
 //                  closed-loop harness that `odonn_cli serve` also runs
-//                  (serve_harness.hpp: every request submitted at once).
-//                  Each replica pins inner_threads=1 so the kernel runs
-//                  inline on its drain thread and REPLICATION is the only
-//                  scaling lever.
+//                  (serve_harness.hpp: every request submitted at once),
+//                  its burst repeated within a pass until the pass has run
+//                  100 ms. Each replica pins inner_threads=1 so the kernel
+//                  runs inline on its drain thread and REPLICATION is the
+//                  only scaling lever.
 //      The direct modes warm up with one untimed pass, the clusters with
 //      the harness's one-at-a-time warm-up.
 //   2. Open loop (SLO curve): requests arrive on a fixed schedule at
@@ -85,6 +86,12 @@ double seconds_since(Clock::time_point start) {
 
 /// Interleaved closed-loop passes per mode; each mode reports its median.
 constexpr std::size_t kClosedPasses = 5;
+
+/// Shortest closed-loop pass of a replicas mode. One burst of 64 requests
+/// at grid 16 lasts about 1 ms, so a single preemption could decide the
+/// replicas=2 > replicas=1 gate; a replicas pass repeats its burst until
+/// this much time has gone by and counts every request of the pass.
+constexpr double kMinClusterPassSeconds = 0.1;
 
 /// Window sizes of the direct batched mode.
 constexpr std::size_t kBatchSizes[] = {1, 8, 32, 128};
@@ -218,10 +225,17 @@ int run(int argc, char** argv) {
       // Odd passes run the modes in reverse, so a steady drift in host
       // speed within a pass does not always favour the same mode.
       const std::size_t i = pass % 2 == 0 ? k : modes.size() - 1 - k;
-      const bench::Burst burst = modes[i].pass();
-      rates[i].push_back(static_cast<double>(requests) / burst.seconds);
-      if (pass == 0) digests[i] = burst.digest;
-      digests_agree = digests_agree && burst.digest == digests.front();
+      double seconds = 0.0;
+      std::size_t bursts = 0;
+      do {
+        const bench::Burst burst = modes[i].pass();
+        if (pass == 0 && bursts == 0) digests[i] = burst.digest;
+        digests_agree = digests_agree && burst.digest == digests.front();
+        seconds += burst.seconds;
+        ++bursts;
+      } while (modes[i].cluster != nullptr &&
+               seconds < kMinClusterPassSeconds);
+      rates[i].push_back(static_cast<double>(requests * bursts) / seconds);
     }
   }
 

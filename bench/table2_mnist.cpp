@@ -6,9 +6,9 @@
 
 int main(int argc, char** argv) {
   return odonn::run_main([&] {
-    odonn::bench::run_table_bench(
+    const int failures = odonn::bench::run_table_bench(
         odonn::bench::table_spec(odonn::data::SyntheticFamily::Digits), argc,
         argv);
-    return 0;
+    return failures > 0 ? 1 : 0;
   });
 }

@@ -77,7 +77,9 @@ bool rows_bitwise_equal(const std::vector<train::RecipeResult>& a,
 
 int run(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
-  cli.strict(bench::parallel_bench_config_keys());
+  std::vector<std::string> keys = bench::parallel_bench_config_keys();
+  keys.emplace_back("format");
+  cli.strict(keys);
   const auto cfg = bench::make_bench_config(cli);
   const auto format = bench::parse_format(cli);
   const bool text = format != bench::OutputFormat::Json;

@@ -417,7 +417,7 @@ int cmd_run(const Config& cfg) {
 
 int cmd_table(const Config& cfg) {
   cfg.strict(with(bench::parallel_bench_config_keys(),
-                  {"dataset", "metrics", "trace", "trace_stream"}));
+                  {"format", "dataset", "metrics", "trace", "trace_stream"}));
   const bench::BenchConfig bc = bench::make_bench_config(cfg);
   const auto format = bench::parse_format(cfg);
   const std::string dataset = cfg.get_enum(

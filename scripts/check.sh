@@ -86,6 +86,14 @@ for bin in "odonn_cli run" ablation_design fig3_sparsity_roughness \
   done
 done
 echo "mains smoke: all 20 mains exit 1 on grid=abc and on an unknown key"
+# Each main accepts only the keys it reads: a shared bench key that one
+# main would ignore is an unknown key there too.
+for case in "ablation_design layers=5" "fig5_masks format=json"; do
+  # shellcheck disable=SC2086  # word-split the main and its argument
+  expect_error "mains smoke: $case" "error: config:" timeout 30 ./$case
+done
+echo "mains smoke: ablation_design layers=5 and fig5_masks format=json" \
+     "exit 1 (keys those mains never read)"
 
 # ODONN_THREADS is a whole number in [1, 1024]: anything else must be a
 # typed error (exit 1, "error:" on stderr), never a silent fallback to

@@ -10,6 +10,14 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+/// The uniform behind a Gumbel draw, kept away from 0 and 1 so that
+/// -log(-log(u)) is finite.
+double clamp_gumbel_uniform(double u) {
+  if (u < 1e-300) u = 1e-300;
+  if (u > 1.0 - 1e-16) u = 1.0 - 1e-16;
+  return u;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -72,10 +80,13 @@ double Rng::normal(double mean, double stddev) {
 }
 
 double Rng::gumbel() {
-  double u = uniform();
-  if (u < 1e-300) u = 1e-300;
-  if (u > 1.0 - 1e-16) u = 1.0 - 1e-16;
-  return -std::log(-std::log(u));
+  return -std::log(-std::log(clamp_gumbel_uniform(uniform())));
+}
+
+void Rng::fill_gumbel(std::span<double> out) {
+  for (double& g : out) g = clamp_gumbel_uniform(uniform());
+  for (double& g : out) g = -std::log(g);
+  for (double& g : out) g = -std::log(g);
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace odonn {
 
@@ -66,6 +67,12 @@ class Rng {
   /// Standard Gumbel(0,1): -log(-log(U)), U ~ Uniform(0,1), clamped away
   /// from 0 and 1 so the result is always finite.
   double gumbel();
+
+  /// out.size() Gumbel draws, bit for bit the values of as many gumbel()
+  /// calls in stream order, drawn in passes over `out`: every clamped
+  /// uniform, then -log, then -log again, so each libm loop runs over
+  /// independent elements.
+  void fill_gumbel(std::span<double> out);
 
   /// Bernoulli(p).
   bool bernoulli(double p);

@@ -17,8 +17,10 @@
 //   inverse:  x_j = (1/n) sum_k X_k exp(+2*pi*i*j*k/n)
 //
 // Both engines first move element j to reverse_[j]: bit reversal for
-// radix-2 (an involution, applied as swaps), digit reversal for mixed radix
-// (not an involution, applied through a copy).
+// radix-2, digit reversal for mixed radix. The scalar execute() applies bit
+// reversal as swaps (an involution) and digit reversal through a copy (not
+// one); the lane kernels fold both into moves they make anyway (see Lane
+// execution).
 //
 // Mixed-radix arithmetic. After the digit reversal, stage s of radix p over
 // sub-transforms of length m (the product of the earlier radices) runs, for
@@ -43,6 +45,21 @@
 // the lane loops vectorize. A row-lane fft::Frame (fft2d.hpp) is a stack of
 // such groups, four rows each, and fft2d.cpp is the one caller that packs
 // lanes (scripts/lint.sh, check lane-pack).
+//
+// The radix-2 lane transform runs its stages in register-resident sweeps.
+// The first sweep loads four lane groups at a time and runs stages 1 and 2
+// on them; later stages run in pairs on the four groups k, k + h, k + 2h,
+// k + 3h of each block, and an odd last stage runs alone. Every butterfly
+// still multiplies by its table twiddle, k = 0 included, and an inverse's
+// 1/n scales the last sweep's outputs before they are stored, so each
+// element takes the operations of execute() in execute()'s order. The row
+// pass (execute_lanes) loads its first sweep from the bit-reversed slots
+// of its groups, runs the middle sweeps in a thread-local scratch and
+// stores the last one back. The frame column pass gathers rows into their
+// bit- or digit-reversed slots, so its first sweep loads natural slots.
+// The mixed-radix lane transform runs one sweep per stage in place, after
+// the row pass has moved its groups to their digit-reversed slots through
+// the same scratch.
 //
 // ISA dispatch. The lane kernels (radix-2 and mixed-radix butterflies, and
 // the frame column pass with its tile moves and transfer multiply) are

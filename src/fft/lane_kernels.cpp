@@ -5,7 +5,11 @@
 // mixed-radix (radix-2/3/4/5 butterflies, the operations of
 // Plan::mixed_radix_transform) lane transforms of Plan::execute_lanes and
 // the frame column pass (tile moves, column transform, transfer multiply),
-// as LaneKernels<V> over a 2- or 4-double vector type. Each dispatched entry
+// as LaneKernels<V> over a 2- or 4-double vector type. The radix-2
+// transform runs two stages per sweep on four lane groups held in
+// registers (stages 1 and 2 first, an odd last stage alone), reading the
+// row pass's bit-reversed input straight into its first sweep; see the
+// lane-execution notes in fft_plan.hpp. Each dispatched entry
 // point has two `flatten` wrappers below: LaneKernels<Vec2> for the baseline
 // ISA and LaneKernels<Vec4> under target("avx2"). flatten inlines the whole
 // kernel into its wrapper, so only the wrapper bodies are compiled for AVX2
@@ -50,9 +54,8 @@ Planes& column_scratch() {
   return planes;
 }
 
-/// The lane groups of a mixed-radix row transform, copied out so they can
-/// move back in digit-reversed order.
-Planes& digit_reverse_scratch() {
+/// One row group of the frame row pass (Plan::execute_lanes).
+Planes& row_scratch() {
   thread_local Planes planes;
   return planes;
 }
@@ -102,36 +105,179 @@ struct LaneKernels {
   static void load(V& v, const double* p) { std::memcpy(&v, p, sizeof v); }
   static void store(double* p, const V& v) { std::memcpy(p, &v, sizeof v); }
 
-  /// Radix-2 butterfly on lane groups p and q with twiddle w: odd = q * w,
-  /// then p = even + odd and q = even - odd.
-  static void butterfly(double* pr, double* pi, double* qr, double* qi,
-                        double wr, double wi) {
+  /// A radix-2 twiddle {re, im}, conjugated for an inverse (std::conj).
+  struct Twiddle {
+    double re;
+    double im;
+  };
+
+  static Twiddle twiddle_at(const double* tw, std::size_t k, bool inverse) {
+    return {tw[2 * k], inverse ? -tw[2 * k + 1] : tw[2 * k + 1]};
+  }
+
+  /// Radix-2 butterfly on one vector step of lane groups p and q held in
+  /// registers, with twiddle w: odd = q * w, then p = even + odd and
+  /// q = even - odd.
+  static void butterfly(V& pr, V& pi, V& qr, V& qi, const Twiddle& w) {
+    const V odd_r = qr * w.re - qi * w.im;
+    const V odd_i = qr * w.im + qi * w.re;
+    const V even_r = pr;
+    const V even_i = pi;
+    pr = even_r + odd_r;
+    pi = even_i + odd_i;
+    qr = even_r - odd_r;
+    qi = even_i - odd_i;
+  }
+
+  /// Two radix-2 stages on four lane groups in registers: the stage of
+  /// half-length h on groups (0, 1) and (2, 3), both with twiddle a, then
+  /// the stage of half-length 2h on (0, 2) with b and (1, 3) with c. Group
+  /// u loads from src + from[u] and stores to dst + to[u], times `scale`
+  /// when `scaled` (the inverse's 1/n on the last sweep).
+  static void two_stages(const double* sr, const double* si,
+                         const std::size_t (&from)[4], double* dr, double* di,
+                         const std::size_t (&to)[4], const Twiddle& a,
+                         const Twiddle& b, const Twiddle& c, bool scaled,
+                         double scale) {
     for (std::size_t h = 0; h < L; h += W) {
-      V q_r, q_i, even_r, even_i;
-      load(q_r, qr + h);
-      load(q_i, qi + h);
-      load(even_r, pr + h);
-      load(even_i, pi + h);
-      const V odd_r = q_r * wr - q_i * wi;
-      const V odd_i = q_r * wi + q_i * wr;
-      const V sum_r = even_r + odd_r;
-      const V sum_i = even_i + odd_i;
-      const V diff_r = even_r - odd_r;
-      const V diff_i = even_i - odd_i;
-      store(pr + h, sum_r);
-      store(pi + h, sum_i);
-      store(qr + h, diff_r);
-      store(qi + h, diff_i);
+      V r0, i0, r1, i1, r2, i2, r3, i3;
+      load(r0, sr + from[0] + h);
+      load(i0, si + from[0] + h);
+      load(r1, sr + from[1] + h);
+      load(i1, si + from[1] + h);
+      load(r2, sr + from[2] + h);
+      load(i2, si + from[2] + h);
+      load(r3, sr + from[3] + h);
+      load(i3, si + from[3] + h);
+      butterfly(r0, i0, r1, i1, a);
+      butterfly(r2, i2, r3, i3, a);
+      butterfly(r0, i0, r2, i2, b);
+      butterfly(r1, i1, r3, i3, c);
+      if (scaled) {
+        r0 = r0 * scale;
+        i0 = i0 * scale;
+        r1 = r1 * scale;
+        i1 = i1 * scale;
+        r2 = r2 * scale;
+        i2 = i2 * scale;
+        r3 = r3 * scale;
+        i3 = i3 * scale;
+      }
+      store(dr + to[0] + h, r0);
+      store(di + to[0] + h, i0);
+      store(dr + to[1] + h, r1);
+      store(di + to[1] + h, i1);
+      store(dr + to[2] + h, r2);
+      store(di + to[2] + h, i2);
+      store(dr + to[3] + h, r3);
+      store(di + to[3] + h, i3);
     }
   }
 
-  static void swap_lanes(double* a, double* b) {
-    for (std::size_t h = 0; h < L; h += W) {
-      V x, y;
-      load(x, a + h);
-      load(y, b + h);
-      store(a + h, y);
-      store(b + h, x);
+  /// Stages 1 and 2 over n >= 4 lane groups: four groups at a time, group
+  /// j read from src + order[j] (the row pass's bit-reversed gather) or,
+  /// with no order, from src + j (the column pass, whose gather already
+  /// reversed), and written to dst + j.
+  static void first_sweep(const Plan& plan, const double* sr,
+                          const double* si, const std::size_t* order,
+                          double* dr, double* di, bool inverse, bool scaled,
+                          double scale) {
+    const std::size_t n = plan.n_;
+    const double* tw = parts(plan.twiddles_);
+    const Twiddle w0 = twiddle_at(tw, 0, inverse);
+    const Twiddle wq = twiddle_at(tw, n / 4, inverse);
+    for (std::size_t base = 0; base < n; base += 4) {
+      std::size_t from[4];
+      const std::size_t to[4] = {base * L, (base + 1) * L, (base + 2) * L,
+                                 (base + 3) * L};
+      for (std::size_t u = 0; u < 4; ++u) {
+        from[u] = (order != nullptr ? order[base + u] : base + u) * L;
+      }
+      two_stages(sr, si, from, dr, di, to, w0, w0, wq, scaled, scale);
+    }
+  }
+
+  /// The stages of half-lengths h and 2h over n lane groups, four groups
+  /// k, k + h, k + 2h, k + 3h of each block of 4h at a time.
+  static void pair_sweep(const Plan& plan, std::size_t h, const double* sr,
+                         const double* si, double* dr, double* di,
+                         bool inverse, bool scaled, double scale) {
+    const std::size_t n = plan.n_;
+    const double* tw = parts(plan.twiddles_);
+    const std::size_t stride = n / (4 * h);  // of the second stage
+    for (std::size_t base = 0; base < n; base += 4 * h) {
+      for (std::size_t k = 0; k < h; ++k) {
+        const std::size_t at = (base + k) * L;
+        const std::size_t groups[4] = {at, at + h * L, at + 2 * h * L,
+                                       at + 3 * h * L};
+        two_stages(sr, si, groups, dr, di, groups,
+                   twiddle_at(tw, 2 * k * stride, inverse),
+                   twiddle_at(tw, k * stride, inverse),
+                   twiddle_at(tw, (k + h) * stride, inverse), scaled, scale);
+      }
+    }
+  }
+
+  /// The last stage alone (half-length n / 2), for an odd stage count: its
+  /// butterflies on groups k and k + n / 2 in registers, loaded from src
+  /// and stored to dst, times `scale` for an inverse.
+  static void last_stage(const Plan& plan, const double* sr, const double* si,
+                         double* dr, double* di, bool inverse, double scale) {
+    const std::size_t half = plan.n_ / 2;
+    const double* tw = parts(plan.twiddles_);
+    for (std::size_t k = 0; k < half; ++k) {
+      const Twiddle w = twiddle_at(tw, k, inverse);
+      const std::size_t p = k * L;
+      const std::size_t q = (k + half) * L;
+      for (std::size_t h = 0; h < L; h += W) {
+        V pr, pi, qr, qi;
+        load(pr, sr + p + h);
+        load(pi, si + p + h);
+        load(qr, sr + q + h);
+        load(qi, si + q + h);
+        butterfly(pr, pi, qr, qi, w);
+        if (inverse) {
+          pr = pr * scale;
+          pi = pi * scale;
+          qr = qr * scale;
+          qi = qi * scale;
+        }
+        store(dr + p + h, pr);
+        store(di + p + h, pi);
+        store(dr + q + h, qr);
+        store(di + q + h, qi);
+      }
+    }
+  }
+
+  /// The radix-2 transform of n >= 2 lane groups, in register-resident
+  /// sweeps: stages 1 and 2 first, reading `in` through `order` (see
+  /// first_sweep), then the later stages in pairs, and an odd last stage
+  /// alone. The first sweep writes `work`, the middle sweeps run in place
+  /// there, and the last sweep writes `out`, times 1/n for an inverse; a
+  /// transform of one sweep goes straight from `in` to `out`. `in`, `work`
+  /// and `out` may be one buffer when `order` is null.
+  static void radix2(const Plan& plan, const double* in_re,
+                     const double* in_im, const std::size_t* order,
+                     double* work_re, double* work_im, double* out_re,
+                     double* out_im, bool inverse) {
+    const std::size_t n = plan.n_;
+    const double scale = 1.0 / static_cast<double>(n);
+    if (n == 2) {  // one stage; the bit reversal of 2 is the identity
+      last_stage(plan, in_re, in_im, out_re, out_im, inverse, scale);
+      return;
+    }
+    bool last = n == 4;
+    first_sweep(plan, in_re, in_im, order, last ? out_re : work_re,
+                last ? out_im : work_im, inverse, last && inverse, scale);
+    for (std::size_t h = 4; h < n; h *= 4) {  // h: the next stage's half
+      if (2 * h == n) {
+        last_stage(plan, work_re, work_im, out_re, out_im, inverse, scale);
+        break;
+      }
+      last = 4 * h == n;
+      pair_sweep(plan, h, work_re, work_im, last ? out_re : work_re,
+                 last ? out_im : work_im, inverse, last && inverse, scale);
     }
   }
 
@@ -205,27 +351,6 @@ struct LaneKernels {
       const V im = a * d + b * c;
       store(xr + i, re);
       store(xi + i, im);
-    }
-  }
-
-  /// The radix-2 butterflies over n lane groups already in bit-reversed
-  /// order.
-  static void butterfly_stages(const Plan& plan, double* re, double* im,
-                               bool inverse) {
-    const std::size_t n = plan.n_;
-    const double* tw = parts(plan.twiddles_);
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len >> 1;
-      const std::size_t stride = n / len;
-      for (std::size_t base = 0; base < n; base += len) {
-        for (std::size_t k = 0; k < half; ++k) {
-          const double* w = tw + 2 * k * stride;
-          const double wi = inverse ? -w[1] : w[1];  // std::conj
-          butterfly(re + (base + k) * L, im + (base + k) * L,
-                    re + (base + k + half) * L, im + (base + k + half) * L,
-                    w[0], wi);
-        }
-      }
     }
   }
 
@@ -427,55 +552,60 @@ struct LaneKernels {
     }
   }
 
-  /// The transform of lane groups already in the plan's reversed order:
-  /// the butterflies, then 1/n for an inverse. A length-1 plan is the
-  /// identity.
-  static void from_reversed(const Plan& plan, double* re, double* im,
-                            Direction dir) {
-    if (plan.n_ == 1) return;
-    const bool inverse = dir == Direction::Inverse;
-    if (plan.engine_ == Engine::Radix2) {
-      butterfly_stages(plan, re, im, inverse);
-    } else if (inverse) {
-      mixed_radix_stages<true>(plan, re, im);
-    } else {
-      mixed_radix_stages<false>(plan, re, im);
-    }
+  /// The mixed-radix transform of lane groups already in digit-reversed
+  /// order: the stages, then 1/n for an inverse.
+  static void mixed_radix(const Plan& plan, double* re, double* im,
+                          bool inverse) {
     if (inverse) {
+      mixed_radix_stages<true>(plan, re, im);
       const double scale = 1.0 / static_cast<double>(plan.n_);
       scale_lanes(re, scale, plan.n_);
       scale_lanes(im, scale, plan.n_);
+    } else {
+      mixed_radix_stages<false>(plan, re, im);
     }
   }
 
+  /// The transform, in place, of lane groups already in the plan's
+  /// reversed order. A length-1 plan is the identity.
+  static void from_reversed(const Plan& plan, double* re, double* im,
+                            bool inverse) {
+    if (plan.n_ == 1) return;
+    if (plan.engine_ == Engine::Radix2) {
+      radix2(plan, re, im, nullptr, re, im, re, im, inverse);
+    } else {
+      mixed_radix(plan, re, im, inverse);
+    }
+  }
+
+  /// The row pass: a radix-2 plan reads the groups in bit-reversed order
+  /// straight from re/im into its first sweep and writes them back with its
+  /// last, through the thread-local row scratch; a mixed-radix plan copies
+  /// them out and moves them back to their digit-reversed slots (digit
+  /// reversal is not an involution), then transforms in place. A length-1
+  /// plan is the identity.
   static void execute(const Plan& plan, double* re, double* im,
                       Direction dir) {
     const std::size_t n = plan.n_;
+    if (n == 1) return;
+    const bool inverse = dir == Direction::Inverse;
     const std::vector<std::size_t>& rev = plan.reverse_;
+    Planes& scratch = row_scratch();
+    scratch.ensure(n * L);
     if (plan.engine_ == Engine::Radix2) {
-      // Bit reversal is an involution: swap pairs in place.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t j = rev[i];
-        if (i < j) {
-          swap_lanes(re + i * L, re + j * L);
-          swap_lanes(im + i * L, im + j * L);
-        }
-      }
-    } else {
-      // Digit reversal is not, so the groups are copied out and moved back
-      // in to their digit-reversed slots.
-      Planes& moved = digit_reverse_scratch();
-      moved.ensure(n * L);
-      std::memcpy(moved.re.data(), re, n * L * sizeof(double));
-      std::memcpy(moved.im.data(), im, n * L * sizeof(double));
-      for (std::size_t j = 0; j < n; ++j) {
-        std::memcpy(re + rev[j] * L, moved.re.data() + j * L,
-                    L * sizeof(double));
-        std::memcpy(im + rev[j] * L, moved.im.data() + j * L,
-                    L * sizeof(double));
-      }
+      radix2(plan, re, im, rev.data(), scratch.re.data(), scratch.im.data(),
+             re, im, inverse);
+      return;
     }
-    from_reversed(plan, re, im, dir);
+    std::memcpy(scratch.re.data(), re, n * L * sizeof(double));
+    std::memcpy(scratch.im.data(), im, n * L * sizeof(double));
+    for (std::size_t j = 0; j < n; ++j) {
+      std::memcpy(re + rev[j] * L, scratch.re.data() + j * L,
+                  L * sizeof(double));
+      std::memcpy(im + rev[j] * L, scratch.im.data() + j * L,
+                  L * sizeof(double));
+    }
+    mixed_radix(plan, re, im, inverse);
   }
 
   /// Column group cg: columns 4cg..4cg+3 gather tile by tile into the
@@ -527,7 +657,7 @@ struct LaneKernels {
       }
     }
 
-    from_reversed(plan, xr, xi, pass.dir);
+    from_reversed(plan, xr, xi, pass.dir == Direction::Inverse);
     if (const ColumnTransfer* h = pass.transfer) {
       const std::size_t at = cg * rows * L;
       if (h->conjugate) {

@@ -15,10 +15,18 @@ double sigmoid(double x) {
   return e / (1.0 + e);
 }
 
-double gumbel_sigmoid_sample(double theta, double tau, Rng& rng) {
-  ODONN_CHECK(tau > 0.0, "gumbel_sigmoid_sample: tau must be positive");
-  const double noise = rng.gumbel() - rng.gumbel();  // Logistic(0,1)
-  return sigmoid((theta + noise) / tau);
+void gumbel_sigmoid_samples(std::span<const double> theta, double tau,
+                            Rng& rng, std::vector<double>& gumbels,
+                            std::span<double> soft) {
+  ODONN_CHECK(tau > 0.0, "gumbel_sigmoid_samples: tau must be positive");
+  ODONN_CHECK_SHAPE(soft.size() == theta.size(),
+                    "gumbel_sigmoid_samples: soft and theta differ in size");
+  gumbels.resize(2 * theta.size());
+  rng.fill_gumbel(gumbels);
+  for (std::size_t i = 0; i < theta.size(); ++i) {
+    const double noise = gumbels[2 * i] - gumbels[2 * i + 1];  // Logistic(0,1)
+    soft[i] = sigmoid((theta[i] + noise) / tau);
+  }
 }
 
 double anneal_tau(double tau_start, double tau_end, std::size_t step,

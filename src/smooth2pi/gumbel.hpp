@@ -5,6 +5,7 @@
 // independent Gumbels).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,9 +15,15 @@ namespace odonn::smooth2pi {
 /// sigmoid(x) with overflow protection.
 double sigmoid(double x);
 
-/// Soft binary Gumbel-Softmax sample: sigmoid((theta + G1 - G2)/tau).
-/// G1 - G2 ~ Logistic(0, 1). tau > 0 is the temperature.
-double gumbel_sigmoid_sample(double theta, double tau, Rng& rng);
+/// Soft binary Gumbel-Softmax samples for a whole logit array:
+/// soft[i] = sigmoid((theta[i] + noise_i) / tau) with noise_i = G[2i] -
+/// G[2i+1] ~ Logistic(0, 1), where G are 2 * theta.size() standard Gumbels
+/// drawn with rng.fill_gumbel into `gumbels` (caller-owned scratch, resized
+/// as needed). soft.size() must equal theta.size(); tau > 0 is the
+/// temperature.
+void gumbel_sigmoid_samples(std::span<const double> theta, double tau,
+                            Rng& rng, std::vector<double>& gumbels,
+                            std::span<double> soft);
 
 /// Linear temperature annealing from tau_start to tau_end across
 /// `iterations` steps (step in [0, iterations-1]).

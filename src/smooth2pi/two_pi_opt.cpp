@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -112,6 +113,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
   const double lr = 0.3;  // Adam step size on the selection logits
 
   Rng rng(options.seed);
+  std::vector<double> gumbels;
   MatrixD soft(mask.rows(), mask.cols(), 0.0);
   MatrixD relaxed(mask.rows(), mask.cols(), 0.0);
   MatrixD grad_relaxed(mask.rows(), mask.cols(), 0.0);
@@ -119,19 +121,18 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
   MatrixU8 best_selection(mask.rows(), mask.cols(), 0);
   double best_roughness = roughness::mask_roughness(mask, options.roughness);
 
+  MatrixU8 hard_selection(mask.rows(), mask.cols(), 0);
+  MatrixD hard(mask.rows(), mask.cols(), 0.0);
   const auto evaluate_hard = [&]() {
-    MatrixU8 sel(mask.rows(), mask.cols(), 0);
-    MatrixD hard = mask;
     for (std::size_t i = 0; i < size; ++i) {
-      if (theta[i] > 0.0) {
-        sel[i] = 1;
-        hard[i] += kTwoPi;
-      }
+      const bool lift = theta[i] > 0.0;
+      hard_selection[i] = lift ? 1 : 0;
+      hard[i] = lift ? mask[i] + kTwoPi : mask[i];
     }
     const double r = roughness::mask_roughness(hard, options.roughness);
     if (r < best_roughness) {
       best_roughness = r;
-      best_selection = std::move(sel);
+      best_selection = hard_selection;
     }
   };
 
@@ -144,8 +145,9 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
     const double tau = anneal_tau(2.0, 0.2, it, options.iterations);
 
     // Forward: noisy soft selection and relaxed mask.
+    gumbel_sigmoid_samples({theta.data(), size}, tau, rng, gumbels,
+                           {soft.data(), size});
     for (std::size_t i = 0; i < size; ++i) {
-      soft[i] = gumbel_sigmoid_sample(theta[i], tau, rng);
       relaxed[i] = mask[i] + kTwoPi * soft[i];
     }
 

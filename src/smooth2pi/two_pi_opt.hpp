@@ -27,8 +27,11 @@ struct TwoPiOptions {
   /// block is a cooperative move: single-flip local search (greedy_2pi)
   /// cannot cross it, and the soft relaxation needs the temperature
   /// anneal to play out before the hard decode stabilizes —
-  /// 800 iterations fails on masks where 2500 recovers the exact optimum
-  /// (the per-iteration cost is one roughness gradient, ~0.1 ms at 64x64).
+  /// 800 iterations fails on masks where 2500 recovers the exact optimum.
+  /// One iteration at 64x64 takes about 0.3 ms on one core of a 4-vCPU
+  /// x86-64 host: some 0.2 ms for the 8192 Gumbel draws and 4096 sigmoids
+  /// of its noisy sample, 0.07 ms for the roughness gradient, and the
+  /// Adam step.
   std::size_t iterations = 2500;
   std::uint64_t seed = 0x2718;
   roughness::RoughnessOptions roughness = {};

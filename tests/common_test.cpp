@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -97,6 +98,19 @@ TEST(Rng, GumbelMeanIsEulerGamma) {
   const int n = 200000;
   for (int i = 0; i < n; ++i) sum += rng.gumbel();
   EXPECT_NEAR(sum / n, 0.5772, 0.02);
+}
+
+TEST(Rng, FillGumbelMatchesGumbelCalls) {
+  Rng batched(19);
+  Rng single(19);
+  std::vector<double> draws(1001);
+  batched.fill_gumbel(draws);
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const double expected = single.gumbel();
+    EXPECT_EQ(std::memcmp(&draws[i], &expected, sizeof(double)), 0)
+        << "draw " << i;
+  }
+  EXPECT_EQ(batched.next_u64(), single.next_u64());  // same stream position
 }
 
 TEST(Rng, UniformIndexCoversRangeUnbiased) {

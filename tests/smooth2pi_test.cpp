@@ -14,6 +14,7 @@
 #include "smooth2pi/gumbel.hpp"
 #include "smooth2pi/two_pi_opt.hpp"
 #include "sparsify/block_sparsify.hpp"
+#include "tensor/stats.hpp"
 
 namespace odonn::smooth2pi {
 namespace {
@@ -29,11 +30,16 @@ TEST(Gumbel, SigmoidBasics) {
 
 TEST(Gumbel, SampleMeanTracksLogitSign) {
   Rng rng(1);
+  const std::size_t n = 20000;
+  std::vector<double> soft_pos(n), soft_neg(n), gumbels;
+  gumbel_sigmoid_samples(std::vector<double>(n, 2.0), 1.0, rng, gumbels,
+                         soft_pos);
+  gumbel_sigmoid_samples(std::vector<double>(n, -2.0), 1.0, rng, gumbels,
+                         soft_neg);
   double mean_pos = 0.0, mean_neg = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    mean_pos += gumbel_sigmoid_sample(2.0, 1.0, rng);
-    mean_neg += gumbel_sigmoid_sample(-2.0, 1.0, rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    mean_pos += soft_pos[i];
+    mean_neg += soft_neg[i];
   }
   mean_pos /= n;
   mean_neg /= n;
@@ -44,13 +50,36 @@ TEST(Gumbel, SampleMeanTracksLogitSign) {
 
 TEST(Gumbel, LowTemperatureSharpensSamples) {
   Rng rng(2);
+  const std::size_t n = 5000;
+  const std::vector<double> theta(n, 0.5);
+  std::vector<double> hot(n), cold(n), gumbels;
+  gumbel_sigmoid_samples(theta, 5.0, rng, gumbels, hot);
+  gumbel_sigmoid_samples(theta, 0.05, rng, gumbels, cold);
   int extreme_hot = 0, extreme_cold = 0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) {
-    if (std::abs(gumbel_sigmoid_sample(0.5, 5.0, rng) - 0.5) > 0.45) ++extreme_hot;
-    if (std::abs(gumbel_sigmoid_sample(0.5, 0.05, rng) - 0.5) > 0.45) ++extreme_cold;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::abs(hot[i] - 0.5) > 0.45) ++extreme_hot;
+    if (std::abs(cold[i] - 0.5) > 0.45) ++extreme_cold;
   }
   EXPECT_GT(extreme_cold, extreme_hot * 3);
+}
+
+TEST(Gumbel, BatchedSamplesMatchPerPixelDraws) {
+  // Pixel i takes the stream's Gumbels 2i and 2i + 1, in that order, as
+  // sigmoid((theta + (G1 - G2)) / tau) drawn one pixel at a time would.
+  const std::vector<double> theta = {-3.0, -0.25, 0.0, -0.0, 0.5, 2.0, 7.5};
+  const double tau = 0.7;
+  Rng batched(5);
+  Rng single(5);
+  std::vector<double> soft(theta.size()), gumbels;
+  gumbel_sigmoid_samples(theta, tau, batched, gumbels, soft);
+  for (std::size_t i = 0; i < theta.size(); ++i) {
+    const double g1 = single.gumbel();
+    const double g2 = single.gumbel();
+    const double expected = sigmoid((theta[i] + (g1 - g2)) / tau);
+    EXPECT_EQ(std::memcmp(&soft[i], &expected, sizeof(double)), 0)
+        << "pixel " << i;
+  }
+  EXPECT_EQ(batched.next_u64(), single.next_u64());  // same stream position
 }
 
 TEST(Gumbel, AnnealInterpolatesLinearly) {
@@ -197,6 +226,40 @@ TEST(Optimize2Pi, SelectionMatchesOptimizedValues) {
     if (result.selection[i] != 0) ++count;
   }
   EXPECT_EQ(count, result.added_count);
+}
+
+/// Folds a solve's optimized phases, selection and roughness_after into
+/// `hash` (fnv1a_mix over their IEEE-754 bits).
+std::uint64_t fold_result(std::uint64_t hash, const TwoPiResult& result) {
+  for (const double v : result.optimized) hash = fnv1a_mix(hash, v);
+  for (const std::uint8_t s : result.selection) {
+    hash = fnv1a_mix(hash, static_cast<double>(s));
+  }
+  return fnv1a_mix(hash, result.roughness_after);
+}
+
+// The two pins below hold the solver's bits: a change to any IEEE
+// operation, libm call or the order the noise stream is consumed in moves
+// them. Both digests were recorded before the noise draws were batched.
+TEST(Optimize2Pi, BitsArePinned) {
+  TwoPiOptions opt;
+  opt.iterations = 300;
+  const std::uint64_t digest =
+      fold_result(kFnv1aBasis, optimize_2pi(sparsified_phase_mask(32, 11), opt));
+  EXPECT_EQ(digest, 0x911fffea845b24b1ULL) << std::hex << digest;
+}
+
+TEST(Optimize2PiAll, BitsArePinned) {
+  const std::vector<MatrixD> masks = {sparsified_phase_mask(32, 12),
+                                      sparsified_phase_mask(32, 13),
+                                      sparsified_phase_mask(32, 14)};
+  TwoPiOptions opt;
+  opt.iterations = 300;
+  std::uint64_t digest = kFnv1aBasis;
+  for (const TwoPiResult& result : optimize_2pi_all(masks, opt)) {
+    digest = fold_result(digest, result);
+  }
+  EXPECT_EQ(digest, 0x5f62616b8fb05324ULL) << std::hex << digest;
 }
 
 TEST(Optimize2Pi, GumbelComparableToGreedyOnSparsifiedMasks) {
