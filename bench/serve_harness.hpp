@@ -7,8 +7,8 @@
 // of the record, submits every input at once, and folds the FNV-1a digest
 // of every response's detector sums in submit order. That digest depends on
 // (model, inputs) alone: it must be bitwise identical across replicas=,
-// routing=, batching, ODONN_THREADS and the HTTP plane, and between the two
-// drivers (scripts/check.sh compares them).
+// batching, ODONN_THREADS and the HTTP plane, and between the two drivers
+// (scripts/check.sh compares them).
 #pragma once
 
 #include <cstddef>

@@ -31,9 +31,12 @@
 // Gates: every mode, replica count and pass gives the same prediction
 // digest (FNV-1a over the IEEE-754 bits of every detector sum in submit
 // order; scripts/check.sh also compares it across ODONN_THREADS and with
-// `odonn_cli serve`); the best batched mode beats the naive loop; and
-// replicas=2 saturation beats replicas=1 (self-skipped with a logged reason
-// below 4 hardware threads, same rule as bench/table_parallel).
+// `odonn_cli serve`); the best batched mode beats the naive loop; every
+// replica of a closed-loop cluster of R >= 2 replicas serves at least
+// 1/(2R) of that cluster's requests (a count, so it runs at any thread
+// count); and replicas=2 saturation beats replicas=1 (self-skipped with a
+// logged reason below 4 hardware threads, same rule as
+// bench/table_parallel).
 //
 // Every cluster row embeds "stats": the ServeCluster::stats() body that
 // GET /snapshot serves (serve::cluster_snapshot_json), whose percentiles
@@ -247,6 +250,11 @@ int run(int argc, char** argv) {
   }
   std::vector<double> rps(modes.size());
   std::string closed_json;
+  // Placement: the replica that served the lowest share of its cluster's
+  // requests relative to its bound 1/(2R), over the clusters with R >= 2.
+  double lowest_share = 0.0;
+  double lowest_bound = 1.0;
+  std::string lowest_at;
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const ClosedMode& mode = modes[i];
     rps[i] = percentile_nearest_rank(rates[i], 0.5);
@@ -255,6 +263,18 @@ int run(int argc, char** argv) {
     if (print_text) std::printf("%-13s | %12.1f", mode.label.c_str(), rps[i]);
     if (mode.cluster != nullptr) {
       const auto stats = mode.cluster->stats();
+      const std::size_t replicas = stats.replicas.size();
+      const double bound = 0.5 / static_cast<double>(replicas);
+      for (std::size_t r = 0; replicas >= 2 && r < replicas; ++r) {
+        const double share = static_cast<double>(stats.replicas[r].requests) /
+                             static_cast<double>(stats.requests);
+        if (lowest_at.empty() ||
+            share / bound < lowest_share / lowest_bound) {
+          lowest_share = share;
+          lowest_bound = bound;
+          lowest_at = mode.label + " replica " + std::to_string(r);
+        }
+      }
       closed_json += ", \"stats\": " + serve::cluster_snapshot_json(stats);
       if (print_text) {
         std::printf(" | %8.3f | %8.3f | %8.3f | %10.1f", stats.p50_ms,
@@ -275,6 +295,16 @@ int run(int argc, char** argv) {
       "predictions bitwise identical across modes, replica counts and "
       "passes");
 
+  char label[160];
+  if (!lowest_at.empty()) {
+    std::snprintf(label, sizeof(label),
+                  "every replica serves >= 1/(2R) of its cluster's requests "
+                  "(lowest: %.1f%% at %s, bound %.1f%%)",
+                  100.0 * lowest_share, lowest_at.c_str(),
+                  100.0 * lowest_bound);
+    failures += !bench::shape_check(lowest_share >= lowest_bound, label);
+  }
+
   // Batching: the naive loop and every window run the same per-sample
   // frame runner, so what a window adds is the shared modulation-table
   // snapshot and workspace (detector_sums rebuilds exp(i*phi) and its
@@ -283,7 +313,6 @@ int run(int argc, char** argv) {
   const auto best =
       std::max_element(rps.begin() + 1, rps.begin() + first_cluster);
   const double batched_speedup = rps.front() > 0.0 ? *best / rps.front() : 0.0;
-  char label[160];
   std::snprintf(label, sizeof(label),
                 "best batched > naive loop (%.2fx: %.1f rps at b=%zu vs "
                 "%.1f rps)",

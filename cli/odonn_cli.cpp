@@ -16,12 +16,12 @@
 //   serve  Load checkpoints into a ModelRegistry and push traffic through
 //          a ServeCluster (replicas= continuously-batched InferenceEngine
 //          replicas behind one submit facade), or enumerate the registered
-//          variants. queue_depth= bounds each replica's admission queue and
-//          backpressure=reject|block picks what a full queue does; results
-//          are bitwise independent of replicas= and routing=.
+//          variants. Each request goes to the replica with the shortest
+//          queue; queue_depth= bounds each replica's admission queue, and a
+//          request that finds it full fails with an overload error. Results
+//          are bitwise independent of replicas=.
 //            odonn_cli serve model=models/pipeline-smoothed.odnn samples=256
 //            odonn_cli serve model=m.odnn replicas=4 queue_depth=256
-//            odonn_cli serve model=m.odnn routing=hash backpressure=block
 //            odonn_cli serve model=a.odnn,b.odnn action=list
 //   robust Monte-Carlo fabrication-variability evaluation (src/fab): R
 //          perturbed realizations per model variant, common random numbers
@@ -183,9 +183,9 @@ void print_usage() {
       "  serve  model=PATH[,PATH...] action=bench|list grid=32 layers=\n"
       "         detector= samples=256\n"
       "         batch=64 seed=7 snapshot_s=0.5 format=text|json|both\n"
-      "         replicas=1 routing=least-loaded|hash queue_depth=65536\n"
-      "         backpressure=reject|block continuous=0|1 (default 1: admit\n"
-      "         into the next batch the moment the kernel frees up)\n"
+      "         replicas=1 queue_depth=65536 (a full queue rejects the\n"
+      "         request) continuous=0|1 (default 1: admit into the next\n"
+      "         batch the moment the kernel frees up)\n"
       "         http_port=0|PORT (observability HTTP plane; 0 = ephemeral)\n"
       "         http_wait_s=S (stay scrapable S seconds after the bench,\n"
       "         or until GET /quitquitquit) snapshot_file=PATH (JSONL\n"
@@ -439,9 +439,8 @@ int cmd_table(const Config& cfg) {
 int cmd_serve(const Config& cfg) {
   cfg.strict({"model", "grid", "layers", "detector", "samples", "batch",
               "seed", "format", "action", "metrics", "trace", "trace_stream",
-              "snapshot_s", "snapshot_file", "replicas", "routing",
-              "queue_depth", "backpressure", "continuous", "http_port",
-              "http_wait_s"});
+              "snapshot_s", "snapshot_file", "replicas", "queue_depth",
+              "continuous", "http_port", "http_wait_s"});
   const auto format = bench::parse_format(cfg);
   const bool print_text = format != bench::OutputFormat::Json;
   const std::string action =
@@ -454,14 +453,10 @@ int cmd_serve(const Config& cfg) {
     throw ConfigError("serve: replicas must be in [1, 256]");
   }
   const std::size_t replicas = static_cast<std::size_t>(replicas_arg);
-  const std::string routing =
-      cfg.get_enum("routing", "least-loaded", {"least-loaded", "hash"});
   const long queue_depth = cfg.get_int("queue_depth", 1 << 16);
   if (queue_depth < 1) {
     throw ConfigError("serve: queue_depth must be >= 1");
   }
-  const std::string backpressure =
-      cfg.get_enum("backpressure", "reject", {"reject", "block"});
 
   // http_port=PORT starts the observability HTTP plane for the run (0 =
   // ephemeral, resolved port is logged and reported in the JSON record).
@@ -545,14 +540,9 @@ int cmd_serve(const Config& cfg) {
 
   serve::ClusterOptions cluster_options;
   cluster_options.replicas = replicas;
-  cluster_options.routing = routing == "hash" ? serve::Routing::Hash
-                                              : serve::Routing::LeastLoaded;
   cluster_options.continuous = cfg.get_bool("continuous", true);
   cluster_options.engine.max_batch = batch;
   cluster_options.engine.max_queue = static_cast<std::size_t>(queue_depth);
-  cluster_options.engine.backpressure = backpressure == "block"
-                                            ? serve::Backpressure::Block
-                                            : serve::Backpressure::Reject;
   serve::ServeCluster cluster(registry, cluster_options);
 
   // snapshot_s=SECONDS: a background thread logs a cluster snapshot at
@@ -671,11 +661,9 @@ int cmd_serve(const Config& cfg) {
     std::printf("=== odonn_cli serve ===\n");
     std::printf(
         "models=%zu grid=%zu samples=%zu batch=%zu replicas=%zu "
-        "routing=%s continuous=%d queue_depth=%ld backpressure=%s "
-        "threads=%zu\n\n",
-        names.size(), grid, samples, batch, replicas, routing.c_str(),
-        cluster_options.continuous ? 1 : 0, queue_depth,
-        backpressure.c_str(), thread_count());
+        "continuous=%d queue_depth=%ld threads=%zu\n\n",
+        names.size(), grid, samples, batch, replicas,
+        cluster_options.continuous ? 1 : 0, queue_depth, thread_count());
     std::printf("%-24s | %12s | %8s | %8s | %10s\n", "model", "samples/sec",
                 "p50 ms", "p99 ms", "mean batch");
   }
@@ -683,7 +671,6 @@ int cmd_serve(const Config& cfg) {
                      std::to_string(grid) +
                      ", \"samples\": " + std::to_string(samples) +
                      ", \"replicas\": " + std::to_string(replicas) +
-                     ", \"routing\": " + bench::json_quote(routing) +
                      ", \"continuous\": " +
                      (cluster_options.continuous ? "true" : "false") +
                      ", \"threads\": " + std::to_string(thread_count());

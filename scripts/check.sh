@@ -8,10 +8,11 @@
 # A/B bench, the observability exports (metrics-on rows bitwise identical
 # to plain), the serve cluster (cluster-vs-single-engine prediction digest
 # equality across ODONN_THREADS and against odonn_cli serve, odonn_cli
-# serve at the mixed-radix grids 20 and 18 across ODONN_THREADS, and its
-# typed rejection of grid 22), and the observability HTTP plane (scrape a
-# live serve run, then prove digests identical with the plane on vs off)
-# — the single entry point CI and humans run before merging. The whole
+# serve at the mixed-radix grids 20 and 18 across ODONN_THREADS, its typed
+# rejection of grid 22 and of the removed routing=/backpressure= keys, and
+# its overload error on a full queue), and the observability HTTP plane
+# (scrape a live serve run, then prove digests identical with the plane on
+# vs off) — the single entry point CI and humans run before merging. The whole
 # tree (library, tests, benches, examples, cli, tools) compiles with
 # -Wall -Wextra -Werror (set in CMakeLists.txt), so any warning anywhere
 # fails this script at the build step.
@@ -327,11 +328,12 @@ ODONN_THREADS=4 ./table_parallel bench.scale=smoke format=text ||
 # Serve-cluster smoke: the load bench digests every response's detector
 # sums (FNV-1a over the IEEE-754 bits, in submit order); that digest must
 # be identical between a single-threaded single engine and a 4-thread
-# 2-replica cluster — replication, routing and thread count move requests,
-# never bits. The replicas=2 JSON record is kept for CI upload
+# 2-replica cluster — replication and thread count move requests, never
+# bits. The replicas=2 JSON record is kept for CI upload
 # (build/serve_artifacts/), alongside the bench's own shape checks: one
-# digest across every mode, replica count and pass, best batched > naive
-# loop, and replicas=2 > replicas=1.
+# digest across every mode, replica count and pass, every replica of the
+# 2-replica cluster serving at least a quarter of its requests, best
+# batched > naive loop, and replicas=2 > replicas=1.
 serve_smoke() {  # $1=threads $2=replicas
   ODONN_THREADS="$1" ./serve_load grid=16 requests=64 replicas="$2" \
     format=json ||
@@ -401,6 +403,19 @@ echo "serve smoke: grid=20 and grid=18 (mixed radix) digests identical at" \
 expect_error "serve smoke: odonn_cli serve grid=22" "error: config:" \
   ./odonn_cli serve grid=22 samples=8
 echo "serve smoke: grid=22 (prime factor 11) exits 1 with a ConfigError"
+# Serve has one admission policy: a request that finds its replica's queue
+# full fails with a typed OverloadError. A 64-request burst against a
+# 4-deep queue must end serve with exit 1 and "error: overload:". Serve
+# routes by queue length only and never parks a submitter, so routing= and
+# backpressure= are unknown keys.
+expect_error "serve smoke: odonn_cli serve queue_depth=4" "error: overload:" \
+  ./odonn_cli serve grid=16 samples=64 queue_depth=4
+for key in routing=hash backpressure=block; do
+  expect_error "serve smoke: odonn_cli serve $key" "error: config:" \
+    ./odonn_cli serve "$key"
+done
+echo "serve smoke: a full queue exits 1 with an OverloadError;" \
+     "routing= and backpressure= exit 1 with a ConfigError"
 # An empty sweep must end serve_load with a typed error (exit 1, "error:"
 # on stderr), never an abort; the mains smoke above covers its bad keys.
 expect_error "serve smoke: serve_load requests=0" "error:" \

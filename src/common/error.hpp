@@ -40,10 +40,9 @@ class NumericsError : public Error {
   explicit NumericsError(const std::string& what) : Error("numerics: " + what) {}
 };
 
-/// Admission-control rejection: the serving queue is at its depth bound and
-/// the backpressure policy is reject. Retryable by the caller — the typed
-/// class lets load generators and clients distinguish overload from real
-/// failures.
+/// Admission-control rejection: the serving queue is at its depth bound.
+/// Retryable by the caller — the typed class lets load generators and
+/// clients distinguish overload from real failures.
 class OverloadError : public Error {
  public:
   explicit OverloadError(const std::string& what)

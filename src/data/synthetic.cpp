@@ -14,6 +14,15 @@ namespace {
 
 constexpr double kPi = M_PI;
 
+// Glyph side (the paper's datasets are 28x28), then each sample's jitter
+// and noise.
+constexpr std::size_t kImageSize = 28;
+constexpr double kNoiseSigma = 0.03;       ///< additive Gaussian pixel noise
+constexpr double kMaxShift = 0.08;         ///< translation jitter (fraction)
+constexpr double kMaxRotate = 0.22;        ///< rotation jitter [rad]
+constexpr double kScaleJitter = 0.12;      ///< multiplicative scale jitter
+constexpr double kThicknessJitter = 0.35;  ///< stroke thickness jitter
+
 /// Point in glyph coordinates: the unit square [0,1]^2, origin top-left.
 struct Pt {
   double x;
@@ -410,21 +419,18 @@ const char* family_name(SyntheticFamily family) {
   return "?";
 }
 
-MatrixD render_glyph(SyntheticFamily family, std::size_t cls, Rng& rng,
-                     const SyntheticOptions& options) {
+MatrixD render_glyph(SyntheticFamily family, std::size_t cls, Rng& rng) {
   ODONN_CHECK(cls < 10, "render_glyph: class must be 0-9");
-  ODONN_CHECK(options.image_size >= 12, "render_glyph: image too small");
 
   Jitter jit;
-  jit.angle = rng.uniform(-options.max_rotate, options.max_rotate);
-  jit.scale = 1.0 + rng.uniform(-options.scale_jitter, options.scale_jitter);
-  jit.dx = rng.uniform(-options.max_shift, options.max_shift);
-  jit.dy = rng.uniform(-options.max_shift, options.max_shift);
-  jit.thickness =
-      1.0 + rng.uniform(-options.thickness_jitter, options.thickness_jitter);
+  jit.angle = rng.uniform(-kMaxRotate, kMaxRotate);
+  jit.scale = 1.0 + rng.uniform(-kScaleJitter, kScaleJitter);
+  jit.dx = rng.uniform(-kMaxShift, kMaxShift);
+  jit.dy = rng.uniform(-kMaxShift, kMaxShift);
+  jit.thickness = 1.0 + rng.uniform(-kThicknessJitter, kThicknessJitter);
 
   const double th = 0.055 * jit.thickness * jit.scale;
-  Canvas canvas(options.image_size);
+  Canvas canvas(kImageSize);
   switch (family) {
     case SyntheticFamily::Digits: draw_digit(canvas, cls, jit, th); break;
     case SyntheticFamily::Fashion: draw_fashion(canvas, cls, jit, th); break;
@@ -433,17 +439,14 @@ MatrixD render_glyph(SyntheticFamily family, std::size_t cls, Rng& rng,
   }
 
   MatrixD image = canvas.take();
-  if (options.noise_sigma > 0.0) {
-    for (std::size_t i = 0; i < image.size(); ++i) {
-      image[i] = std::clamp(image[i] + rng.normal(0.0, options.noise_sigma),
-                            0.0, 1.0);
-    }
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = std::clamp(image[i] + rng.normal(0.0, kNoiseSigma), 0.0, 1.0);
   }
   return image;
 }
 
 Dataset make_synthetic(SyntheticFamily family, std::size_t count,
-                       std::uint64_t seed, const SyntheticOptions& options) {
+                       std::uint64_t seed) {
   ODONN_CHECK(count >= 1, "make_synthetic: count must be >= 1");
   Rng rng(seed);
   std::vector<std::size_t> labels(count);
@@ -453,7 +456,7 @@ Dataset make_synthetic(SyntheticFamily family, std::size_t count,
   std::vector<MatrixD> images;
   images.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    images.push_back(render_glyph(family, labels[i], rng, options));
+    images.push_back(render_glyph(family, labels[i], rng));
   }
   return Dataset(std::move(images), std::move(labels), 10);
 }

@@ -28,21 +28,11 @@ enum class SyntheticFamily { Digits, Fashion, Kana, Letters };
 SyntheticFamily parse_family(const std::string& name);
 const char* family_name(SyntheticFamily family);
 
-struct SyntheticOptions {
-  std::size_t image_size = 28;
-  double noise_sigma = 0.03;       ///< additive Gaussian pixel noise
-  double max_shift = 0.08;         ///< translation jitter (fraction of size)
-  double max_rotate = 0.22;        ///< rotation jitter [rad]
-  double scale_jitter = 0.12;      ///< multiplicative scale jitter
-  double thickness_jitter = 0.35;  ///< stroke thickness jitter (fraction)
-};
-
-/// Renders a single jittered glyph for class `cls` (0-9).
-MatrixD render_glyph(SyntheticFamily family, std::size_t cls, Rng& rng,
-                     const SyntheticOptions& options = {});
+/// Renders a single jittered 28x28 glyph for class `cls` (0-9).
+MatrixD render_glyph(SyntheticFamily family, std::size_t cls, Rng& rng);
 
 /// Builds a class-balanced dataset of `count` samples (labels shuffled).
 Dataset make_synthetic(SyntheticFamily family, std::size_t count,
-                       std::uint64_t seed, const SyntheticOptions& options = {});
+                       std::uint64_t seed);
 
 }  // namespace odonn::data

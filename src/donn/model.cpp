@@ -220,11 +220,6 @@ std::vector<double> DonnModel::detector_sums(const optics::Field& input) const {
   return readout(workspace);
 }
 
-std::size_t DonnModel::predict(const optics::Field& input) const {
-  Workspace workspace;
-  return predict(input, modulation_tables(), workspace);
-}
-
 std::size_t DonnModel::predict(const optics::Field& input,
                                const std::vector<MatrixC>& modulations,
                                Workspace& workspace) const {

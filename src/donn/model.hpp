@@ -14,10 +14,11 @@
 // Every entry point — propagate_through, detector_sums, predict,
 // infer_batch, detector_sums_batch and forward_backward — runs one private
 // stack runner that works in place on a DonnModel::Workspace, multiplying by
-// precomputed modulation tables w = exp(i*phi) (modulation_tables()). The
-// one-sample convenience overloads build the tables and a workspace per
-// call; hot loops (infer_batch per chunk, the trainer per batch and slot,
-// evaluate_accuracy per call and chunk) build them once and reuse them, so
+// precomputed modulation tables w = exp(i*phi) (modulation_tables()).
+// propagate_through, detector_sums and the convenience forward_backward
+// build the tables and a workspace per call; predict and hot loops
+// (infer_batch per chunk, the trainer per batch and slot, evaluate_accuracy
+// per call and chunk) take them from the caller and reuse them, so
 // steady-state propagation allocates no field and evaluates no cos/sin.
 // Since every caller runs the same arithmetic, predictions, detector sums
 // and gradients are bitwise identical however they are reached
@@ -177,9 +178,6 @@ class DonnModel {
   /// Raw per-class scores (region intensity sums in Standard mode, signed
   /// +/- pair differences in Differential mode).
   std::vector<double> detector_sums(const optics::Field& input) const;
-
-  /// argmax class.
-  std::size_t predict(const optics::Field& input) const;
 
   /// argmax class, through the caller's tables (this model's
   /// modulation_tables()) and workspace.

@@ -7,10 +7,15 @@
 #include "common/error.hpp"
 #include "data/transform.hpp"
 #include "donn/discrete.hpp"
+#include "optics/fabrication.hpp"
 
 namespace odonn::fab {
 
 namespace {
+
+/// The printed material that SurfaceRoughness and WavelengthDetune convert
+/// phase to relief thickness and back with.
+constexpr optics::MaterialSpec kMaterial{};
 
 std::string format_double(double value) {
   char buf[32];
@@ -176,13 +181,13 @@ void SurfaceRoughness::apply(FabricatedDevice& device, Rng& rng) const {
     // back. The conversions are linear, so the injected phase RMS is
     // exactly 2*pi * sigma / zone_height.
     MatrixD thickness =
-        optics::phase_to_thickness(phase, options_.material, /*wrap=*/false);
+        optics::phase_to_thickness(phase, kMaterial, /*wrap=*/false);
     const MatrixD field = gaussian_random_field(
         phase.rows(), phase.cols(), options_.correlation_px, rng);
     for (std::size_t i = 0; i < thickness.size(); ++i) {
       thickness[i] += sigma_m * field[i];
     }
-    phase = optics::thickness_to_phase(thickness, options_.material);
+    phase = optics::thickness_to_phase(thickness, kMaterial);
   }
 }
 
@@ -263,11 +268,11 @@ void WavelengthDetune::apply(FabricatedDevice& device, Rng& rng) const {
   const double delta =
       std::clamp(rng.normal(0.0, options_.sigma_rel), -0.5, 0.5);
   if (delta == 0.0) return;
-  optics::MaterialSpec detuned = options_.material;
-  detuned.wavelength = options_.material.wavelength * (1.0 + delta);
+  optics::MaterialSpec detuned = kMaterial;
+  detuned.wavelength = kMaterial.wavelength * (1.0 + delta);
   for (auto& phase : device.phases) {
     const MatrixD thickness =
-        optics::phase_to_thickness(phase, options_.material, /*wrap=*/false);
+        optics::phase_to_thickness(phase, kMaterial, /*wrap=*/false);
     phase = optics::thickness_to_phase(thickness, detuned);
   }
 }

@@ -39,7 +39,6 @@
 #include "common/rng.hpp"
 #include "donn/crosstalk.hpp"
 #include "donn/model.hpp"
-#include "optics/fabrication.hpp"
 #include "tensor/matrix.hpp"
 
 namespace odonn::fab {
@@ -123,7 +122,6 @@ struct SurfaceRoughnessOptions {
                                 ///< for per-layer severity in multi-layer
                                 ///< stacks; draws occur only for the
                                 ///< targeted layer
-  optics::MaterialSpec material = {};
 };
 
 /// Correlated surface-roughness field: phase -> thickness (unwrapped relief,
@@ -179,7 +177,6 @@ class LateralMisalignment final : public PerturbationModel {
 
 struct WavelengthDetuneOptions {
   double sigma_rel = 0.002;  ///< relative wavelength error stddev
-  optics::MaterialSpec material = {};
 };
 
 /// Source-wavelength detuning: one draw per device (all layers share the

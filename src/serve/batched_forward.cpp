@@ -18,11 +18,4 @@ BatchedForward::Result BatchedForward::run(
   return result;
 }
 
-std::vector<std::size_t> BatchedForward::predict(
-    const std::vector<optics::Field>& inputs) const {
-  std::vector<std::size_t> predictions;
-  model_->infer_batch(inputs, modulations_, &predictions, nullptr, nullptr);
-  return predictions;
-}
-
 }  // namespace odonn::serve

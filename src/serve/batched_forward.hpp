@@ -11,8 +11,8 @@
 // fixed artifacts evaluated under many inputs) are exactly this read-only
 // shape.
 //
-// Thread safety: immutable after construction; run()/predict() may be
-// called concurrently from any number of threads. Results are
+// Thread safety: immutable after construction; run() may be called
+// concurrently from any number of threads. Results are
 // bitwise-identical to DonnModel's single-sample path.
 #pragma once
 
@@ -41,10 +41,6 @@ class BatchedForward {
 
   /// Evaluates the whole batch; result vectors are indexed like `inputs`.
   Result run(const std::vector<optics::Field>& inputs) const;
-
-  /// Predictions only (skips materializing per-class sums).
-  std::vector<std::size_t> predict(
-      const std::vector<optics::Field>& inputs) const;
 
  private:
   std::shared_ptr<const donn::DonnModel> model_;

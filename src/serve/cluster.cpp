@@ -10,21 +10,6 @@
 
 namespace odonn::serve {
 
-namespace {
-
-/// FNV-1a over the model name bytes — the routing hash. Stable across
-/// processes and platforms so request placement is reproducible.
-std::uint64_t name_hash(const std::string& name) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : name) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-}  // namespace
-
 ServeCluster::ServeCluster(std::shared_ptr<ModelRegistry> registry,
                            ClusterOptions options)
     : options_(std::move(options)) {
@@ -54,14 +39,10 @@ ServeCluster::ServeCluster(std::shared_ptr<ModelRegistry> registry,
 
 ServeCluster::~ServeCluster() { shutdown(); }
 
-std::size_t ServeCluster::route(const std::string& model_name) const {
+std::size_t ServeCluster::route() const {
   if (replicas_.size() == 1) return 0;
-  if (options_.routing == Routing::Hash) {
-    return static_cast<std::size_t>(name_hash(model_name) % replicas_.size());
-  }
-  // Least-loaded: shortest queue wins, ties to the lowest index. The read
-  // is racy across replicas by design — placement only moves load, never
-  // results.
+  // The read is racy across replicas by design — placement only moves
+  // load, never results.
   std::size_t best = 0;
   std::size_t best_depth = replicas_[0]->pending();
   for (std::size_t i = 1; i < replicas_.size(); ++i) {
@@ -76,7 +57,7 @@ std::size_t ServeCluster::route(const std::string& model_name) const {
 
 std::future<PredictResult> ServeCluster::submit(const std::string& model_name,
                                                 optics::Field input) {
-  return replicas_[route(model_name)]->submit(model_name, std::move(input));
+  return replicas_[route()]->submit(model_name, std::move(input));
 }
 
 void ServeCluster::shutdown() {
@@ -87,13 +68,6 @@ std::size_t ServeCluster::pending() const {
   std::size_t total = 0;
   for (const auto& replica : replicas_) total += replica->pending();
   return total;
-}
-
-std::vector<std::size_t> ServeCluster::replica_pending() const {
-  std::vector<std::size_t> depths;
-  depths.reserve(replicas_.size());
-  for (const auto& replica : replicas_) depths.push_back(replica->pending());
-  return depths;
 }
 
 std::uint64_t ServeCluster::admitted() const {

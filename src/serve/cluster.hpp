@@ -11,20 +11,15 @@
 // "replica0", "replica1", ... and register serve.replicaK.* obs
 // instruments.
 //
-// Routing:
-//   * LeastLoaded (default): the replica with the shortest queue takes the
-//     request (ties break to the lowest index). Best for uniform traffic.
-//   * Hash: FNV-1a of the model name picks the replica — model-affinity
-//     routing, so each replica's plan cache only ever holds its share of
-//     the published models (cuts modulation-table residency R-fold when
-//     many variants are served).
-// Routing never changes results: predictions are bitwise identical to the
-// single-engine path for the same inputs, whichever replica serves them.
+// Each request goes to the least-loaded replica: the one with the shortest
+// queue, ties to the lowest index. Placement never changes results:
+// predictions are bitwise identical to the single-engine path for the same
+// inputs, whichever replica serves them.
 //
-// Admission control and backpressure are per replica (bounded queue depth,
-// reject-with-OverloadError or block, from EngineOptions); the cluster
-// exposes the summed admitted/rejected counts. shutdown() is a graceful
-// drain: every admitted future resolves before it returns.
+// Admission control is per replica (EngineOptions::max_queue bounds each
+// queue, and a submit routed to a full one throws OverloadError); the
+// cluster exposes the summed admitted/rejected counts. shutdown() is a
+// graceful drain: every admitted future resolves before it returns.
 //
 // Thread safety: submit()/stats()/pending() are safe from any thread.
 #pragma once
@@ -41,15 +36,8 @@
 
 namespace odonn::serve {
 
-/// How the cluster picks a replica for each request.
-enum class Routing {
-  LeastLoaded,  ///< shortest queue wins, ties to the lowest index
-  Hash,         ///< FNV-1a(model name) — model-affinity routing
-};
-
 struct ClusterOptions {
   std::size_t replicas = 2;
-  Routing routing = Routing::LeastLoaded;
   /// Continuous (in-flight) batching on every replica — the default and
   /// the point of replication; false falls back to window batching (an
   /// A/B the load bench can drive).
@@ -71,8 +59,8 @@ class ServeCluster {
   ServeCluster& operator=(const ServeCluster&) = delete;
 
   /// Same contract as InferenceEngine::submit — the future resolves to the
-  /// prediction or to the typed error (unknown model, grid mismatch,
-  /// OverloadError under Reject backpressure at the routed replica).
+  /// prediction or to the typed error (unknown model, grid mismatch);
+  /// throws OverloadError when the routed replica's queue is full.
   std::future<PredictResult> submit(const std::string& model_name,
                                     optics::Field input);
 
@@ -85,9 +73,6 @@ class ServeCluster {
 
   /// Queued-but-not-yet-batched requests, summed over replicas.
   std::size_t pending() const;
-
-  /// Per-replica queue depths (index = replica).
-  std::vector<std::size_t> replica_pending() const;
 
   std::uint64_t admitted() const;
   std::uint64_t rejected() const;
@@ -128,13 +113,8 @@ class ServeCluster {
   /// Clears every replica's counters and latency windows.
   void reset_stats();
 
-  /// Direct access for tests and snapshot printers.
-  const InferenceEngine& replica(std::size_t index) const {
-    return *replicas_.at(index);
-  }
-
  private:
-  std::size_t route(const std::string& model_name) const;
+  std::size_t route() const;
 
   ClusterOptions options_;
   std::vector<std::unique_ptr<InferenceEngine>> replicas_;

@@ -70,20 +70,12 @@ std::future<PredictResult> InferenceEngine::submit(
     MutexLock lock(mutex_);
     if (stopping_) throw Error("engine: submit after shutdown");
     if (queue_.size() >= options_.max_queue) {
-      if (options_.backpressure == Backpressure::Reject) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        ODONN_OBS_COUNT("serve.rejected", 1);
-        if (labelled_.rejected != nullptr) labelled_.rejected->add(1);
-        throw OverloadError(
-            "engine: request queue full (depth " +
-            std::to_string(options_.max_queue) +
-            "); retry later or switch backpressure to block");
-      }
-      // Block: park until the drain thread frees a slot (or shutdown).
-      space_cv_.wait(mutex_, [this]() ODONN_REQUIRES(mutex_) {
-        return stopping_ || queue_.size() < options_.max_queue;
-      });
-      if (stopping_) throw Error("engine: submit after shutdown");
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      ODONN_OBS_COUNT("serve.rejected", 1);
+      if (labelled_.rejected != nullptr) labelled_.rejected->add(1);
+      throw OverloadError("engine: request queue full (depth " +
+                          std::to_string(options_.max_queue) +
+                          "); retry later or raise the queue depth");
     }
     queue_.push_back(std::move(request));
     admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -101,7 +93,6 @@ void InferenceEngine::shutdown() {
     stopping_ = true;
   }
   cv_.notify_all();
-  space_cv_.notify_all();
   if (worker_.joinable()) worker_.join();
 }
 
@@ -151,8 +142,6 @@ void InferenceEngine::drain_loop() {
       }
       note_queue_depth(queue_.size());
     }
-    // Slots freed: wake submitters parked on Backpressure::Block.
-    space_cv_.notify_all();
 
     // One dequeue stamp for the whole batch: every member left the queue
     // at the same drain, and a single clock read keeps attribution cheap.

@@ -21,14 +21,12 @@
 //     batch k+1. This is the in-flight batching discipline a replicated
 //     serve cluster uses: the kernel never idles while work is queued.
 //
-// Admission control: the queue is bounded at `max_queue`. When full,
-// `backpressure` picks the policy — Reject throws a typed OverloadError
-// (retryable overload, distinguishable from real failures) and counts the
-// rejection; Block parks the submitter until the drain thread frees a slot.
+// Admission control: the queue is bounded at `max_queue`. A submit that
+// finds it full throws a typed OverloadError (retryable overload,
+// distinguishable from real failures) and counts the rejection.
 //
 // Shutdown is a graceful drain: every ADMITTED request's future resolves
-// before the worker exits; submissions after shutdown() (and submitters
-// still blocked on backpressure at shutdown) throw.
+// before the worker exits; submissions after shutdown() throw.
 //
 // Failures stay per request: an unknown model, a malformed input or a
 // throwing forward pass fails the affected futures, and any other throw
@@ -73,12 +71,6 @@ class Histogram;
 
 namespace odonn::serve {
 
-/// What submit() does when the request queue sits at max_queue.
-enum class Backpressure {
-  Reject,  ///< throw OverloadError (and count the rejection)
-  Block,   ///< park the submitter until the drain thread frees a slot
-};
-
 struct EngineOptions {
   /// Largest batch handed to one BatchedForward call.
   std::size_t max_batch = 64;
@@ -86,14 +78,13 @@ struct EngineOptions {
   /// running it anyway. Zero serves whatever is queued immediately.
   /// Ignored in continuous mode.
   std::chrono::microseconds batch_window{200};
-  /// Admission bound: the deepest the request queue may grow.
+  /// Admission bound: the deepest the request queue may grow. A submit
+  /// that finds it full throws OverloadError.
   std::size_t max_queue = 1 << 16;
   /// Continuous (in-flight) batching: admit queued requests into the next
   /// batch the moment the kernel frees up instead of waiting out
   /// batch_window.
   bool continuous = false;
-  /// Policy when the queue is at max_queue.
-  Backpressure backpressure = Backpressure::Reject;
   /// Inner parallelism budget for batch evaluation (pool workers a batch's
   /// parallel_for may fan out to). 0 = unrestricted. Cluster replicas pin
   /// this to their share of the pool.
@@ -141,14 +132,13 @@ class InferenceEngine {
 
   /// Enqueues one sample against the named registry model. The future
   /// resolves to the prediction, or to an exception (unknown model, grid
-  /// mismatch). Throws OverloadError when the queue is at max_queue under
-  /// Backpressure::Reject, Error when the engine is shut down.
+  /// mismatch). Throws OverloadError when the queue is at max_queue, Error
+  /// when the engine is shut down.
   std::future<PredictResult> submit(const std::string& model_name,
                                     optics::Field input);
 
   /// Drains all queued requests, then stops the worker. Idempotent; called
-  /// by the destructor. Submitters blocked on backpressure are woken and
-  /// throw.
+  /// by the destructor.
   void shutdown();
 
   /// Requests queued but not yet drained into a batch.
@@ -212,8 +202,7 @@ class InferenceEngine {
   LabelledMetrics labelled_;
 
   mutable Mutex mutex_;
-  CondVar cv_;        ///< work available / stopping
-  CondVar space_cv_;  ///< queue slot freed (Block mode)
+  CondVar cv_;  ///< work available / stopping
   std::deque<Request> queue_ ODONN_GUARDED_BY(mutex_);
   bool stopping_ ODONN_GUARDED_BY(mutex_) = false;
 

@@ -87,13 +87,13 @@ TEST_P(Families, ImagesAreNormalizedAndNonTrivial) {
 }
 
 TEST_P(Families, IntraClassVariationExists) {
-  // Two samples of the same class must differ (jitter), but share structure.
-  SyntheticOptions opt;
-  opt.noise_sigma = 0.0;
+  // Two samples of the same class must differ by their jitter: strokes move
+  // by whole pixels (a difference near 1.0), while the pixel noise alone
+  // moves no pixel by much more than 0.14.
   Rng rng(11);
-  const MatrixD a = render_glyph(GetParam(), 3, rng, opt);
-  const MatrixD b = render_glyph(GetParam(), 3, rng, opt);
-  EXPECT_GT(max_abs_diff(a, b), 0.1);
+  const MatrixD a = render_glyph(GetParam(), 3, rng);
+  const MatrixD b = render_glyph(GetParam(), 3, rng);
+  EXPECT_GT(max_abs_diff(a, b), 0.5);
 }
 
 TEST_P(Families, ClassesAreSeparableByTemplateCorrelation) {
@@ -141,12 +141,26 @@ INSTANTIATE_TEST_SUITE_P(All, Families,
                                            SyntheticFamily::Letters));
 
 TEST(Synthetic, FamiliesAreDistinct) {
-  SyntheticOptions opt;
-  opt.noise_sigma = 0.0;
   Rng r1(5), r2(5);
-  const MatrixD digit = render_glyph(SyntheticFamily::Digits, 0, r1, opt);
-  const MatrixD fashion = render_glyph(SyntheticFamily::Fashion, 0, r2, opt);
+  const MatrixD digit = render_glyph(SyntheticFamily::Digits, 0, r1);
+  const MatrixD fashion = render_glyph(SyntheticFamily::Fashion, 0, r2);
   EXPECT_GT(max_abs_diff(digit, fashion), 0.5);
+}
+
+// The pin below holds the generators' bits: a change to any draw, the
+// order the stream is consumed in or a glyph's arithmetic moves it.
+TEST(Synthetic, BitsArePinned) {
+  std::uint64_t digest = kFnv1aBasis;
+  for (const SyntheticFamily family :
+       {SyntheticFamily::Digits, SyntheticFamily::Fashion,
+        SyntheticFamily::Kana, SyntheticFamily::Letters}) {
+    const auto ds = make_synthetic(family, 20, 3);
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+      digest = fnv1a_mix(digest, static_cast<double>(ds.label(i)));
+      for (const double v : ds.image(i)) digest = fnv1a_mix(digest, v);
+    }
+  }
+  EXPECT_EQ(digest, 0xedddd929076eb34cULL) << std::hex << digest;
 }
 
 TEST(Synthetic, ParseFamilyAcceptsPaperNames) {

@@ -507,9 +507,8 @@ TEST_P(StackRunner, ReusedWorkspaceMatchesFreshOneBitForBit) {
 }
 
 TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
-  // infer_batch, detector_sums, predict (both overloads) and
-  // propagate_through run the same runner; evaluate_accuracy counts the
-  // same predictions.
+  // infer_batch, detector_sums, predict and propagate_through run the same
+  // runner; evaluate_accuracy counts the same predictions.
   const StackCase c = GetParam();
   const DonnModel model = stack_model(c, 43);
   const std::vector<optics::Field> inputs = stack_inputs(model, 8, 400);
@@ -526,7 +525,6 @@ TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
     ASSERT_EQ(sums[k].size(), single.size());
     EXPECT_TRUE(same_bits(sums[k].data(), single.data(), single.size()))
         << c.name << " sample " << k;
-    EXPECT_EQ(predictions[k], model.predict(inputs[k]));
     EXPECT_EQ(predictions[k], model.predict(inputs[k], modulations, workspace));
     const MatrixD through = model.propagate_through(inputs[k]).intensity();
     ASSERT_EQ(through.size(), intensities[k].size());
@@ -549,7 +547,9 @@ TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
   for (std::size_t i = 0; i < test.size(); ++i) {
     const optics::Field input =
         optics::encode_image(test.image(i), model.config().grid);
-    if (model.predict(input) == test.label(i)) ++correct;
+    if (model.predict(input, modulations, workspace) == test.label(i)) {
+      ++correct;
+    }
   }
   EXPECT_EQ(train::evaluate_accuracy(model, test),
             static_cast<double>(correct) / static_cast<double>(test.size()));
@@ -640,7 +640,8 @@ TEST(Model, RunnerRejectsMismatchedTablesAndGradients) {
                                       workspace, bad_grads, {}),
                ShapeError);
   const auto wrong_grid = random_input(DonnConfig::scaled(32).grid, 47);
-  EXPECT_THROW(model.predict(wrong_grid), ShapeError);
+  EXPECT_THROW(model.predict(wrong_grid, model.modulation_tables(), workspace),
+               ShapeError);
 }
 
 TEST(Model, FirstHopsOfAnotherGeometryAreRejected) {

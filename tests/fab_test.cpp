@@ -20,6 +20,7 @@
 #include "fab/spec.hpp"
 #include "obs/metrics.hpp"
 #include "optics/fabrication.hpp"
+#include "tensor/stats.hpp"
 
 namespace odonn::fab {
 namespace {
@@ -113,7 +114,7 @@ TEST(SurfaceRoughness, InjectedPhaseRmsMatchesThicknessSpec) {
   // injected phase RMS is exactly 2*pi * sigma / zone_height.
   const MatrixD diff = device.phases[0] - original;
   const double expected =
-      kTwoPi * options.sigma_um * 1e-6 / options.material.zone_height();
+      kTwoPi * options.sigma_um * 1e-6 / optics::MaterialSpec{}.zone_height();
   EXPECT_NEAR(sample_rms(diff), expected, expected * 1e-9);
 }
 
@@ -311,6 +312,29 @@ McSetup mc_setup(std::uint64_t seed = 7, std::size_t grid = 16,
   return {std::move(model), data::resize_dataset(raw, grid)};
 }
 
+// The pin below holds the bits of a realized device under the two models
+// that convert phase to printed thickness and back: a change to a draw,
+// its order, the material constants or the conversions moves it.
+TEST(RealizeDevice, BitsArePinned) {
+  donn::DonnConfig config = donn::DonnConfig::scaled(16);
+  config.num_layers = 2;
+  config.init = donn::PhaseInit::Uniform;
+  Rng model_rng(73);
+  const donn::DonnModel model(config, model_rng);
+  const auto stack = parse_perturbation_stack(
+      "roughness(sigma_um=0.05,corr=2)+detune(sigma_rel=0.01)");
+  std::uint64_t digest = kFnv1aBasis;
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    Rng rng = realization_rng(9, r, /*antithetic=*/false);
+    const donn::DonnModel realized =
+        realize_device(model, stack, {}, /*deploy_crosstalk=*/false, rng);
+    for (const MatrixD& phase : realized.phases()) {
+      for (const double v : phase) digest = fnv1a_mix(digest, v);
+    }
+  }
+  EXPECT_EQ(digest, 0x9febc683122d956bULL) << std::hex << digest;
+}
+
 TEST(RealizationSeed, CounterBasedStreamsAreDistinct) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t r = 0; r < 256; ++r) {
@@ -393,11 +417,16 @@ TEST(MonteCarloEvaluatorTest, CleanAccuracyCountsPerSamplePredictions) {
     const auto report = evaluator.evaluate(
         "m", setup.model, parse_perturbation_stack("quantize"));
 
+    const std::vector<MatrixC> modulations = setup.model.modulation_tables();
+    donn::DonnModel::Workspace workspace;
     std::size_t correct = 0;
     for (std::size_t i = 0; i < setup.eval.size(); ++i) {
       const optics::Field input = optics::encode_image(
           setup.eval.image(i), setup.model.config().grid);
-      correct += setup.model.predict(input) == setup.eval.label(i) ? 1 : 0;
+      if (setup.model.predict(input, modulations, workspace) ==
+          setup.eval.label(i)) {
+        ++correct;
+      }
     }
     EXPECT_EQ(report.clean_accuracy,
               static_cast<double>(correct) /

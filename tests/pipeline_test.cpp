@@ -733,20 +733,25 @@ TEST(PublishHandoff, PipelineToRegistryToInferenceEngineEndToEnd) {
         "ours-d", optics::encode_image(setup.test.image(k),
                                        published->config().grid)));
   }
+  const std::vector<MatrixC> published_tables = published->modulation_tables();
+  donn::DonnModel::Workspace workspace;
   for (std::size_t k = 0; k < count; ++k) {
     const auto result = futures[k].get();
     EXPECT_EQ(result.predicted,
-              published->predict(optics::encode_image(
-                  setup.test.image(k), published->config().grid)));
+              published->predict(optics::encode_image(setup.test.image(k),
+                                                      published->config().grid),
+                                 published_tables, workspace));
   }
 
   // The smoothed variant is inference-equivalent in the ideal simulation
   // (2*pi periodicity) — serving it returns the same classes.
   const auto smoothed = registry->get("ours-d-smoothed");
+  const std::vector<MatrixC> smoothed_tables = smoothed->modulation_tables();
   for (std::size_t k = 0; k < count; ++k) {
     const auto input =
         optics::encode_image(setup.test.image(k), smoothed->config().grid);
-    EXPECT_EQ(smoothed->predict(input), published->predict(input));
+    EXPECT_EQ(smoothed->predict(input, smoothed_tables, workspace),
+              published->predict(input, published_tables, workspace));
   }
 }
 

@@ -61,6 +61,14 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// One sample's argmax class through the single-sample predict, with the
+/// model's own tables and a fresh workspace.
+std::size_t single_prediction(const donn::DonnModel& model,
+                              const optics::Field& input) {
+  donn::DonnModel::Workspace workspace;
+  return model.predict(input, model.modulation_tables(), workspace);
+}
+
 /// Batched argmax classes: infer_batch through the model's own tables.
 std::vector<std::size_t> batch_predictions(
     const donn::DonnModel& model, const std::vector<optics::Field>& inputs) {
@@ -99,7 +107,7 @@ TEST(BatchedInference, BitForBitParityWithSingleSample) {
   ASSERT_EQ(intensities.size(), inputs.size());
 
   for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(predictions[k], model.predict(inputs[k]));
+    EXPECT_EQ(predictions[k], single_prediction(model, inputs[k]));
     const auto single_sums = model.detector_sums(inputs[k]);
     ASSERT_EQ(sums[k].size(), single_sums.size());
     for (std::size_t c = 0; c < single_sums.size(); ++c) {
@@ -144,7 +152,7 @@ TEST(BatchedInference, SparsifiedModelParity) {
   const auto predictions = batch_predictions(model, inputs);
   const auto sums = model.detector_sums_batch(inputs);
   for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(predictions[k], model.predict(inputs[k]));
+    EXPECT_EQ(predictions[k], single_prediction(model, inputs[k]));
     const auto single = model.detector_sums(inputs[k]);
     for (std::size_t c = 0; c < single.size(); ++c) {
       EXPECT_EQ(sums[k][c], single[c]);
@@ -171,8 +179,8 @@ TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
   // BatchedForward is a table snapshot over DonnModel's frame runner: on
   // radix-2, differential, mixed-radix (a whole and a partial last lane
   // group) and pad2x stacks, and at batch sizes on both sides of a lane
-  // group (0, 1, 2, 3, 9), run() and predict() must reproduce the
-  // per-sample predict / detector_sums exactly.
+  // group (0, 1, 2, 3, 9), run() must reproduce the per-sample predict /
+  // detector_sums exactly.
   struct Case {
     const char* name;
     std::size_t n;
@@ -199,14 +207,10 @@ TEST(BatchedForwardPass, MatchesSingleSamplePathOnEveryGrid) {
       SCOPED_TRACE(std::string(c.name) + " batch " + std::to_string(batch));
       const auto inputs = random_inputs(cfg.grid, batch, 172 + batch);
       const auto result = forward.run(inputs);
-      const auto predictions = forward.predict(inputs);
       ASSERT_EQ(result.predictions.size(), batch);
       ASSERT_EQ(result.detector_sums.size(), batch);
-      ASSERT_EQ(predictions.size(), batch);
       for (std::size_t k = 0; k < batch; ++k) {
-        const std::size_t single = model->predict(inputs[k]);
-        EXPECT_EQ(result.predictions[k], single);
-        EXPECT_EQ(predictions[k], single);
+        EXPECT_EQ(result.predictions[k], single_prediction(*model, inputs[k]));
         const auto sums = model->detector_sums(inputs[k]);
         ASSERT_EQ(result.detector_sums[k].size(), cfg.num_classes);
         ASSERT_EQ(sums.size(), cfg.num_classes);
@@ -390,7 +394,7 @@ TEST(Engine, ResolvesRequestsMatchingSingleSamplePath) {
   }
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     PredictResult result = futures[k].get();
-    EXPECT_EQ(result.predicted, model->predict(inputs[k]));
+    EXPECT_EQ(result.predicted, single_prediction(*model, inputs[k]));
     const auto single = model->detector_sums(inputs[k]);
     ASSERT_EQ(result.detector_sums.size(), single.size());
     for (std::size_t c = 0; c < single.size(); ++c) {
@@ -413,7 +417,9 @@ TEST(Engine, ConcurrentSubmissionStress) {
   const auto inputs = random_inputs(cfg.grid, kThreads * kPerThread, 112);
   std::vector<std::size_t> expected;
   expected.reserve(inputs.size());
-  for (const auto& input : inputs) expected.push_back(model->predict(input));
+  for (const auto& input : inputs) {
+    expected.push_back(single_prediction(*model, input));
+  }
 
   EngineOptions options;
   options.max_batch = 16;
@@ -457,9 +463,10 @@ TEST(Engine, ServesMultipleVariantsInOneBatchWindow) {
     smoothed_futures.push_back(engine.submit("smoothed", input));
   }
   for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_EQ(dense_futures[k].get().predicted, dense->predict(inputs[k]));
+    EXPECT_EQ(dense_futures[k].get().predicted,
+              single_prediction(*dense, inputs[k]));
     EXPECT_EQ(smoothed_futures[k].get().predicted,
-              smoothed->predict(inputs[k]));
+              single_prediction(*smoothed, inputs[k]));
   }
 }
 
@@ -495,9 +502,9 @@ TEST(Engine, BadInputFailsAloneWithoutPoisoningItsBatch) {
   futures.push_back(engine.submit("m", bad[0]));
   futures.push_back(engine.submit("m", good[1]));
 
-  EXPECT_EQ(futures[0].get().predicted, model->predict(good[0]));
+  EXPECT_EQ(futures[0].get().predicted, single_prediction(*model, good[0]));
   EXPECT_THROW(futures[1].get(), ShapeError);
-  EXPECT_EQ(futures[2].get().predicted, model->predict(good[1]));
+  EXPECT_EQ(futures[2].get().predicted, single_prediction(*model, good[1]));
   EXPECT_EQ(engine.stats().errors, 1u);
 }
 
@@ -536,7 +543,7 @@ TEST(Engine, NonFiniteInputsFailAloneAndValidSumsStayBitExact) {
                           single.size() * sizeof(double)),
               0)
         << "valid request " << k;
-    EXPECT_EQ(result.predicted, model->predict(good[k]));
+    EXPECT_EQ(result.predicted, single_prediction(*model, good[k]));
   }
   EXPECT_EQ(engine.stats().errors, 2u);
 }
@@ -574,7 +581,8 @@ TEST(Engine, ThrowAfterDequeueFailsItsBatchAndTheDrainThreadServesOn) {
     second.push_back(engine.submit("m", inputs[k]));
   }
   for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(second[k].get().predicted, model->predict(inputs[3 + k]));
+    EXPECT_EQ(second[k].get().predicted,
+              single_prediction(*model, inputs[3 + k]));
   }
   EXPECT_EQ(batches.load(), 2u);
   EXPECT_EQ(engine.stats().errors, 3u);
@@ -611,7 +619,7 @@ TEST(Engine, HotSwapPicksUpReplacedModel) {
   auto replacement = registry->add("m", make_model(cfg, 153));
   for (const auto& input : inputs) {
     EXPECT_EQ(engine.submit("m", input).get().predicted,
-              replacement->predict(input));
+              single_prediction(*replacement, input));
   }
 }
 
