@@ -310,7 +310,7 @@ void print_table_json(const TableSpec& spec, const BenchConfig& cfg,
   // stdout, suitable for diffing a trajectory across PRs.
   // Each row carries FNV digests of the trained and 2*pi-smoothed phase
   // bits: scripts/check.sh compares them across ODONN_THREADS=1 vs 4 and
-  // across jobs=1 vs 4 (the parallel-executor determinism contract).
+  // across jobs=1 vs 4 (the run_recipes determinism contract).
   std::printf("{\"bench\": %s, \"scale\": %s, \"grid\": %zu, "
               "\"samples\": %zu, \"layers\": %zu, \"detector\": %s, "
               "\"seed\": %llu, \"block\": %zu, "
@@ -359,7 +359,7 @@ int run_table_bench(const TableSpec& spec, const BenchConfig& cfg,
   const auto opt = recipe_options(cfg, spec.paper_block);
   const auto dataset = prepare_dataset(spec.family, cfg);
 
-  // The five recipes run through the parallel executor: jobs= of them in
+  // The five recipes run through train::run_recipes: jobs= of them in
   // flight, each over its own store. Rows (and their digests) are bitwise
   // identical to jobs=1; only wall_seconds moves.
   train::TableRunOptions table;
@@ -370,10 +370,7 @@ int run_table_bench(const TableSpec& spec, const BenchConfig& cfg,
   table.progress = [](const train::TableProgress& event) {
     if (event.finished) {
       log::debug() << "[table] " << event.label << "/" << event.stage_name
-                   << (event.skipped ? " resumed"
-                                     : " done " +
-                                           std::to_string(event.seconds) +
-                                           "s");
+                   << " done " << std::to_string(event.seconds) << "s";
     } else {
       log::debug() << "[table] " << event.label << "/" << event.stage_name
                    << " start";

@@ -65,7 +65,7 @@ BenchConfig make_bench_config(int argc, char** argv,
 std::vector<std::string> bench_config_keys();
 
 /// bench_config_keys + jobs= — for the benches that actually route work
-/// through the parallel executor (tables, fig6, table_parallel). Benches
+/// through train::run_recipes (tables, fig6, table_parallel). Benches
 /// that run recipes directly keep REJECTING jobs= rather than silently
 /// ignoring it (the Config::strict contract).
 std::vector<std::string> parallel_bench_config_keys();

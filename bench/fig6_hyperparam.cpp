@@ -4,8 +4,8 @@
 //   (c) roughness-regularization (p) sweep     — paper: inflection at 0.1
 //   (d) intra-block regularization (q) sweep   — paper: inflection at log q=1
 // Series are printed and also written to bench_out/fig6/*.csv.
-// jobs=N trains N sweep points concurrently (train::run_recipes over the
-// parallel executor); series are bitwise independent of jobs=.
+// jobs=N trains N sweep points concurrently (train::run_recipes); series
+// are bitwise independent of jobs=.
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -26,7 +26,7 @@ struct SweepPoint {
 };
 
 /// One sweep: `values` variants of `kind`, each with `set(options, value)`
-/// applied, run through the parallel executor (jobs= concurrent) and
+/// applied, run through train::run_recipes (jobs= concurrent) and
 /// zipped back into SweepPoints keyed by the swept value.
 std::vector<SweepPoint> run_sweep(
     train::RecipeKind kind, const train::RecipeOptions& base,
@@ -82,7 +82,7 @@ int run(int argc, char** argv) {
   int failures = 0;
 
   // Sweep points are independent training runs: jobs= of them execute
-  // concurrently through the parallel executor (results are bitwise
+  // concurrently through train::run_recipes (results are bitwise
   // independent of jobs=, like the tables).
   train::TableRunOptions table;
   table.jobs = cfg.jobs;

@@ -1,7 +1,7 @@
 // Parallel-table bench: the wall-clock effect of running a paper table's
-// recipes concurrently (train::TableRunOptions::jobs over
-// pipeline::ParallelTableRunner) and PROOF that parallel execution changes
-// nothing but the clock.
+// recipes concurrently (train::TableRunOptions::jobs, one parallel_tasks
+// lane per recipe in train::run_recipes) and PROOF that parallel execution
+// changes nothing but the clock.
 //
 // One table (MNIST stand-in) runs twice at the same scale/seed:
 //   sequential  jobs=1  — the classic loop (the bitwise reference)

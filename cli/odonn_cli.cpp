@@ -6,11 +6,16 @@
 //            odonn_cli run recipe=baseline,ours-c sweep=0.25,0.5,0.75
 //            odonn_cli run recipe=ours-d checkpoint_dir=ck resume=1
 //            odonn_cli run pipeline=train,smooth,publish publish_dir=models
-//          Replaces the old examples/train_and_smooth (recipe rows) and
-//          examples/deployment_gap (crosstalk sweep) binaries.
+//          Each job checkpoints its store after every stage under
+//          checkpoint_dir/<job label>/, and resume=1 fast-forwards past
+//          the stages already on disk. sweep= strengths and crosstalk=
+//          must lie in [0, 1]. Replaces the old examples/train_and_smooth
+//          (recipe rows) and examples/deployment_gap (crosstalk sweep)
+//          binaries.
 //   table  Reproduce a paper table (II-V) at a bench scale. jobs=N runs N
-//          recipes concurrently via pipeline::ParallelTableRunner — rows
-//          (and their phase digests) are bitwise identical to jobs=1.
+//          recipes concurrently via train::run_recipes — rows (and their
+//          phase digests) are bitwise identical to jobs=1. No checkpoints:
+//          checkpoint_dir= is a `run` key.
 //            odonn_cli table dataset=mnist bench.scale=smoke jobs=4
 //          Same driver the bench/table*_ binaries use.
 //   serve  Load checkpoints into a ModelRegistry and push traffic through
@@ -25,7 +30,7 @@
 //            odonn_cli serve model=a.odnn,b.odnn action=list
 //   robust Monte-Carlo fabrication-variability evaluation (src/fab): R
 //          perturbed realizations per model variant, common random numbers
-//          across variants, yield statistics.
+//          across variants, yield statistics (yield_threshold= in [0, 1]).
 //            odonn_cli robust recipe=baseline,ours-c realizations=32
 //              perturb='roughness(sigma_um=0.05,corr=2)+quantize(levels=8)'
 //            odonn_cli robust model=models/ours-c-smoothed.odnn threads=4
@@ -247,17 +252,7 @@ int cmd_run(const Config& cfg) {
     }
   }
 
-  std::vector<double> sweep;
-  if (cfg.has("sweep")) {
-    for (const std::string& token : split_csv(cfg.get_string("sweep", ""))) {
-      char* end = nullptr;
-      const double value = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0') {
-        throw ConfigError("sweep: cannot parse '" + token + "' as double");
-      }
-      sweep.push_back(value);
-    }
-  }
+  const std::vector<double> sweep = pipeline::sweep_from_config(cfg);
 
   const std::string checkpoint_root = cfg.get_string("checkpoint_dir", "");
   const bool resume = cfg.get_bool("resume", false);
@@ -305,20 +300,6 @@ int cmd_run(const Config& cfg) {
     pipeline::Pipeline pipe =
         pipeline::build_pipeline(job.spec, opt, context);
 
-    pipeline::PipelineObserver observer;
-    if (print_text) {
-      observer.on_stage_end = [&](const pipeline::StageTiming& timing) {
-        if (timing.skipped) {
-          std::printf("[stage] %-9s %-9s (resumed from checkpoint)\n",
-                      job.label.c_str(), timing.name.c_str());
-        } else {
-          std::printf("[stage] %-9s %-9s %.3fs\n", job.label.c_str(),
-                      timing.name.c_str(), timing.seconds);
-        }
-      };
-    }
-    pipe.set_observer(std::move(observer));
-
     pipeline::ArtifactStore store;
     if (!job_has_data_stage(job)) store.set_data(&train_set, &test_set);
     pipeline::RunOptions run_options;
@@ -327,7 +308,19 @@ int cmd_run(const Config& cfg) {
           (std::filesystem::path(checkpoint_root) / job.label).string();
       run_options.resume = resume;
     }
-    const auto timings = pipe.run(store, run_options);
+    if (print_text) {
+      run_options.progress = [&job](const train::TableProgress& event) {
+        if (!event.finished) return;
+        if (event.skipped) {
+          std::printf("[stage] %-9s %-9s (resumed from checkpoint)\n",
+                      job.label.c_str(), event.stage_name.c_str());
+        } else {
+          std::printf("[stage] %-9s %-9s %.3fs\n", job.label.c_str(),
+                      event.stage_name.c_str(), event.seconds);
+        }
+      };
+    }
+    const auto stages = pipe.run(store, run_options);
 
     // Text row: metrics that exist (stage lists without eval/report simply
     // print fewer columns).
@@ -378,11 +371,11 @@ int cmd_run(const Config& cfg) {
       if (!first_job) json += ",\n";
       first_job = false;
       json += "  {\"job\": " + bench::json_quote(job.label) + ", \"stages\": [";
-      for (std::size_t i = 0; i < timings.size(); ++i) {
+      for (std::size_t i = 0; i < stages.size(); ++i) {
         json += (i ? ", " : "") + std::string("{\"name\": ") +
-                bench::json_quote(timings[i].name) +
-                ", \"seconds\": " + bench::json_number(timings[i].seconds) +
-                ", \"skipped\": " + (timings[i].skipped ? "true" : "false") +
+                bench::json_quote(stages[i].stage_name) +
+                ", \"seconds\": " + bench::json_number(stages[i].seconds) +
+                ", \"skipped\": " + (stages[i].skipped ? "true" : "false") +
                 "}";
       }
       json += "], \"metrics\": {";

@@ -2,8 +2,8 @@
 # Tier-1 verify: configure, build, ctest, plus runs of the examples, every
 # main's typed exit on a bad or unknown key, the ODONN_THREADS /
 # thread-pool start-up errors, smokes of the Monte-Carlo robustness CLI,
-# robust training, the fabrication-yield bench, the parallel table
-# executor (with cross-thread-count and cross-jobs digest compares,
+# robust training, the fabrication-yield bench, the parallel recipe
+# tables (with cross-thread-count and cross-jobs digest compares,
 # repeated for the 5-layer differential-readout cell), the layer-scaling
 # A/B bench, the observability exports (metrics-on rows bitwise identical
 # to plain), the serve cluster (cluster-vs-single-engine prediction digest
@@ -193,6 +193,22 @@ case "$hostile_err" in
 esac
 echo "robust smoke: perturb='roughness(sigma_um=inf)' rejected (exit 1)"
 
+# Crosstalk strengths and yield thresholds live in [0, 1]: a value outside
+# it (or a non-finite sweep value) is a config error before any training,
+# not an error (or a silent 0/1 yield) after it.
+tiny_recipe="recipe=ours-c grid=16 samples=60 epochs=1 two_pi_iters=20"
+# shellcheck disable=SC2086  # word-split the tiny recipe keys
+expect_error "range smoke: odonn_cli run crosstalk=2" "error: config:" \
+  timeout 30 ./odonn_cli run $tiny_recipe crosstalk=2
+# shellcheck disable=SC2086
+expect_error "range smoke: odonn_cli run sweep=nan" "error: config:" \
+  timeout 30 ./odonn_cli run $tiny_recipe sweep=nan
+# shellcheck disable=SC2086
+expect_error "range smoke: odonn_cli robust yield_threshold=2" \
+  "error: config:" timeout 30 ./odonn_cli robust $tiny_recipe \
+  realizations=4 yield_threshold=2
+echo "range smoke: crosstalk=2, sweep=nan and yield_threshold=2 rejected"
+
 # Robust-training smoke: the noise-in-the-loop bench must pass its shape
 # checks (robust-trained yield strictly above the 2*pi-smoothed-only
 # variant under CRN) AND emit bitwise-identical digests across thread
@@ -211,8 +227,8 @@ digest_parity "robust-yield smoke" ./robust_yield bench.scale=smoke \
 # Parallel-table smoke: a full smoke-scale table must produce bitwise
 # identical rows — trained AND 2*pi-smoothed phase digests (the smooth2pi
 # half of the thread-independence contract) plus the metric columns —
-# across ODONN_THREADS=1 vs 4 AND across jobs=1 vs 4 (the parallel recipe
-# executor, pipeline::ParallelTableRunner).
+# across ODONN_THREADS=1 vs 4 AND across jobs=1 vs 4 (train::run_recipes
+# running the recipes as concurrent parallel_tasks lanes).
 table_smoke() {  # $1=threads $2=jobs
   ODONN_THREADS="$1" ./odonn_cli table bench.scale=smoke jobs="$2" \
     format=json ||

@@ -68,6 +68,18 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
+double parse_double(const std::string& raw, const std::string& key) {
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0') {
+    throw ConfigError("key '" + key + "': cannot parse '" + raw + "' as double");
+  }
+  if (!std::isfinite(value)) {
+    throw ConfigError("key '" + key + "': '" + raw + "' is not finite");
+  }
+  return value;
+}
+
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
   for (int i = 1; i < argc; ++i) {
@@ -126,16 +138,7 @@ std::size_t Config::get_count(const std::string& key,
 
 double Config::get_double(const std::string& key, double dflt) const {
   const auto raw = lookup(key);
-  if (!raw) return dflt;
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0') {
-    throw ConfigError("key '" + key + "': cannot parse '" + *raw + "' as double");
-  }
-  if (!std::isfinite(value)) {
-    throw ConfigError("key '" + key + "': '" + *raw + "' is not finite");
-  }
-  return value;
+  return raw ? parse_double(*raw, key) : dflt;
 }
 
 bool Config::get_bool(const std::string& key, bool dflt) const {

@@ -19,6 +19,10 @@ namespace odonn {
 /// list-valued config keys share this one splitter.
 std::vector<std::string> split_csv(const std::string& csv);
 
+/// Parses a whole token as a finite double (Config::get_double's rule, for
+/// list-valued keys); ConfigError names `key` otherwise.
+double parse_double(const std::string& raw, const std::string& key);
+
 class Config {
  public:
   Config() = default;

@@ -4,7 +4,7 @@
 // The repo's headline guarantee — bitwise-identical digests across
 // ODONN_THREADS, jobs=, replica counts and obs on/off — rests on a handful
 // of mutex-protected structures (thread pool, serve engine/cluster, obs
-// registry/trace, pipeline executor, fab encode cache, fft plan cache,
+// registry/trace, recipe-runner progress, fab encode cache, fft plan cache,
 // log emitter). These macros let clang check the locking discipline at
 // compile time (-Wthread-safety -Werror=thread-safety, enabled
 // automatically for clang builds in CMakeLists.txt); on every other

@@ -61,6 +61,9 @@ MonteCarloEvaluator::MonteCarloEvaluator(const data::Dataset& eval_set,
     : eval_(eval_set), options_(options) {
   ODONN_CHECK(options_.realizations > 0,
               "monte carlo: need at least one realization");
+  ODONN_CHECK(options_.yield_threshold >= 0.0 &&
+                  options_.yield_threshold <= 1.0,
+              "monte carlo: yield_threshold must be in [0, 1]");
   ODONN_CHECK(!eval_.empty(), "monte carlo: eval set is empty");
 }
 

@@ -49,7 +49,8 @@ struct MonteCarloOptions {
   /// variance of the mean-accuracy estimator at equal R. Works best with
   /// an even R so every pair is complete.
   bool antithetic = false;
-  /// Accuracy a fabricated device must reach to count toward yield.
+  /// Accuracy a fabricated device must reach to count toward yield, in
+  /// [0, 1] (the constructor rejects anything else).
   double yield_threshold = 0.5;
   /// Deploy each realization through the interpixel-crosstalk emulation
   /// (the nominal options below, possibly jittered by the stack).

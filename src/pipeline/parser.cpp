@@ -3,10 +3,26 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <sstream>
 
 #include "common/error.hpp"
 
 namespace odonn::pipeline {
+
+namespace {
+
+/// `value` of `key` when it lies in [0, 1] (a crosstalk strength, a yield
+/// threshold): out-of-range values fail here, before any compute.
+double unit_interval(double value, const std::string& key) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    std::ostringstream text;
+    text << "key '" << key << "': " << value << " is outside [0, 1]";
+    throw ConfigError(text.str());
+  }
+  return value;
+}
+
+}  // namespace
 
 StageKind parse_stage_kind(const std::string& name) {
   std::string low(name.size(), '\0');
@@ -100,11 +116,20 @@ train::RecipeOptions options_from_config(const Config& cfg) {
   opt.scheme.ratio = cfg.get_double("sparsity", opt.scheme.ratio);
   opt.scheme.block_size = cfg.get_count("block", 5);
   opt.two_pi.iterations = cfg.get_count("two_pi_iters", opt.two_pi.iterations);
-  opt.crosstalk.strength =
-      cfg.get_double("crosstalk", opt.crosstalk.strength);
+  opt.crosstalk.strength = unit_interval(
+      cfg.get_double("crosstalk", opt.crosstalk.strength), "crosstalk");
   opt.seed = cfg.get_count("seed", 7);
   opt.verbose = cfg.get_bool("verbose", false);
   return opt;
+}
+
+std::vector<double> sweep_from_config(const Config& cfg) {
+  std::vector<double> sweep;
+  if (!cfg.has("sweep")) return sweep;
+  for (const std::string& token : split_csv(cfg.get_string("sweep", ""))) {
+    sweep.push_back(unit_interval(parse_double(token, "sweep"), "sweep"));
+  }
+  return sweep;
 }
 
 DatasetStageOptions dataset_options_from_config(const Config& cfg) {
@@ -125,8 +150,9 @@ RobustStageOptions robust_options_from_config(const Config& cfg) {
     throw ConfigError("realizations must be >= 1");
   }
   opt.realizations = static_cast<std::size_t>(realizations);
-  opt.yield_threshold =
-      cfg.get_double("yield_threshold", opt.yield_threshold);
+  opt.yield_threshold = unit_interval(
+      cfg.get_double("yield_threshold", opt.yield_threshold),
+      "yield_threshold");
   opt.antithetic = cfg.get_bool("antithetic", opt.antithetic);
   return opt;
 }

@@ -60,9 +60,13 @@ PipelineSpec spec_from_config(const Config& cfg);
 
 /// RecipeOptions from flat config keys (grid=, samples-independent):
 /// epochs/epochs_sparse/epochs_finetune, batch, lr/lr_sparse, p, q,
-/// sparsity, block, layers, init=flat|uniform, crosstalk, two_pi_iters,
-/// seed, verbose.
+/// sparsity, block, layers, init=flat|uniform, crosstalk (in [0, 1]),
+/// two_pi_iters, seed, verbose.
 train::RecipeOptions options_from_config(const Config& cfg);
+
+/// The crosstalk strengths of `sweep=` (comma-separated, each a finite
+/// value in [0, 1]); empty when the key is absent.
+std::vector<double> sweep_from_config(const Config& cfg);
 
 /// DatasetStageOptions from flat config keys: dataset= (family), data_dir=,
 /// samples=, grid=, seed= — the DatasetStage / driver data-preparation
@@ -70,7 +74,7 @@ train::RecipeOptions options_from_config(const Config& cfg);
 DatasetStageOptions dataset_options_from_config(const Config& cfg);
 
 /// RobustStageOptions from flat config keys: perturb=, realizations=,
-/// yield_threshold=, antithetic=.
+/// yield_threshold= (in [0, 1]), antithetic=.
 RobustStageOptions robust_options_from_config(const Config& cfg);
 
 /// RobustTrainStageOptions from flat config keys: perturb= (shared with

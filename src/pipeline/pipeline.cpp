@@ -16,8 +16,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Trace-span name for one stage run: "stage:<label>/<name>" with the
-/// job label when the executor provided one.
+/// Trace-span name for one stage run: "stage:<label>/<name>" when the run
+/// is labelled.
 std::string span_name(const RunOptions& options, const std::string& stage) {
   if (options.trace_label.empty()) return "stage:" + stage;
   return "stage:" + options.trace_label + "/" + stage;
@@ -41,10 +41,6 @@ Pipeline& Pipeline::add(std::unique_ptr<Stage> stage) {
   ODONN_CHECK(stage != nullptr, "pipeline: stage must be non-null");
   stages_.push_back(std::move(stage));
   return *this;
-}
-
-void Pipeline::set_observer(PipelineObserver observer) {
-  observer_ = std::move(observer);
 }
 
 void Pipeline::validate(const ArtifactStore& store) const {
@@ -83,14 +79,11 @@ std::string Pipeline::checkpoint_path(const std::string& dir,
       .string();
 }
 
-std::vector<StageTiming> Pipeline::run(ArtifactStore& store,
-                                       const RunOptions& options) {
+std::vector<train::TableProgress> Pipeline::run(ArtifactStore& store,
+                                                const RunOptions& options) {
   validate(store);
   ODONN_CHECK(!options.resume || !options.checkpoint_dir.empty(),
               "pipeline: resume requires a checkpoint_dir");
-
-  std::vector<StageTiming> timings;
-  timings.reserve(stages_.size());
 
   // Fast-forward past the latest complete checkpoint of this stage list.
   std::size_t start = 0;
@@ -104,41 +97,32 @@ std::vector<StageTiming> Pipeline::run(ArtifactStore& store,
       }
     }
   }
-  for (std::size_t i = 0; i < start; ++i) {
+
+  std::vector<train::TableProgress> finished;
+  finished.reserve(stages_.size());
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
     Stage& stage = *stages_[i];
-    StageTiming timing{i, stage.name(), 0.0, /*skipped=*/true};
-    if (stage.has_side_effects()) {
-      // External effects (registry publishes, artifact exports) are not
-      // captured in checkpoints: replay the stage against the restored
-      // store so a resumed run is equivalent to an uninterrupted one.
-      if (observer_.on_stage_start) observer_.on_stage_start(i, stage);
+    train::TableProgress event;
+    event.label = options.trace_label;
+    event.stage = i;
+    event.stage_name = stage.name();
+    // A restored stage is skipped unless it has external effects (registry
+    // publishes, artifact exports): checkpoints cannot capture those, so it
+    // replays against the restored store and a resumed run is equivalent
+    // to an uninterrupted one.
+    event.skipped = i < start && !stage.has_side_effects();
+    if (!event.skipped) {
+      if (options.progress) options.progress(event);
       const Clock::time_point t0 = Clock::now();
       {
         ODONN_OBS_SPAN(stage_span, span_name(options, stage.name()));
         stage.run(store);
       }
       ODONN_OBS_COUNT("pipeline.stages_run", 1);
-      timing.seconds =
+      event.seconds =
           std::chrono::duration<double>(Clock::now() - t0).count();
-      timing.skipped = false;
     }
-    if (observer_.on_stage_end) observer_.on_stage_end(timing);
-    timings.push_back(std::move(timing));
-  }
-
-  for (std::size_t i = start; i < stages_.size(); ++i) {
-    Stage& stage = *stages_[i];
-    if (observer_.on_stage_start) observer_.on_stage_start(i, stage);
-    const Clock::time_point t0 = Clock::now();
-    {
-      ODONN_OBS_SPAN(stage_span, span_name(options, stage.name()));
-      stage.run(store);
-    }
-    ODONN_OBS_COUNT("pipeline.stages_run", 1);
-    StageTiming timing{i, stage.name(),
-                       std::chrono::duration<double>(Clock::now() - t0).count(),
-                       /*skipped=*/false};
-    if (!options.checkpoint_dir.empty()) {
+    if (i >= start && !options.checkpoint_dir.empty()) {
       const std::string dir = checkpoint_path(options.checkpoint_dir, i);
       // Clear any previous run's checkpoint first: its 'done' marker (and
       // stale artifact files) must never survive into a partial overwrite.
@@ -146,10 +130,11 @@ std::vector<StageTiming> Pipeline::run(ArtifactStore& store,
       store.save_checkpoint(dir);
       write_marker(dir);
     }
-    if (observer_.on_stage_end) observer_.on_stage_end(timing);
-    timings.push_back(std::move(timing));
+    event.finished = true;
+    if (options.progress) options.progress(event);
+    finished.push_back(std::move(event));
   }
-  return timings;
+  return finished;
 }
 
 }  // namespace odonn::pipeline

@@ -5,7 +5,8 @@
 //     the store's initial contents plus earlier stages' declared outputs,
 //     before any compute runs (a bad `pipeline=` string fails in
 //     milliseconds, not after an hour of training);
-//   * observers: per-stage start/end callbacks with wall-clock timing;
+//   * progress: one train::TableProgress event at every stage start and
+//     end, with wall-clock timing, through RunOptions::progress;
 //   * checkpointing: with a checkpoint directory set, the full store is
 //     persisted after every stage (donn/serialize for models), and
 //     resume=true fast-forwards past the longest prefix of stages whose
@@ -14,28 +15,15 @@
 //     against the restored store since checkpoints cannot capture them.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "pipeline/artifact_store.hpp"
 #include "pipeline/stage.hpp"
+#include "train/recipe.hpp"
 
 namespace odonn::pipeline {
-
-/// Per-stage record returned by run() (and passed to observers).
-struct StageTiming {
-  std::size_t index = 0;
-  std::string name;
-  double seconds = 0.0;
-  bool skipped = false;  ///< satisfied from a checkpoint instead of running
-};
-
-struct PipelineObserver {
-  std::function<void(std::size_t index, const Stage& stage)> on_stage_start;
-  std::function<void(const StageTiming&)> on_stage_end;
-};
 
 struct RunOptions {
   /// When non-empty, the store is checkpointed to
@@ -44,11 +32,15 @@ struct RunOptions {
   /// Resume from the latest complete checkpoint that matches this
   /// pipeline's stage sequence (requires checkpoint_dir).
   bool resume = false;
-  /// Observability only: per-stage trace spans are named
+  /// Observability only: names the run. Per-stage trace spans are named
   /// "stage:<trace_label>/<stage name>" when set ("stage:<stage name>"
-  /// otherwise). The parallel executor fills in the job label so spans
-  /// from concurrent recipes stay attributable.
+  /// otherwise), and every progress event carries it as its label.
+  /// run_recipes sets the recipe row label, so spans and events from
+  /// concurrent recipes stay attributable.
   std::string trace_label;
+  /// Receives one event at each stage start and end, on the thread that
+  /// runs the pipeline, as it happens. May be empty.
+  train::TableProgressSink progress;
 };
 
 class Pipeline {
@@ -62,22 +54,19 @@ class Pipeline {
   std::size_t size() const { return stages_.size(); }
   const Stage& stage(std::size_t index) const { return *stages_.at(index); }
 
-  void set_observer(PipelineObserver observer);
-
   /// Throws ConfigError naming the first stage whose declared inputs cannot
   /// be satisfied by `store` plus the outputs of preceding stages.
   void validate(const ArtifactStore& store) const;
 
-  /// Validates, then runs every stage in order. Returns per-stage timings
-  /// (skipped=true for checkpoint-satisfied stages).
-  std::vector<StageTiming> run(ArtifactStore& store,
-                               const RunOptions& options = {});
+  /// Validates, then runs every stage in order. Returns each stage's
+  /// finished event (skipped=true for checkpoint-satisfied stages).
+  std::vector<train::TableProgress> run(ArtifactStore& store,
+                                        const RunOptions& options = {});
 
  private:
   std::string checkpoint_path(const std::string& dir, std::size_t index) const;
 
   std::vector<std::unique_ptr<Stage>> stages_;
-  PipelineObserver observer_;
 };
 
 }  // namespace odonn::pipeline

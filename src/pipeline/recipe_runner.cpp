@@ -5,19 +5,13 @@
 // one-way: pipeline composes train's Trainer/options, train never depends
 // on pipeline or serve headers. The declarations remain in
 // train/recipe.hpp — callers are unaffected.
-//
-// run_recipes executes the requested recipes through a
-// pipeline::ParallelTableRunner: independent pipelines, each over its own
-// ArtifactStore sharing only the immutable datasets, optionally jobs= at
-// a time on the shared pool. Recipes are deterministic given their
-// options, so the rows are bitwise identical to the sequential path for
-// any jobs=/thread-count combination.
 #include <chrono>
-#include <filesystem>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "pipeline/executor.hpp"
+#include "common/parallel.hpp"
+#include "common/thread_annotations.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/parser.hpp"
 #include "train/recipe.hpp"
 
@@ -48,88 +42,69 @@ RecipeResult result_from_store(const std::string& name,
 RecipeResult run_recipe(RecipeKind kind, const RecipeOptions& options,
                         const data::Dataset& train,
                         const data::Dataset& test) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point t0 = Clock::now();
-  pl::ArtifactStore store;
-  store.set_data(&train, &test);
-  pl::Pipeline pipe = pl::build_pipeline(pl::spec_for_recipe(kind), options);
-  pipe.run(store);
-
-  RecipeResult result = result_from_store(recipe_name(kind), store);
-  result.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  if (options.verbose) {
-    log::info() << result.name << ": acc " << result.accuracy << " R_before "
-                << result.roughness_before << " R_after "
-                << result.roughness_after;
-  }
-  return result;
+  return run_recipes({RecipeRequest{kind, options, ""}}, train, test).front();
 }
 
 std::vector<RecipeResult> run_recipes(const std::vector<RecipeRequest>& requests,
                                       const data::Dataset& train,
                                       const data::Dataset& test,
                                       const TableRunOptions& table) {
-  std::vector<pl::PipelineJob> jobs;
-  jobs.reserve(requests.size());
-  for (const RecipeRequest& request : requests) {
-    pl::PipelineJob job;
-    job.label = request.label.empty() ? recipe_name(request.kind)
-                                      : request.label;
-    if (!table.checkpoint_dir.empty()) {
-      // Labels name the per-recipe checkpoint subdirectories: a duplicate
-      // would interleave two jobs' checkpoints in one directory (and let
-      // resume= fast-forward one request from the other's artifacts).
-      for (const pl::PipelineJob& earlier : jobs) {
-        if (earlier.label == job.label) {
-          throw ConfigError(
-              "run_recipes: duplicate recipe label '" + job.label +
-              "' with checkpoint_dir set; give each request a unique label");
-        }
-      }
-    }
-    job.pipeline = pl::build_pipeline(pl::spec_for_recipe(request.kind),
-                                      request.options);
-    if (!table.checkpoint_dir.empty()) {
-      job.run_options.checkpoint_dir =
-          (std::filesystem::path(table.checkpoint_dir) / job.label).string();
-      job.run_options.resume = table.resume;
-    }
-    job.setup = [&train, &test](pl::ArtifactStore& store) {
-      store.set_data(&train, &test);
-    };
-    jobs.push_back(std::move(job));
-  }
+  using Clock = std::chrono::steady_clock;
+  ODONN_CHECK(table.jobs >= 1, "run_recipes: jobs must be >= 1");
 
-  pl::ExecutorOptions executor;
-  executor.jobs = table.jobs;
+  // One mutex serializes every progress event across the concurrent
+  // recipes, so the caller's sink need not be thread-safe.
+  Mutex progress_mutex;
+  TableProgressSink progress;
   if (table.progress) {
-    // Adapt the train-layer sink to the executor's event type (the two
-    // structs mirror each other; train must not include pipeline headers).
-    executor.progress = [&table](const pl::StageProgressEvent& event) {
-      TableProgress progress;
-      progress.label = event.label;
-      progress.stage = event.stage;
-      progress.stage_name = event.stage_name;
-      progress.finished = event.finished;
-      progress.seconds = event.seconds;
-      progress.skipped = event.skipped;
-      table.progress(progress);
+    progress = [&table, &progress_mutex](const TableProgress& event) {
+      ODONN_OBS_COUNT("pipeline.progress_events", 1);
+      MutexLock lock(progress_mutex);
+      table.progress(event);
     };
   }
-  auto job_results = pl::ParallelTableRunner(executor).run(std::move(jobs));
 
-  std::vector<RecipeResult> rows;
-  rows.reserve(job_results.size());
-  for (std::size_t i = 0; i < job_results.size(); ++i) {
-    RecipeResult row = result_from_store(job_results[i].label,
-                                         job_results[i].store);
-    row.seconds = job_results[i].seconds;
+  // Every recipe owns its pipeline and ArtifactStore; they share only the
+  // immutable datasets, which is why any jobs= gives the same bits. All
+  // pipelines are built before any lane starts, so a bad request fails
+  // before any compute.
+  std::vector<pl::Pipeline> pipelines;
+  pipelines.reserve(requests.size());
+  for (const RecipeRequest& request : requests) {
+    pipelines.push_back(pl::build_pipeline(pl::spec_for_recipe(request.kind),
+                                           request.options));
+  }
+
+  std::vector<RecipeResult> rows(requests.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    tasks.push_back([&, i] {
+      pl::RunOptions run;
+      run.trace_label = requests[i].label.empty()
+                            ? recipe_name(requests[i].kind)
+                            : requests[i].label;
+      run.progress = progress;
+      ODONN_OBS_SPAN(job_span, "job:" + run.trace_label);
+      const Clock::time_point t0 = Clock::now();
+      pl::ArtifactStore store;
+      store.set_data(&train, &test);
+      pipelines[i].run(store, run);
+      const double seconds =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      rows[i] = result_from_store(run.trace_label, store);
+      rows[i].seconds = seconds;
+      ODONN_OBS_COUNT("pipeline.jobs_run", 1);
+    });
+  }
+  parallel_tasks(std::move(tasks), table.jobs);
+
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     if (requests[i].options.verbose) {
-      log::info() << row.name << ": acc " << row.accuracy << " R_before "
-                  << row.roughness_before << " R_after "
-                  << row.roughness_after;
+      log::info() << rows[i].name << ": acc " << rows[i].accuracy
+                  << " R_before " << rows[i].roughness_before << " R_after "
+                  << rows[i].roughness_after;
     }
-    rows.push_back(std::move(row));
   }
   return rows;
 }

@@ -18,8 +18,9 @@ namespace odonn::pipeline {
 
 namespace {
 
-// Mirrors the TrainOptions base that train::run_recipe historically built;
-// the parity test depends on this mapping staying byte-for-byte identical.
+// This RecipeOptions -> TrainOptions mapping is part of every recipe
+// digest: changing it changes the trained phase bits that the table
+// digests and perfbench/digests.txt pin.
 train::TrainOptions base_train_options(const train::RecipeOptions& options,
                                        RegularizerFlags flags) {
   train::TrainOptions base;

@@ -1,7 +1,6 @@
-// Concrete pipeline stages for the paper's workflow. Together they
-// reproduce train::run_recipe exactly (tests/pipeline_test.cpp asserts
-// bit-for-bit parity): every stage performs the same arithmetic, in the
-// same order, with the same RNG streams as the monolithic path.
+// Concrete pipeline stages for the paper's workflow; train::run_recipe is
+// their composition (tests/pipeline_test.cpp asserts bit-for-bit parity
+// with explicitly composed, checkpointed and trimmed pipelines).
 //
 // Shared artifact names:
 //   model  "main"      — the working model (created by TrainStage)

@@ -30,10 +30,4 @@ RecipeKind parse_recipe(const std::string& name) {
   throw ConfigError("unknown recipe '" + name + "'");
 }
 
-// run_recipe / run_table are defined in src/pipeline/recipe_runner.cpp —
-// thin compositions over pipeline stages; the dependency arrow points
-// pipeline -> train, never the reverse. (The pre-pipeline monolithic
-// implementation that used to live here as the parity oracle is gone; the
-// parity guard is now pipeline-vs-pipeline — see tests/pipeline_test.cpp.)
-
 }  // namespace odonn::train

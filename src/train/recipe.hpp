@@ -66,64 +66,60 @@ struct RecipeResult {
 };
 
 /// One entry of a run_recipes batch: a recipe plus its (possibly swept)
-/// options. `label` names checkpoint subdirectories and result rows;
-/// empty defaults to recipe_name(kind).
+/// options. `label` names the result row and labels its trace spans and
+/// progress events; empty defaults to recipe_name(kind).
 struct RecipeRequest {
   RecipeKind kind = RecipeKind::Baseline;
   RecipeOptions options;
   std::string label;
 };
 
-/// One streamed stage event from a running table (mirrors
-/// pipeline::StageProgressEvent without depending on pipeline headers —
-/// the dependency arrow stays train <- pipeline).
+/// The one stage event: pipeline::Pipeline::run emits it at every stage
+/// start and end, streamed live rather than buffered until the run returns,
+/// and returns the finished ones.
 struct TableProgress {
-  std::string label;       ///< recipe row label
-  std::size_t stage = 0;   ///< stage index within the recipe's pipeline
+  std::string label;       ///< the run's label (the recipe row label)
+  std::size_t stage = 0;   ///< stage index within the pipeline
   std::string stage_name;
   bool finished = false;   ///< false = stage start, true = stage end
   double seconds = 0.0;    ///< valid when finished
   bool skipped = false;    ///< checkpoint fast-forward (valid when finished)
 };
 
-/// Invoked serially (never concurrently) as stages of any recipe start and
-/// finish — live streaming, not buffered until the table returns.
 using TableProgressSink = std::function<void(const TableProgress&)>;
 
 /// How a batch of recipes (a table, a sweep) executes. Results are bitwise
 /// identical for every jobs=: each recipe is deterministic over its own
-/// ArtifactStore (pipeline::ParallelTableRunner contract), and each running
+/// ArtifactStore, sharing only the immutable datasets, and each running
 /// recipe gets an even share of the pool.
 struct TableRunOptions {
-  std::size_t jobs = 1;  ///< concurrent recipes (1 = sequential)
-  /// When non-empty, each recipe checkpoints under `<dir>/<label>/` —
-  /// independent subdirectories, so resume=true fast-forwards exactly the
-  /// recipes that completed, even after a parallel run failed midway.
-  std::string checkpoint_dir;
-  bool resume = false;
-  /// Streaming per-stage progress events (observability only: has no
-  /// effect on results). May be empty.
+  std::size_t jobs = 1;  ///< concurrent recipes (1 = sequential); >= 1
+  /// Streaming per-stage progress of every recipe (observability only: has
+  /// no effect on results). Invoked serially, never concurrently, so the
+  /// sink need not be thread-safe; keep it cheap, it holds up that
+  /// recipe's next stage. May be empty.
   TableProgressSink progress;
 };
 
-/// Runs every requested recipe — concurrently when table.jobs > 1 — and
-/// returns the results in request order.
+/// Runs every requested recipe as one parallel_tasks lane, at most
+/// table.jobs at a time, and returns the results in request order. A
+/// failing recipe's exception (the lowest index, if several fail) reaches
+/// the caller after the recipes in flight finish; recipes not yet started
+/// are abandoned.
 std::vector<RecipeResult> run_recipes(const std::vector<RecipeRequest>& requests,
                                       const data::Dataset& train,
                                       const data::Dataset& test,
                                       const TableRunOptions& table = {});
 
-/// Runs one recipe end to end on pre-resized train/test datasets.
-/// Implemented as a thin composition over pipeline::Pipeline stages in
-/// src/pipeline/recipe_runner.cpp (spec_for_recipe gives the per-recipe
-/// stage list). Parity is guarded by pipeline-vs-pipeline comparisons in
-/// tests/pipeline_test.cpp (the pre-pipeline monolithic oracle served its
-/// purpose for three PRs and was removed).
+/// Runs one recipe end to end on pre-resized train/test datasets: the
+/// one-request run_recipes. The stages are pipeline::Pipeline stages (see
+/// src/pipeline/recipe_runner.cpp; spec_for_recipe gives the per-recipe
+/// stage list), and tests/pipeline_test.cpp guards their parity.
 RecipeResult run_recipe(RecipeKind kind, const RecipeOptions& options,
                         const data::Dataset& train, const data::Dataset& test);
 
 /// Runs all five recipes (a full table) and returns the rows in paper
-/// order. `table` controls parallelism/checkpointing; the default runs
+/// order. `table` controls parallelism and progress; the default runs
 /// sequentially, and any jobs= produces bitwise-identical rows.
 std::vector<RecipeResult> run_table(const RecipeOptions& options,
                                     const data::Dataset& train,

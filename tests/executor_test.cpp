@@ -1,12 +1,11 @@
-// ParallelTableRunner tests: parallel-vs-sequential bitwise row parity,
-// exception propagation from a failing recipe, and checkpoint-resume of a
-// partially completed parallel table. The pool is pinned to 4 workers at
-// the top of the suite so the concurrent paths are genuinely exercised
-// even on a single-core CI runner.
+// train::run_recipes tests: parallel-vs-sequential bitwise row parity,
+// exception propagation from a failing recipe, the jobs >= 1 check and
+// live progress streaming from concurrent recipes. The pool is pinned to
+// 4 workers at the top of the suite so the concurrent paths are genuinely
+// exercised even on a single-core CI runner.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,12 +14,9 @@
 #include "common/parallel.hpp"
 #include "data/synthetic.hpp"
 #include "data/transform.hpp"
-#include "pipeline/executor.hpp"
-#include "pipeline/parser.hpp"
-#include "pipeline/stages.hpp"
 #include "train/recipe.hpp"
 
-namespace odonn::pipeline {
+namespace odonn::train {
 namespace {
 
 /// Pins the shared pool to 4 workers (no-op when it already runs 4; the
@@ -34,7 +30,7 @@ void ensure_parallel_pool() {
 }
 
 struct TinySetup {
-  train::RecipeOptions options;
+  RecipeOptions options;
   data::Dataset train;
   data::Dataset test;
 };
@@ -61,14 +57,8 @@ TinySetup tiny_setup(std::uint64_t seed = 133) {
   return setup;
 }
 
-std::string temp_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-void expect_rows_bit_identical(const std::vector<train::RecipeResult>& lhs,
-                               const std::vector<train::RecipeResult>& rhs) {
+void expect_rows_bit_identical(const std::vector<RecipeResult>& lhs,
+                               const std::vector<RecipeResult>& rhs) {
   ASSERT_EQ(lhs.size(), rhs.size());
   for (std::size_t r = 0; r < lhs.size(); ++r) {
     EXPECT_EQ(lhs[r].name, rhs[r].name);
@@ -91,154 +81,105 @@ void expect_rows_bit_identical(const std::vector<train::RecipeResult>& lhs,
   }
 }
 
-/// A stage that always throws — the "failing recipe" of a parallel table.
-class FailStage : public Stage {
- public:
-  std::string name() const override { return "fail"; }
-  std::vector<std::string> outputs() const override { return {"model.main"}; }
-  void run(ArtifactStore&) override {
-    throw NumericsError("recipe diverged");
-  }
-};
-
 TEST(ExecutorParity, ParallelTableRowsAreBitwiseIdenticalToSequential) {
   ensure_parallel_pool();
   const TinySetup setup = tiny_setup();
-  const std::vector<train::RecipeRequest> requests = {
-      {train::RecipeKind::Baseline, setup.options, ""},
-      {train::RecipeKind::OursA, setup.options, ""},
-      {train::RecipeKind::OursD, setup.options, ""},
+  const std::vector<RecipeRequest> requests = {
+      {RecipeKind::Baseline, setup.options, ""},
+      {RecipeKind::OursA, setup.options, ""},
+      {RecipeKind::OursD, setup.options, ""},
   };
-  const auto sequential =
-      train::run_recipes(requests, setup.train, setup.test, {});
+  const auto sequential = run_recipes(requests, setup.train, setup.test, {});
   ASSERT_EQ(sequential.size(), 3u);
   EXPECT_EQ(sequential[0].name, "baseline");
   EXPECT_GT(sequential[0].seconds, 0.0);
 
-  train::TableRunOptions parallel;
+  TableRunOptions parallel;
   parallel.jobs = 3;
   const auto concurrent =
-      train::run_recipes(requests, setup.train, setup.test, parallel);
+      run_recipes(requests, setup.train, setup.test, parallel);
   expect_rows_bit_identical(sequential, concurrent);
 
   // An uneven thread-budget split (jobs=2 over the 3 requests) reuses
   // lanes for the trailing request — still bitwise identical.
-  train::TableRunOptions two;
+  TableRunOptions two;
   two.jobs = 2;
   expect_rows_bit_identical(
-      sequential, train::run_recipes(requests, setup.train, setup.test, two));
-}
-
-TEST(ExecutorParity, DuplicateLabelsWithCheckpointsAreRejected) {
-  // Labels name the per-recipe checkpoint subdirectories: two identical
-  // requests (a sweep of the same recipe) must fail fast when checkpoints
-  // are on instead of interleaving their artifacts in one directory.
-  const TinySetup setup = tiny_setup(135);
-  const std::vector<train::RecipeRequest> requests = {
-      {train::RecipeKind::OursB, setup.options, ""},
-      {train::RecipeKind::OursB, setup.options, ""},
-  };
-  train::TableRunOptions table;
-  table.checkpoint_dir = temp_dir("executor_dup_labels");
-  try {
-    train::run_recipes(requests, setup.train, setup.test, table);
-    FAIL() << "duplicate labels with checkpoint_dir were accepted";
-  } catch (const ConfigError& error) {
-    EXPECT_NE(std::string(error.what()).find("ours-b"), std::string::npos);
-  }
-  // Distinct explicit labels (or no checkpointing at all) are fine.
-  const std::vector<train::RecipeRequest> labeled = {
-      {train::RecipeKind::OursB, setup.options, "ratio-a"},
-      {train::RecipeKind::OursB, setup.options, "ratio-b"},
-  };
-  EXPECT_NO_THROW(
-      train::run_recipes(labeled, setup.train, setup.test, table));
-  std::filesystem::remove_all(table.checkpoint_dir);
+      sequential, run_recipes(requests, setup.train, setup.test, two));
 }
 
 TEST(ExecutorFailure, FailingJobPropagatesItsException) {
   ensure_parallel_pool();
   const TinySetup setup = tiny_setup(137);
-
-  const auto make_jobs = [&] {
-    std::vector<PipelineJob> jobs;
-    for (int i = 0; i < 3; ++i) {
-      PipelineJob job;
-      job.label = "job" + std::to_string(i);
-      if (i == 1) {
-        Pipeline failing;
-        failing.add(std::make_unique<FailStage>());
-        job.pipeline = std::move(failing);
-      } else {
-        job.pipeline = build_pipeline(
-            {{StageKind::Train, StageKind::Report}, {}}, setup.options);
-      }
-      job.setup = [&setup](ArtifactStore& store) {
-        store.set_data(&setup.train, &setup.test);
-      };
-      jobs.push_back(std::move(job));
-    }
-    return jobs;
+  // The middle request's model is built for a grid-24 field while the data
+  // is grid 20: its train stage fails on the first sample.
+  RecipeOptions wrong_grid = setup.options;
+  wrong_grid.model = donn::DonnConfig::scaled(24);
+  wrong_grid.model.num_layers = 2;
+  const std::vector<RecipeRequest> requests = {
+      {RecipeKind::Baseline, setup.options, "job0"},
+      {RecipeKind::Baseline, wrong_grid, "job1"},
+      {RecipeKind::Baseline, setup.options, "job2"},
   };
 
-  // Parallel: the failing job's exception reaches the caller once the
-  // in-flight jobs finished.
-  ExecutorOptions parallel;
+  // Parallel: the failing recipe's exception reaches the caller once the
+  // recipes in flight finished.
+  TableRunOptions parallel;
   parallel.jobs = 3;
-  try {
-    ParallelTableRunner(parallel).run(make_jobs());
-    FAIL() << "failing job did not propagate";
-  } catch (const NumericsError& error) {
-    EXPECT_NE(std::string(error.what()).find("recipe diverged"),
-              std::string::npos);
-  }
+  EXPECT_THROW(run_recipes(requests, setup.train, setup.test, parallel),
+               ShapeError);
 
-  // Sequential path: same exception type and message.
-  EXPECT_THROW(ParallelTableRunner(ExecutorOptions{}).run(make_jobs()),
-               NumericsError);
+  // Sequential path: the same exception type.
+  TableRunOptions sequential;
+  sequential.jobs = 1;
+  EXPECT_THROW(run_recipes(requests, setup.train, setup.test, sequential),
+               ShapeError);
+}
+
+TEST(ExecutorFailure, ZeroJobsIsRejected) {
+  const TinySetup setup = tiny_setup(139);
+  TableRunOptions none;
+  none.jobs = 0;
+  EXPECT_THROW(run_recipes({{RecipeKind::Baseline, setup.options, ""}},
+                           setup.train, setup.test, none),
+               Error);
 }
 
 TEST(ExecutorProgress, StreamsExactlyOneStartAndEndPerStage) {
   ensure_parallel_pool();
   const TinySetup setup = tiny_setup(143);
-
-  std::vector<PipelineJob> jobs;
-  for (int i = 0; i < 3; ++i) {
-    PipelineJob job;
-    job.label = "job" + std::to_string(i);
-    job.pipeline = build_pipeline(
-        {{StageKind::Train, StageKind::Report}, {}}, setup.options);
-    job.setup = [&setup](ArtifactStore& store) {
-      store.set_data(&setup.train, &setup.test);
-    };
-    jobs.push_back(std::move(job));
+  const std::vector<std::string> labels = {"job0", "job1", "job2"};
+  std::vector<RecipeRequest> requests;
+  for (const std::string& label : labels) {
+    requests.push_back({RecipeKind::Baseline, setup.options, label});
   }
 
-  // The runner serializes sink calls through its own mutex, so a plain
-  // vector is safe even with all three jobs in flight.
-  std::vector<StageProgressEvent> events;
-  ExecutorOptions options;
-  options.jobs = 3;
-  options.progress = [&events](const StageProgressEvent& event) {
+  // run_recipes serializes sink calls through its own mutex, so a plain
+  // vector is safe even with all three recipes in flight.
+  std::vector<TableProgress> events;
+  TableRunOptions table;
+  table.jobs = 3;
+  table.progress = [&events](const TableProgress& event) {
     events.push_back(event);
   };
-  const auto results = ParallelTableRunner(options).run(std::move(jobs));
-  ASSERT_EQ(results.size(), 3u);
+  const auto rows = run_recipes(requests, setup.train, setup.test, table);
+  ASSERT_EQ(rows.size(), 3u);
 
-  // Exactly one start and one end per (job, stage), start before end,
-  // nothing skipped, and the labels/stage names round-trip.
-  ASSERT_EQ(events.size(), 3u * 2u * 2u);
-  for (std::size_t job = 0; job < 3; ++job) {
-    for (std::size_t stage = 0; stage < 2; ++stage) {
+  // Exactly one start and one end per (label, stage), start before end,
+  // nothing skipped, and the stage names follow the baseline stage list.
+  const std::vector<std::string> stages = {"train", "report", "smooth",
+                                           "eval"};
+  ASSERT_EQ(events.size(), labels.size() * stages.size() * 2u);
+  for (const std::string& label : labels) {
+    for (std::size_t stage = 0; stage < stages.size(); ++stage) {
       int starts = 0;
       int ends = 0;
       std::ptrdiff_t start_at = -1;
       std::ptrdiff_t end_at = -1;
       for (std::size_t i = 0; i < events.size(); ++i) {
-        const auto& event = events[i];
-        if (event.job != job || event.stage != stage) continue;
-        EXPECT_EQ(event.label, "job" + std::to_string(job));
-        EXPECT_EQ(event.stage_name, stage == 0 ? "train" : "report");
+        const TableProgress& event = events[i];
+        if (event.label != label || event.stage != stage) continue;
+        EXPECT_EQ(event.stage_name, stages[stage]);
         if (event.finished) {
           ++ends;
           end_at = static_cast<std::ptrdiff_t>(i);
@@ -249,114 +190,12 @@ TEST(ExecutorProgress, StreamsExactlyOneStartAndEndPerStage) {
           start_at = static_cast<std::ptrdiff_t>(i);
         }
       }
-      EXPECT_EQ(starts, 1) << "job" << job << " stage " << stage;
-      EXPECT_EQ(ends, 1) << "job" << job << " stage " << stage;
-      EXPECT_LT(start_at, end_at) << "job" << job << " stage " << stage;
+      EXPECT_EQ(starts, 1) << label << " stage " << stage;
+      EXPECT_EQ(ends, 1) << label << " stage " << stage;
+      EXPECT_LT(start_at, end_at) << label << " stage " << stage;
     }
   }
-}
-
-TEST(ExecutorResume, PartiallyCompletedParallelTableResumesFromCheckpoints) {
-  ensure_parallel_pool();
-  const TinySetup setup = tiny_setup(141);
-  const std::string root = temp_dir("executor_partial_resume");
-  // OursA's stage list: 0_train, 1_report, 2_smooth, 3_eval.
-  const PipelineSpec spec = spec_for_recipe(train::RecipeKind::OursA);
-
-  const auto checkpoint_dir = [&root](const std::string& label) {
-    return (std::filesystem::path(root) / label).string();
-  };
-  const auto stage_done = [&](const std::string& label,
-                              const std::string& stage) {
-    return std::filesystem::exists(std::filesystem::path(root) / label /
-                                   stage / "done");
-  };
-  const auto make_job = [&](const std::string& label, bool fail,
-                            bool resume) {
-    PipelineJob job;
-    if (fail) {
-      // Train for real, then die: the failed recipe leaves a PARTIAL
-      // per-recipe checkpoint (0_train done, nothing after) behind.
-      Pipeline failing;
-      failing.add(std::make_unique<TrainStage>(setup.options, spec.flags));
-      failing.add(std::make_unique<FailStage>());
-      job.pipeline = std::move(failing);
-    } else {
-      job.pipeline = build_pipeline(spec, setup.options);
-    }
-    job.label = label;
-    job.run_options.checkpoint_dir = checkpoint_dir(label);
-    job.run_options.resume = resume;
-    job.setup = [&setup](ArtifactStore& store) {
-      store.set_data(&setup.train, &setup.test);
-    };
-    return job;
-  };
-
-  // Run 1: recipe "b" fails after its train stage; whatever else was in
-  // flight completes (the executor abandons only unstarted jobs).
-  {
-    std::vector<PipelineJob> jobs;
-    jobs.push_back(make_job("a", false, false));
-    jobs.push_back(make_job("b", true, false));
-    jobs.push_back(make_job("c", false, false));
-    ExecutorOptions options;
-    options.jobs = 3;
-    EXPECT_THROW(ParallelTableRunner(options).run(std::move(jobs)),
-                 NumericsError);
-  }
-  // The failing job always ran (only it can trip the abort flag), so its
-  // train checkpoint exists and nothing after it does. Whether a/c ran to
-  // completion is scheduling-dependent — record it instead of assuming.
-  ASSERT_TRUE(stage_done("b", "0_train"));
-  ASSERT_FALSE(stage_done("b", "1_report"));
-  const bool a_completed = stage_done("a", "3_eval");
-  const bool c_completed = stage_done("c", "3_eval");
-
-  // Run 2: the same table with "b" repaired, resume=true. Completed
-  // recipes fast-forward entirely; "b" resumes PAST its checkpointed train
-  // stage and runs the rest live.
-  std::vector<PipelineJob> jobs;
-  jobs.push_back(make_job("a", false, true));
-  jobs.push_back(make_job("b", false, true));
-  jobs.push_back(make_job("c", false, true));
-  ExecutorOptions options;
-  options.jobs = 3;
-  const auto results = ParallelTableRunner(options).run(std::move(jobs));
-  ASSERT_EQ(results.size(), 3u);
-  if (a_completed) {
-    for (const auto& timing : results[0].timings) {
-      EXPECT_TRUE(timing.skipped) << "a/" << timing.name;
-    }
-  }
-  if (c_completed) {
-    for (const auto& timing : results[2].timings) {
-      EXPECT_TRUE(timing.skipped) << "c/" << timing.name;
-    }
-  }
-  ASSERT_EQ(results[1].timings.size(), 4u);
-  EXPECT_TRUE(results[1].timings[0].skipped);   // train: from run 1's disk
-  EXPECT_FALSE(results[1].timings[1].skipped);  // report..eval: live
-  EXPECT_FALSE(results[1].timings[3].skipped);
-
-  // The resumed table is indistinguishable from a fresh uninterrupted run.
-  ArtifactStore reference;
-  reference.set_data(&setup.train, &setup.test);
-  build_pipeline(spec, setup.options).run(reference);
-  for (const auto& result : results) {
-    EXPECT_EQ(result.store.metric(artifacts::kAccuracy),
-              reference.metric(artifacts::kAccuracy))
-        << result.label;
-    for (std::size_t l = 0; l < setup.options.model.num_layers; ++l) {
-      EXPECT_EQ(
-          max_abs_diff(result.store.model(artifacts::kMainModel).phases()[l],
-                       reference.model(artifacts::kMainModel).phases()[l]),
-          0.0)
-          << result.label;
-    }
-  }
-  std::filesystem::remove_all(root);
 }
 
 }  // namespace
-}  // namespace odonn::pipeline
+}  // namespace odonn::train

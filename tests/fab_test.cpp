@@ -563,6 +563,11 @@ TEST(MonteCarloEvaluatorTest, RejectsGridMismatchAndEmptyConfig) {
   EXPECT_THROW(MonteCarloEvaluator(setup.eval, options), Error);
 
   options.realizations = 2;
+  for (const double threshold : {2.0, -1.0}) {
+    options.yield_threshold = threshold;
+    EXPECT_THROW(MonteCarloEvaluator(setup.eval, options), Error) << threshold;
+  }
+  options.yield_threshold = 0.5;
   const auto raw =
       data::make_synthetic(data::SyntheticFamily::Digits, 10, 5);
   const auto wrong_grid = data::resize_dataset(raw, 20);  // model is 16

@@ -114,13 +114,13 @@ train::RecipeResult recipe_via_explicit_pipeline(
 }
 
 TEST(StageParity, OursDPipelineVsCheckpointedPipelineBitForBit) {
-  // The parity bar, pipeline-vs-pipeline (the monolithic oracle is gone):
-  // run_recipe's composition of Ours-D — the recipe exercising every stage:
-  // regularized training, SLR sparsification, fine-tune, report, 2*pi
-  // smoothing, deployment eval — must reproduce (a) an explicitly composed
-  // pipeline run bit-for-bit, and (b) the same pipeline when every stage is
-  // checkpointed to disk and the whole run is then satisfied purely from
-  // those checkpoints (donn/serialize round-trips doubles exactly).
+  // The parity bar, pipeline-vs-pipeline: run_recipe's composition of
+  // Ours-D — the recipe exercising every stage: regularized training, SLR
+  // sparsification, fine-tune, report, 2*pi smoothing, deployment eval —
+  // must reproduce (a) an explicitly composed pipeline run bit-for-bit,
+  // and (b) the same pipeline when every stage is checkpointed to disk and
+  // the whole run is then satisfied purely from those checkpoints
+  // (donn/serialize round-trips doubles exactly).
   const TinySetup setup = tiny_setup();
   const auto via_recipe = train::run_recipe(
       train::RecipeKind::OursD, setup.options, setup.train, setup.test);
@@ -226,10 +226,14 @@ TEST(Parser, SpecFromConfigOverrides) {
 }
 
 TEST(Parser, OptionsFromConfigMapsKeys) {
-  const char* argv[] = {"prog",   "grid=20",      "layers=3", "epochs=5",
-                        "p=0.25", "sparsity=0.3", "seed=11",  "init=uniform"};
-  const Config cfg = Config::from_args(8, argv);
-  cfg.strict(config_keys());
+  const char* argv[] = {"prog",        "grid=20",      "layers=3",
+                        "epochs=5",    "p=0.25",       "sparsity=0.3",
+                        "seed=11",     "init=uniform", "crosstalk=1",
+                        "sweep=0,0.5,1"};
+  const Config cfg = Config::from_args(10, argv);
+  std::vector<std::string> keys = config_keys();
+  keys.push_back("sweep");  // odonn_cli run's own key
+  cfg.strict(keys);
   const train::RecipeOptions opt = options_from_config(cfg);
   EXPECT_EQ(opt.model.grid.n, 20u);
   EXPECT_EQ(opt.model.num_layers, 3u);
@@ -238,15 +242,30 @@ TEST(Parser, OptionsFromConfigMapsKeys) {
   EXPECT_EQ(opt.epochs_sparse, 2u);  // derived: epochs / 2
   EXPECT_DOUBLE_EQ(opt.roughness_p, 0.25);
   EXPECT_DOUBLE_EQ(opt.scheme.ratio, 0.3);
+  EXPECT_DOUBLE_EQ(opt.crosstalk.strength, 1.0);
   EXPECT_EQ(opt.seed, 11u);
+  EXPECT_EQ(sweep_from_config(cfg), (std::vector<double>{0.0, 0.5, 1.0}));
 }
 
-TEST(Parser, NegativeSeedIsRejected) {
-  // A seed is a count: -1 must not wrap to 2^64 - 1.
-  const char* argv[] = {"prog", "seed=-1"};
-  const Config cfg = Config::from_args(2, argv);
-  EXPECT_THROW(options_from_config(cfg), ConfigError);
-  EXPECT_THROW(dataset_options_from_config(cfg), ConfigError);
+TEST(Parser, OutOfRangeValuesAreRejected) {
+  // A seed is a count: -1 must not wrap to 2^64 - 1. Crosstalk strengths,
+  // sweep strengths and yield thresholds are finite values in [0, 1]:
+  // anything else fails while parsing, before any training.
+  const auto parse = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    return Config::from_args(2, argv);
+  };
+  EXPECT_THROW(dataset_options_from_config(parse("seed=-1")), ConfigError);
+  for (const char* bad : {"seed=-1", "crosstalk=2", "crosstalk=-0.5"}) {
+    EXPECT_THROW(options_from_config(parse(bad)), ConfigError) << bad;
+  }
+  for (const char* bad : {"sweep=nan", "sweep=inf", "sweep=-1", "sweep=2",
+                          "sweep=0.5,x"}) {
+    EXPECT_THROW(sweep_from_config(parse(bad)), ConfigError) << bad;
+  }
+  for (const char* bad : {"yield_threshold=2", "yield_threshold=-1"}) {
+    EXPECT_THROW(robust_options_from_config(parse(bad)), ConfigError) << bad;
+  }
 }
 
 TEST(Parser, PublishWithoutRegistryIsRejected) {
@@ -326,7 +345,7 @@ TEST(PipelineValidation, RejectsDuplicateDeclaredOutputs) {
   }
 }
 
-TEST(PipelineObserverTest, ReportsStagesInOrderWithTimings) {
+TEST(PipelineProgressTest, ReportsStagesInOrderWithTimings) {
   const TinySetup setup = tiny_setup();
   ArtifactStore store;
   store.set_data(&setup.train, &setup.test);
@@ -334,24 +353,29 @@ TEST(PipelineObserverTest, ReportsStagesInOrderWithTimings) {
       {{StageKind::Train, StageKind::Report}, {}}, setup.options);
 
   std::vector<std::string> started, ended;
-  PipelineObserver observer;
-  observer.on_stage_start = [&](std::size_t index, const Stage& stage) {
-    EXPECT_EQ(index, started.size());
-    started.push_back(stage.name());
+  RunOptions options;
+  options.trace_label = "tiny";
+  options.progress = [&](const train::TableProgress& event) {
+    EXPECT_EQ(event.label, "tiny");
+    if (!event.finished) {
+      EXPECT_EQ(event.stage, started.size());
+      started.push_back(event.stage_name);
+      return;
+    }
+    EXPECT_EQ(event.stage, ended.size());
+    EXPECT_FALSE(event.skipped);
+    EXPECT_GE(event.seconds, 0.0);
+    ended.push_back(event.stage_name);
   };
-  observer.on_stage_end = [&](const StageTiming& timing) {
-    EXPECT_FALSE(timing.skipped);
-    EXPECT_GE(timing.seconds, 0.0);
-    ended.push_back(timing.name);
-  };
-  pipe.set_observer(std::move(observer));
 
-  const auto timings = pipe.run(store);
+  const auto finished = pipe.run(store, options);
   const std::vector<std::string> expected = {"train", "report"};
   EXPECT_EQ(started, expected);
   EXPECT_EQ(ended, expected);
-  ASSERT_EQ(timings.size(), 2u);
-  EXPECT_EQ(timings[1].index, 1u);
+  ASSERT_EQ(finished.size(), 2u);
+  EXPECT_EQ(finished[1].stage, 1u);
+  EXPECT_EQ(finished[1].stage_name, "report");
+  EXPECT_TRUE(finished[1].finished);
 }
 
 // -------------------------------------------------- checkpoint resume
@@ -386,7 +410,7 @@ TEST(Checkpointing, ResumeMidPipelineReproducesTheFullRun) {
   ASSERT_EQ(timings.size(), full_spec.stages.size());
   EXPECT_TRUE(timings[0].skipped);
   for (std::size_t i = 1; i < timings.size(); ++i) {
-    EXPECT_FALSE(timings[i].skipped) << "stage " << timings[i].name;
+    EXPECT_FALSE(timings[i].skipped) << "stage " << timings[i].stage_name;
   }
 
   // The resumed run must be indistinguishable from the uninterrupted one:
@@ -590,7 +614,7 @@ TEST(RobustStage, CheckpointResumeReproducesTheIdenticalReport) {
   const auto timings =
       build_pipeline(spec, setup.options, context).run(resumed, resume);
   for (const auto& timing : timings) {
-    EXPECT_TRUE(timing.skipped) << timing.name;
+    EXPECT_TRUE(timing.skipped) << timing.stage_name;
   }
   for (const char* metric :
        {artifacts::kRobustMean, artifacts::kRobustStd, artifacts::kRobustMin,
