@@ -16,8 +16,10 @@
 #include "donn/reflection.hpp"
 #include "roughness/report.hpp"
 #include "slr/admm.hpp"
+#include "slr/slr.hpp"
 #include "smooth2pi/two_pi_opt.hpp"
 #include "sparsify/block_sparsify.hpp"
+#include "train/trainer.hpp"
 
 using namespace odonn;
 

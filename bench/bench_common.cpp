@@ -105,14 +105,9 @@ train::RecipeOptions recipe_options(const BenchConfig& cfg,
   opt.lr_sparse = 0.001;    // §IV-A2
   opt.roughness_p = 0.1;    // Fig. 6c inflection (per-pixel normalized)
   opt.intra_q = 0.03;       // Ours-D shape at this scale (see recipe.hpp)
-  opt.scheme.scheme = sparsify::Scheme::Block;
-  opt.scheme.ratio = 0.1;   // §IV-A2 sparsification ratio
-  opt.scheme.block_size = cfg.scaled_block(paper_block);
-  opt.slr.rho = 0.1;        // §IV-A2: rho=0.1, M=300, r=0.1, s0=0.01
-  opt.slr.M = 300;
-  opt.slr.r = 0.1;
-  opt.slr.s0 = 0.01;
-  opt.two_pi.iterations = cfg.two_pi_iterations;
+  opt.sparsity_ratio = 0.1; // §IV-A2 sparsification ratio
+  opt.block_size = cfg.scaled_block(paper_block);
+  opt.two_pi_iterations = cfg.two_pi_iterations;
   opt.seed = cfg.seed;
   return opt;
 }

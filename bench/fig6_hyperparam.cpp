@@ -1,5 +1,7 @@
 // Reproduces Fig. 6: hyperparameter exploration on the MNIST stand-in.
-//   (a) Pareto frontier of accuracy vs roughness across recipe settings
+//   (a) Pareto frontier of accuracy vs roughness across recipe settings,
+//       every point at R_overall of its trained masks (before the 2*pi
+//       optimization, the quantity the (b)-(d) series print)
 //   (b) sparsification-ratio sweep vs accuracy / roughness
 //   (c) roughness-regularization (p) sweep     — paper: inflection at 0.1
 //   (d) intra-block regularization (q) sweep   — paper: inflection at log q=1
@@ -92,7 +94,7 @@ int run(int argc, char** argv) {
     const auto series = run_sweep(
         train::RecipeKind::OursB, base_opt, {0.05, 0.1, 0.2, 0.3, 0.4, 0.5},
         [](train::RecipeOptions& opt, double ratio) {
-          opt.scheme.ratio = ratio;
+          opt.sparsity_ratio = ratio;
         },
         dataset.train, dataset.test, table);
     print_series("(b) sparsification ratio sweep", "ratio", series,
@@ -133,13 +135,13 @@ int run(int argc, char** argv) {
         "(d) strong q does not blow up roughness");
   }
 
-  // (a) Pareto frontier assembled from all recipe variants + the sweeps.
+  // (a) Pareto frontier assembled from all recipe variants + the (c) sweep.
   {
     std::vector<SweepPoint> cloud;
     const auto rows =
         train::run_table(base_opt, dataset.train, dataset.test, table);
     for (const auto& row : rows) {
-      cloud.push_back({0.0, row.accuracy, row.roughness_after});
+      cloud.push_back({0.0, row.accuracy, row.roughness_before});
     }
     for (const auto& p : series_c) cloud.push_back({0.0, p.accuracy, p.roughness});
     // Extract the frontier: sort by roughness, keep accuracy-maximal prefix.
@@ -147,9 +149,10 @@ int run(int argc, char** argv) {
               [](const SweepPoint& a, const SweepPoint& b) {
                 return a.roughness < b.roughness;
               });
-    std::printf("(a) accuracy vs roughness cloud and Pareto frontier\n");
+    std::printf("(a) accuracy vs roughness_before (R_overall of the trained "
+                "masks, before 2*pi) cloud and Pareto frontier\n");
     io::CsvWriter csv("bench_out/fig6/a_pareto.csv",
-                      {"roughness", "accuracy", "on_frontier"});
+                      {"roughness_before", "accuracy", "on_frontier"});
     double best_acc = -1.0;
     std::size_t frontier_count = 0;
     for (const auto& p : cloud) {

@@ -111,11 +111,10 @@ int run(int argc, char** argv) {
   const double train_seconds =
       std::chrono::duration<double>(Clock::now() - t_train).count();
 
-  fab::MonteCarloOptions mc;
-  mc.realizations = realizations;
-  mc.seed = bc.seed + 1000;
-  mc.crosstalk = first_options.crosstalk;
-  const fab::MonteCarloEvaluator evaluator(data.test, mc);
+  pipeline::RobustStageOptions robust;
+  robust.realizations = realizations;
+  const fab::MonteCarloEvaluator evaluator(
+      data.test, pipeline::monte_carlo_options(first_options, robust));
 
   const Clock::time_point t_eval = Clock::now();
   std::vector<std::pair<std::string, const donn::DonnModel*>> variants;

@@ -7,9 +7,8 @@
 // seed (the "equal clean-accuracy budget"):
 //   smoothed-only  train (clean) -> 2*pi smooth
 //   robust         robust_train (K fabrication realizations per step,
-//                  antithetic pairs; in-loop crosstalk deployment stays
-//                  off by default — see RobustTrainStageOptions — and is
-//                  exposed as train_crosstalk=) -> 2*pi smooth
+//                  antithetic pairs; the realizations skip the crosstalk
+//                  emulation, see train::RobustTrainOptions) -> 2*pi smooth
 // Both are then subjected to >= 32 Monte-Carlo fabricated devices under
 // COMMON RANDOM NUMBERS (realization seeds depend only on (seed, r)), so
 // the yield comparison is paired. Shape checks assert the robust-trained
@@ -27,15 +26,14 @@
 //
 //   ./robust_train [bench.scale=smoke|default|paper] [grid=] [samples=]
 //                  [seed=] [epochs=] [realizations=32]
-//                  [train_realizations=2] [antithetic=] [train_antithetic=]
-//                  [train_warmup=-1] [train_lr_scale=0.1]
-//                  [train_crosstalk=0] [yield_threshold=0.5]
+//                  [train_realizations=2] [antithetic=]
+//                  [train_resample=batch|epoch] [train_warmup=-1]
+//                  [train_lr_scale=0.1] [yield_threshold=0.5]
 //                  [perturb=SPEC] [format=]
 //
 // antithetic= follows the odonn_cli convention: it drives BOTH the
 // Monte-Carlo evaluation streams (default off — plain CRN) and the
-// training streams (default on); train_antithetic= overrides training
-// independently.
+// training streams (default on).
 //
 // epochs defaults to max(2, scale epochs) so even the smoke scale fits
 // one clean warm-up epoch plus one noise-in-the-loop epoch.
@@ -67,9 +65,8 @@ int run(int argc, char** argv) {
   std::vector<std::string> keys = bench::bench_config_keys();
   for (const char* key :
        {"realizations", "train_realizations", "antithetic",
-        "train_antithetic", "train_resample", "train_warmup",
-        "train_lr_scale", "train_crosstalk", "yield_threshold", "perturb",
-        "epochs", "format"}) {
+        "train_resample", "train_warmup", "train_lr_scale",
+        "yield_threshold", "perturb", "epochs", "format"}) {
     keys.emplace_back(key);
   }
   cli.strict(keys);
@@ -129,13 +126,10 @@ int run(int argc, char** argv) {
   const double train_seconds =
       std::chrono::duration<double>(Clock::now() - t_train).count();
 
-  fab::MonteCarloOptions mc;
-  mc.realizations = realizations;
-  mc.seed = bc.seed + 1000;
-  mc.antithetic = mc_antithetic;
-  mc.yield_threshold = yield_threshold;
-  mc.crosstalk = options.crosstalk;
-  const fab::MonteCarloEvaluator evaluator(data.test, mc);
+  const pipeline::RobustStageOptions eval_options{
+      perturb_spec, realizations, yield_threshold, mc_antithetic};
+  const fab::MonteCarloEvaluator evaluator(
+      data.test, pipeline::monte_carlo_options(options, eval_options));
 
   const Clock::time_point t_eval = Clock::now();
   const auto reports = evaluator.compare(

@@ -33,12 +33,14 @@
 //          across variants, yield statistics (yield_threshold= in [0, 1]).
 //            odonn_cli robust recipe=baseline,ours-c realizations=32
 //              perturb='roughness(sigma_um=0.05,corr=2)+quantize(levels=8)'
-//            odonn_cli robust model=models/ours-c-smoothed.odnn threads=4
+//            ODONN_THREADS=4 odonn_cli robust model=models/ours-c-smoothed.odnn
 //
 // Robust (noise-in-the-loop) training: robust_train=1 swaps every train
 // stage for robust_train, which averages gradients over
 // train_realizations= fabrication realizations per step (antithetic=
-// pairs them, train_resample=batch|epoch picks the sampling cadence):
+// pairs them here as in the Monte-Carlo evaluation, train_resample=
+// batch|epoch picks the sampling cadence). The training realizations skip
+// the crosstalk emulation; the evaluation deploys it:
 //   odonn_cli run recipe=baseline robust_train=1 train_realizations=4
 //   odonn_cli robust recipe=baseline robust_train=1 realizations=32
 //
@@ -178,9 +180,8 @@ void print_usage() {
       "         data_dir=DIR sweep=0.25,0.5,0.75 checkpoint_dir=DIR\n"
       "         resume=0|1 publish_name=NAME publish_dir=DIR\n"
       "         robust_train=0|1 train_realizations=2 antithetic=0|1\n"
-      "         train_antithetic=0|1 train_resample=batch|epoch\n"
-      "         train_warmup=-1 train_lr_scale=0.1 train_crosstalk=0|1\n"
-      "         perturb=SPEC format=text|json|both\n"
+      "         train_resample=batch|epoch train_warmup=-1\n"
+      "         train_lr_scale=0.1 perturb=SPEC format=text|json|both\n"
       "  table  dataset=mnist|fmnist|kmnist|emnist|all bench.scale=smoke|\n"
       "         default|paper grid= samples= layers= detector= seed= jobs=N\n"
       "         format= (jobs= runs N recipes concurrently; rows are bitwise\n"
@@ -203,7 +204,7 @@ void print_usage() {
       "         perturb='roughness(sigma_um=0.05,corr=2)+quantize(levels=16)"
       "+misalign(sigma_px=0.25)'\n"
       "         realizations=32 yield_threshold=0.5 antithetic=0|1\n"
-      "         robust_train=0|1 train_realizations=2 threads=N dataset=mnist\n"
+      "         robust_train=0|1 train_realizations=2 dataset=mnist\n"
       "         data_dir=DIR grid=32 layers= detector= samples=800 epochs=2\n"
       "         seed=7 format=\n");
 }
@@ -354,10 +355,8 @@ int cmd_run(const Config& cfg) {
       const donn::DonnModel& model = store.model(which);
       if (print_text) std::printf("%-9s | sweep(%s):", job.label.c_str(), which);
       for (const double strength : sweep) {
-        donn::CrosstalkOptions ct = opt.crosstalk;
-        ct.strength = strength;
-        const double deployed =
-            train::evaluate_deployed_accuracy(model, store.test(), ct);
+        const double deployed = train::evaluate_deployed_accuracy(
+            model, store.test(), donn::CrosstalkOptions{strength});
         if (print_text) std::printf("  s=%.2f %.2f%%", strength, 100.0 * deployed);
         if (!sweep_json.empty()) sweep_json += ", ";
         sweep_json += "{\"strength\": " + bench::json_number(strength) +
@@ -715,17 +714,8 @@ int cmd_serve(const Config& cfg) {
 
 int cmd_robust(const Config& cfg) {
   cfg.strict(with(pipeline::config_keys(),
-                  {"dataset", "samples", "model", "format", "threads",
-                   "metrics", "trace", "trace_stream"}));
-  // Pin the pool size before any parallel work runs (the robust CLI
-  // exposes the thread count directly; ODONN_THREADS remains the default).
-  if (cfg.has("threads")) {
-    const long threads = cfg.get_int("threads", 0);
-    if (threads < 1 || threads > 1024) {
-      throw ConfigError("robust: threads must be in [1, 1024]");
-    }
-    set_thread_count(static_cast<std::size_t>(threads));
-  }
+                  {"dataset", "samples", "model", "format", "metrics",
+                   "trace", "trace_stream"}));
   const auto format = bench::parse_format(cfg);
   const bool print_text = format != bench::OutputFormat::Json;
   const bool print_json = format != bench::OutputFormat::Text;
@@ -801,12 +791,8 @@ int cmd_robust(const Config& cfg) {
     }
   }
 
-  fab::MonteCarloOptions mc;
-  mc.realizations = robust_opt.realizations;
-  mc.seed = opt.seed + 1000;  // matches RobustEvalStage's stream
-  mc.antithetic = robust_opt.antithetic;
-  mc.yield_threshold = robust_opt.yield_threshold;
-  mc.crosstalk = opt.crosstalk;
+  const fab::MonteCarloOptions mc =
+      pipeline::monte_carlo_options(opt, robust_opt);
   const fab::MonteCarloEvaluator evaluator(test_set, mc);
 
   std::vector<std::pair<std::string, const donn::DonnModel*>> refs;

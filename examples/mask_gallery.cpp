@@ -34,7 +34,7 @@ int run(int argc, char** argv) {
   opt.epochs_dense = cfg.get_count("epochs", 2);
   opt.epochs_sparse = 1;
   opt.batch_size = 50;
-  opt.scheme.block_size = std::max<std::size_t>(2, grid / 10);
+  opt.block_size = std::max<std::size_t>(2, grid / 10);
   opt.seed = cfg.get_count("seed", 7);
 
   const auto raw = data::make_synthetic(family, samples, opt.seed + 10);

@@ -209,6 +209,25 @@ expect_error "range smoke: odonn_cli robust yield_threshold=2" \
   realizations=4 yield_threshold=2
 echo "range smoke: crosstalk=2, sweep=nan and yield_threshold=2 rejected"
 
+# Removed keys are unknown keys, rejected before any training: robust
+# training's in-loop crosstalk (train_crosstalk=), its training-only
+# pairing override (train_antithetic=; antithetic= drives both streams)
+# and odonn_cli robust's threads= (ODONN_THREADS sizes the pool).
+# shellcheck disable=SC2086
+expect_error "removed-key smoke: odonn_cli run train_crosstalk=1" \
+  "error: config:" timeout 30 ./odonn_cli run $tiny_recipe robust_train=1 \
+  train_crosstalk=1
+# shellcheck disable=SC2086
+expect_error "removed-key smoke: odonn_cli run train_antithetic=0" \
+  "error: config:" timeout 30 ./odonn_cli run $tiny_recipe robust_train=1 \
+  train_antithetic=0
+# shellcheck disable=SC2086
+expect_error "removed-key smoke: odonn_cli robust threads=2" \
+  "error: config:" timeout 30 ./odonn_cli robust $tiny_recipe \
+  realizations=4 threads=2
+echo "removed-key smoke: train_crosstalk=, train_antithetic= and robust" \
+     "threads= rejected"
+
 # Robust-training smoke: the noise-in-the-loop bench must pass its shape
 # checks (robust-trained yield strictly above the 2*pi-smoothed-only
 # variant under CRN) AND emit bitwise-identical digests across thread

@@ -93,7 +93,7 @@ class ThreadPool {
       throw ConfigError("thread pool: started only " +
                         std::to_string(started) + " of " + std::to_string(n) +
                         " worker threads (" + error.what() +
-                        "); lower ODONN_THREADS or threads=");
+                        "); lower ODONN_THREADS");
     }
   }
 
@@ -202,7 +202,7 @@ Mutex g_pool_mutex;
 std::size_t g_requested_threads ODONN_GUARDED_BY(g_pool_mutex) = 0;  // 0 = auto
 std::atomic<bool> g_pool_built{false};
 
-/// Largest ODONN_THREADS value, the range `threads=` keys accept too.
+/// Largest ODONN_THREADS value.
 constexpr std::size_t kMaxThreads = 1024;
 
 /// ODONN_THREADS as a whole number in [1, kMaxThreads]; unset or empty
@@ -296,15 +296,14 @@ void set_thread_count(std::size_t n) {
   MutexLock lock(g_pool_mutex);
   if (g_pool_built.load()) {
     // The pool cannot be resized once built (worker threads and queued
-    // work reference it), but re-stating the current size is harmless —
-    // common when a CLI parses threads= after some parallel warm-up ran.
+    // work reference it), but re-stating the current size is harmless.
     const std::size_t current = pool().size();
     if (current == n) return;
     throw ConfigError(
         "set_thread_count(" + std::to_string(n) +
         "): the shared pool is already running " + std::to_string(current) +
-        " thread(s), fixed by the first parallel call; pass threads= before "
-        "any parallel work or set ODONN_THREADS instead");
+        " thread(s), fixed by the first parallel call; call it before any "
+        "parallel work or set ODONN_THREADS instead");
   }
   g_requested_threads = n;
 }

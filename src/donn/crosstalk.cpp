@@ -11,7 +11,7 @@ MatrixD apply_crosstalk(const MatrixD& phase, const CrosstalkOptions& options) {
   ODONN_CHECK(options.strength >= 0.0 && options.strength <= 1.0,
               "apply_crosstalk: strength must be in [0, 1]");
 
-  const MatrixD local = roughness::roughness_map(phase, options.roughness);
+  const MatrixD local = roughness::roughness_map(phase);
   const long rows = static_cast<long>(phase.rows());
   const long cols = static_cast<long>(phase.cols());
   MatrixD out(phase.rows(), phase.cols());

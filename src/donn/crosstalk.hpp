@@ -21,13 +21,12 @@ struct CrosstalkOptions {
   /// Maximum blend factor toward the neighborhood mean (0 = ideal device,
   /// 1 = full smearing at the roughest pixels).
   double strength = 0.5;
-  roughness::RoughnessOptions roughness = {};
 };
 
 /// Returns the "as-fabricated" phase mask: per-pixel blend between the ideal
 /// phase and the 3x3 neighborhood mean, weighted by the saturating response
-/// alpha = strength * R(p) / (R(p) + 1) of the local roughness R(p) (a
-/// roughness of 1 rad produces half-maximal smearing). Smooth masks are
+/// alpha = strength * R(p) / (R(p) + 1) of the local 8-neighborhood
+/// roughness R(p) (a roughness of 1 rad produces half-maximal smearing). Smooth masks are
 /// nearly unchanged; rough masks are distorted.
 MatrixD apply_crosstalk(const MatrixD& phase, const CrosstalkOptions& options = {});
 

@@ -39,19 +39,6 @@ MatrixD quantize_phase(const MatrixD& phase, const QuantizeOptions& options) {
   return out;
 }
 
-Matrix<std::size_t> quantize_indices(const MatrixD& phase,
-                                     const QuantizeOptions& options) {
-  check(options);
-  const MatrixD q = quantize_phase(phase, options);
-  const double step = kTwoPi / static_cast<double>(options.levels);
-  Matrix<std::size_t> idx(phase.rows(), phase.cols());
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    idx[i] = static_cast<std::size_t>(std::lround(q[i] / step)) %
-             options.levels;
-  }
-  return idx;
-}
-
 double quantization_error(const MatrixD& phase,
                           const QuantizeOptions& options) {
   check(options);
@@ -78,47 +65,6 @@ std::vector<MatrixD> StePhaseQuantizer::forward(
   out.reserve(latent.size());
   for (const auto& phi : latent) out.push_back(quantize_phase(phi, options_));
   return out;
-}
-
-GumbelLevelSample gumbel_level_sample(const std::vector<MatrixD>& logits,
-                                      double tau, Rng& rng, bool stochastic) {
-  ODONN_CHECK(logits.size() >= 2, "gumbel_level_sample: need >= 2 levels");
-  ODONN_CHECK(tau > 0.0, "gumbel_level_sample: tau must be positive");
-  const std::size_t levels = logits.size();
-  const std::size_t rows = logits[0].rows();
-  const std::size_t cols = logits[0].cols();
-  for (const auto& l : logits) {
-    ODONN_CHECK_SHAPE(l.rows() == rows && l.cols() == cols,
-                      "gumbel_level_sample: logit shape mismatch");
-  }
-
-  GumbelLevelSample result;
-  result.soft_phase = MatrixD(rows, cols, 0.0);
-  result.probs.assign(levels, MatrixD(rows, cols, 0.0));
-  const double step = kTwoPi / static_cast<double>(levels);
-
-  std::vector<double> z(levels);
-  for (std::size_t i = 0; i < rows * cols; ++i) {
-    double peak = -1e300;
-    for (std::size_t k = 0; k < levels; ++k) {
-      z[k] = logits[k][i] + (stochastic ? rng.gumbel() : 0.0);
-      z[k] /= tau;
-      peak = std::max(peak, z[k]);
-    }
-    double total = 0.0;
-    for (std::size_t k = 0; k < levels; ++k) {
-      z[k] = std::exp(z[k] - peak);
-      total += z[k];
-    }
-    double expectation = 0.0;
-    for (std::size_t k = 0; k < levels; ++k) {
-      const double p = z[k] / total;
-      result.probs[k][i] = p;
-      expectation += p * static_cast<double>(k) * step;
-    }
-    result.soft_phase[i] = expectation;
-  }
-  return result;
 }
 
 }  // namespace odonn::donn

@@ -113,11 +113,12 @@ train::RecipeOptions options_from_config(const Config& cfg) {
   opt.lr_sparse = cfg.get_double("lr_sparse", opt.lr_sparse);
   opt.roughness_p = cfg.get_double("p", opt.roughness_p);
   opt.intra_q = cfg.get_double("q", opt.intra_q);
-  opt.scheme.ratio = cfg.get_double("sparsity", opt.scheme.ratio);
-  opt.scheme.block_size = cfg.get_count("block", 5);
-  opt.two_pi.iterations = cfg.get_count("two_pi_iters", opt.two_pi.iterations);
-  opt.crosstalk.strength = unit_interval(
-      cfg.get_double("crosstalk", opt.crosstalk.strength), "crosstalk");
+  opt.sparsity_ratio = cfg.get_double("sparsity", opt.sparsity_ratio);
+  opt.block_size = cfg.get_count("block", opt.block_size);
+  opt.two_pi_iterations =
+      cfg.get_count("two_pi_iters", opt.two_pi_iterations);
+  opt.crosstalk =
+      unit_interval(cfg.get_double("crosstalk", opt.crosstalk), "crosstalk");
   opt.seed = cfg.get_count("seed", 7);
   opt.verbose = cfg.get_bool("verbose", false);
   return opt;
@@ -157,6 +158,17 @@ RobustStageOptions robust_options_from_config(const Config& cfg) {
   return opt;
 }
 
+fab::MonteCarloOptions monte_carlo_options(const train::RecipeOptions& recipe,
+                                           const RobustStageOptions& robust) {
+  fab::MonteCarloOptions mc;
+  mc.realizations = robust.realizations;
+  mc.seed = recipe.seed + 1000;  // own stream, apart from train/smooth
+  mc.antithetic = robust.antithetic;
+  mc.yield_threshold = robust.yield_threshold;
+  mc.crosstalk.strength = recipe.crosstalk;
+  return mc;
+}
+
 RobustTrainStageOptions robust_train_options_from_config(const Config& cfg) {
   RobustTrainStageOptions opt;
   opt.perturb = cfg.get_string("perturb", "");
@@ -166,21 +178,17 @@ RobustTrainStageOptions robust_train_options_from_config(const Config& cfg) {
     throw ConfigError("train_realizations must be >= 1");
   }
   opt.realizations = static_cast<std::size_t>(realizations);
-  // antithetic= drives training and MC evaluation together (the common
-  // case); train_antithetic= overrides just the training streams, e.g. to
-  // keep evaluation digests comparable while pairing the gradient draws.
-  opt.antithetic = cfg.get_bool(
-      "train_antithetic", cfg.get_bool("antithetic", opt.antithetic));
+  // antithetic= drives training and MC evaluation together; only the
+  // defaults differ (pairs for training, plain streams for evaluation).
+  opt.antithetic = cfg.get_bool("antithetic", opt.antithetic);
   if (opt.antithetic && opt.realizations % 2 != 0) {
     throw ConfigError(
         "train_realizations must be even with antithetic pairing (pass "
-        "train_antithetic=0 for plain training streams)");
+        "antithetic=0 for plain training streams)");
   }
   opt.per_epoch =
       cfg.get_enum("train_resample", "batch", {"batch", "epoch"}) == "epoch";
   opt.warmup_epochs = cfg.get_int("train_warmup", opt.warmup_epochs);
-  opt.deploy_crosstalk =
-      cfg.get_bool("train_crosstalk", opt.deploy_crosstalk);
   opt.lr_scale = cfg.get_double("train_lr_scale", opt.lr_scale);
   if (opt.lr_scale <= 0.0) {
     throw ConfigError("train_lr_scale must be > 0");
@@ -198,8 +206,7 @@ std::vector<std::string> config_keys() {
           "crosstalk",       "seed",      "verbose",   "data_dir",
           "perturb",         "realizations",           "yield_threshold",
           "antithetic",      "robust_train",           "train_realizations",
-          "train_resample",  "train_warmup",           "train_lr_scale",
-          "train_crosstalk", "train_antithetic"};
+          "train_resample",  "train_warmup",           "train_lr_scale"};
 }
 
 Pipeline build_pipeline(const PipelineSpec& spec,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "fab/montecarlo.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/stages.hpp"
 #include "train/recipe.hpp"
@@ -77,11 +78,17 @@ DatasetStageOptions dataset_options_from_config(const Config& cfg);
 /// yield_threshold= (in [0, 1]), antithetic=.
 RobustStageOptions robust_options_from_config(const Config& cfg);
 
-/// RobustTrainStageOptions from flat config keys: perturb= (shared with
-/// the robust eval stage), train_realizations=, antithetic= (shared;
-/// train_antithetic= overrides training independently),
-/// train_resample=batch|epoch, train_warmup=, train_lr_scale=,
-/// train_crosstalk=.
+/// The Monte-Carlo options of every robust report (RobustEvalStage,
+/// odonn_cli robust, the robust benches): `robust`'s realizations,
+/// antithetic pairing and yield threshold, on the stream recipe.seed + 1000
+/// (apart from the train and smooth streams), deploying the recipe's
+/// crosstalk strength.
+fab::MonteCarloOptions monte_carlo_options(const train::RecipeOptions& recipe,
+                                           const RobustStageOptions& robust);
+
+/// RobustTrainStageOptions from flat config keys: perturb= and antithetic=
+/// (both shared with the robust eval stage), train_realizations=,
+/// train_resample=batch|epoch, train_warmup=, train_lr_scale=.
 RobustTrainStageOptions robust_train_options_from_config(const Config& cfg);
 
 /// Every config key understood by spec_from_config/options_from_config

@@ -9,6 +9,7 @@
 #include "data/transform.hpp"
 #include "fab/montecarlo.hpp"
 #include "fab/spec.hpp"
+#include "pipeline/parser.hpp"
 #include "roughness/report.hpp"
 #include "slr/slr.hpp"
 #include "smooth2pi/two_pi_opt.hpp"
@@ -18,17 +19,16 @@ namespace odonn::pipeline {
 
 namespace {
 
-// This RecipeOptions -> TrainOptions mapping is part of every recipe
-// digest: changing it changes the trained phase bits that the table
-// digests and perfbench/digests.txt pin.
+// The RecipeOptions -> TrainOptions, SlrOptions and TwoPiOptions mappings
+// below are part of every recipe digest: changing one changes the trained
+// or smoothed phase bits that the table digests and perfbench/digests.txt
+// pin.
 train::TrainOptions base_train_options(const train::RecipeOptions& options,
                                        RegularizerFlags flags) {
   train::TrainOptions base;
   base.batch_size = options.batch_size;
   base.seed = options.seed + 1;
   base.verbose = options.verbose;
-  base.reg.roughness = options.roughness;
-  base.reg.intra = options.intra;
   if (flags.roughness) base.reg.roughness_p = options.roughness_p;
   if (flags.intra) base.reg.intra_q = options.intra_q;
   return base;
@@ -156,8 +156,6 @@ void RobustTrainStage::run(ArtifactStore& store) {
     dense.robust.realizations = robust_.realizations;
     dense.robust.antithetic = robust_.antithetic;
     dense.robust.per_epoch = robust_.per_epoch;
-    dense.robust.deploy_crosstalk = robust_.deploy_crosstalk;
-    dense.robust.crosstalk = options_.crosstalk;
     dense.robust.seed = options_.seed + 500;  // apart from train/smooth/mc
     // Continuation training on a checkpointed model resumes the
     // realization stream where the previous run stopped (counter
@@ -188,8 +186,9 @@ void SparsifyStage::run(ArtifactStore& store) {
   donn::DonnModel& model = store.mutable_model(artifacts::kMainModel);
   const train::TrainOptions base = base_train_options(options_, flags_);
 
-  slr::SlrOptions slr_options = options_.slr;
-  slr_options.scheme = options_.scheme;
+  slr::SlrOptions slr_options;  // §IV-A2: rho=0.1, M=300, r=0.1, s0=0.01
+  slr_options.scheme = {sparsify::Scheme::Block, options_.sparsity_ratio,
+                        options_.block_size};
   slr::SlrState slr_state(model.phases(), slr_options);
   {
     train::TrainOptions sparse = base;
@@ -217,8 +216,8 @@ SmoothTwoPiStage::SmoothTwoPiStage(train::RecipeOptions options)
 void SmoothTwoPiStage::run(ArtifactStore& store) {
   const donn::DonnModel& model = store.model(artifacts::kMainModel);
 
-  smooth2pi::TwoPiOptions two_pi = options_.two_pi;
-  two_pi.roughness = options_.roughness;
+  smooth2pi::TwoPiOptions two_pi;
+  two_pi.iterations = options_.two_pi_iterations;
   two_pi.seed = options_.seed + 99;
   const auto layer_results =
       smooth2pi::optimize_2pi_all(model.phases(), two_pi);
@@ -253,15 +252,15 @@ void EvaluateStage::run(ArtifactStore& store) {
   const donn::DonnModel& model = store.model(artifacts::kMainModel);
   store.put_metric(artifacts::kAccuracy,
                    train::evaluate_accuracy(model, store.test()));
-  store.put_metric(artifacts::kDeployedAccuracy,
-                   train::evaluate_deployed_accuracy(model, store.test(),
-                                                     options_.crosstalk));
+  const donn::CrosstalkOptions crosstalk{options_.crosstalk};
+  store.put_metric(
+      artifacts::kDeployedAccuracy,
+      train::evaluate_deployed_accuracy(model, store.test(), crosstalk));
   if (store.has_model(artifacts::kSmoothedModel)) {
     store.put_metric(
         artifacts::kDeployedAccuracyAfter2Pi,
         train::evaluate_deployed_accuracy(
-            store.model(artifacts::kSmoothedModel), store.test(),
-            options_.crosstalk));
+            store.model(artifacts::kSmoothedModel), store.test(), crosstalk));
   }
 }
 
@@ -278,13 +277,8 @@ void RobustEvalStage::run(ArtifactStore& store) {
   const fab::PerturbationStack stack = fab::parse_perturbation_stack(
       robust_.perturb.empty() ? fab::kDefaultPerturbationSpec
                               : robust_.perturb);
-  fab::MonteCarloOptions mc;
-  mc.realizations = robust_.realizations;
-  mc.seed = options_.seed + 1000;  // own stream, apart from train/smooth
-  mc.antithetic = robust_.antithetic;
-  mc.yield_threshold = robust_.yield_threshold;
-  mc.crosstalk = options_.crosstalk;
-  const fab::MonteCarloEvaluator evaluator(store.test(), mc);
+  const fab::MonteCarloEvaluator evaluator(
+      store.test(), monte_carlo_options(options_, robust_));
 
   const auto put = [&store](const char* mean_key, const char* std_key,
                             const char* min_key, const char* p50_key,
@@ -318,7 +312,7 @@ ReportStage::ReportStage(train::RecipeOptions options)
 
 void ReportStage::run(ArtifactStore& store) {
   const donn::DonnModel& model = store.model(artifacts::kMainModel);
-  const auto before = roughness::report(model.phases(), options_.roughness);
+  const auto before = roughness::report(model.phases());
   store.put_metric(artifacts::kRoughnessBefore, before.overall);
   for (std::size_t i = 0; i < before.per_layer.size(); ++i) {
     store.put_metric(std::string(artifacts::kRoughnessBefore) + ".layer" +

@@ -137,24 +137,17 @@ struct RobustTrainStageOptions {
   /// smaller steps than clean dense training (same spirit as the recipe's
   /// lr_sparse fine-tune phases).
   double lr_scale = 0.1;
-  /// Deploy each training realization through the interpixel-crosstalk
-  /// emulation. Off by default: for ADDITIVE fabrication noise the
-  /// straight-through gradient is an unbiased estimator of the expected
-  /// fabricated loss, but through the roughness-gated crosstalk blur it
-  /// acquires a bias that can dominate the update (the blur rides on the
-  /// injected GRF, not on the clean mask). The Monte-Carlo evaluator still
-  /// deploys crosstalk — training adapts to the noise, evaluation keeps
-  /// the full deployment path.
-  bool deploy_crosstalk = false;
 };
 
 /// Robust dense training: like TrainStage, but every optimizer step
 /// averages gradients over K fabrication realizations of the current
 /// device (train::RobustTrainOptions), so the recipe optimizes the
-/// EXPECTED fabricated accuracy rather than the clean one. Produces
-/// model.main plus metric.robust_train_realizations — the sampled-
-/// realization counter, serialized via the store so checkpoint-resumed
-/// continuation training draws the same stream an uninterrupted run would.
+/// EXPECTED fabricated accuracy rather than the clean one. The training
+/// realizations skip the crosstalk emulation; RobustEvalStage deploys it.
+/// Produces model.main plus metric.robust_train_realizations — the
+/// sampled-realization counter, serialized via the store so
+/// checkpoint-resumed continuation training draws the same stream an
+/// uninterrupted run would.
 class RobustTrainStage : public Stage {
  public:
   RobustTrainStage(train::RecipeOptions options, RegularizerFlags flags,

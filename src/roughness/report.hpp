@@ -14,7 +14,7 @@ struct RoughnessReport {
   double overall = 0.0;           ///< average over layers (R_overall)
 };
 
-RoughnessReport report(const std::vector<MatrixD>& masks,
-                       const RoughnessOptions& options = {});
+/// Under the default (8-neighborhood) RoughnessOptions.
+RoughnessReport report(const std::vector<MatrixD>& masks);
 
 }  // namespace odonn::roughness

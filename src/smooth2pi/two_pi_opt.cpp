@@ -119,7 +119,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
   MatrixD grad_relaxed(mask.rows(), mask.cols(), 0.0);
 
   MatrixU8 best_selection(mask.rows(), mask.cols(), 0);
-  double best_roughness = roughness::mask_roughness(mask, options.roughness);
+  double best_roughness = roughness::mask_roughness(mask);
 
   MatrixU8 hard_selection(mask.rows(), mask.cols(), 0);
   MatrixD hard(mask.rows(), mask.cols(), 0.0);
@@ -129,7 +129,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
       hard_selection[i] = lift ? 1 : 0;
       hard[i] = lift ? mask[i] + kTwoPi : mask[i];
     }
-    const double r = roughness::mask_roughness(hard, options.roughness);
+    const double r = roughness::mask_roughness(hard);
     if (r < best_roughness) {
       best_roughness = r;
       best_selection = hard_selection;
@@ -153,8 +153,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
 
     // Backward: dR/d(relaxed) -> dR/dtheta via the sigmoid chain.
     grad_relaxed.fill(0.0);
-    roughness::roughness_with_grad(relaxed, grad_relaxed, 1.0,
-                                   options.roughness);
+    roughness::roughness_with_grad(relaxed, grad_relaxed, 1.0);
     const double step_count = static_cast<double>(it + 1);
     const double bc1 = 1.0 - std::pow(beta1, step_count);
     const double bc2 = 1.0 - std::pow(beta2, step_count);
@@ -168,7 +167,7 @@ TwoPiResult optimize_2pi(const MatrixD& mask, const TwoPiOptions& options) {
 
     if ((it + 1) % 10 == 0 || it + 1 == options.iterations) evaluate_hard();
   }
-  return finalize(mask, std::move(best_selection), options.roughness);
+  return finalize(mask, std::move(best_selection), {});
 }
 
 TwoPiResult greedy_2pi(const MatrixD& mask,

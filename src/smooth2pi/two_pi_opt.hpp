@@ -6,8 +6,8 @@
 // optimization solved with Gumbel-Softmax + gradient descent. optimize_2pi
 // is that solver with the paper's one configuration: noisy Gumbel-sigmoid
 // samples of the selection logits, a temperature annealed linearly from 2.0
-// to 0.2, and Adam at step size 0.3 on the logits. Two references sit
-// beside it:
+// to 0.2, and Adam at step size 0.3 on the logits, minimizing the default
+// (8-neighborhood) mask roughness. Two references sit beside it:
 //   * a greedy coordinate-descent (sweep until no single flip helps), and
 //   * an exact DP for single-row masks (4-neighborhood), used by tests to
 //     certify solution quality.
@@ -34,7 +34,6 @@ struct TwoPiOptions {
   /// Adam step.
   std::size_t iterations = 2500;
   std::uint64_t seed = 0x2718;
-  roughness::RoughnessOptions roughness = {};
 };
 
 struct TwoPiResult {

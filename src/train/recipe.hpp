@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "donn/crosstalk.hpp"
 #include "donn/model.hpp"
 #include "smooth2pi/two_pi_opt.hpp"
-#include "train/trainer.hpp"
 
 namespace odonn::train {
 
@@ -25,6 +25,11 @@ enum class RecipeKind { Baseline, OursA, OursB, OursC, OursD };
 const char* recipe_name(RecipeKind kind);
 RecipeKind parse_recipe(const std::string& name);
 
+/// The values the recipes, tables and sweeps vary. The pipeline stages
+/// (src/pipeline/stages.cpp) build the trainer, SLR, 2*pi and Monte-Carlo
+/// options from these plus the paper's fixed §IV-A2 settings: SLR
+/// rho=0.1, M=300, r=0.1, s0=0.01; 8-neighborhood roughness; 2x2 Eq. 8
+/// blocks.
 struct RecipeOptions {
   donn::DonnConfig model = donn::DonnConfig::scaled(64);
   std::size_t epochs_dense = 3;     ///< paper: 50-150 depending on dataset
@@ -42,12 +47,11 @@ struct RecipeOptions {
   /// the Fig. 6d sweep locates the inflection empirically.
   double roughness_p = 0.1;
   double intra_q = 0.03;
-  roughness::RoughnessOptions roughness = {};
-  roughness::IntraBlockOptions intra = {};
-  slr::SlrOptions slr = {};         ///< scheme filled from this config
-  sparsify::SchemeOptions scheme{sparsify::Scheme::Block, 0.1, 5, 3};
-  smooth2pi::TwoPiOptions two_pi = {};
-  donn::CrosstalkOptions crosstalk = {};
+  double sparsity_ratio = 0.1;  ///< SLR block-sparsity target (§IV-A2)
+  std::size_t block_size = 5;   ///< side of a sparsity block, in pixels
+  std::size_t two_pi_iterations = smooth2pi::TwoPiOptions{}.iterations;
+  /// Interpixel-crosstalk strength of the deployment emulation, in [0, 1].
+  double crosstalk = donn::CrosstalkOptions{}.strength;
   std::uint64_t seed = 7;
   bool verbose = false;
 };

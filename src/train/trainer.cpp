@@ -51,6 +51,9 @@ constexpr std::size_t kCompressRoundsPerEpoch = 4;
 /// busy while bounding the per-batch scratch to 32 gradient sets.
 constexpr std::size_t kGradientSlices = 32;
 
+/// The Eq. 8 tiles of the intra-block term: the IntraBlockOptions default.
+constexpr roughness::IntraBlockOptions kIntraBlocks{};
+
 }  // namespace
 
 Trainer::Trainer(donn::DonnModel& model, const data::Dataset& train,
@@ -151,8 +154,8 @@ EpochStats Trainer::run_epoch() {
             options_.robust.seed, realization_base + k,
             options_.robust.antithetic);
         realized[k] = std::make_unique<donn::DonnModel>(fab::realize_device(
-            model_, *options_.robust.stack, options_.robust.crosstalk,
-            options_.robust.deploy_crosstalk, stream));
+            model_, *options_.robust.stack, {}, /*deploy_crosstalk=*/false,
+            stream));
         modulations[k] = realized[k]->modulation_tables();
       });
     } else {
@@ -232,14 +235,13 @@ EpochStats Trainer::run_epoch() {
                                                     options_.reg.roughness);
       }
       if (options_.reg.intra_q > 0.0) {
-        const std::size_t b = options_.reg.intra.block_size;
+        const std::size_t b = kIntraBlocks.block_size;
         const std::size_t blocks = ((phases[l].rows() + b - 1) / b) *
                                    ((phases[l].cols() + b - 1) / b);
         const double scale =
             options_.reg.intra_q / static_cast<double>(blocks);
         reg_value += scale * roughness::intra_block_variance_with_grad(
-                                 phases[l], grads[l], scale,
-                                 options_.reg.intra);
+                                 phases[l], grads[l], scale, kIntraBlocks);
       }
     }
 
@@ -282,12 +284,11 @@ EpochStats Trainer::run_epoch() {
                         roughness::mask_roughness(phi, options_.reg.roughness);
     }
     if (options_.reg.intra_q > 0.0) {
-      const std::size_t b = options_.reg.intra.block_size;
+      const std::size_t b = kIntraBlocks.block_size;
       const std::size_t blocks = ((phi.rows() + b - 1) / b) *
                                  ((phi.cols() + b - 1) / b);
       stats.reg_loss += options_.reg.intra_q / static_cast<double>(blocks) *
-                        roughness::intra_block_variance_sum(phi,
-                                                            options_.reg.intra);
+                        roughness::intra_block_variance_sum(phi, kIntraBlocks);
     }
   }
   if (options_.slr != nullptr) {

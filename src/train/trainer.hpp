@@ -15,9 +15,14 @@
 // forward/backward through the PERTURBED deployments and applies the
 // averaged gradient to the clean phases (the straight-through
 // weight-noise-injection estimator), so the optimizer descends the
-// EXPECTED fabricated loss instead of the clean loss. The K deployments
-// share one batch of first hops (DonnModel::first_hops): the batch inputs
-// are propagated to the first mask once per step, not once per device.
+// EXPECTED fabricated loss instead of the clean loss. For the additive
+// noise of the perturbation stack that estimator is unbiased; the
+// realizations skip the interpixel-crosstalk emulation, through whose
+// roughness-gated blur it would acquire a bias that dominates the update
+// (the blur rides on the injected noise, not on the clean mask). The K
+// deployments share one batch of first hops (DonnModel::first_hops): the
+// batch inputs are propagated to the first mask once per step, not once
+// per device.
 //
 // Determinism contract: gradient accumulation uses a FIXED number of
 // reduction slices (not the pool size), so for a given seed the trained
@@ -49,11 +54,11 @@ struct RegularizerOptions {
   /// p is grid-size invariant: the paper's published inflection point
   /// p ~ 0.1 (Fig. 6c) applies unchanged at reduced CPU scales.
   double roughness_p = 0.0;
-  /// Eq. 8 factor q (0 disables); R_intra is normalized per block for the
-  /// same reason (paper inflection at log q = 1, Fig. 6d).
+  /// Eq. 8 factor q (0 disables), over the IntraBlockOptions default 2x2
+  /// tiles; R_intra is normalized per block for the same reason (paper
+  /// inflection at log q = 1, Fig. 6d).
   double intra_q = 0.0;
   roughness::RoughnessOptions roughness = {};
-  roughness::IntraBlockOptions intra = {};
 };
 
 /// Noise-in-the-loop robust training: optimize the expected FABRICATED
@@ -73,15 +78,6 @@ struct RobustTrainOptions {
   /// Sample the K noise draws once per EPOCH (re-applied to the evolving
   /// phases every batch) instead of fresh draws per batch.
   bool per_epoch = false;
-  /// Deploy each realization through the interpixel-crosstalk emulation.
-  /// For ADDITIVE noise (roughness GRF, detune, misalignment) the straight
-  /// -through gradient is an unbiased estimator of the expected fabricated
-  /// loss; through the roughness-gated crosstalk blur it acquires a bias
-  /// that can dominate the update (the blur rides on the injected GRF),
-  /// so the default trains through the noise only and leaves the full
-  /// deployment path to evaluation.
-  bool deploy_crosstalk = false;
-  donn::CrosstalkOptions crosstalk = {};
   /// Base of the counter-based realization stream (independent of the
   /// shuffle and init streams).
   std::uint64_t seed = 7;

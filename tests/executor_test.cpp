@@ -43,8 +43,8 @@ TinySetup tiny_setup(std::uint64_t seed = 133) {
   setup.options.epochs_sparse = 1;
   setup.options.epochs_finetune = 0;
   setup.options.batch_size = 25;
-  setup.options.scheme.block_size = 4;
-  setup.options.two_pi.iterations = 150;
+  setup.options.block_size = 4;
+  setup.options.two_pi_iterations = 150;
   setup.options.seed = seed;
 
   const auto full =

@@ -64,20 +64,6 @@ TEST(Discrete, ErrorDecreasesWithMoreLevels) {
   }
 }
 
-TEST(Discrete, IndicesMatchQuantizedValues) {
-  Rng rng(2);
-  MatrixD phase(8, 8);
-  for (auto& v : phase) v = rng.uniform(0.0, kTwoPi);
-  donn::QuantizeOptions opt;
-  opt.levels = 8;
-  const auto idx = donn::quantize_indices(phase, opt);
-  const auto q = donn::quantize_phase(phase, opt);
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    EXPECT_LT(idx[i], 8u);
-    EXPECT_NEAR(q[i], static_cast<double>(idx[i]) * kTwoPi / 8.0, 1e-12);
-  }
-}
-
 TEST(Discrete, SteQuantizerForwardsQuantizedPhases) {
   Rng rng(3);
   std::vector<MatrixD> latent{MatrixD(4, 4), MatrixD(4, 4)};
@@ -91,42 +77,11 @@ TEST(Discrete, SteQuantizerForwardsQuantizedPhases) {
     EXPECT_LT(max_abs_diff(q[l], donn::quantize_phase(latent[l], {8})),
               1e-15);
   }
-  // STE backward is the identity.
-  const auto& grads = ste.backward(latent);
-  EXPECT_EQ(&grads, &latent);
-}
-
-TEST(Discrete, GumbelLevelSampleIsDistribution) {
-  Rng rng(4);
-  std::vector<MatrixD> logits(4, MatrixD(3, 3, 0.0));
-  logits[2].fill(3.0);  // strongly prefer level 2
-  const auto sample = donn::gumbel_level_sample(logits, 0.5, rng, false);
-  for (std::size_t i = 0; i < 9; ++i) {
-    double total = 0.0;
-    for (const auto& p : sample.probs) total += p[i];
-    EXPECT_NEAR(total, 1.0, 1e-9);
-    EXPECT_GT(sample.probs[2][i], 0.95);
-    // Soft phase close to level 2's phase (2 * 2pi/4 = pi).
-    EXPECT_NEAR(sample.soft_phase[i], M_PI, 0.3);
-  }
-}
-
-TEST(Discrete, GumbelLevelSampleLowTauApproachesArgmax) {
-  Rng rng(5);
-  std::vector<MatrixD> logits(3, MatrixD(2, 2, 0.0));
-  logits[1].fill(1.0);
-  const auto hot = donn::gumbel_level_sample(logits, 5.0, rng, false);
-  const auto cold = donn::gumbel_level_sample(logits, 0.05, rng, false);
-  EXPECT_GT(cold.probs[1](0, 0), hot.probs[1](0, 0));
-  EXPECT_GT(cold.probs[1](0, 0), 0.999);
 }
 
 TEST(Discrete, Validation) {
   MatrixD phase(2, 2, 0.0);
   EXPECT_THROW(donn::quantize_phase(phase, {1}), Error);
-  Rng rng(6);
-  std::vector<MatrixD> one(1, MatrixD(2, 2, 0.0));
-  EXPECT_THROW(donn::gumbel_level_sample(one, 1.0, rng), Error);
 }
 
 // ------------------------------------------------------------- fabrication

@@ -30,9 +30,9 @@ TinySetup tiny_setup(std::uint64_t seed = 21) {
   setup.options.batch_size = 25;
   setup.options.roughness_p = 0.1;
   setup.options.intra_q = 0.03;
-  setup.options.scheme.block_size = 4;
-  setup.options.scheme.ratio = 0.1;
-  setup.options.two_pi.iterations = 2000;
+  setup.options.block_size = 4;
+  setup.options.sparsity_ratio = 0.1;
+  setup.options.two_pi_iterations = 2000;
   setup.options.seed = seed;
 
   const auto full = data::make_synthetic(data::SyntheticFamily::Digits, 360,
@@ -92,7 +92,7 @@ TEST_F(RecipePipeline, TwoPiNeverIncreasesRoughness) {
 }
 
 TEST_F(RecipePipeline, SparsityHitsConfiguredRatio) {
-  EXPECT_NEAR(ours_c_->sparsity, setup_->options.scheme.ratio, 0.02);
+  EXPECT_NEAR(ours_c_->sparsity, setup_->options.sparsity_ratio, 0.02);
 }
 
 TEST_F(RecipePipeline, DeploymentGapNarrowsWithSmoothing) {

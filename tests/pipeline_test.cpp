@@ -22,6 +22,7 @@
 #include "pipeline/stages.hpp"
 #include "serve/engine.hpp"
 #include "serve/registry.hpp"
+#include "tensor/stats.hpp"
 #include "train/recipe.hpp"
 #include "train/trainer.hpp"
 
@@ -44,9 +45,9 @@ TinySetup tiny_setup(std::uint64_t seed = 33) {
   setup.options.batch_size = 25;
   setup.options.roughness_p = 0.1;
   setup.options.intra_q = 0.03;
-  setup.options.scheme.block_size = 4;
-  setup.options.scheme.ratio = 0.1;
-  setup.options.two_pi.iterations = 400;
+  setup.options.block_size = 4;
+  setup.options.sparsity_ratio = 0.1;
+  setup.options.two_pi_iterations = 400;
   setup.options.seed = seed;
 
   const auto full =
@@ -182,6 +183,42 @@ TEST(StageParity, RecipeModelsMatchRunRecipeBitForBit) {
   }
 }
 
+/// Folds every phase of `phases` into `hash` (fnv1a_mix over their
+/// IEEE-754 bits).
+std::uint64_t fold_phases(std::uint64_t hash,
+                          const std::vector<MatrixD>& phases) {
+  for (const MatrixD& phase : phases) {
+    for (const double v : phase) hash = fnv1a_mix(hash, v);
+  }
+  return hash;
+}
+
+// The two pins below hold the bits of the stage arithmetic that maps the
+// recipe options onto the trainer, SLR and robust-training options: a
+// changed default, seed offset or option the stages pass on there moves
+// them. At this size the 2*pi solve keeps its warm start (lift the
+// sparsified zeros) for any seed or iteration count, so they do not hold
+// the smoothing options.
+TEST(RunRecipeOursD, BitsArePinned) {
+  const TinySetup setup = tiny_setup(61);
+  const auto row = train::run_recipe(train::RecipeKind::OursD, setup.options,
+                                     setup.train, setup.test);
+  const std::uint64_t digest = fold_phases(
+      fold_phases(kFnv1aBasis, row.trained_phases), row.smoothed_phases);
+  EXPECT_EQ(digest, 0x038eb2f5a01b7aa1ULL) << std::hex << digest;
+}
+
+TEST(RecipeModelsRobustTrain, BitsArePinned) {
+  const TinySetup setup = tiny_setup(67);
+  const RobustTrainStageOptions robust_train;  // one robust epoch, K = 2
+  const RecipeModels models =
+      recipe_models(train::RecipeKind::Baseline, setup.options, setup.train,
+                    setup.test, &robust_train);
+  const std::uint64_t digest = fold_phases(
+      fold_phases(kFnv1aBasis, models.main.phases()), models.smoothed.phases());
+  EXPECT_EQ(digest, 0x1c196baf65da45f5ULL) << std::hex << digest;
+}
+
 // ------------------------------------------------------ spec / parser
 
 TEST(Parser, StageListRoundTripAndErrors) {
@@ -241,8 +278,8 @@ TEST(Parser, OptionsFromConfigMapsKeys) {
   EXPECT_EQ(opt.epochs_dense, 5u);
   EXPECT_EQ(opt.epochs_sparse, 2u);  // derived: epochs / 2
   EXPECT_DOUBLE_EQ(opt.roughness_p, 0.25);
-  EXPECT_DOUBLE_EQ(opt.scheme.ratio, 0.3);
-  EXPECT_DOUBLE_EQ(opt.crosstalk.strength, 1.0);
+  EXPECT_DOUBLE_EQ(opt.sparsity_ratio, 0.3);
+  EXPECT_DOUBLE_EQ(opt.crosstalk, 1.0);
   EXPECT_EQ(opt.seed, 11u);
   EXPECT_EQ(sweep_from_config(cfg), (std::vector<double>{0.0, 0.5, 1.0}));
 }
@@ -266,6 +303,22 @@ TEST(Parser, OutOfRangeValuesAreRejected) {
   for (const char* bad : {"yield_threshold=2", "yield_threshold=-1"}) {
     EXPECT_THROW(robust_options_from_config(parse(bad)), ConfigError) << bad;
   }
+}
+
+TEST(Parser, RobustTrainingHasNoCrosstalkOrAntitheticOverrideKeys) {
+  // antithetic= drives the training streams; the training realizations
+  // never deploy crosstalk.
+  for (const char* removed : {"train_crosstalk=1", "train_antithetic=0"}) {
+    const char* argv[] = {"prog", "robust_train=1", removed};
+    EXPECT_THROW(Config::from_args(3, argv).strict(config_keys()),
+                 ConfigError)
+        << removed;
+  }
+  const char* argv[] = {"prog", "antithetic=0", "train_realizations=3"};
+  const RobustTrainStageOptions opt =
+      robust_train_options_from_config(Config::from_args(3, argv));
+  EXPECT_FALSE(opt.antithetic);
+  EXPECT_EQ(opt.realizations, 3u);
 }
 
 TEST(Parser, PublishWithoutRegistryIsRejected) {
