@@ -18,6 +18,7 @@
 #include "donn/phase_mask.hpp"
 #include "optics/encode.hpp"
 #include "roughness/roughness.hpp"
+#include "tensor/stats.hpp"
 #include "train/trainer.hpp"
 
 #include "support/gradcheck.hpp"
@@ -620,6 +621,142 @@ INSTANTIATE_TEST_SUITE_P(
                       StackCase{"differential_5layer_n16", 16, 5, false,
                                 DetectorMode::Differential}),
     [](const ::testing::TestParamInfo<StackCase>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Folds `count` doubles into `hash` (fnv1a_mix over their IEEE-754 bits).
+std::uint64_t fold(std::uint64_t hash, const double* values,
+                   std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) hash = fnv1a_mix(hash, values[i]);
+  return hash;
+}
+
+/// One pinned runner geometry and the digests every entry point must
+/// reproduce on it.
+struct PinCase {
+  const char* name;
+  std::size_t n;
+  bool pad2x;
+  DetectorMode detector;
+  std::uint64_t sums;       ///< per sample: its class scores, then its class
+  std::uint64_t intensity;  ///< every sample's detector-plane |f|^2
+  std::uint64_t gradients;  ///< per sample loss and class, then the
+                            ///< gradients accumulated over all samples
+};
+
+class RunnerBits : public ::testing::TestWithParam<PinCase> {};
+
+// The pins below hold the bits of the per-sample runner: a change to any
+// IEEE operation of the modulation, propagation, readout, loss or backward
+// loops, or to their order, moves them. Each entry point that reaches the
+// runner must reproduce its case's digest. Grid 18 has a partial last lane
+// group, grid 64 is radix-2 and the pad2x grid 20 runs a mixed-radix
+// length-40 transform.
+TEST_P(RunnerBits, BitsArePinned) {
+  const PinCase c = GetParam();
+  const DonnModel model = stack_model({c.name, c.n, 3, c.pad2x, c.detector},
+                                      900 + c.n);
+  const std::vector<optics::Field> inputs = stack_inputs(model, 4, 910);
+  const DonnModel::FirstHops hops = model.first_hops(
+      inputs.size(), [&](std::size_t k) { return inputs[k]; });
+  const auto tables = model.modulation_tables();
+  const std::size_t classes = model.config().num_classes;
+
+  const auto fold_scores =
+      [](std::uint64_t hash, const std::vector<double>& sums,
+         std::size_t predicted) {
+        hash = fold(hash, sums.data(), sums.size());
+        return fnv1a_mix(hash, static_cast<double>(predicted));
+      };
+  DonnModel::Workspace workspace;
+  std::uint64_t single = kFnv1aBasis;
+  std::uint64_t through = kFnv1aBasis;
+  for (const optics::Field& input : inputs) {
+    single = fold_scores(single, model.detector_sums(input),
+                         model.predict(input, tables, workspace));
+    const MatrixD intensity = model.propagate_through(input).intensity();
+    through = fold(through, intensity.data(), intensity.size());
+  }
+  EXPECT_EQ(single, c.sums) << std::hex << single;
+  EXPECT_EQ(through, c.intensity) << std::hex << through;
+
+  const auto check_batch = [&](const char* what,
+                               const std::vector<std::size_t>& predictions,
+                               const std::vector<std::vector<double>>& sums,
+                               const std::vector<MatrixD>& intensities) {
+    ASSERT_EQ(sums.size(), inputs.size()) << what;
+    std::uint64_t scores = kFnv1aBasis;
+    std::uint64_t planes = kFnv1aBasis;
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      scores = fold_scores(scores, sums[k], predictions[k]);
+      planes = fold(planes, intensities[k].data(), intensities[k].size());
+    }
+    EXPECT_EQ(scores, c.sums) << what << ' ' << std::hex << scores;
+    EXPECT_EQ(planes, c.intensity) << what << ' ' << std::hex << planes;
+  };
+  std::vector<std::size_t> predictions;
+  std::vector<std::vector<double>> sums;
+  std::vector<MatrixD> intensities;
+  model.infer_batch(inputs, tables, &predictions, &sums, &intensities);
+  check_batch("infer_batch(fields)", predictions, sums, intensities);
+  model.infer_batch(hops, tables, &predictions, &sums, &intensities);
+  check_batch("infer_batch(hops)", predictions, sums, intensities);
+
+  // run(k, grads) runs sample k through one forward_backward overload,
+  // accumulating into grads.
+  const LossOptions loss;
+  const auto gradient_digest = [&](const auto& run) {
+    std::vector<MatrixD> grads = model.zero_gradients();
+    std::uint64_t hash = kFnv1aBasis;
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const DonnModel::ForwardBackwardResult r = run(k, grads);
+      hash = fnv1a_mix(hash, r.loss);
+      hash = fnv1a_mix(hash, static_cast<double>(r.predicted));
+    }
+    for (const MatrixD& g : grads) hash = fold(hash, g.data(), g.size());
+    return hash;
+  };
+  const std::uint64_t on_fields =
+      gradient_digest([&](std::size_t k, std::vector<MatrixD>& grads) {
+        return model.forward_backward(inputs[k], k % classes, tables,
+                                      workspace, grads, loss);
+      });
+  const std::uint64_t on_hops =
+      gradient_digest([&](std::size_t k, std::vector<MatrixD>& grads) {
+        return model.forward_backward(hops, k, k % classes, tables, workspace,
+                                      grads, loss);
+      });
+  const std::uint64_t row_major =
+      gradient_digest([&](std::size_t k, std::vector<MatrixD>& grads) {
+        return model.forward_backward(inputs[k], k % classes, grads, loss);
+      });
+  EXPECT_EQ(on_fields, c.gradients) << std::hex << on_fields;
+  EXPECT_EQ(on_hops, c.gradients) << std::hex << on_hops;
+  EXPECT_EQ(row_major, c.gradients) << std::hex << row_major;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, RunnerBits,
+    ::testing::Values(
+        PinCase{"n18_standard", 18, false, DetectorMode::Standard,
+                0x36f8f928159a4ed2ULL, 0xdca8d05b74b67a1eULL,
+                0x5af18c3cbd41dd1bULL},
+        PinCase{"n18_differential", 18, false, DetectorMode::Differential,
+                0x8450401aff512fccULL, 0xdca8d05b74b67a1eULL,
+                0x992e80e436ffad6eULL},
+        PinCase{"n64_standard", 64, false, DetectorMode::Standard,
+                0xce2fa76e833ce741ULL, 0x6f8b6f054e0064c8ULL,
+                0xb3e3e564499bc744ULL},
+        PinCase{"n64_differential", 64, false, DetectorMode::Differential,
+                0xfd0c6baca21db8c4ULL, 0x6f8b6f054e0064c8ULL,
+                0xb41fa197a7129eb2ULL},
+        PinCase{"pad2x_n20_standard", 20, true, DetectorMode::Standard,
+                0x8121c32f15304e3aULL, 0x5e80e420e3bc4cf7ULL,
+                0xc011e6ce497c612aULL},
+        PinCase{"pad2x_n20_differential", 20, true, DetectorMode::Differential,
+                0x1f64648cbc356325ULL, 0x5e80e420e3bc4cf7ULL,
+                0xd754e34a7df1594bULL}),
+    [](const ::testing::TestParamInfo<PinCase>& info) {
       return std::string(info.param.name);
     });
 

@@ -35,9 +35,9 @@ struct TinySetup {
   data::Dataset test;
 };
 
-TinySetup tiny_setup(std::uint64_t seed = 33) {
+TinySetup tiny_setup(std::uint64_t seed = 33, std::size_t grid = 24) {
   TinySetup setup;
-  setup.options.model = donn::DonnConfig::scaled(24);
+  setup.options.model = donn::DonnConfig::scaled(grid);
   setup.options.model.num_layers = 2;
   setup.options.epochs_dense = 1;
   setup.options.epochs_sparse = 1;
@@ -52,7 +52,7 @@ TinySetup tiny_setup(std::uint64_t seed = 33) {
 
   const auto full =
       data::make_synthetic(data::SyntheticFamily::Digits, 160, seed + 1);
-  const auto resized = data::resize_dataset(full, 24);
+  const auto resized = data::resize_dataset(full, grid);
   Rng rng(seed + 2);
   auto [train, test] = resized.split(0.75, rng);
   setup.train = std::move(train);
@@ -206,6 +206,17 @@ TEST(RunRecipeOursD, BitsArePinned) {
   const std::uint64_t digest = fold_phases(
       fold_phases(kFnv1aBasis, row.trained_phases), row.smoothed_phases);
   EXPECT_EQ(digest, 0x038eb2f5a01b7aa1ULL) << std::hex << digest;
+}
+
+// The same recipe at grid 18, whose last lane group of the frame layout is
+// partial: idle lanes must never reach a trained or smoothed phase.
+TEST(RunRecipeOursDGrid18, BitsArePinned) {
+  const TinySetup setup = tiny_setup(61, 18);
+  const auto row = train::run_recipe(train::RecipeKind::OursD, setup.options,
+                                     setup.train, setup.test);
+  const std::uint64_t digest = fold_phases(
+      fold_phases(kFnv1aBasis, row.trained_phases), row.smoothed_phases);
+  EXPECT_EQ(digest, 0x35d99959b6c65761ULL) << std::hex << digest;
 }
 
 TEST(RecipeModelsRobustTrain, BitsArePinned) {
