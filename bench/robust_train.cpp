@@ -74,7 +74,9 @@ int run(int argc, char** argv) {
   const auto format = bench::parse_format(cli);
   const bool print_text = format != bench::OutputFormat::Json;
   const std::size_t realizations = cli.get_count("realizations", 32);
-  const double yield_threshold = cli.get_double("yield_threshold", 0.5);
+  // The robust report's [0, 1] check, before any training.
+  const double yield_threshold =
+      pipeline::robust_options_from_config(cli).yield_threshold;
   const std::string perturb_spec =
       cli.get_string("perturb", fab::kDefaultPerturbationSpec);
   const fab::PerturbationStack stack =

@@ -243,13 +243,8 @@ int cmd_run(const Config& cfg) {
     for (const std::string& name :
          split_csv(cfg.get_string("recipe", "ours-c"))) {
       const train::RecipeKind kind = train::parse_recipe(name);
-      pipeline::PipelineSpec spec = pipeline::spec_for_recipe(kind);
-      spec.flags.roughness = cfg.get_bool("roughness", spec.flags.roughness);
-      spec.flags.intra = cfg.get_bool("intra", spec.flags.intra);
-      if (cfg.get_bool("robust_train", false)) {
-        pipeline::apply_robust_train(spec);
-      }
-      jobs.push_back({train::recipe_name(kind), spec});
+      jobs.push_back(
+          {train::recipe_name(kind), pipeline::spec_from_config(cfg, kind)});
     }
   }
 

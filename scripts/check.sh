@@ -207,7 +207,10 @@ expect_error "range smoke: odonn_cli run sweep=nan" "error: config:" \
 expect_error "range smoke: odonn_cli robust yield_threshold=2" \
   "error: config:" timeout 30 ./odonn_cli robust $tiny_recipe \
   realizations=4 yield_threshold=2
-echo "range smoke: crosstalk=2, sweep=nan and yield_threshold=2 rejected"
+expect_error "range smoke: robust_train yield_threshold=2" "error: config:" \
+  timeout 30 ./robust_train bench.scale=smoke yield_threshold=2
+echo "range smoke: crosstalk=2, sweep=nan and yield_threshold=2 (odonn_cli" \
+     "robust, robust_train) rejected"
 
 # Removed keys are unknown keys, rejected before any training: robust
 # training's in-loop crosstalk (train_crosstalk=), its training-only
@@ -309,6 +312,40 @@ if [ "$mr41" != "$mr44" ]; then
 fi
 echo "ml table smoke: layers=5 detector=differential rows identical" \
      "across threads and jobs"
+
+# Partial-lane-group table smoke: at grid 18 the last lane group of every
+# frame (fields, modulation tables, phase gradients) holds two idle rows;
+# the rows must be bitwise identical across ODONN_THREADS=1 vs 4 AND
+# jobs=1 vs 4 there too. At this size the table misses its Ours-C
+# roughness-reduction shape check (exit 1, with the record printed; the
+# same before the frame-layout runner), so that exit is accepted when the
+# record's rows were printed: this smoke checks determinism, not trends.
+g18_table_smoke() {  # $1=threads $2=jobs
+  out="$(ODONN_THREADS="$1" ./odonn_cli table bench.scale=smoke grid=18 \
+    jobs="$2" format=json)" && code=0 || code=$?
+  case "$code:$out" in
+    0:* | 1:*'"rows": ['*) printf '%s\n' "$out" ;;
+    *) echo "grid-18 table smoke: odonn_cli table failed (threads=$1" \
+            "jobs=$2, exit $code)" >&2
+       exit 1 ;;
+  esac
+}
+t18_11="$(g18_table_smoke 1 1)"
+t18_41="$(g18_table_smoke 4 1)"
+t18_44="$(g18_table_smoke 4 4)"
+g11="$(table_rows "$t18_11")"
+g41="$(table_rows "$t18_41")"
+g44="$(table_rows "$t18_44")"
+[ -n "$g11" ] || { echo "grid-18 table smoke: no digests emitted" >&2; exit 1; }
+if [ "$g11" != "$g41" ]; then
+  echo "grid-18 table smoke: rows differ between ODONN_THREADS=1 and 4" >&2
+  exit 1
+fi
+if [ "$g41" != "$g44" ]; then
+  echo "grid-18 table smoke: rows differ between jobs=1 and jobs=4" >&2
+  exit 1
+fi
+echo "grid-18 table smoke: rows identical across threads and jobs"
 
 # Layer-scaling bench: the {1,5}-layer x {standard,differential} A/B must
 # pass its shape checks (valid accuracies, deterministic replay); the JSON

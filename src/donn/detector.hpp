@@ -101,6 +101,9 @@ class ReadoutStrategy {
   std::vector<double> readout(const MatrixD& intensity) const;
 
   /// Adjoint of readout: scatters per-class score gradients to the plane.
+  /// DonnModel's backward forms the same factors from the region list
+  /// without this plane; the detector tests keep it as the adjoint
+  /// reference.
   MatrixD scatter(const std::vector<double>& grad_scores) const;
 
   /// argmax of readout (ties broken toward the lower class index).

@@ -13,9 +13,9 @@
 // -------------------
 // Every entry point — propagate_through, detector_sums, predict,
 // infer_batch, detector_sums_batch and forward_backward — runs one private
-// stack runner that works in place on a DonnModel::Workspace, multiplying by
-// precomputed modulation tables w = exp(i*phi) (modulation_tables()).
-// propagate_through, detector_sums and the convenience forward_backward
+// stack runner on a DonnModel::Workspace, multiplying by precomputed
+// modulation tables w = exp(i*phi) (modulation_frames()).
+// propagate_through, detector_sums and the row-major forward_backward
 // build the tables and a workspace per call; predict and hot loops
 // (infer_batch per chunk, the trainer per batch and slot, evaluate_accuracy
 // per call and chunk) take them from the caller and reuse them, so
@@ -30,22 +30,38 @@
 // only, never on a phase mask, so callers that push the same inputs through
 // many models of one geometry compute it once (first_hops()) — the
 // Monte-Carlo evaluator for every realization of every variant, the robust
-// trainer for its K realization blocks. From the first hop on, both entry
-// points run the same modulate, propagate and readout code, so the results
-// are bitwise identical either way.
+// trainer for its K realization blocks. The runner reads a FirstHops frame
+// in place (its first modulation writes out of place), and from there on
+// both entry points run the same modulate, propagate and readout code, so
+// the results are bitwise identical either way.
 //
 // Frames end to end. The runner keeps the field, the per-layer cache of
-// propagated fields and the backward gradient in row-lane fft::Frames
-// (fft2d.hpp: split re/im planes, element (r, c) at
-// [((r / 4) * n + c) * 4 + r % 4]) from the input's load to the readout, and
-// propagates them with Propagator::forward_frame / adjoint_frame, whose
-// passes run the AVX2 lane kernels when the CPU has them (never FMA; see
-// fft_plan.hpp). Modulation, |f|^2, the detector readout and the per-pixel
-// phase-gradient loop work on the planes with the std::complex arithmetic
-// spelled out part by part — (ac - bd, ad + bc) products, |f|^2 as
-// re*re + im*im, region sums in raster order — so every result is bitwise
-// what the row-major path computed. The modulation tables and phase
-// gradients stay row-major MatrixC / MatrixD.
+// propagated fields, the backward gradient, the modulation tables and the
+// phase gradients in the row-lane layout of fft::Frame (fft2d.hpp: split
+// re/im planes, element (r, c) at [((r / 4) * n + c) * 4 + r % 4]), and
+// propagates with Propagator::forward_frame / adjoint_frame, whose passes
+// run the AVX2 lane kernels when the CPU has them (never FMA; see
+// fft_plan.hpp). With every operand in one layout, the modulation and the
+// per-pixel backward loop are plain loops over plane offsets, which the
+// compiler vectorizes; they spell std::complex's arithmetic out part by
+// part — (ac - bd, ad + bc) products, |f|^2 as re*re + im*im — so every
+// element is bitwise what the row-major path computed. The training
+// forward propagates each layer's input in workspace.propagated and
+// modulates it out of place into the next one, so nothing is copied for
+// the backward. The detector-plane gradient 2 f dL/dI is formed from the
+// region list — 2.0 * f * 0.0 outside the regions and 2.0 * f * (0.0 + g_k)
+// on region k, the factors ReadoutStrategy::scatter's plane would hold —
+// without an n x n scatter plane; scatter stays as the detector tests'
+// adjoint reference. Idle lanes of a partial last lane group hold 0 in the
+// tables, so they stay 0 in every field; their gradient entries are never
+// read. Region sums are taken in raster order.
+//
+// Three row-major entry points remain as converters over the frame path —
+// modulation_tables(), infer_batch over std::vector<MatrixC> tables, and
+// forward_backward over std::vector<MatrixD> gradients — because the layer
+// probes of the repository benchmark (perfbench/src/layers.cpp) call them;
+// each loads or stores its operands and runs the frame path, so its results
+// are bitwise those of the frame entry points.
 //
 // Workspaces are caller-owned, one per concurrent caller, and never
 // thread_local: a thread waiting on a common/parallel latch runs other
@@ -111,14 +127,26 @@ struct DonnConfig {
 
 class DonnModel {
  public:
+  /// Per-layer modulation tables w = exp(i*phi), one n x n frame per layer
+  /// (see the header comment; idle lanes hold 0).
+  using ModulationFrames = std::vector<fft::Frame>;
+
+  /// Per-layer phase gradients in frame layout: dL/dphi of element (r, c)
+  /// of layer l sits at plane offset fft::Frame::index(r, c) of plane l.
+  /// Entries at idle lanes are scratch and never read.
+  using FrameGradients = std::vector<fft::Plane>;
+
   /// Caller-owned scratch of the per-sample stack runner. Buffers are sized
   /// on first use and reused afterwards, so one workspace serves any number
   /// of sequential calls, on models of any grid; it must never be shared by
   /// two calls in flight at once (see the header comment).
   struct Workspace {
-    fft::Frame field;                     ///< the running field, in place
-    std::vector<fft::Frame> propagated;   ///< layer i's P(in), for the backward
+    fft::Frame field;  ///< the running field; the detector plane at the end
+    /// Layer l's propagated input P(in), for the backward (entry 0 only when
+    /// the run started from an input field).
+    std::vector<fft::Frame> propagated;
     MatrixD intensity;  ///< |f|^2 at the detector plane (when asked for)
+    std::vector<double> region_grads;  ///< 2 f dL/dI on the detector regions
     optics::Propagator::Workspace propagation;
   };
 
@@ -180,15 +208,19 @@ class DonnModel {
   std::vector<double> detector_sums(const optics::Field& input) const;
 
   /// argmax class, through the caller's tables (this model's
-  /// modulation_tables()) and workspace.
+  /// modulation_frames()) and workspace.
   std::size_t predict(const optics::Field& input,
-                      const std::vector<MatrixC>& modulations,
+                      const ModulationFrames& modulations,
                       Workspace& workspace) const;
 
   /// Precomputed per-layer modulation tables w = exp(i*phi), shared across
   /// a batch so the transcendental cost of the masks is paid once per batch
-  /// instead of once per sample. Recompute after set_phases/set_masks (the
-  /// serving layer caches them per published model snapshot).
+  /// instead of once per sample; the layers are built in parallel. Recompute
+  /// after set_phases/set_masks (the serving layer caches them per
+  /// published model snapshot).
+  ModulationFrames modulation_frames() const;
+
+  /// The same tables, row-major (a converter over modulation_frames()).
   std::vector<MatrixC> modulation_tables() const;
 
   /// Plan-reusing batched inference core: evaluates inputs[k] for all k
@@ -199,6 +231,14 @@ class DonnModel {
   /// same per-sample runner as the single-sample path; results are
   /// deterministic and independent of the thread count. Thread-safe
   /// (const; writes only to caller outputs).
+  void infer_batch(const std::vector<optics::Field>& inputs,
+                   const ModulationFrames& modulations,
+                   std::vector<std::size_t>* predictions,
+                   std::vector<std::vector<double>>* sums,
+                   std::vector<MatrixD>* intensities) const;
+
+  /// The same through row-major tables (a converter: loads them into
+  /// frames, then runs the overload above).
   void infer_batch(const std::vector<optics::Field>& inputs,
                    const std::vector<MatrixC>& modulations,
                    std::vector<std::size_t>* predictions,
@@ -220,13 +260,13 @@ class DonnModel {
   /// hops: bitwise what the field overload returns. Throws ShapeError
   /// unless accepts(hops).
   void infer_batch(const FirstHops& hops,
-                   const std::vector<MatrixC>& modulations,
+                   const ModulationFrames& modulations,
                    std::vector<std::size_t>* predictions,
                    std::vector<std::vector<double>>* sums,
                    std::vector<MatrixD>* intensities) const;
 
   /// Batched raw per-class scores: infer_batch through this model's
-  /// modulation_tables().
+  /// modulation_frames().
   std::vector<std::vector<double>> detector_sums_batch(
       const std::vector<optics::Field>& inputs) const;
 
@@ -236,18 +276,20 @@ class DonnModel {
   };
 
   /// One-sample forward + backward through the caller's tables (this
-  /// model's modulation_tables()) and workspace. Phase gradients are
-  /// ACCUMULATED into `phase_grads` (must be preallocated to the right
-  /// shapes); the data term only — regularizers are added by the trainer.
-  /// Thread-safe for concurrent calls with distinct workspaces and
-  /// gradient sets (model state is read-only here).
+  /// model's modulation_frames()) and workspace. Phase gradients are
+  /// ACCUMULATED into `phase_grads` (zero_frame_gradients() shapes); the
+  /// data term only — regularizers are added by the trainer. Thread-safe
+  /// for concurrent calls with distinct workspaces and gradient sets (model
+  /// state is read-only here).
   ForwardBackwardResult forward_backward(
       const optics::Field& input, std::size_t label,
-      const std::vector<MatrixC>& modulations, Workspace& workspace,
-      std::vector<MatrixD>& phase_grads,
-      const LossOptions& loss_options) const;
+      const ModulationFrames& modulations, Workspace& workspace,
+      FrameGradients& phase_grads, const LossOptions& loss_options) const;
 
-  /// The same, building the tables and a workspace for this one call.
+  /// The same into row-major gradients (zero_gradients() shapes), building
+  /// the tables and a workspace for this one call (a converter: loads
+  /// `phase_grads` into frame layout, runs the overload above, stores them
+  /// back).
   ForwardBackwardResult forward_backward(const optics::Field& input,
                                          std::size_t label,
                                          std::vector<MatrixD>& phase_grads,
@@ -258,17 +300,19 @@ class DonnModel {
   /// ShapeError unless accepts(hops).
   ForwardBackwardResult forward_backward(
       const FirstHops& hops, std::size_t k, std::size_t label,
-      const std::vector<MatrixC>& modulations, Workspace& workspace,
-      std::vector<MatrixD>& phase_grads,
-      const LossOptions& loss_options) const;
+      const ModulationFrames& modulations, Workspace& workspace,
+      FrameGradients& phase_grads, const LossOptions& loss_options) const;
 
   /// Allocates a zeroed gradient set matching the phase shapes.
   std::vector<MatrixD> zero_gradients() const;
 
+  /// Allocates a zeroed frame-layout gradient set (one plane per layer).
+  FrameGradients zero_frame_gradients() const;
+
  private:
   /// Throws ShapeError unless `modulations` holds one grid-shaped table per
   /// layer.
-  void check_modulations(const std::vector<MatrixC>& modulations,
+  void check_modulations(const ModulationFrames& modulations,
                          const char* what) const;
 
   /// Loads `input` into `frame` and propagates it to the first mask: the
@@ -277,18 +321,21 @@ class DonnModel {
   void first_hop(const optics::Field& input, fft::Frame& frame,
                  optics::Propagator::Workspace& propagation) const;
 
-  /// The per-sample stack runner, from the first hop in workspace.field
-  /// (computed by first_hop() or copied from a FirstHops frame) on: leaves
-  /// the detector-plane field in workspace.field; with `keep_propagated`,
-  /// workspace.propagated[i] holds layer i's propagated field before
-  /// modulation. `modulations` must already be checked.
-  void run_stack(const std::vector<MatrixC>& modulations, Workspace& workspace,
-                 bool keep_propagated) const;
+  /// The per-sample stack runner from the first hop `hop` — workspace.field
+  /// or workspace.propagated[0] after first_hop(), or a FirstHops frame,
+  /// which it only reads — on: leaves the detector-plane field in
+  /// workspace.field; with `keep_propagated` (workspace.propagated already
+  /// sized to the layer count), workspace.propagated[l] holds layer l's
+  /// propagated field for every l >= 1 (layer 0's is `hop`). `modulations`
+  /// must already be checked.
+  void run_stack(const fft::Frame& hop, const ModulationFrames& modulations,
+                 Workspace& workspace, bool keep_propagated) const;
 
-  /// The runner from an input field: first_hop(), then run_stack().
+  /// The inference runner from an input field: first_hop() into
+  /// workspace.field, then run_stack() in place.
   void run_stack(const optics::Field& input,
-                 const std::vector<MatrixC>& modulations, Workspace& workspace,
-                 bool keep_propagated) const;
+                 const ModulationFrames& modulations,
+                 Workspace& workspace) const;
 
   /// Both infer_batch overloads over `count` samples; run(k, workspace)
   /// runs sample k's stack.
@@ -298,14 +345,18 @@ class DonnModel {
       std::vector<MatrixD>* intensities,
       const std::function<void(std::size_t, Workspace&)>& run) const;
 
-  /// Both forward_backward overloads after the forward pass (run with
-  /// keep_propagated): checks `phase_grads`, evaluates the loss, then
-  /// accumulates the backward pass into `phase_grads`.
-  ForwardBackwardResult backward(std::size_t label,
-                                 const std::vector<MatrixC>& modulations,
+  /// Both frame forward_backward overloads after the forward pass (run
+  /// with keep_propagated from `hop`): evaluates the loss, then accumulates
+  /// the backward pass into `phase_grads` (already checked).
+  ForwardBackwardResult backward(std::size_t label, const fft::Frame& hop,
+                                 const ModulationFrames& modulations,
                                  Workspace& workspace,
-                                 std::vector<MatrixD>& phase_grads,
+                                 FrameGradients& phase_grads,
                                  const LossOptions& loss_options) const;
+
+  /// Throws ShapeError unless `phase_grads` holds one frame-sized plane per
+  /// layer.
+  void check_gradients(const FrameGradients& phase_grads) const;
 
   /// Per-class scores of the detector-plane frame in workspace.field.
   std::vector<double> readout(const Workspace& workspace) const;

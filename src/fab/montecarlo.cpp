@@ -20,7 +20,7 @@ double accuracy_of(const donn::DonnModel& model,
                    const donn::DonnModel::FirstHops& hops,
                    const data::Dataset& eval) {
   std::vector<std::size_t> predictions;
-  model.infer_batch(hops, model.modulation_tables(), &predictions, nullptr,
+  model.infer_batch(hops, model.modulation_frames(), &predictions, nullptr,
                     nullptr);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {

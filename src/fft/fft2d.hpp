@@ -29,6 +29,7 @@
 // transform_2d(Cplx*) is a converter (load, transform, store) over it.
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
 #include <new>
@@ -106,6 +107,25 @@ class Frame {
   std::size_t cols_ = 0;
   Plane re_, im_;
 };
+
+/// Calls fn(f, i) for every element of lane groups [g0, g1) of a
+/// rows x cols frame, group by group and column by column: f is the
+/// element's plane offset, i its row-major index. Idle lanes of a partial
+/// last group are skipped. The one loop that converts between the frame
+/// layout and row-major buffers element by element.
+template <typename Fn>
+void for_each_element(std::size_t rows, std::size_t cols, std::size_t g0,
+                      std::size_t g1, Fn&& fn) {
+  constexpr std::size_t L = Frame::kLanes;
+  for (std::size_t g = g0; g < g1; ++g) {
+    const std::size_t lanes = std::min(L, rows - g * L);
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t f = (g * cols + c) * L;
+      const std::size_t i = g * L * cols + c;
+      for (std::size_t u = 0; u < lanes; ++u) fn(f + u, i + u * cols);
+    }
+  }
+}
 
 /// A transfer function for the column pass, in column-lane order: the
 /// value for element (r, c) sits at [((c / 4) * rows + r) * 4 + c % 4], i.e.

@@ -74,8 +74,12 @@ std::vector<StageKind> parse_stage_list(const std::string& csv) {
 }
 
 PipelineSpec spec_from_config(const Config& cfg) {
-  PipelineSpec spec =
-      spec_for_recipe(train::parse_recipe(cfg.get_string("recipe", "ours-c")));
+  return spec_from_config(
+      cfg, train::parse_recipe(cfg.get_string("recipe", "ours-c")));
+}
+
+PipelineSpec spec_from_config(const Config& cfg, train::RecipeKind kind) {
+  PipelineSpec spec = spec_for_recipe(kind);
   if (cfg.has("pipeline")) {
     spec.stages = parse_stage_list(cfg.get_string("pipeline", ""));
   }

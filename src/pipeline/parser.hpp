@@ -59,6 +59,10 @@ void apply_robust_train(PipelineSpec& spec);
 /// recipe nor pipeline is present.
 PipelineSpec spec_from_config(const Config& cfg);
 
+/// The same for recipe `kind` (one name of a `recipe=` list), whatever
+/// `recipe=` says.
+PipelineSpec spec_from_config(const Config& cfg, train::RecipeKind kind);
+
 /// RecipeOptions from flat config keys (grid=, samples-independent):
 /// epochs/epochs_sparse/epochs_finetune, batch, lr/lr_sparse, p, q,
 /// sparsity, block, layers, init=flat|uniform, crosstalk (in [0, 1]),

@@ -7,7 +7,7 @@ namespace odonn::serve {
 BatchedForward::BatchedForward(std::shared_ptr<const donn::DonnModel> model)
     : model_(std::move(model)) {
   ODONN_CHECK(model_ != nullptr, "BatchedForward: null model");
-  modulations_ = model_->modulation_tables();
+  modulations_ = model_->modulation_frames();
 }
 
 BatchedForward::Result BatchedForward::run(

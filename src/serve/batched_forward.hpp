@@ -44,7 +44,7 @@ class BatchedForward {
 
  private:
   std::shared_ptr<const donn::DonnModel> model_;
-  std::vector<MatrixC> modulations_;
+  donn::DonnModel::ModulationFrames modulations_;
 };
 
 }  // namespace odonn::serve

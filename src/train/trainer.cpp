@@ -27,20 +27,6 @@ void check_dataset(const donn::DonnModel& model, const data::Dataset& ds,
               std::string(what) + ": class count mismatch");
 }
 
-/// Deterministic batch-parallel accumulation: the batch is cut into a fixed
-/// number of slices; each slice owns a private gradient set; slices are
-/// reduced in index order.
-struct SliceAccumulator {
-  std::vector<std::vector<MatrixD>> grads;
-  std::vector<double> losses;
-  std::vector<std::size_t> correct;
-
-  SliceAccumulator(std::size_t slices, const donn::DonnModel& model)
-      : grads(slices), losses(slices, 0.0), correct(slices, 0) {
-    for (auto& g : grads) g = model.zero_gradients();
-  }
-};
-
 /// SLR/ADMM compression rounds (Z-step + multiplier updates) per epoch.
 constexpr std::size_t kCompressRoundsPerEpoch = 4;
 
@@ -53,6 +39,10 @@ constexpr std::size_t kGradientSlices = 32;
 
 /// The Eq. 8 tiles of the intra-block term: the IntraBlockOptions default.
 constexpr roughness::IntraBlockOptions kIntraBlocks{};
+
+/// Lane groups (of fft::Frame::kLanes rows) per task of the slot fold. A
+/// constant, so the fold's tasks never depend on the pool size.
+constexpr std::size_t kFoldGroups = 4;
 
 }  // namespace
 
@@ -82,6 +72,16 @@ Trainer::Trainer(donn::DonnModel& model, const data::Dataset& train,
                 "even realization counter (stream from a plain odd-K run "
                 "cannot be pair-aligned)");
   }
+  // Slot layout: `realizations` blocks of `slices_` reduction slices each.
+  // Both factors are pure functions of the configuration (kGradientSlices
+  // is a constant, never thread_count()), so partial-sum membership and
+  // reduction order — hence the trained model — are bitwise independent of
+  // ODONN_THREADS.
+  const bool robust = options.robust.stack != nullptr;
+  const std::size_t realizations = robust ? options.robust.realizations : 1;
+  slices_ = robust ? std::max<std::size_t>(1, kGradientSlices / realizations)
+                   : kGradientSlices;
+  slot_grads_.assign(realizations * slices_, model.zero_frame_gradients());
 }
 
 void Trainer::compress_round(double surrogate_loss) {
@@ -102,15 +102,12 @@ EpochStats Trainer::run_epoch() {
 
   const bool robust = options_.robust.stack != nullptr;
   const std::size_t realizations = robust ? options_.robust.realizations : 1;
-  // Slot layout: `realizations` blocks of `slices` reduction slices each.
-  // Both factors are pure functions of the configuration (kGradientSlices
-  // is a constant, never thread_count()), so partial-sum membership and
-  // reduction order — hence the trained model — are bitwise independent of
-  // ODONN_THREADS.
-  const std::size_t slices =
-      robust ? std::max<std::size_t>(1, kGradientSlices / realizations)
-             : kGradientSlices;
-  const std::size_t slots = realizations * slices;
+  const std::size_t slices = slices_;
+  const std::size_t slots = slot_grads_.size();
+  const std::size_t layers = model_.num_layers();
+  const std::size_t n = model_.config().grid.n;
+  const std::size_t groups = (n + fft::Frame::kLanes - 1) / fft::Frame::kLanes;
+  const std::size_t fold_ranges = (groups + kFoldGroups - 1) / kFoldGroups;
   const std::size_t batches = (count + options_.batch_size - 1) / options_.batch_size;
   const std::size_t round_every =
       std::max<std::size_t>(1, batches / kCompressRoundsPerEpoch);
@@ -141,7 +138,7 @@ EpochStats Trainer::run_epoch() {
     // modulation tables once, so exp(i*phi) is evaluated once per pixel per
     // batch rather than twice per sample.
     std::vector<std::unique_ptr<donn::DonnModel>> realized;
-    std::vector<std::vector<MatrixC>> modulations(realizations);
+    std::vector<donn::DonnModel::ModulationFrames> modulations(realizations);
     if (robust) {
       if (!options_.robust.per_epoch) {
         realization_base = realization_counter_;
@@ -156,10 +153,10 @@ EpochStats Trainer::run_epoch() {
         realized[k] = std::make_unique<donn::DonnModel>(fab::realize_device(
             model_, *options_.robust.stack, {}, /*deploy_crosstalk=*/false,
             stream));
-        modulations[k] = realized[k]->modulation_tables();
+        modulations[k] = realized[k]->modulation_frames();
       });
     } else {
-      modulations[0] = model_.modulation_tables();
+      modulations[0] = model_.modulation_frames();
     }
 
     // Robust mode propagates the batch to the first mask once up front: the
@@ -175,14 +172,20 @@ EpochStats Trainer::run_epoch() {
                                       model_.config().grid);
         });
 
-    SliceAccumulator acc(slots, model_);
+    // Each slot accumulates its samples' gradients in its own frame-layout
+    // set, which its task zeroes first.
+    std::vector<double> losses(slots, 0.0);
+    std::vector<std::size_t> correct(slots, 0);
     parallel_for(0, slots, [&](std::size_t slot) {
       const auto slot_start = std::chrono::steady_clock::now();
       // Gradients flow through the perturbed deployment but are applied to
       // the clean phases below — the straight-through weight-noise-
       // injection estimator of the expected fabricated loss.
       const donn::DonnModel& net = robust ? *realized[slot / slices] : model_;
-      const std::vector<MatrixC>& net_modulations = modulations[slot / slices];
+      const donn::DonnModel::ModulationFrames& net_modulations =
+          modulations[slot / slices];
+      donn::DonnModel::FrameGradients& slot_grads = slot_grads_[slot];
+      for (fft::Plane& g : slot_grads) std::fill(g.begin(), g.end(), 0.0);
       donn::DonnModel::Workspace workspace;
       const std::size_t s = slot % slices;
       for (std::size_t i = begin + s; i < end; i += slices) {
@@ -191,14 +194,14 @@ EpochStats Trainer::run_epoch() {
         const auto result =
             robust ? net.forward_backward(batch_hops, i - begin, label,
                                           net_modulations, workspace,
-                                          acc.grads[slot], donn::LossOptions{})
+                                          slot_grads, donn::LossOptions{})
                    : net.forward_backward(
                          optics::encode_image(train_.image(idx),
                                               model_.config().grid),
-                         label, net_modulations, workspace, acc.grads[slot],
+                         label, net_modulations, workspace, slot_grads,
                          donn::LossOptions{});
-        acc.losses[slot] += result.loss;
-        if (result.predicted == label) ++acc.correct[slot];
+        losses[slot] += result.loss;
+        if (result.predicted == label) ++correct[slot];
       }
       ODONN_OBS_HIST("train.grad_slice_ms",
                      std::chrono::duration<double, std::milli>(
@@ -207,32 +210,50 @@ EpochStats Trainer::run_epoch() {
     });
 
     // Reduce slots in index order (realization-major; bitwise identical
-    // for any thread count).
-    auto grads = std::move(acc.grads[0]);
-    double batch_loss = acc.losses[0];
-    std::size_t batch_correct = acc.correct[0];
+    // for any thread count). The gradient fold runs one task per fixed
+    // range of lane groups of one layer: it sums the slots' planes over the
+    // range into slot 0's, in slot order, then stores the sum row-major,
+    // scaled.
+    double batch_loss = losses[0];
+    std::size_t batch_correct = correct[0];
     for (std::size_t s = 1; s < slots; ++s) {
-      for (std::size_t l = 0; l < grads.size(); ++l) grads[l] += acc.grads[s][l];
-      batch_loss += acc.losses[s];
-      batch_correct += acc.correct[s];
+      batch_loss += losses[s];
+      batch_correct += correct[s];
     }
     const double inv_batch =
         1.0 / static_cast<double>(batch_count * realizations);
-    for (auto& g : grads) g *= inv_batch;
+    std::vector<MatrixD> grads = model_.zero_gradients();
+    parallel_for(0, layers * fold_ranges, [&](std::size_t task) {
+      const std::size_t l = task / fold_ranges;
+      const std::size_t g0 = task % fold_ranges * kFoldGroups;
+      const std::size_t g1 = std::min(groups, g0 + kFoldGroups);
+      const std::size_t lo = g0 * n * fft::Frame::kLanes;
+      const std::size_t hi = g1 * n * fft::Frame::kLanes;
+      double* sum = slot_grads_[0][l].data();
+      for (std::size_t s = 1; s < slots; ++s) {
+        const double* part = slot_grads_[s][l].data();
+        for (std::size_t f = lo; f < hi; ++f) sum[f] += part[f];
+      }
+      double* out = grads[l].data();
+      fft::for_each_element(n, n, g0, g1, [&](std::size_t f, std::size_t i) {
+        out[i] = sum[f] * inv_batch;
+      });
+    });
 
-    // Regularizers (functions of the weights, added once per batch).
-    // Normalized per pixel / per block so the factors p, q are independent
-    // of the grid size (see RegularizerOptions).
-    double reg_value = 0.0;
+    // Regularizers (functions of the weights, added once per batch), one
+    // task per layer, summed in layer order. Normalized per pixel / per
+    // block so the factors p, q are independent of the grid size (see
+    // RegularizerOptions).
     auto& phases = model_.phases();
-    for (std::size_t l = 0; l < phases.size(); ++l) {
+    std::vector<double> roughness_terms(layers, 0.0);
+    std::vector<double> intra_terms(layers, 0.0);
+    parallel_for(0, layers, [&](std::size_t l) {
       if (options_.reg.roughness_p > 0.0) {
         const double scale = options_.reg.roughness_p /
                              static_cast<double>(phases[l].size());
-        reg_value += scale *
-                     roughness::roughness_with_grad(phases[l], grads[l],
-                                                    scale,
-                                                    options_.reg.roughness);
+        roughness_terms[l] =
+            scale * roughness::roughness_with_grad(phases[l], grads[l], scale,
+                                                   options_.reg.roughness);
       }
       if (options_.reg.intra_q > 0.0) {
         const std::size_t b = kIntraBlocks.block_size;
@@ -240,9 +261,14 @@ EpochStats Trainer::run_epoch() {
                                    ((phases[l].cols() + b - 1) / b);
         const double scale =
             options_.reg.intra_q / static_cast<double>(blocks);
-        reg_value += scale * roughness::intra_block_variance_with_grad(
-                                 phases[l], grads[l], scale, kIntraBlocks);
+        intra_terms[l] = scale * roughness::intra_block_variance_with_grad(
+                                     phases[l], grads[l], scale, kIntraBlocks);
       }
+    });
+    double reg_value = 0.0;
+    for (std::size_t l = 0; l < layers; ++l) {
+      if (options_.reg.roughness_p > 0.0) reg_value += roughness_terms[l];
+      if (options_.reg.intra_q > 0.0) reg_value += intra_terms[l];
     }
 
     // Compression penalty.
@@ -319,7 +345,8 @@ std::vector<EpochStats> Trainer::run() {
 double evaluate_accuracy(const donn::DonnModel& model,
                          const data::Dataset& test) {
   check_dataset(model, test, "evaluate");
-  const std::vector<MatrixC> modulations = model.modulation_tables();
+  const donn::DonnModel::ModulationFrames modulations =
+      model.modulation_frames();
   std::vector<std::uint8_t> hits(test.size(), 0);
   parallel_for_chunks(0, test.size(), [&](std::size_t lo, std::size_t hi) {
     donn::DonnModel::Workspace workspace;

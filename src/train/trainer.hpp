@@ -138,6 +138,11 @@ class Trainer {
   TrainOptions options_;
   Adam optimizer_;
   Rng rng_;
+  /// Reduction slices per realization block.
+  std::size_t slices_ = 0;
+  /// One frame-layout gradient set per reduction slot (realization-major),
+  /// allocated once; each batch's slot task zeroes its own.
+  std::vector<donn::DonnModel::FrameGradients> slot_grads_;
   std::size_t epoch_ = 0;
   std::uint64_t realization_counter_ = 0;
 };

@@ -424,6 +424,24 @@ bool same_bits(const double* a, const double* b, std::size_t count) {
   return std::memcmp(a, b, count * sizeof(double)) == 0;
 }
 
+/// Frame-layout gradients as row-major n x n matrices.
+std::vector<MatrixD> row_major(const DonnModel::FrameGradients& grads,
+                               std::size_t n) {
+  std::vector<MatrixD> out;
+  for (const fft::Plane& g : grads) {
+    MatrixD m(n, n);
+    fft::for_each_element(
+        n, n, 0, (n + fft::Frame::kLanes - 1) / fft::Frame::kLanes,
+        [&](std::size_t f, std::size_t i) { m[i] = g[f]; });
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+std::vector<MatrixD> row_major(std::vector<MatrixD> grads, std::size_t) {
+  return grads;
+}
+
 bool same_bits(const std::vector<MatrixD>& a, const std::vector<MatrixD>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t l = 0; l < a.size(); ++l) {
@@ -480,14 +498,15 @@ TEST_P(StackRunner, ReusedWorkspaceMatchesFreshOneBitForBit) {
   DonnModel::Workspace reused;
   const auto check = [&](const DonnModel& net,
                          const std::vector<optics::Field>& inputs) {
-    const std::vector<MatrixC> modulations = net.modulation_tables();
+    const std::size_t n = net.config().grid.n;
+    const DonnModel::ModulationFrames modulations = net.modulation_frames();
     for (std::size_t k = 0; k < inputs.size(); ++k) {
       const std::size_t label = k % net.config().num_classes;
-      auto grads_reused = net.zero_gradients();
+      auto grads_reused = net.zero_frame_gradients();
       const auto a = net.forward_backward(inputs[k], label, modulations,
                                           reused, grads_reused, loss);
       DonnModel::Workspace fresh;
-      auto grads_fresh = net.zero_gradients();
+      auto grads_fresh = net.zero_frame_gradients();
       const auto b = net.forward_backward(inputs[k], label, modulations,
                                           fresh, grads_fresh, loss);
       auto grads_plain = net.zero_gradients();
@@ -496,9 +515,10 @@ TEST_P(StackRunner, ReusedWorkspaceMatchesFreshOneBitForBit) {
       EXPECT_TRUE(same_bits(&a.loss, &p.loss, 1)) << c.name << " sample " << k;
       EXPECT_EQ(a.predicted, b.predicted);
       EXPECT_EQ(a.predicted, p.predicted);
-      EXPECT_TRUE(same_bits(grads_reused, grads_fresh))
+      EXPECT_TRUE(same_bits(row_major(grads_reused, n),
+                            row_major(grads_fresh, n)))
           << c.name << " sample " << k;
-      EXPECT_TRUE(same_bits(grads_reused, grads_plain))
+      EXPECT_TRUE(same_bits(row_major(grads_reused, n), grads_plain))
           << c.name << " sample " << k;
     }
   };
@@ -513,7 +533,7 @@ TEST_P(StackRunner, EveryEntryPointAgreesBitForBit) {
   const StackCase c = GetParam();
   const DonnModel model = stack_model(c, 43);
   const std::vector<optics::Field> inputs = stack_inputs(model, 8, 400);
-  const std::vector<MatrixC> modulations = model.modulation_tables();
+  const DonnModel::ModulationFrames modulations = model.modulation_frames();
 
   std::vector<std::size_t> predictions;
   std::vector<std::vector<double>> sums;
@@ -570,7 +590,7 @@ TEST_P(StackRunner, FirstHopEntryPointsMatchFieldOnesBitForBit) {
       inputs.size(), [&](std::size_t k) { return inputs[k]; });
   ASSERT_EQ(hops.size(), inputs.size());
   EXPECT_TRUE(model.accepts(hops));
-  const std::vector<MatrixC> modulations = model.modulation_tables();
+  const DonnModel::ModulationFrames modulations = model.modulation_frames();
 
   std::vector<std::size_t> predictions, hop_predictions;
   std::vector<std::vector<double>> sums, hop_sums;
@@ -595,15 +615,16 @@ TEST_P(StackRunner, FirstHopEntryPointsMatchFieldOnesBitForBit) {
   DonnModel::Workspace hop_workspace;
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const std::size_t label = k % model.config().num_classes;
-    auto field_grads = model.zero_gradients();
-    auto hop_grads = model.zero_gradients();
+    auto field_grads = model.zero_frame_gradients();
+    auto hop_grads = model.zero_frame_gradients();
     const auto a = model.forward_backward(inputs[k], label, modulations,
                                           field_workspace, field_grads, loss);
     const auto b = model.forward_backward(hops, k, label, modulations,
                                           hop_workspace, hop_grads, loss);
     EXPECT_TRUE(same_bits(&a.loss, &b.loss, 1)) << c.name << " sample " << k;
     EXPECT_EQ(a.predicted, b.predicted);
-    EXPECT_TRUE(same_bits(field_grads, hop_grads))
+    EXPECT_TRUE(same_bits(row_major(field_grads, c.n),
+                          row_major(hop_grads, c.n)))
         << c.name << " sample " << k;
   }
 }
@@ -659,7 +680,7 @@ TEST_P(RunnerBits, BitsArePinned) {
   const std::vector<optics::Field> inputs = stack_inputs(model, 4, 910);
   const DonnModel::FirstHops hops = model.first_hops(
       inputs.size(), [&](std::size_t k) { return inputs[k]; });
-  const auto tables = model.modulation_tables();
+  const DonnModel::ModulationFrames tables = model.modulation_frames();
   const std::size_t classes = model.config().num_classes;
 
   const auto fold_scores =
@@ -699,40 +720,47 @@ TEST_P(RunnerBits, BitsArePinned) {
   std::vector<MatrixD> intensities;
   model.infer_batch(inputs, tables, &predictions, &sums, &intensities);
   check_batch("infer_batch(fields)", predictions, sums, intensities);
+  model.infer_batch(inputs, model.modulation_tables(), &predictions, &sums,
+                    &intensities);
+  check_batch("infer_batch(fields, row-major tables)", predictions, sums,
+              intensities);
   model.infer_batch(hops, tables, &predictions, &sums, &intensities);
   check_batch("infer_batch(hops)", predictions, sums, intensities);
 
   // run(k, grads) runs sample k through one forward_backward overload,
-  // accumulating into grads.
+  // accumulating into grads (a frame-layout or a row-major set).
   const LossOptions loss;
-  const auto gradient_digest = [&](const auto& run) {
-    std::vector<MatrixD> grads = model.zero_gradients();
+  const auto gradient_digest = [&](auto grads, const auto& run) {
     std::uint64_t hash = kFnv1aBasis;
     for (std::size_t k = 0; k < inputs.size(); ++k) {
       const DonnModel::ForwardBackwardResult r = run(k, grads);
       hash = fnv1a_mix(hash, r.loss);
       hash = fnv1a_mix(hash, static_cast<double>(r.predicted));
     }
-    for (const MatrixD& g : grads) hash = fold(hash, g.data(), g.size());
+    for (const MatrixD& g : row_major(grads, c.n)) {
+      hash = fold(hash, g.data(), g.size());
+    }
     return hash;
   };
-  const std::uint64_t on_fields =
-      gradient_digest([&](std::size_t k, std::vector<MatrixD>& grads) {
+  const std::uint64_t on_fields = gradient_digest(
+      model.zero_frame_gradients(),
+      [&](std::size_t k, DonnModel::FrameGradients& grads) {
         return model.forward_backward(inputs[k], k % classes, tables,
                                       workspace, grads, loss);
       });
-  const std::uint64_t on_hops =
-      gradient_digest([&](std::size_t k, std::vector<MatrixD>& grads) {
+  const std::uint64_t on_hops = gradient_digest(
+      model.zero_frame_gradients(),
+      [&](std::size_t k, DonnModel::FrameGradients& grads) {
         return model.forward_backward(hops, k, k % classes, tables, workspace,
                                       grads, loss);
       });
-  const std::uint64_t row_major =
-      gradient_digest([&](std::size_t k, std::vector<MatrixD>& grads) {
+  const std::uint64_t through_row_major = gradient_digest(
+      model.zero_gradients(), [&](std::size_t k, std::vector<MatrixD>& grads) {
         return model.forward_backward(inputs[k], k % classes, grads, loss);
       });
   EXPECT_EQ(on_fields, c.gradients) << std::hex << on_fields;
   EXPECT_EQ(on_hops, c.gradients) << std::hex << on_hops;
-  EXPECT_EQ(row_major, c.gradients) << std::hex << row_major;
+  EXPECT_EQ(through_row_major, c.gradients) << std::hex << through_row_major;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -765,19 +793,25 @@ TEST(Model, RunnerRejectsMismatchedTablesAndGradients) {
   const DonnModel model(tiny_config(16, 2), rng);
   const auto input = random_input(model.config().grid, 46);
   DonnModel::Workspace workspace;
-  auto grads = model.zero_gradients();
-  std::vector<MatrixC> short_tables = model.modulation_tables();
+  auto grads = model.zero_frame_gradients();
+  DonnModel::ModulationFrames short_tables = model.modulation_frames();
   short_tables.pop_back();
   EXPECT_THROW(model.forward_backward(input, 0, short_tables, workspace, grads,
                                       {}),
                ShapeError);
   EXPECT_THROW(model.predict(input, short_tables, workspace), ShapeError);
-  std::vector<MatrixD> bad_grads = {MatrixD(8, 8), MatrixD(8, 8)};
-  EXPECT_THROW(model.forward_backward(input, 0, model.modulation_tables(),
+  DonnModel::ModulationFrames small_tables = model.modulation_frames();
+  small_tables[1] = fft::Frame(8, 8);
+  EXPECT_THROW(model.predict(input, small_tables, workspace), ShapeError);
+  DonnModel::FrameGradients bad_grads = {fft::Plane(64), fft::Plane(64)};
+  EXPECT_THROW(model.forward_backward(input, 0, model.modulation_frames(),
                                       workspace, bad_grads, {}),
                ShapeError);
+  std::vector<MatrixD> bad_row_major = {MatrixD(8, 8), MatrixD(8, 8)};
+  EXPECT_THROW(model.forward_backward(input, 0, bad_row_major, {}),
+               ShapeError);
   const auto wrong_grid = random_input(DonnConfig::scaled(32).grid, 47);
-  EXPECT_THROW(model.predict(wrong_grid, model.modulation_tables(), workspace),
+  EXPECT_THROW(model.predict(wrong_grid, model.modulation_frames(), workspace),
                ShapeError);
 }
 
@@ -805,9 +839,9 @@ TEST(Model, FirstHopsOfAnotherGeometryAreRejected) {
   const DonnModel::FirstHops wide = DonnModel(wider, rng).first_hops(
       1, [&](std::size_t) { return random_input(wider.grid, 52); });
 
-  const std::vector<MatrixC> modulations = model.modulation_tables();
+  const DonnModel::ModulationFrames modulations = model.modulation_frames();
   DonnModel::Workspace workspace;
-  auto grads = model.zero_gradients();
+  auto grads = model.zero_frame_gradients();
   std::vector<std::size_t> predictions;
   EXPECT_TRUE(model.accepts(own));
   EXPECT_NO_THROW(

@@ -417,7 +417,8 @@ TEST(MonteCarloEvaluatorTest, CleanAccuracyCountsPerSamplePredictions) {
     const auto report = evaluator.evaluate(
         "m", setup.model, parse_perturbation_stack("quantize"));
 
-    const std::vector<MatrixC> modulations = setup.model.modulation_tables();
+    const donn::DonnModel::ModulationFrames modulations =
+        setup.model.modulation_frames();
     donn::DonnModel::Workspace workspace;
     std::size_t correct = 0;
     for (std::size_t i = 0; i < setup.eval.size(); ++i) {
@@ -590,7 +591,7 @@ double accuracy(const donn::DonnModel& model,
                 const std::vector<optics::Field>& inputs,
                 const data::Dataset& eval) {
   std::vector<std::size_t> predictions;
-  model.infer_batch(inputs, model.modulation_tables(), &predictions, nullptr,
+  model.infer_batch(inputs, model.modulation_frames(), &predictions, nullptr,
                     nullptr);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {

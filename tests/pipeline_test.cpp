@@ -821,7 +821,8 @@ TEST(PublishHandoff, PipelineToRegistryToInferenceEngineEndToEnd) {
         "ours-d", optics::encode_image(setup.test.image(k),
                                        published->config().grid)));
   }
-  const std::vector<MatrixC> published_tables = published->modulation_tables();
+  const donn::DonnModel::ModulationFrames published_tables =
+      published->modulation_frames();
   donn::DonnModel::Workspace workspace;
   for (std::size_t k = 0; k < count; ++k) {
     const auto result = futures[k].get();
@@ -834,7 +835,8 @@ TEST(PublishHandoff, PipelineToRegistryToInferenceEngineEndToEnd) {
   // The smoothed variant is inference-equivalent in the ideal simulation
   // (2*pi periodicity) — serving it returns the same classes.
   const auto smoothed = registry->get("ours-d-smoothed");
-  const std::vector<MatrixC> smoothed_tables = smoothed->modulation_tables();
+  const donn::DonnModel::ModulationFrames smoothed_tables =
+      smoothed->modulation_frames();
   for (std::size_t k = 0; k < count; ++k) {
     const auto input =
         optics::encode_image(setup.test.image(k), smoothed->config().grid);

@@ -66,28 +66,45 @@ std::string temp_path(const std::string& name) {
 std::size_t single_prediction(const donn::DonnModel& model,
                               const optics::Field& input) {
   donn::DonnModel::Workspace workspace;
-  return model.predict(input, model.modulation_tables(), workspace);
+  return model.predict(input, model.modulation_frames(), workspace);
 }
 
 /// Batched argmax classes: infer_batch through the model's own tables.
 std::vector<std::size_t> batch_predictions(
     const donn::DonnModel& model, const std::vector<optics::Field>& inputs) {
   std::vector<std::size_t> predictions;
-  model.infer_batch(inputs, model.modulation_tables(), &predictions, nullptr,
+  model.infer_batch(inputs, model.modulation_frames(), &predictions, nullptr,
                     nullptr);
   return predictions;
 }
 
 TEST(ModulationTables, MatchPhaseMasks) {
-  const donn::DonnConfig cfg = tiny_config(16, 3);
+  // Grid 18: the frames' last lane group is partial, and its idle lanes
+  // must hold 0 so they stay 0 in every modulated field.
+  const donn::DonnConfig cfg = tiny_config(18, 3);
   const donn::DonnModel model = make_model(cfg, 21);
   const auto mods = model.modulation_tables();
+  const auto frames = model.modulation_frames();
   ASSERT_EQ(mods.size(), model.num_layers());
+  ASSERT_EQ(frames.size(), model.num_layers());
   for (std::size_t l = 0; l < mods.size(); ++l) {
     const MatrixD& phi = model.phases()[l];
-    for (std::size_t i = 0; i < phi.size(); ++i) {
-      EXPECT_EQ(mods[l][i].real(), std::cos(phi[i]));
-      EXPECT_EQ(mods[l][i].imag(), std::sin(phi[i]));
+    const fft::Frame& w = frames[l];
+    for (std::size_t r = 0; r < phi.rows(); ++r) {
+      for (std::size_t c = 0; c < phi.cols(); ++c) {
+        const std::size_t i = r * phi.cols() + c;
+        EXPECT_EQ(mods[l][i].real(), std::cos(phi[i]));
+        EXPECT_EQ(mods[l][i].imag(), std::sin(phi[i]));
+        EXPECT_EQ(w.re()[w.index(r, c)], std::cos(phi[i]));
+        EXPECT_EQ(w.im()[w.index(r, c)], std::sin(phi[i]));
+      }
+    }
+    for (std::size_t r = phi.rows(); r < w.groups() * fft::Frame::kLanes;
+         ++r) {
+      for (std::size_t c = 0; c < phi.cols(); ++c) {
+        EXPECT_EQ(w.re()[w.index(r, c)], 0.0);
+        EXPECT_EQ(w.im()[w.index(r, c)], 0.0);
+      }
     }
   }
 }
